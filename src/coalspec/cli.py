@@ -84,14 +84,6 @@ def _rates_for(model: str, n: int) -> RateTable:
     return bs_rates(n) if model == "bs" else kingman_rates(n)
 
 
-def _matrix_payload(mat: RatMatrix, order: list[str], n: int) -> dict:
-    return {
-        "n": n,
-        "order": order,
-        "entries": [[i, j, format_rational(v)] for i, j, v in mat.nonzeros()],
-    }
-
-
 def _entries_payload(mat: RatMatrix) -> list:
     return [[i, j, format_rational(v)] for i, j, v in mat.nonzeros()]
 
@@ -150,28 +142,40 @@ def cmd_qmatrix(args) -> int:
         rows += [[str(i), str(j), format_rational(v)] for i, j, v in Q.nonzeros()]
         _emit_csv(rows, args.out)
     else:
-        payload = {"model": args.model, "block_counting": bool(args.block)}
-        payload.update(_matrix_payload(Q, order, n))
+        payload = {
+            "model": args.model,
+            "block_counting": bool(args.block),
+            "n": n,
+            "order": order,
+            "entries": _entries_payload(Q),
+        }
         _emit_json(payload, args.out)
     return 0
 
 
 def _build_triple(model: str, n: int, block: bool):
-    """Returns (Q, triple, order) for a model at size n."""
+    """Returns (Q, triple, order, eigenvalues) for a model at size n.
+
+    The eigenvalues come with their multiplicities and are read off Q, whose
+    spectrum is its diagonal because it is triangular.
+    """
     if block:
         Q = (bs_block_generator if model == "bs" else kingman_block_generator)(n)
         triple = (bs_block_triple if model == "bs" else kingman_block_triple)(n)
-        return Q, triple, _block_order(n)
+        # the block-count diagonals 1 - i and -C(i, 2) are n distinct values
+        eigenvalues = [(Q.get(i, i), 1) for i in range(n)]
+        return Q, triple, _block_order(n), eigenvalues
     lattice = PartitionLattice(n)
-    Q = build_generator(lattice, _rates_for(model, n))
+    rates = _rates_for(model, n)
+    Q = build_generator(lattice, rates)
     triple = (bs_triple if model == "bs" else kingman_triple)(lattice)
-    return Q, triple, _lattice_order(lattice)
+    return Q, triple, _lattice_order(lattice), characteristic_factorization(Q, rates)
 
 
 def cmd_spectral(args) -> int:
     if args.format == "csv":
         raise ValueError("spectral output is JSON only")
-    Q, triple, order = _build_triple(args.model, args.n, args.block)
+    Q, triple, order, eigenvalues = _build_triple(args.model, args.n, args.block)
     report = verify_triple(Q, triple)
     payload = {
         "model": args.model,
@@ -181,24 +185,11 @@ def cmd_spectral(args) -> int:
         "R": _entries_payload(triple.R),
         "D": [format_rational(d) for d in triple.D],
         "L": _entries_payload(triple.L),
-        "eigenvalues": [
-            [format_rational(ev), mult]
-            for ev, mult in _eigenvalue_list(args.model, args.n, args.block)
-        ],
+        "eigenvalues": [[format_rational(ev), mult] for ev, mult in eigenvalues],
         "verification": report.as_dict(),
     }
     _emit_json(payload, args.out)
     return 0 if report.all_pass else 1
-
-
-def _eigenvalue_list(model: str, n: int, block: bool):
-    if block:
-        if model == "bs":
-            return [(Fraction(1 - i), 1) for i in range(1, n + 1)]
-        return [(Fraction(-i * (i - 1) // 2), 1) for i in range(1, n + 1)]
-    lattice = PartitionLattice(n)
-    Q = build_generator(lattice, _rates_for(model, n))
-    return characteristic_factorization(Q, _rates_for(model, n))
 
 
 def cmd_transition(args) -> int:
@@ -347,7 +338,7 @@ def _verify_checks(n: int, tol: float):
             yield f"{model}-spectrum", True
         except ValueError:
             yield f"{model}-spectrum", False
-        blockQ, blockT, _ = _build_triple(model, n, block=True)
+        blockQ, blockT, _, _ = _build_triple(model, n, block=True)
         yield f"{model}-block-triple", verify_triple(blockQ, blockT).all_pass
         # closed-form semigroup against the series exponential
         if model == "bs" and n <= 5:

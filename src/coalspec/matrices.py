@@ -2,8 +2,15 @@
 
 ``RatMatrix`` stores a dict of sparse rows of ``fractions.Fraction`` entries;
 zero entries are never stored, so equality, identity tests and products are
-exact.  ``TriMatrix`` ties a matrix to a ``PartitionLattice`` and is the
-carrier for generator and eigenvector matrices, whose support lives on
+exact.  Products do not add Fractions, though: ``matmul`` takes each row over
+its common denominator and accumulates the sums of an output row as Python
+ints over one denominator, then reduces each nonzero sum once.  That is one
+gcd per output entry instead of two per product (one for the multiply, one
+for the add), and the result is the same exact Fractions.  The integer rows
+live only for the duration of a call.
+
+``TriMatrix`` ties a matrix to a ``PartitionLattice`` and is the carrier for
+generator and eigenvector matrices, whose support lives on
 refinement-comparable pairs (hence upper triangular in the lattice's linear
 extension).
 """
@@ -11,6 +18,7 @@ extension).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,6 +28,17 @@ from .partitions import PartitionLattice
 __all__ = ["RatMatrix", "TriMatrix"]
 
 _ZERO = Fraction(0)
+
+
+def _integer_rows(
+    rows: dict[int, dict[int, Fraction]],
+) -> dict[int, tuple[int, dict[int, int]]]:
+    """Each row as (common denominator d, {col: integer numerator over d})."""
+    out = {}
+    for i, row in rows.items():
+        d = lcm(*[v.denominator for v in row.values()])
+        out[i] = (d, {j: v.numerator * (d // v.denominator) for j, v in row.items()})
+    return out
 
 
 class RatMatrix:
@@ -82,20 +101,29 @@ class RatMatrix:
         return sum(self._rows.get(i, {}).values(), _ZERO)
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
+        """The exact product self · other.
+
+        Output row i is accumulated in ints over d_i · M, where d_i is the
+        common denominator of row i and M the lcm of the denominators of the
+        rows of ``other`` that row i touches.
+        """
         if self.size != other.size:
             raise ValueError("matrix sizes differ")
         out = RatMatrix(self.size)
-        orows = other._rows
-        for i, row in self._rows.items():
-            acc: dict[int, Fraction] = {}
-            for k, a in row.items():
-                orow = orows.get(k)
-                if orow is None:
-                    continue
+        right = _integer_rows(other._rows)
+        for i, (d_i, row) in _integer_rows(self._rows).items():
+            touched = [(a, right[k]) for k, a in row.items() if k in right]
+            if not touched:
+                continue
+            m = lcm(*[d_k for _, (d_k, _) in touched])
+            acc: dict[int, int] = {}
+            get = acc.get
+            for a, (d_k, orow) in touched:
+                s = a * (m // d_k)
                 for j, b in orow.items():
-                    prev = acc.get(j)
-                    acc[j] = a * b if prev is None else prev + a * b
-            cleaned = {j: v for j, v in acc.items() if v != 0}
+                    acc[j] = get(j, 0) + s * b
+            den = d_i * m
+            cleaned = {j: Fraction(v, den) for j, v in acc.items() if v}
             if cleaned:
                 out._rows[i] = cleaned
         return out
@@ -176,8 +204,22 @@ class TriMatrix(RatMatrix):
         return {(i, j): v for i, j, v in self.nonzeros()}
 
     def support_respects_order(self) -> bool:
-        """True iff every nonzero entry sits on a pair with π ≤ ρ."""
-        lat = self.lattice
-        return all(
-            i <= j and lat[i].refines(lat[j]) for i, j, _ in self.nonzeros()
-        )
+        """True iff every nonzero entry sits on a pair with π ≤ ρ.
+
+        Each partition is labelled by the block owning each element of [n];
+        π ≤ ρ iff the pairs (owner_π(e), owner_ρ(e)) number exactly |π|,
+        that is, iff no block of π meets two blocks of ρ.
+        """
+        labels = []
+        for pi in self.lattice:
+            owner = [0] * self.lattice.n
+            for idx, block in enumerate(pi.blocks):
+                for e in block:
+                    owner[e - 1] = idx
+            labels.append((len(pi), owner))
+        for i, row in self._rows.items():
+            p, owner_pi = labels[i]
+            for j in row:
+                if len(set(zip(owner_pi, labels[j][1]))) != p:
+                    return False
+        return True

@@ -109,6 +109,30 @@ class TestLatticeTriples:
             expect = F(factorial(r - 1), factorial(p - 1))
             assert v == (expect if (p - r) % 2 == 0 else -expect)
 
+    def test_kingman_entries_match_maximal_chains(self, lattices, kingman_triples):
+        # r and l are m(π, ρ) 2^(p-r) times (2r-1)!/((p-r)!(p+r-1)!) and
+        # (-1)^(p-r) (p+r-2)!/((2p-2)!(p-r)!), m the maximal-chain count
+        from math import factorial
+
+        from coalspec import coarsenings, count_maximal_chains
+
+        for n in range(2, 7):
+            lat, t = lattices[n], kingman_triples[n]
+            pairs = 0
+            for i, pi in enumerate(lat):
+                for rho in coarsenings(pi):
+                    j = lat.index_of(rho)
+                    p, r = len(pi), len(rho)
+                    weight = count_maximal_chains(pi, rho) << (p - r)
+                    rv = F(weight * factorial(2 * r - 1),
+                           factorial(p - r) * factorial(p + r - 1))
+                    lv = F(weight * factorial(p + r - 2),
+                           factorial(2 * p - 2) * factorial(p - r))
+                    assert t.R.get(i, j) == rv, (n, pi, rho)
+                    assert t.L.get(i, j) == (-lv if (p - r) % 2 else lv), (n, pi, rho)
+                    pairs += 1
+            assert t.R.nnz() == t.L.nnz() == pairs
+
 
 class TestBlockTriples:
     def test_verify_against_block_generators(self):
