@@ -46,12 +46,9 @@ from .partitions import (
     SizeLimitError,
     coarsenings,
     count_maximal_chains,
-    enumerate_lattice,
     interval,
-    is_refinement,
     merge_covers,
     pair_covers,
-    restrict,
     restriction_sizes,
     set_partitions,
 )
@@ -116,12 +113,9 @@ __all__ = [
     "SizeLimitError",
     "coarsenings",
     "count_maximal_chains",
-    "enumerate_lattice",
     "interval",
-    "is_refinement",
     "merge_covers",
     "pair_covers",
-    "restrict",
     "restriction_sizes",
     "set_partitions",
     "IncreasingTree",

@@ -47,11 +47,7 @@ from .oracles import (
     hitting_bruteforce,
     matexp_series,
 )
-from .partitions import (
-    PartitionLattice,
-    coarsenings,
-    count_maximal_chains,
-)
+from .partitions import PartitionLattice, count_maximal_chains
 from .rrt import contains, count_trees_containing, enumerate_increasing_trees
 from .simulate import estimate_transition
 from .spectral import (
@@ -192,88 +188,87 @@ def cmd_spectral(args) -> int:
     return 0 if report.all_pass else 1
 
 
-def cmd_transition(args) -> int:
-    if (args.t is None) == (args.x is None):
-        raise ValueError("give exactly one of --t (real time) or --x (exact point)")
-    lattice = PartitionLattice(args.n)
+def _emit_pair_rows(args, lattice: PartitionLattice, head: dict, cell, per_key=True):
+    """Emit ``cell(i, j)`` over the comparable pairs as JSON rows or CSV triples.
+
+    With ``per_key`` the cell is computed on the first pair of each key
+    (|π|, |ρ|, restriction sizes) and reused for the others.  A cell of None
+    is left out of its row.
+    """
     order = _lattice_order(lattice)
     rows: dict[str, dict[str, str]] = {}
-    if args.x is not None:
-        if args.model != "bs":
-            raise ValueError("exact evaluation at --x is available for --model bs only")
-        x = Fraction(args.x)
-        for pi in lattice:
-            row = {}
-            for rho in sorted(coarsenings(pi), key=lambda p: p.sort_key):
-                v = bs_transition_exact(pi, rho, x)
-                if v:
-                    row[rho.to_string()] = format_rational(v)
-            rows[pi.to_string()] = row
-        meta = {"x": format_rational(x)}
-    elif args.model == "bs":
-        for pi in lattice:
-            row = {}
-            for rho in sorted(coarsenings(pi), key=lambda p: p.sort_key):
-                row[rho.to_string()] = format_real(bs_transition(pi, rho, args.t))
-            rows[pi.to_string()] = row
-        meta = {"t": format_real(args.t)}
-    else:
-        P = transition_via_triple(kingman_triple(lattice), args.t)
-        for i, pi in enumerate(lattice):
-            row = {}
-            for rho in sorted(coarsenings(pi), key=lambda p: p.sort_key):
-                row[rho.to_string()] = format_real(P[i, lattice.index_of(rho)])
-            rows[pi.to_string()] = row
-        meta = {"t": format_real(args.t)}
+    memo: dict[tuple, str | None] = {}
+    for i, j, key in lattice.comparable_pairs():
+        row = rows.setdefault(order[i], {})
+        if not per_key:
+            text = cell(i, j)
+        elif key in memo:
+            text = memo[key]
+        else:
+            text = memo[key] = cell(i, j)
+        if text is not None:
+            row[order[j]] = text
     if args.format == "csv":
         table = [["source", "target", "value"]]
         for source, row in rows.items():
             table += [[source, target, v] for target, v in row.items()]
         _emit_csv(table, args.out)
     else:
-        payload = {"model": args.model, "n": args.n, **meta, "rows": rows}
-        _emit_json(payload, args.out)
+        _emit_json({**head, "rows": rows}, args.out)
+
+
+def cmd_transition(args) -> int:
+    if (args.t is None) == (args.x is None):
+        raise ValueError("give exactly one of --t (real time) or --x (exact point)")
+    lattice = PartitionLattice(args.n)
+    el = lattice.elements
+    head = {"model": args.model, "n": args.n}
+    if args.x is not None:
+        if args.model != "bs":
+            raise ValueError("exact evaluation at --x is available for --model bs only")
+        x = Fraction(args.x)
+        head["x"] = format_rational(x)
+
+        def cell(i, j):
+            v = bs_transition_exact(el[i], el[j], x)
+            return format_rational(v) if v else None
+
+        _emit_pair_rows(args, lattice, head, cell)
+        return 0
+    head["t"] = format_real(args.t)
+    if args.model == "bs":
+        _emit_pair_rows(
+            args, lattice, head,
+            lambda i, j: format_real(bs_transition(el[i], el[j], args.t)),
+        )
+    else:
+        # read per pair: the float product's last bits differ between pairs of a key
+        P = transition_via_triple(kingman_triple(lattice), args.t)
+        _emit_pair_rows(args, lattice, head, lambda i, j: format_real(P[i, j]), False)
     return 0
 
 
 def cmd_green(args) -> int:
     lattice = PartitionLattice(args.n)
-    rows: dict[str, dict[str, str]] = {}
-    for pi in lattice:
-        row = {}
-        for rho in sorted(coarsenings(pi), key=lambda p: p.sort_key):
-            row[rho.to_string()] = format_rational(bs_green(pi, rho))
-        rows[pi.to_string()] = row
-    if args.format == "csv":
-        table = [["source", "target", "value"]]
-        for source, row in rows.items():
-            table += [[source, target, v] for target, v in row.items()]
-        _emit_csv(table, args.out)
-    else:
-        _emit_json({"model": "bs", "n": args.n, "rows": rows}, args.out)
+    el = lattice.elements
+    _emit_pair_rows(
+        args, lattice, {"model": "bs", "n": args.n},
+        lambda i, j: format_rational(bs_green(el[i], el[j])),
+    )
     return 0
 
 
 def cmd_hitting(args) -> int:
     lattice = PartitionLattice(args.n)
+    el = lattice.elements
     hit = bs_hitting if args.model == "bs" else kingman_hitting
-    rows: dict[str, dict[str, str]] = {}
-    for pi in lattice:
-        row = {}
-        for rho in sorted(coarsenings(pi), key=lambda p: p.sort_key):
-            if args.model == "bs" and len(rho) == 1:
-                value = Fraction(1)  # absorption in the one-block state is certain
-            else:
-                value = hit(pi, rho)
-            row[rho.to_string()] = format_rational(value)
-        rows[pi.to_string()] = row
-    if args.format == "csv":
-        table = [["source", "target", "value"]]
-        for source, row in rows.items():
-            table += [[source, target, v] for target, v in row.items()]
-        _emit_csv(table, args.out)
-    else:
-        _emit_json({"model": args.model, "n": args.n, "rows": rows}, args.out)
+
+    def cell(i, j):
+        if args.model == "bs" and len(el[j]) == 1:
+            return "1/1"  # absorption in the one-block state is certain
+        return format_rational(hit(el[i], el[j]))
+
+    _emit_pair_rows(args, lattice, {"model": args.model, "n": args.n}, cell)
     return 0
 
 
@@ -324,6 +319,8 @@ def cmd_simulate(args) -> int:
 def _verify_checks(n: int, tol: float):
     """Yield (name, ok) pairs for the invariant suite at one n."""
     lattice = PartitionLattice(n)
+    el = lattice.elements
+    built = {}
     for model in ("bs", "kingman"):
         rates = _rates_for(model, n)
         Q = build_generator(lattice, rates)
@@ -331,6 +328,7 @@ def _verify_checks(n: int, tol: float):
             Q.row_sum(i) == 0 for i in range(len(lattice))
         )
         triple = (bs_triple if model == "bs" else kingman_triple)(lattice)
+        built[model] = Q, triple
         report = verify_triple(Q, triple)
         yield f"{model}-triple", report.all_pass
         try:
@@ -343,56 +341,46 @@ def _verify_checks(n: int, tol: float):
         # closed-form semigroup against the series exponential
         if model == "bs" and n <= 5:
             P_closed = np.zeros((len(lattice), len(lattice)))
-            for i, pi in enumerate(lattice):
-                for rho in coarsenings(pi):
-                    P_closed[i, lattice.index_of(rho)] = bs_transition(pi, rho, 1.0)
+            for i, j, _ in lattice.comparable_pairs():
+                P_closed[i, j] = bs_transition(el[i], el[j], 1.0)
             P_series = matexp_series(Q.to_float(), 1.0)
             yield "bs-transition-vs-matexp", bool(
                 np.max(np.abs(P_closed - P_series)) < tol
             )
     if n <= 5:
+        Qbs, bsT = built["bs"]
         # Green's matrix against the exact fundamental matrix
-        Qbs = build_generator(lattice, _rates_for("bs", n))
         N = fundamental_matrix(Qbs)
         ok = True
-        for i, pi in enumerate(lattice.elements[:-1]):
-            for j, rho in enumerate(lattice.elements[:-1]):
+        for i, pi in enumerate(el[:-1]):
+            for j, rho in enumerate(el[:-1]):
                 expect = N.get(i, j)
                 if bs_green(pi, rho) != expect:
                     ok = False
         yield "bs-green-vs-fundamental", ok
-        # hitting probabilities against the jump-chain recursion
-        ok_bs = ok_k = True
-        for pi in lattice:
-            for rho in coarsenings(pi):
-                if len(rho) > 1:
-                    if bs_hitting(pi, rho) != hitting_bruteforce("bs", pi, rho):
-                        ok_bs = False
-                if kingman_hitting(pi, rho) != hitting_bruteforce("kingman", pi, rho):
-                    ok_k = False
+        # per pair: hitting probabilities against the jump-chain recursion,
+        # maximal chains against DFS enumeration, tree containment counts
+        # against exhaustive enumeration
+        ok_bs = ok_k = ok_chains = ok_trees = True
+        trees = [enumerate_increasing_trees(pi) for pi in el]
+        for i, j, _ in lattice.comparable_pairs():
+            pi, rho = el[i], el[j]
+            if len(rho) > 1:
+                if bs_hitting(pi, rho) != hitting_bruteforce("bs", pi, rho):
+                    ok_bs = False
+            if kingman_hitting(pi, rho) != hitting_bruteforce("kingman", pi, rho):
+                ok_k = False
+            if count_maximal_chains(pi, rho) != len(enumerate_maximal_chains(pi, rho)):
+                ok_chains = False
+            cnt = sum(contains(t, rho) for t in trees[i])
+            if cnt != count_trees_containing(pi, rho):
+                ok_trees = False
+            if Fraction(cnt, len(trees[i])) != bsT.R.get(i, j):
+                ok_trees = False
         yield "bs-hitting-vs-bruteforce", ok_bs
         yield "kingman-hitting-vs-bruteforce", ok_k
-        # maximal chains: product formula against DFS enumeration
-        ok = True
-        for pi in lattice:
-            for rho in coarsenings(pi):
-                if count_maximal_chains(pi, rho) != len(
-                    enumerate_maximal_chains(pi, rho)
-                ):
-                    ok = False
-        yield "maximal-chains", ok
-        # tree containment counts against exhaustive enumeration
-        ok = True
-        bsT = bs_triple(lattice)
-        for i, pi in enumerate(lattice):
-            trees = enumerate_increasing_trees(pi)
-            for rho in coarsenings(pi):
-                cnt = sum(contains(t, rho) for t in trees)
-                if cnt != count_trees_containing(pi, rho):
-                    ok = False
-                if Fraction(cnt, len(trees)) != bsT.R.get(i, lattice.index_of(rho)):
-                    ok = False
-        yield "tree-containment", ok
+        yield "maximal-chains", ok_chains
+        yield "tree-containment", ok_trees
 
 
 def cmd_verify(args) -> int:

@@ -210,16 +210,10 @@ class TriMatrix(RatMatrix):
         π ≤ ρ iff the pairs (owner_π(e), owner_ρ(e)) number exactly |π|,
         that is, iff no block of π meets two blocks of ρ.
         """
-        labels = []
-        for pi in self.lattice:
-            owner = [0] * self.lattice.n
-            for idx, block in enumerate(pi.blocks):
-                for e in block:
-                    owner[e - 1] = idx
-            labels.append((len(pi), owner))
+        labels = self.lattice.owner_labels()
         for i, row in self._rows.items():
-            p, owner_pi = labels[i]
+            p, owner_pi = len(self.lattice[i]), labels[i]
             for j in row:
-                if len(set(zip(owner_pi, labels[j][1]))) != p:
+                if len(set(zip(owner_pi, labels[j]))) != p:
                     return False
         return True

@@ -28,10 +28,7 @@ __all__ = [
     "SetPartition",
     "PartitionLattice",
     "SizeLimitError",
-    "enumerate_lattice",
     "set_partitions",
-    "is_refinement",
-    "restrict",
     "restriction_sizes",
     "coarsenings",
     "merge_covers",
@@ -144,10 +141,7 @@ class SetPartition:
         """True iff every block of self lies inside a block of ``other``."""
         if not isinstance(other, SetPartition):
             raise TypeError("refinement compares two SetPartitions")
-        owner = {}
-        for idx, block in enumerate(other._blocks):
-            for e in block:
-                owner[e] = idx
+        owner = _owners(other)
         if len(owner) != self.n or any(e not in owner for b in self._blocks for e in b):
             raise ValueError("refinement requires identical ground sets")
         for block in self._blocks:
@@ -186,6 +180,15 @@ class SetPartition:
         return f"SetPartition({self.to_string()!r})"
 
 
+def _owners(pi: SetPartition) -> dict[int, int]:
+    """Element -> index of its block, blocks numbered by their minima."""
+    owner = {}
+    for idx, block in enumerate(pi.blocks):
+        for e in block:
+            owner[e] = idx
+    return owner
+
+
 def set_partitions(items: Sequence) -> Iterator[list[list]]:
     """Generate all set partitions of ``items`` as lists of lists.
 
@@ -203,25 +206,12 @@ def set_partitions(items: Sequence) -> Iterator[list[list]]:
         yield [[first]] + part
 
 
-def is_refinement(pi: SetPartition, rho: SetPartition) -> bool:
-    """π ≤ ρ in the refinement order (same ground set required)."""
-    return pi.refines(rho)
-
-
-def restrict(pi: SetPartition, subset: Iterable[int]) -> SetPartition:
-    """restrict(π, B): the partition induced on B by π."""
-    return pi.restrict(subset)
-
-
 def restriction_sizes(pi: SetPartition, rho: SetPartition) -> list[int]:
     """For π ≤ ρ, the block counts |restrict(π, B)| for each block B of ρ.
 
     Ordered like ``rho.blocks``.  These counts drive every product formula.
     """
-    owner = {}
-    for idx, block in enumerate(pi.blocks):
-        for e in block:
-            owner[e] = idx
+    owner = _owners(pi)
     sizes = []
     for block in rho.blocks:
         inner = {owner[e] for e in block}
@@ -236,6 +226,20 @@ def coarsenings(pi: SetPartition) -> Iterator[SetPartition]:
     for grouping in set_partitions(list(pi.blocks)):
         merged = [tuple(sorted(e for blk in group for e in blk)) for group in grouping]
         yield SetPartition(merged)
+
+
+def _groupings(p: int) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """Every grouping of range(p) as (group of each item, group count, group
+    sizes), groups numbered by their least items (a restricted growth string)."""
+    out = []
+    for grouping in set_partitions(range(p)):
+        groups = sorted(grouping, key=min)
+        label = [0] * p
+        for g, members in enumerate(groups):
+            for b in members:
+                label[b] = g
+        out.append((tuple(label), len(groups), tuple(len(m) for m in groups)))
+    return out
 
 
 def merge_covers(pi: SetPartition) -> list[SetPartition]:
@@ -281,10 +285,7 @@ def interval(pi: SetPartition, rho: SetPartition) -> list[SetPartition]:
     """
     if not pi.refines(rho):
         raise ValueError("interval requires π ≤ ρ")
-    owner = {}
-    for idx, block in enumerate(rho.blocks):
-        for e in block:
-            owner[e] = idx
+    owner = _owners(rho)
     groups: list[list[tuple[int, ...]]] = [[] for _ in rho.blocks]
     for block in pi.blocks:
         groups[owner[block[0]]].append(block)
@@ -366,7 +367,32 @@ class PartitionLattice:
     def with_block_count(self, k: int) -> list[SetPartition]:
         return [p for p in self.elements if len(p) == k]
 
+    def owner_labels(self) -> list[tuple[int, ...]]:
+        """Each partition as the block index of 1..n in turn, blocks numbered
+        by their minima (a restricted growth string).  Built per call."""
+        ground = range(1, self.n + 1)
+        return [tuple(map(_owners(pi).__getitem__, ground)) for pi in self.elements]
 
-def enumerate_lattice(n: int, cap: int | None = None) -> PartitionLattice:
-    """Build the full lattice P([n]) (subject to the size cap)."""
-    return PartitionLattice(n, cap)
+    def comparable_pairs(self) -> Iterator[tuple[int, int, tuple]]:
+        """Yield (i, j, key) for every π = self[i] ≤ ρ = self[j], i then j ascending.
+
+        key = (|π|, |ρ|, sizes), sizes as ``restriction_sizes`` lists them
+        (unsorted: float products taken in that order keep their bits); every
+        closed form on a pair is a function of it.  No partition is built: a
+        grouping of π's blocks, as a restricted growth string g, sends π's
+        label to ρ's label g[label], already in first-appearance order since
+        π's blocks are numbered by their minima.  Nothing outlives the walk.
+        """
+        labels = self.owner_labels()
+        index = {label: i for i, label in enumerate(labels)}
+        groupings: dict[int, list] = {}
+        for i, label in enumerate(labels):
+            p = len(self.elements[i])
+            if p not in groupings:
+                groupings[p] = _groupings(p)
+            row = sorted(
+                (index[tuple(map(g.__getitem__, label))], r, sizes)
+                for g, r, sizes in groupings[p]
+            )
+            for j, r, sizes in row:
+                yield i, j, (p, r, sizes)

@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator
 
 from .combinatorics import lah, stirling_first, stirling_second
 from .matrices import RatMatrix, TriMatrix
-from .partitions import PartitionLattice, coarsenings, restriction_sizes
+from .partitions import PartitionLattice
 
 __all__ = [
     "SpectralTriple",
@@ -94,14 +93,36 @@ class VerificationReport:
         }
 
 
-def _comparable_pairs(
-    lattice: PartitionLattice,
-) -> Iterator[tuple[int, int, int, int, list[int]]]:
-    """Yield (i, j, p, r, sizes) over all pairs π = lattice[i] ≤ ρ = lattice[j]."""
-    for i, pi in enumerate(lattice):
-        for rho in coarsenings(pi):
-            j = lattice.index_of(rho)
-            yield i, j, len(pi), len(rho), restriction_sizes(pi, rho)
+def _lattice_triple(lattice: PartitionLattice, entries, eigenvalue) -> SpectralTriple:
+    """R and L filled over the comparable pairs, one ``entries(p, r, sizes)`` per key."""
+    R = TriMatrix(lattice)
+    L = TriMatrix(lattice)
+    memo: dict[tuple, tuple[Fraction, Fraction]] = {}
+    for i, j, key in lattice.comparable_pairs():
+        rl = memo.get(key)
+        if rl is None:
+            rl = memo[key] = entries(*key)
+        R.set(i, j, rl[0])
+        L.set(i, j, rl[1])
+    D = tuple(Fraction(eigenvalue(len(pi))) for pi in lattice)
+    return SpectralTriple(R, D, L)
+
+
+def _bs_entries(p: int, r: int, sizes) -> tuple[Fraction, Fraction]:
+    base = Fraction(factorial(r - 1), factorial(p - 1))
+    rv = base
+    for s in sizes:
+        rv *= factorial(s - 1)
+    return rv, (base if (p - r) % 2 == 0 else -base)
+
+
+def _kingman_entries(p: int, r: int, sizes) -> tuple[Fraction, Fraction]:
+    prod = 1
+    for s in sizes:
+        prod *= factorial(s)
+    rv = Fraction(factorial(2 * r - 1) * prod, factorial(p + r - 1))
+    lv = Fraction(factorial(p + r - 2) * prod, factorial(2 * p - 2))
+    return rv, (-lv if (p - r) % 2 else lv)
 
 
 def bs_triple(lattice: PartitionLattice) -> SpectralTriple:
@@ -111,18 +132,7 @@ def bs_triple(lattice: PartitionLattice) -> SpectralTriple:
     probabilities of random recursive trees), the left entries alternate in
     sign, and the eigenvalues are -(|π| - 1).
     """
-    R = TriMatrix(lattice)
-    L = TriMatrix(lattice)
-    for i, j, p, r, sizes in _comparable_pairs(lattice):
-        base = Fraction(factorial(r - 1), factorial(p - 1))
-        rv = base
-        for s in sizes:
-            rv *= factorial(s - 1)
-        lv = base if (p - r) % 2 == 0 else -base
-        R.set(i, j, rv)
-        L.set(i, j, lv)
-    D = tuple(Fraction(1 - len(pi)) for pi in lattice)
-    return SpectralTriple(R, D, L)
+    return _lattice_triple(lattice, _bs_entries, lambda p: 1 - p)
 
 
 def kingman_triple(lattice: PartitionLattice) -> SpectralTriple:
@@ -132,20 +142,7 @@ def kingman_triple(lattice: PartitionLattice) -> SpectralTriple:
     maximal-chain route m(π, ρ) 2^(p-r) (2r-1)! / ((p-r)! (p+r-1)!) for R and
     (-1)^(p-r) m(π, ρ) 2^(p-r) (p+r-2)! / ((2p-2)! (p-r)!) for L.
     """
-    R = TriMatrix(lattice)
-    L = TriMatrix(lattice)
-    for i, j, p, r, sizes in _comparable_pairs(lattice):
-        prod = 1
-        for s in sizes:
-            prod *= factorial(s)
-        rv = Fraction(factorial(2 * r - 1) * prod, factorial(p + r - 1))
-        lv = Fraction(factorial(p + r - 2) * prod, factorial(2 * p - 2))
-        if (p - r) % 2:
-            lv = -lv
-        R.set(i, j, rv)
-        L.set(i, j, lv)
-    D = tuple(Fraction(-comb(len(pi), 2)) for pi in lattice)
-    return SpectralTriple(R, D, L)
+    return _lattice_triple(lattice, _kingman_entries, lambda p: -comb(p, 2))
 
 
 def bs_block_triple(n: int) -> SpectralTriple:

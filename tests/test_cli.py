@@ -1,13 +1,25 @@
 """The command-line interface: formats, exit codes, reproducibility."""
 
 import csv
+import functools
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from coalspec import bell
+from coalspec import (
+    PartitionLattice,
+    bell,
+    bs_green,
+    bs_hitting,
+    bs_transition,
+    bs_transition_exact,
+    kingman_hitting,
+    kingman_triple,
+    transition_via_triple,
+)
 from coalspec.cli import format_rational, format_real, main
 
 
@@ -173,6 +185,87 @@ class TestGreenAndHitting:
         assert ["1|2|3|4", "1,2|3,4", "1/9"] in rows
 
 
+def _exact_cell(lat, i, j):
+    v = bs_transition_exact(lat[i], lat[j], Fraction(2, 5))
+    return format_rational(v) if v else None  # --x leaves zero entries out
+
+
+@functools.cache
+def _kingman_transition(n, t):
+    return transition_via_triple(kingman_triple(PartitionLattice(n)), t)
+
+
+FULL_TABLES = {
+    "transition-x": (
+        ("transition", "--x", "2/5"), _exact_cell,
+    ),
+    "transition-t-bs": (
+        ("transition", "--t", "0.7"),
+        lambda lat, i, j: format_real(bs_transition(lat[i], lat[j], 0.7)),
+    ),
+    # at t = 0.1 the 15-digit values of bs_transition depend on the order of
+    # the restriction sizes, so a memo keyed on sorted sizes shows here
+    "transition-t-bs-small": (
+        ("transition", "--t", "0.1"),
+        lambda lat, i, j: format_real(bs_transition(lat[i], lat[j], 0.1)),
+    ),
+    "transition-t-kingman": (
+        ("transition", "--t", "0.7", "--model", "kingman"),
+        lambda lat, i, j: format_real(_kingman_transition(lat.n, 0.7)[i, j]),
+    ),
+    "green": (
+        ("green",),
+        lambda lat, i, j: format_rational(bs_green(lat[i], lat[j])),
+    ),
+    "hitting-bs": (
+        ("hitting", "--model", "bs"),
+        lambda lat, i, j: "1/1" if len(lat[j]) == 1
+        else format_rational(bs_hitting(lat[i], lat[j])),
+    ),
+    "hitting-kingman": (
+        ("hitting", "--model", "kingman"),
+        lambda lat, i, j: format_rational(kingman_hitting(lat[i], lat[j])),
+    ),
+}
+
+
+class TestFullTables:
+    """Every row and column at n = 5 against one public call per pair."""
+
+    N = 5
+
+    @staticmethod
+    def expected(cell, n):
+        lat = PartitionLattice(n)
+        rows = []
+        for i, pi in enumerate(lat):
+            row = []
+            for j, rho in enumerate(lat):
+                if pi.refines(rho):
+                    text = cell(lat, i, j)
+                    if text is not None:
+                        row.append((rho.to_string(), text))
+            rows.append((pi.to_string(), row))
+        return rows
+
+    @pytest.mark.parametrize("name", sorted(FULL_TABLES))
+    def test_json(self, capsys, name):
+        argv, cell = FULL_TABLES[name]
+        payload = run_json(capsys, *argv, "--n", str(self.N))
+        got = [(source, list(row.items())) for source, row in payload["rows"].items()]
+        assert got == self.expected(cell, self.N)
+
+    @pytest.mark.parametrize("name", sorted(FULL_TABLES))
+    def test_csv(self, capsys, name):
+        argv, cell = FULL_TABLES[name]
+        code, out, err = run(capsys, *argv, "--n", str(self.N), "--format", "csv")
+        assert code == 0, err
+        expect = [["source", "target", "value"]]
+        for source, row in self.expected(cell, self.N):
+            expect += [[source, target, text] for target, text in row]
+        assert list(csv.reader(io.StringIO(out))) == expect
+
+
 class TestSimulate:
     def test_reproducible_bytes(self, capsys):
         argv = ("simulate", "--n", "3", "--t", "0.5", "--reps", "400",
@@ -212,6 +305,21 @@ class TestVerify:
         assert {"bs-triple", "kingman-triple", "bs-green-vs-fundamental",
                 "tree-containment", "maximal-chains"} <= names
         assert all(c["pass"] for c in payload["checks"])
+
+    def test_builds_bs_triple_and_generators_once(self, monkeypatch):
+        import coalspec.cli as cli
+
+        calls = Counter()
+        for name in ("bs_triple", "build_generator"):
+            def counted(*args, _original=getattr(cli, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        checks = dict(cli._verify_checks(4, 1e-10))
+        assert "tree-containment" in checks and all(checks.values())
+        # one BS triple and one generator per model, shared by the n <= 5 checks
+        assert calls == {"bs_triple": 1, "build_generator": 2}
 
     def test_bad_nmax(self, capsys):
         code, _, err = run(capsys, "verify", "--n-max", "1")

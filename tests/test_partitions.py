@@ -9,12 +9,9 @@ from coalspec import (
     bell,
     coarsenings,
     count_maximal_chains,
-    enumerate_lattice,
     interval,
-    is_refinement,
     merge_covers,
     pair_covers,
-    restrict,
     restriction_sizes,
     set_partitions,
 )
@@ -70,43 +67,43 @@ class TestRefinement:
         for n in range(1, 6):
             delta = SetPartition.singletons(n)
             top = SetPartition.whole(n)
-            assert is_refinement(delta, top)
-            assert is_refinement(delta, delta)
-            assert is_refinement(top, top)
+            assert delta.refines(top)
+            assert delta.refines(delta)
+            assert top.refines(top)
             if n > 1:
-                assert not is_refinement(top, delta)
+                assert not top.refines(delta)
 
     def test_incomparable_pair(self):
         a, b = P("1,2|3"), P("1,3|2")
-        assert not is_refinement(a, b)
-        assert not is_refinement(b, a)
+        assert not a.refines(b)
+        assert not b.refines(a)
 
     def test_mismatched_ground_raises(self):
         with pytest.raises(ValueError):
-            is_refinement(P("1|2"), P("1|2|3"))
+            P("1|2").refines(P("1|2|3"))
 
     def test_refinement_implies_block_count(self):
         lat = PartitionLattice(4)
         for pi in lat:
             for rho in lat:
-                if is_refinement(pi, rho) and pi != rho:
+                if pi.refines(rho) and pi != rho:
                     assert len(pi) > len(rho)
 
 
 class TestRestrict:
     def test_example(self):
         pi = P("1,3|2,4")
-        assert restrict(pi, [1, 2, 3]) == SetPartition([[1, 3], [2]])
+        assert pi.restrict([1, 2, 3]) == SetPartition([[1, 3], [2]])
 
     def test_restrict_to_block_of_coarser(self):
         pi = P("1|2|3|4")
-        assert restrict(pi, (1, 2, 3)).blocks == ((1,), (2,), (3,))
+        assert pi.restrict((1, 2, 3)).blocks == ((1,), (2,), (3,))
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            restrict(P("1|2"), [])
+            P("1|2").restrict([])
         with pytest.raises(ValueError):
-            restrict(P("1|2"), [3])
+            P("1|2").restrict([3])
 
     def test_restriction_sizes(self):
         pi = P("1|2|3|4")
@@ -141,7 +138,7 @@ class TestLattice:
 
     def test_order_deterministic(self):
         a = PartitionLattice(4)
-        b = enumerate_lattice(4)
+        b = PartitionLattice(4)
         assert a.elements == b.elements
 
     def test_n3_order(self):
@@ -181,6 +178,43 @@ class TestLattice:
             PartitionLattice(3)
 
 
+class TestComparablePairs:
+    def test_matches_coarsenings_walk(self, lattices):
+        for n in range(1, 7):
+            lat = lattices[n]
+            reference = [
+                (i, lat.index_of(rho), len(pi), len(rho), restriction_sizes(pi, rho))
+                for i, pi in enumerate(lat)
+                for rho in sorted(coarsenings(pi), key=lambda q: q.sort_key)
+            ]
+            walk = [
+                (i, j, p, r, list(sizes))
+                for i, j, (p, r, sizes) in lat.comparable_pairs()
+            ]
+            assert walk == reference
+            assert len(walk) == sum(bell(len(pi)) for pi in lat)
+
+    def test_sizes_follow_rho_blocks(self):
+        lat = PartitionLattice(3)
+        keys = {(i, j): key for i, j, key in lat.comparable_pairs()}
+        assert keys[(0, lat.index_of(P("1,2|3")))] == (3, 2, (2, 1))
+        assert keys[(0, lat.index_of(P("1|2,3")))] == (3, 2, (1, 2))
+
+    def test_streamed(self, lattices):
+        walk = lattices[4].comparable_pairs()
+        assert iter(walk) is walk
+        assert next(walk) == (0, 0, (4, 4, (1, 1, 1, 1)))
+
+    def test_owner_labels(self, lattices):
+        for n in range(1, 7):
+            lat = lattices[n]
+            labels = lat.owner_labels()
+            assert len(set(labels)) == len(lat)
+            for pi, label in zip(lat, labels):
+                for idx, block in enumerate(pi.blocks):
+                    assert all(label[e - 1] == idx for e in block)
+
+
 class TestCovers:
     def test_merge_covers_count(self):
         for text in ("1|2|3", "1|2|3|4", "1,2|3|4|5"):
@@ -190,7 +224,7 @@ class TestCovers:
             assert len(covers) == 2**m - m - 1
             assert len(set(covers)) == len(covers)
             for sigma in covers:
-                assert is_refinement(pi, sigma)
+                assert pi.refines(sigma)
                 assert len(sigma) < m
                 # exactly one block of sigma is a union of >= 2 blocks of pi
                 sizes = restriction_sizes(pi, sigma)
@@ -203,7 +237,7 @@ class TestCovers:
         assert len(covers) == 6
         for sigma in covers:
             assert len(sigma) == 3
-            assert is_refinement(pi, sigma)
+            assert pi.refines(sigma)
         assert set(covers) <= set(merge_covers(pi))
 
 
@@ -230,7 +264,7 @@ class TestInterval:
     def test_membership(self):
         pi, rho = P("1|2|3|4"), P("1,2,3|4")
         for sigma in interval(pi, rho):
-            assert is_refinement(pi, sigma) and is_refinement(sigma, rho)
+            assert pi.refines(sigma) and sigma.refines(rho)
 
     def test_error(self):
         with pytest.raises(ValueError):
@@ -266,7 +300,7 @@ class TestMaximalChainCounts:
                     up = sum(
                         count_maximal_chains(sigma, rho)
                         for sigma in pair_covers(pi)
-                        if is_refinement(sigma, rho)
+                        if sigma.refines(rho)
                     )
                     down = sum(
                         count_maximal_chains(pi, sigma)

@@ -86,15 +86,13 @@ class TestLatticeTriples:
 
     def test_support_is_exactly_comparable_pairs(self, lattices, bs_triples,
                                                  kingman_triples):
-        from coalspec import is_refinement
-
         for n in (3, 4):
             lat = lattices[n]
             comparable = {
                 (i, j)
                 for i, pi in enumerate(lat)
                 for j, rho in enumerate(lat)
-                if is_refinement(pi, rho)
+                if pi.refines(rho)
             }
             for t in (bs_triples[n], kingman_triples[n]):
                 assert {(i, j) for i, j, _ in t.R.nonzeros()} == comparable
