@@ -49,6 +49,7 @@ from .partitions import (
     interval,
     merge_covers,
     pair_covers,
+    pair_key,
     restriction_sizes,
     set_partitions,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "interval",
     "merge_covers",
     "pair_covers",
+    "pair_key",
     "restriction_sizes",
     "set_partitions",
     "IncreasingTree",

@@ -384,6 +384,8 @@ def _verify_checks(n: int, tol: float):
 
 
 def cmd_verify(args) -> int:
+    if args.format == "csv":
+        raise ValueError("verify output is JSON only")
     if args.n_max < 2:
         raise ValueError("--n-max must be at least 2")
     checks = []

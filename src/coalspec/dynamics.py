@@ -31,7 +31,7 @@ from math import factorial
 import numpy as np
 
 from .combinatorics import ascending_factorial, lah, stirling_first, stirling_second
-from .partitions import SetPartition, restriction_sizes
+from .partitions import SetPartition, pair_key
 from .spectral import SpectralTriple
 
 __all__ = [
@@ -45,22 +45,17 @@ __all__ = [
 ]
 
 
-def _same_ground(pi: SetPartition, rho: SetPartition) -> None:
-    if pi.ground != rho.ground:
-        raise ValueError("partitions live on different ground sets")
-
-
 def bs_transition(pi: SetPartition, rho: SetPartition, t: float) -> float:
     """P(Π(t) = ρ | Π(0) = π) for the Bolthausen-Sznitman coalescent."""
-    _same_ground(pi, rho)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if not pi.refines(rho):
+    key = pair_key(pi, rho)
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be {'nonnegative' if t < 0 else 'finite'}")
+    if key is None:
         return 0.0
-    p, r = len(pi), len(rho)
+    p, r, sizes = key
     x = math.exp(-t)
     value = math.exp(t) * factorial(r - 1) / factorial(p - 1)
-    for s in restriction_sizes(pi, rho):
+    for s in sizes:
         value *= ascending_factorial(-x, s)
     if r % 2:
         value = -value
@@ -74,15 +69,15 @@ def bs_transition_exact(pi: SetPartition, rho: SetPartition, x) -> Fraction:
     valid for any rational x != 0; x = e^-t recovers the transition
     probability and x = 1 the identity matrix.
     """
-    _same_ground(pi, rho)
+    key = pair_key(pi, rho)
     x = Fraction(x)
     if x == 0:
         raise ValueError("x must be nonzero")
-    if not pi.refines(rho):
+    if key is None:
         return Fraction(0)
-    p, r = len(pi), len(rho)
+    p, r, sizes = key
     value = Fraction(factorial(r - 1), factorial(p - 1)) / x
-    for s in restriction_sizes(pi, rho):
+    for s in sizes:
         value *= ascending_factorial(-x, s)
     return -value if r % 2 else value
 
@@ -94,13 +89,12 @@ def bs_green(pi: SetPartition, rho: SetPartition):
     ρ = {[n]} (the absorbing state is never left), and 0 when π is not finer
     than ρ.
     """
-    _same_ground(pi, rho)
-    if not pi.refines(rho):
+    key = pair_key(pi, rho)
+    if key is None:
         return Fraction(0)
-    if len(rho) == 1:
+    p, r, sizes = key
+    if r == 1:
         return math.inf
-    p, r = len(pi), len(rho)
-    sizes = restriction_sizes(pi, rho)
     total = Fraction(0)
     for ks in product(*(range(1, s + 1) for s in sizes)):
         ktot = sum(ks)
@@ -121,12 +115,9 @@ def bs_hitting(pi: SetPartition, rho: SetPartition) -> Fraction:
     never returns.  The absorbing target ρ = {[n]} is rejected (absorption is
     certain; there is no finite Green entry to normalize).
     """
-    _same_ground(pi, rho)
     if len(rho) == 1:
         raise ValueError("hitting the absorbing one-block state is certain; "
                          "only non-absorbing targets are supported")
-    if not pi.refines(rho):
-        return Fraction(0)
     return bs_green(pi, rho) * (len(rho) - 1)
 
 
@@ -161,13 +152,14 @@ def kingman_hitting(pi: SetPartition, rho: SetPartition) -> Fraction:
 
     with L the Lah number.  Zero when π is not finer than ρ.
     """
-    _same_ground(pi, rho)
-    if not pi.refines(rho):
+    key = pair_key(pi, rho)
+    if key is None:
         return Fraction(0)
+    p, r, sizes = key
     prod = 1
-    for s in restriction_sizes(pi, rho):
+    for s in sizes:
         prod *= factorial(s)
-    return Fraction(prod, lah(len(pi), len(rho)))
+    return Fraction(prod, lah(p, r))
 
 
 def transition_via_triple(triple: SpectralTriple, t: float) -> np.ndarray:
@@ -175,8 +167,8 @@ def transition_via_triple(triple: SpectralTriple, t: float) -> np.ndarray:
 
     Works for lattice triples and block-counting triples of either model.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be {'nonnegative' if t < 0 else 'finite'}")
     R = triple.R.to_float()
     L = triple.L.to_float()
     w = np.exp(t * np.array([float(d) for d in triple.D]))

@@ -20,7 +20,7 @@ from typing import Mapping
 
 from .combinatorics import stirling_second
 from .matrices import RatMatrix, TriMatrix
-from .partitions import PartitionLattice, merge_covers
+from .partitions import PartitionLattice
 
 __all__ = [
     "RateTable",
@@ -112,23 +112,21 @@ def build_generator(lattice: PartitionLattice, rates: RateTable) -> TriMatrix:
     """Assemble the generator Q on the lattice from a rate table.
 
     Rows sum to zero exactly; off-diagonal support consists of the single
-    mergers with nonzero rate.
+    mergers with nonzero rate.  Filled from ``lattice.comparable_pairs()``:
+    ρ is a single merger of π iff one restriction size, k = |π| - |ρ| + 1,
+    exceeds 1 (k = 1 on the diagonal).
     """
     if rates.n < lattice.n:
         raise ValueError(
             f"rate table covers b <= {rates.n} but the lattice needs b <= {lattice.n}"
         )
     Q = TriMatrix(lattice)
-    for idx, pi in enumerate(lattice):
-        b = len(pi)
-        if b < 2:
-            continue
-        Q.set(idx, idx, -rates.total_rate(b))
-        for sigma in merge_covers(pi):
-            k = b - len(sigma) + 1
-            v = rates.rate(b, k)
-            if v:
-                Q.set(idx, lattice.index_of(sigma), v)
+    for i, j, (p, r, sizes) in lattice.comparable_pairs():
+        k = p - r + 1
+        if k == 1:
+            Q.set(i, j, -rates.total_rate(p))
+        elif k in sizes:  # Σ (size - 1) = k - 1, so every other size is 1
+            Q.set(i, j, rates.rate(p, k))
     return Q
 
 

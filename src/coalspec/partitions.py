@@ -2,7 +2,9 @@
 
 ``SetPartition`` is an immutable, hashable value type.  Its ground set may be
 any finite set of positive integers, so restrictions of a partition of
-``{1..n}`` to a block are first-class partitions as well.
+``{1..n}`` to a block are first-class partitions as well.  ``pair_key(π, ρ)``
+is the one refinement test: the key (|π|, |ρ|, restriction sizes) of every
+closed form on the pair, or None unless π ≤ ρ.
 
 ``PartitionLattice`` enumerates all of P([n]) under a fixed linear extension
 of refinement: partitions are sorted by decreasing block count, ties broken by
@@ -29,6 +31,7 @@ __all__ = [
     "PartitionLattice",
     "SizeLimitError",
     "set_partitions",
+    "pair_key",
     "restriction_sizes",
     "coarsenings",
     "merge_covers",
@@ -141,14 +144,7 @@ class SetPartition:
         """True iff every block of self lies inside a block of ``other``."""
         if not isinstance(other, SetPartition):
             raise TypeError("refinement compares two SetPartitions")
-        owner = _owners(other)
-        if len(owner) != self.n or any(e not in owner for b in self._blocks for e in b):
-            raise ValueError("refinement requires identical ground sets")
-        for block in self._blocks:
-            first = owner[block[0]]
-            if any(owner[e] != first for e in block[1:]):
-                return False
-        return True
+        return pair_key(self, other) is not None
 
     def restrict(self, subset: Iterable[int]) -> "SetPartition":
         """The induced partition {C ∩ B : C a block, C ∩ B nonempty} of B."""
@@ -206,19 +202,40 @@ def set_partitions(items: Sequence) -> Iterator[list[list]]:
         yield [[first]] + part
 
 
+def pair_key(pi: SetPartition, rho: SetPartition) -> tuple | None:
+    """(|π|, |ρ|, sizes) for π ≤ ρ, None when π is not finer than ρ.
+
+    sizes[b] = |restrict(π, B)| for the b-th block B of ``rho.blocks``, so
+    this is the key ``PartitionLattice.comparable_pairs`` yields for the pair.
+    One pass over π's elements; ValueError when the ground sets differ.
+    """
+    owner = _owners(rho)
+    sizes = [0] * len(rho.blocks)
+    finer, seen = True, 0
+    try:
+        for block in pi.blocks:
+            b = owner[block[0]]
+            sizes[b] += 1
+            seen += len(block)
+            for e in block:
+                if owner[e] != b:
+                    finer = False
+    except KeyError:
+        raise ValueError("partitions live on different ground sets") from None
+    if seen != len(owner):  # π's elements are distinct and all owned by ρ
+        raise ValueError("partitions live on different ground sets")
+    return (len(pi.blocks), len(rho.blocks), tuple(sizes)) if finer else None
+
+
 def restriction_sizes(pi: SetPartition, rho: SetPartition) -> list[int]:
     """For π ≤ ρ, the block counts |restrict(π, B)| for each block B of ρ.
 
     Ordered like ``rho.blocks``.  These counts drive every product formula.
     """
-    owner = _owners(pi)
-    sizes = []
-    for block in rho.blocks:
-        inner = {owner[e] for e in block}
-        sizes.append(len(inner))
-    if sum(sizes) != len(pi):
+    key = pair_key(pi, rho)
+    if key is None:
         raise ValueError("restriction sizes require π ≤ ρ")
-    return sizes
+    return list(key[2])
 
 
 def coarsenings(pi: SetPartition) -> Iterator[SetPartition]:
@@ -307,11 +324,12 @@ def count_maximal_chains(pi: SetPartition, rho: SetPartition) -> int:
     Closed form 2^(|ρ|-|π|) (|π|-|ρ|)! ∏_B |restrict(π, B)|!, always an
     integer.
     """
-    if not pi.refines(rho):
+    key = pair_key(pi, rho)
+    if key is None:
         raise ValueError("maximal chains require π ≤ ρ")
-    p, r = len(pi), len(rho)
+    p, r, sizes = key
     num = factorial(p - r)
-    for s in restriction_sizes(pi, rho):
+    for s in sizes:
         num *= factorial(s)
     den = 1 << (p - r)
     if num % den:
@@ -376,9 +394,9 @@ class PartitionLattice:
     def comparable_pairs(self) -> Iterator[tuple[int, int, tuple]]:
         """Yield (i, j, key) for every π = self[i] ≤ ρ = self[j], i then j ascending.
 
-        key = (|π|, |ρ|, sizes), sizes as ``restriction_sizes`` lists them
-        (unsorted: float products taken in that order keep their bits); every
-        closed form on a pair is a function of it.  No partition is built: a
+        key = ``pair_key(π, ρ)``, sizes ordered like ``rho.blocks`` (unsorted:
+        float products taken in that order keep their bits); every closed
+        form on a pair is a function of it.  No partition is built: a
         grouping of π's blocks, as a restricted growth string g, sends π's
         label to ρ's label g[label], already in first-appearance order since
         π's blocks are numbered by their minima.  Nothing outlives the walk.

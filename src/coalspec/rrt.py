@@ -27,7 +27,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
-from .partitions import SetPartition, SizeLimitError, restriction_sizes
+from .partitions import SetPartition, SizeLimitError, _owners, pair_key
 
 __all__ = [
     "IncreasingTree",
@@ -212,28 +212,15 @@ def contains(tree: IncreasingTree, rho: SetPartition) -> bool:
     survives the collapse only if it hangs off the region's top.
     """
     pi = tree.labels
-    if pi.ground != rho.ground:
-        raise ValueError("partitions live on different ground sets")
-    if not pi.refines(rho):
+    if pair_key(pi, rho) is None:
         return False
-    region_of: dict[Block, int] = {}
-    elem_region = {}
-    for idx, B in enumerate(rho.blocks):
-        for e in B:
-            elem_region[e] = idx
-    for b in pi.blocks:
-        region_of[b] = elem_region[b[0]]
-    # region top = the π-block holding min B; that block's own min is min B,
-    # so the map from block minima suffices (B is sorted, B[0] = min B)
-    block_by_min = {b[0]: b for b in pi.blocks}
-    top_of = {idx: block_by_min[B[0]] for idx, B in enumerate(rho.blocks)}
-    for child, par in tree.parent.items():
-        rc, rp = region_of[child], region_of[par]
-        if rc == rp:
-            continue
-        if child != top_of[rc] or par != top_of[rp]:
-            return False
-    return True
+    region = _owners(rho)
+    # a region's top is the π-block holding min B, so its own min is min B
+    tops = {B[0] for B in rho.blocks}
+    return all(
+        region[child[0]] == region[par[0]] or (child[0] in tops and par[0] in tops)
+        for child, par in tree.parent.items()
+    )
 
 
 def count_trees_containing(pi: SetPartition, rho: SetPartition) -> int:
@@ -243,11 +230,11 @@ def count_trees_containing(pi: SetPartition, rho: SetPartition) -> int:
     total (|π| - 1)! gives the Bolthausen-Sznitman right-eigenvector entry.
     Returns 0 when π is not finer than ρ.
     """
-    if pi.ground != rho.ground:
-        raise ValueError("partitions live on different ground sets")
-    if not pi.refines(rho):
+    key = pair_key(pi, rho)
+    if key is None:
         return 0
-    out = factorial(len(rho) - 1)
-    for s in restriction_sizes(pi, rho):
+    _, r, sizes = key
+    out = factorial(r - 1)
+    for s in sizes:
         out *= factorial(s - 1)
     return out

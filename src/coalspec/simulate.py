@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, sqrt
+from math import comb, inf, sqrt
 
 import numpy as np
 
@@ -84,8 +84,8 @@ def simulate_bs(n: int, horizon: float | None, rng) -> Trajectory:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if horizon is not None and horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if horizon is not None and not 0 <= horizon < inf:
+        raise ValueError(f"horizon must be {'nonnegative' if horizon < 0 else 'finite'}")
     tree = sample_rrt(SetPartition.singletons(n), rng)
     t = 0.0
     times: list[float] = []
@@ -104,8 +104,8 @@ def simulate_kingman(n: int, horizon: float | None, rng) -> Trajectory:
     """Kingman path from the singletons of [n]: uniform pair mergers."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if horizon is not None and horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if horizon is not None and not 0 <= horizon < inf:
+        raise ValueError(f"horizon must be {'nonnegative' if horizon < 0 else 'finite'}")
     state = SetPartition.singletons(n)
     t = 0.0
     times: list[float] = []

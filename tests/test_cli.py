@@ -325,6 +325,11 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--n-max", "1")
         assert code == 2
 
+    def test_csv_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--n-max", "2", "--format", "csv")
+        assert code == 2 and out == ""
+        assert "JSON" in err
+
 
 class TestErrors:
     def test_domain_error_exit_code(self, capsys):
@@ -336,3 +341,11 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["transition", "simulate"])
+    @pytest.mark.parametrize("model", ["bs", "kingman"])
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_time_rejected(self, capsys, command, model, t):
+        code, out, err = run(capsys, command, "--n", "3", "--model", model, "--t", t)
+        assert code == 2 and out == ""
+        assert "finite" in err

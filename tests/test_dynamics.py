@@ -83,6 +83,11 @@ class TestBsTransition:
             bs_transition(P("1|2"), P("1,2"), -0.1)
         with pytest.raises(ValueError):
             bs_transition(P("1|2"), P("1,2,3"), 1.0)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                bs_transition(P("1|2"), P("1,2"), t)
+            with pytest.raises(ValueError):
+                transition_via_triple(kingman_block_triple(3), t)
 
 
 class TestBsTransitionExact:

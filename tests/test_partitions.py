@@ -12,6 +12,7 @@ from coalspec import (
     interval,
     merge_covers,
     pair_covers,
+    pair_key,
     restriction_sizes,
     set_partitions,
 )
@@ -111,6 +112,8 @@ class TestRestrict:
         assert restriction_sizes(pi, rho) == [3, 1]
         with pytest.raises(ValueError):
             restriction_sizes(P("1,2|3"), P("1,3|2"))
+        with pytest.raises(ValueError):
+            restriction_sizes(P("1|2"), P("1,2,3"))
 
 
 class TestLattice:
@@ -204,6 +207,24 @@ class TestComparablePairs:
         walk = lattices[4].comparable_pairs()
         assert iter(walk) is walk
         assert next(walk) == (0, 0, (4, 4, (1, 1, 1, 1)))
+
+    def test_pair_key_on_every_ordered_pair(self, lattices):
+        for n in range(1, 6):
+            lat = lattices[n]
+            keys = {(i, j): key for i, j, key in lat.comparable_pairs()}
+            for i, pi in enumerate(lat):
+                for j, rho in enumerate(lat):
+                    assert pair_key(pi, rho) == keys.get((i, j))
+
+    @pytest.mark.parametrize("pi, rho", [
+        ("1|2", "1,2,3"),          # ρ has more elements
+        ("1|2|3", "1,2"),          # ρ has fewer elements
+        ("1|2|4", "1,2,3"),        # same count, different elements
+        ("1,3|2,5", "1,2|3,4"),    # π not finer before the foreign element
+    ])
+    def test_pair_key_ground_mismatch_raises(self, pi, rho):
+        with pytest.raises(ValueError):
+            pair_key(P(pi), P(rho))
 
     def test_owner_labels(self, lattices):
         for n in range(1, 7):

@@ -87,8 +87,9 @@ class TestSimulateBs:
     def test_errors(self):
         with pytest.raises(ValueError):
             simulate_bs(0, None, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            simulate_bs(3, -1.0, np.random.default_rng(0))
+        for horizon in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                simulate_bs(3, horizon, np.random.default_rng(0))
 
 
 class TestSimulateKingman:
@@ -110,8 +111,9 @@ class TestSimulateKingman:
         assert all(t <= 0.2 for t in traj.times)
         with pytest.raises(ValueError):
             simulate_kingman(-1, None, rng)
-        with pytest.raises(ValueError):
-            simulate_kingman(4, -0.5, rng)
+        for horizon in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                simulate_kingman(4, horizon, rng)
 
 
 class TestEstimateTransition:
