@@ -2,26 +2,32 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import sqrt
+from itertools import combinations
+from math import comb, sqrt
 
 import numpy as np
 import pytest
 
 from coalspec import (
+    PartitionLattice,
     SetPartition,
     Trajectory,
+    bell,
     bs_hitting,
     bs_transition,
+    cut_random,
     estimate_containment,
     estimate_transition,
     kingman_block_triple,
     merge_covers,
     pair_covers,
     replicate_rng,
+    sample_rrt,
     simulate_bs,
     simulate_kingman,
     transition_via_triple,
 )
+from coalspec import simulate
 
 F = Fraction
 
@@ -41,18 +47,40 @@ class TestTrajectory:
         assert traj.state_at(1.0) == P("1,2|3")
         assert traj.state_at(2.4) == P("1,2|3")
         assert traj.state_at(7.0) == P("1,2,3") == traj.final
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative"):
             traj.state_at(-0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            traj.state_at(float("-inf"))
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="time must be finite"):
+                traj.state_at(t)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Trajectory(times=(1.0,), states=(P("1|2"),))
-        with pytest.raises(ValueError):
-            Trajectory(times=(2.0, 1.0), states=(P("1|2|3"), P("1,2|3"), P("1,2,3")))
-        with pytest.raises(ValueError):
-            Trajectory(times=(1.0,), states=(P("1,2|3"), P("1|2|3")))
-        with pytest.raises(ValueError):
-            Trajectory(times=(1.0,), states=(P("1|2"), P("1|2")))
+        states = (P("1|2|3"), P("1,2|3"), P("1,2,3"))
+        for times in [
+            (2.0, 1.0),
+            (float("nan"), 1.0),
+            (1.0, float("nan")),
+            (1.0, float("inf")),
+            (-1.0, 1.0),
+            (0.0, 1.0),  # the first epoch would be empty
+        ]:
+            with pytest.raises(ValueError, match="jump times"):
+                Trajectory(times=times, states=states)
+        with pytest.raises(ValueError, match="jump times"):
+            Trajectory(times=(float("nan"),), states=(P("1|2"), P("1,2")))
+        for fine, coarse in [
+            ("1,2|3", "1|2|3"),
+            ("1|2", "1|2"),
+            ("1|2|3,4", "1,4|2,3"),  # fewer blocks, but 3,4 is split
+            ("1|2", "1,3"),  # different ground sets
+            ("1|2|3", "1,2"),  # an element disappears
+            ("1|2", "1,2|3"),  # an element appears
+        ]:
+            with pytest.raises(ValueError, match="coarsen"):
+                Trajectory(times=(1.0,), states=(P(fine), P(coarse)))
 
 
 class TestSimulateBs:
@@ -116,6 +144,91 @@ class TestSimulateKingman:
                 simulate_kingman(4, horizon, rng)
 
 
+def reference_bs(n, horizon, rng):
+    """BS path on IncreasingTree objects: sample_rrt, then cut_random per jump."""
+    tree = sample_rrt(SetPartition.singletons(n), rng)
+    t = 0.0
+    times, states = [], [tree.labels]
+    while tree.edge_count > 0:
+        t += rng.exponential(1.0 / tree.edge_count)
+        if horizon is not None and t > horizon:
+            break
+        tree = cut_random(tree, rng)
+        times.append(t)
+        states.append(tree.labels)
+    return Trajectory(tuple(times), tuple(states))
+
+
+def reference_kingman(n, horizon, rng):
+    """Kingman path drawing its pair from the list of combinations(range(b), 2)."""
+    state = SetPartition.singletons(n)
+    t = 0.0
+    times, states = [], [state]
+    while len(state) > 1:
+        b = len(state)
+        t += rng.exponential(1.0 / comb(b, 2))
+        if horizon is not None and t > horizon:
+            break
+        pairs = list(combinations(range(b), 2))
+        a, c = pairs[int(rng.integers(0, len(pairs)))]
+        blocks = state.blocks
+        merged = tuple(sorted(blocks[a] + blocks[c]))
+        state = SetPartition(
+            [merged] + [blocks[k] for k in range(b) if k != a and k != c]
+        )
+        times.append(t)
+        states.append(state)
+    return Trajectory(tuple(times), tuple(states))
+
+
+def reference_estimate(model, n, t, reps, seed):
+    """estimate_transition over the reference paths, one SetPartition per jump."""
+    path = {"bs": reference_bs, "kingman": reference_kingman}[model]
+    counts = Counter(path(n, t, replicate_rng(seed, i)).final for i in range(reps))
+    out = {}
+    for pi in PartitionLattice(n):
+        p_hat = Fraction(counts[pi], reps)
+        out[pi] = (p_hat, sqrt(float(p_hat * (1 - p_hat)) / reps))
+    return out
+
+
+class TestAgainstReferencePaths:
+    @pytest.mark.parametrize(
+        "fast, reference",
+        [(simulate_bs, reference_bs), (simulate_kingman, reference_kingman)],
+    )
+    def test_same_times_and_states(self, fast, reference):
+        # exact float equality: every draw and every sum must be the same
+        for n in range(1, 9):
+            for horizon in (None, 0.3, 1.0):
+                for i in range(50):
+                    got = fast(n, horizon, replicate_rng(n, i))
+                    want = reference(n, horizon, replicate_rng(n, i))
+                    assert got.times == want.times
+                    assert got.states == want.states
+
+    @pytest.mark.parametrize("model", ["bs", "kingman"])
+    def test_estimate_matches_reference(self, model):
+        for t in (0.4, 1.0):
+            got = estimate_transition(model, 5, t, reps=400, seed=19)
+            assert got == reference_estimate(model, 5, t, reps=400, seed=19)
+
+    @pytest.mark.parametrize("model", ["bs", "kingman"])
+    def test_one_set_partition_per_final_state(self, model, monkeypatch):
+        n, built = 5, 0
+        init = SetPartition.__init__
+
+        def counting_init(self, blocks):
+            nonlocal built
+            built += 1
+            init(self, blocks)
+
+        monkeypatch.setattr(SetPartition, "__init__", counting_init)
+        estimate_transition(model, n, 1.0, reps=2000, seed=3)
+        # the lattice's own bell(n), plus at most one per distinct final state
+        assert built <= 2 * bell(n) + 1
+
+
 class TestEstimateTransition:
     def test_fractions_sum_to_one(self):
         est = estimate_transition("bs", 3, 0.4, reps=500, seed=7)
@@ -148,6 +261,25 @@ class TestEstimateTransition:
             estimate_transition("moran", 3, 1.0, reps=10, seed=0)
         with pytest.raises(ValueError):
             estimate_transition("bs", 3, 1.0, reps=0, seed=0)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            estimate_transition("kingman", 0, 1.0, reps=10, seed=0)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            estimate_transition("bs", 3, float("nan"), reps=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "jumps",
+        [
+            [(0.5, ((1, 2), (3,))), (0.5, ((1, 2, 3),))],  # repeated time
+            [(0.5, ((1, 2), (3,))), (0.2, ((1, 2, 3),))],  # time goes back
+            [(float("nan"), ((1, 2), (3,)))],
+            [(0.5, ((1, 2), (3,))), (0.7, ((1, 3), (2,)))],  # not coarser
+            [(0.5, ((1, 2), (3,))), (0.7, ((1, 2), (3,)))],  # no merger
+        ],
+    )
+    def test_rejects_illegal_jumps(self, jumps, monkeypatch):
+        monkeypatch.setitem(simulate._JUMPS, "bs", lambda n, t, rng: iter(jumps))
+        with pytest.raises(ValueError, match="jump times|coarsen"):
+            estimate_transition("bs", 3, 1.0, reps=2, seed=0)
 
 
 class TestPathLaws:
