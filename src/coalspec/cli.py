@@ -74,10 +74,26 @@ def format_real(x: float) -> str:
     return f"{x:.15g}"
 
 
+def _model(name: str) -> dict:
+    """The functions of model ``name``; "transition" is None without a closed form.
+
+    Built per call, so a replaced module attribute (a tracer's wrapper, a
+    test's counter) is the one called.
+    """
+    if name == "bs":
+        return dict(rates=bs_rates, triple=bs_triple, block_triple=bs_block_triple,
+                    block_generator=bs_block_generator, hitting=bs_hitting,
+                    transition=bs_transition)
+    return dict(rates=kingman_rates, triple=kingman_triple,
+                block_triple=kingman_block_triple,
+                block_generator=kingman_block_generator, hitting=kingman_hitting,
+                transition=None)
+
+
 def _rates_for(model: str, n: int) -> RateTable:
     if n < 2:
         return RateTable(n, {})
-    return bs_rates(n) if model == "bs" else kingman_rates(n)
+    return _model(model)["rates"](n)
 
 
 def _entries_payload(mat: RatMatrix) -> list:
@@ -86,10 +102,6 @@ def _entries_payload(mat: RatMatrix) -> list:
 
 def _lattice_order(lattice: PartitionLattice) -> list[str]:
     return [p.to_string() for p in lattice]
-
-
-def _block_order(n: int) -> list[str]:
-    return [str(i) for i in range(1, n + 1)]
 
 
 def _write(text: str, out: str | None) -> None:
@@ -121,18 +133,19 @@ def cmd_lattice(args) -> int:
     return 0
 
 
+def _generator(model: str, n: int, block: bool):
+    """Returns (Q, order, rates): the lattice generator from its rate table,
+    or the block-counting generator, whose rates are None."""
+    if block:
+        order = [str(i) for i in range(1, n + 1)]
+        return _model(model)["block_generator"](n), order, None
+    lattice = PartitionLattice(n)
+    rates = _rates_for(model, n)
+    return build_generator(lattice, rates), _lattice_order(lattice), rates
+
+
 def cmd_qmatrix(args) -> int:
-    if args.block:
-        Q = (bs_block_generator if args.model == "bs" else kingman_block_generator)(
-            args.n
-        )
-        order = _block_order(args.n)
-        n = args.n
-    else:
-        lattice = PartitionLattice(args.n)
-        Q = build_generator(lattice, _rates_for(args.model, args.n))
-        order = _lattice_order(lattice)
-        n = args.n
+    Q, order, _ = _generator(args.model, args.n, args.block)
     if args.format == "csv":
         rows = [["row", "col", "value"]]
         rows += [[str(i), str(j), format_rational(v)] for i, j, v in Q.nonzeros()]
@@ -141,7 +154,7 @@ def cmd_qmatrix(args) -> int:
         payload = {
             "model": args.model,
             "block_counting": bool(args.block),
-            "n": n,
+            "n": args.n,
             "order": order,
             "entries": _entries_payload(Q),
         }
@@ -155,17 +168,13 @@ def _build_triple(model: str, n: int, block: bool):
     The eigenvalues come with their multiplicities and are read off Q, whose
     spectrum is its diagonal because it is triangular.
     """
+    Q, order, rates = _generator(model, n, block)
     if block:
-        Q = (bs_block_generator if model == "bs" else kingman_block_generator)(n)
-        triple = (bs_block_triple if model == "bs" else kingman_block_triple)(n)
         # the block-count diagonals 1 - i and -C(i, 2) are n distinct values
         eigenvalues = [(Q.get(i, i), 1) for i in range(n)]
-        return Q, triple, _block_order(n), eigenvalues
-    lattice = PartitionLattice(n)
-    rates = _rates_for(model, n)
-    Q = build_generator(lattice, rates)
-    triple = (bs_triple if model == "bs" else kingman_triple)(lattice)
-    return Q, triple, _lattice_order(lattice), characteristic_factorization(Q, rates)
+        return Q, _model(model)["block_triple"](n), order, eigenvalues
+    triple = _model(model)["triple"](Q.lattice)
+    return Q, triple, order, characteristic_factorization(Q, rates)
 
 
 def cmd_spectral(args) -> int:
@@ -217,6 +226,21 @@ def _emit_pair_rows(args, lattice: PartitionLattice, head: dict, cell, per_key=T
         _emit_json({**head, "rows": rows}, args.out)
 
 
+def _float_transition(model: str, lattice: PartitionLattice, t: float):
+    """Returns (p, per_key) with p(i, j) = P(Π(t) = ρ_j | Π(0) = π_i) in doubles.
+
+    A closed form depends on the pair's key only; R e^(tD) L is read per pair,
+    as the float product's last bits differ between pairs of a key.
+    """
+    m = _model(model)
+    el = lattice.elements
+    closed = m["transition"]
+    if closed is not None:
+        return (lambda i, j: closed(el[i], el[j], t)), True
+    P = transition_via_triple(m["triple"](lattice), t)
+    return (lambda i, j: float(P[i, j])), False
+
+
 def cmd_transition(args) -> int:
     if (args.t is None) == (args.x is None):
         raise ValueError("give exactly one of --t (real time) or --x (exact point)")
@@ -226,7 +250,10 @@ def cmd_transition(args) -> int:
     if args.x is not None:
         if args.model != "bs":
             raise ValueError("exact evaluation at --x is available for --model bs only")
-        x = Fraction(args.x)
+        try:
+            x = Fraction(args.x)
+        except ZeroDivisionError:
+            raise ValueError(f"--x {args.x!r} has a zero denominator") from None
         head["x"] = format_rational(x)
 
         def cell(i, j):
@@ -236,15 +263,8 @@ def cmd_transition(args) -> int:
         _emit_pair_rows(args, lattice, head, cell)
         return 0
     head["t"] = format_real(args.t)
-    if args.model == "bs":
-        _emit_pair_rows(
-            args, lattice, head,
-            lambda i, j: format_real(bs_transition(el[i], el[j], args.t)),
-        )
-    else:
-        # read per pair: the float product's last bits differ between pairs of a key
-        P = transition_via_triple(kingman_triple(lattice), args.t)
-        _emit_pair_rows(args, lattice, head, lambda i, j: format_real(P[i, j]), False)
+    p, per_key = _float_transition(args.model, lattice, args.t)
+    _emit_pair_rows(args, lattice, head, lambda i, j: format_real(p(i, j)), per_key)
     return 0
 
 
@@ -261,10 +281,10 @@ def cmd_green(args) -> int:
 def cmd_hitting(args) -> int:
     lattice = PartitionLattice(args.n)
     el = lattice.elements
-    hit = bs_hitting if args.model == "bs" else kingman_hitting
+    hit = _model(args.model)["hitting"]
 
     def cell(i, j):
-        if args.model == "bs" and len(el[j]) == 1:
+        if len(el[j]) == 1:
             return "1/1"  # absorption in the one-block state is certain
         return format_rational(hit(el[i], el[j]))
 
@@ -275,17 +295,11 @@ def cmd_hitting(args) -> int:
 def cmd_simulate(args) -> int:
     estimates = estimate_transition(args.model, args.n, args.t, args.reps, args.seed)
     lattice = PartitionLattice(args.n)
-    if args.model == "bs":
-        exact = {
-            rho: bs_transition(lattice.bottom, rho, args.t) for rho in lattice
-        }
-    else:
-        P = transition_via_triple(kingman_triple(lattice), args.t)
-        exact = {rho: float(P[0, j]) for j, rho in enumerate(lattice)}
+    p, _ = _float_transition(args.model, lattice, args.t)
     records = []
-    for rho in lattice:
+    for j, rho in enumerate(lattice):
         p_hat, se = estimates[rho]
-        ex = exact[rho]
+        ex = p(0, j)
         z = (float(p_hat) - ex) / se if se > 0 else 0.0
         records.append(
             {
@@ -297,12 +311,8 @@ def cmd_simulate(args) -> int:
             }
         )
     if args.format == "csv":
-        table = [["partition", "estimate", "std_error", "exact", "z_score"]]
-        table += [
-            [r["partition"], r["estimate"], r["std_error"], r["exact"], r["z_score"]]
-            for r in records
-        ]
-        _emit_csv(table, args.out)
+        fields = ["partition", "estimate", "std_error", "exact", "z_score"]
+        _emit_csv([fields] + [[r[f] for f in fields] for r in records], args.out)
     else:
         payload = {
             "model": args.model,
@@ -327,7 +337,7 @@ def _verify_checks(n: int, tol: float):
         yield f"{model}-row-sums-zero", all(
             Q.row_sum(i) == 0 for i in range(len(lattice))
         )
-        triple = (bs_triple if model == "bs" else kingman_triple)(lattice)
+        triple = _model(model)["triple"](lattice)
         built[model] = Q, triple
         report = verify_triple(Q, triple)
         yield f"{model}-triple", report.all_pass
@@ -388,6 +398,8 @@ def cmd_verify(args) -> int:
         raise ValueError("verify output is JSON only")
     if args.n_max < 2:
         raise ValueError("--n-max must be at least 2")
+    if not 0 < args.tol < math.inf:
+        raise ValueError("--tol must be positive and finite")
     checks = []
     for n in range(2, args.n_max + 1):
         for name, ok in _verify_checks(n, args.tol):
@@ -469,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -198,11 +198,6 @@ class TriMatrix(RatMatrix):
         super().__init__(len(lattice))
         self.lattice = lattice
 
-    @property
-    def entries(self) -> dict[tuple[int, int], Fraction]:
-        """Flat copy of the sparse entries keyed by (row, col)."""
-        return {(i, j): v for i, j, v in self.nonzeros()}
-
     def support_respects_order(self) -> bool:
         """True iff every nonzero entry sits on a pair with π ≤ ρ.
 

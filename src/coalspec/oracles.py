@@ -10,11 +10,10 @@ probabilities follow the memoized jump-chain recursion.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
-from .generator import RateTable, bs_rates, kingman_rates
+from .generator import bs_rates, kingman_rates
 from .matrices import RatMatrix, TriMatrix
 from .partitions import (
     SetPartition,
@@ -132,18 +131,14 @@ def enumerate_maximal_chains(
 def hitting_bruteforce(model: str, pi: SetPartition, rho: SetPartition) -> Fraction:
     """Exact hitting probability by the memoized jump-chain recursion.
 
-    h(σ) = Σ_τ P(jump σ → τ) h(τ) with h(ρ) = 1, P taken from the model's
-    rate table; states that are not below ρ can never reach it and score 0.
+    h(σ) = Σ_τ (λ(b, k) / λ_b) h(τ) over the single mergers σ → τ of k of
+    b blocks, with h(ρ) = 1 and the rates from the model's table (Kingman's
+    are 0 for k > 2); states not below ρ can never reach it and score 0.
     """
     if pi.ground != rho.ground:
         raise ValueError("partitions live on different ground sets")
-    if pi == rho:
-        return Fraction(1)
     n = pi.n
-    rates_for: Callable[[int], RateTable] = {
-        "bs": bs_rates,
-        "kingman": kingman_rates,
-    }.get(model, None)
+    rates_for = {"bs": bs_rates, "kingman": kingman_rates}.get(model)
     if rates_for is None:
         raise ValueError(f"unknown model {model!r}; use 'bs' or 'kingman'")
     rates = rates_for(max(n, 2))
@@ -160,16 +155,10 @@ def hitting_bruteforce(model: str, pi: SetPartition, rho: SetPartition) -> Fract
         b = len(sigma)
         total = rates.total_rate(b)
         acc = Fraction(0)
-        if model == "kingman":
-            covers = pair_covers(sigma)
-            for tau in covers:
-                acc += h(tau) / len(covers)
-        else:
-            for tau in merge_covers(sigma):
-                k = b - len(tau) + 1
-                v = rates.rate(b, k)
-                if v:
-                    acc += (v / total) * h(tau)
+        for tau in merge_covers(sigma):
+            v = rates.rate(b, b - len(tau) + 1)
+            if v:
+                acc += (v / total) * h(tau)
         memo[sigma] = acc
         return acc
 

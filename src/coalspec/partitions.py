@@ -132,10 +132,6 @@ class SetPartition:
         return tuple(sorted(e for b in self._blocks for e in b))
 
     @property
-    def num_blocks(self) -> int:
-        return len(self._blocks)
-
-    @property
     def sort_key(self):
         """Linear-extension key: decreasing block count, then canonical blocks."""
         return (-len(self._blocks), self._blocks)

@@ -236,6 +236,7 @@ def estimate_transition(
     if reps < 1:
         raise ValueError("need at least one replicate")
     _check_run(n, t)
+    lattice = PartitionLattice(n)  # enforces the size cap before any replicate runs
     start = tuple((e,) for e in range(1, n + 1))
     counts: Counter[Blocks] = Counter()
     for i in range(reps):
@@ -248,7 +249,7 @@ def estimate_transition(
     for blocks, count in counts.items():
         finals[SetPartition(blocks)] += count
     out = {}
-    for pi in PartitionLattice(n):
+    for pi in lattice:
         p_hat = Fraction(finals[pi], reps)
         se = sqrt(float(p_hat * (1 - p_hat)) / reps)
         out[pi] = (p_hat, se)

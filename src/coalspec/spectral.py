@@ -15,16 +15,20 @@ Kingman (diagonal -C(p, 2)):
 
 The Kingman entries are also proportional to the number of maximal chains in
 [π, ρ]; the test suite checks every entry against that route.  L is the
-exact inverse of R in all cases, with unit diagonals.
+exact inverse of R in all cases, with unit diagonals; ``verify_triple``
+reports R L = I from the L R product, since for square exact matrices one
+identity implies the other.
 
 Block-counting analogues (n x n, lower triangular in the block count) use
-Stirling and Lah numbers in place of the blockwise products.
+Stirling and Lah numbers in place of the blockwise products.  One builder
+fills all four triples from a model's entry functions and eigenvalues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache, partial
 from math import comb, factorial
 
 from .combinatorics import lah, stirling_first, stirling_second
@@ -75,37 +79,48 @@ class VerificationReport:
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.q_equals_rdl
-            and self.lr_identity
-            and self.rl_identity
-            and self.unit_diagonals
-            and self.triangular_support
-        )
+        return all(self.as_dict().values())
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "q_equals_rdl": self.q_equals_rdl,
-            "lr_identity": self.lr_identity,
-            "rl_identity": self.rl_identity,
-            "unit_diagonals": self.unit_diagonals,
-            "triangular_support": self.triangular_support,
-        }
+        return asdict(self)
 
 
-def _lattice_triple(lattice: PartitionLattice, entries, eigenvalue) -> SpectralTriple:
-    """R and L filled over the comparable pairs, one ``entries(p, r, sizes)`` per key."""
-    R = TriMatrix(lattice)
-    L = TriMatrix(lattice)
-    memo: dict[tuple, tuple[Fraction, Fraction]] = {}
-    for i, j, key in lattice.comparable_pairs():
-        rl = memo.get(key)
-        if rl is None:
-            rl = memo[key] = entries(*key)
-        R.set(i, j, rl[0])
-        L.set(i, j, rl[1])
-    D = tuple(Fraction(eigenvalue(len(pi))) for pi in lattice)
+def _lattice_triple(pairs, counts, empty, entries, eigenvalue) -> SpectralTriple:
+    """R and L over ``pairs``, and D = ``eigenvalue(b)`` per block count b.
+
+    ``pairs`` yields (i, j, key) over the support, ``counts`` is each state's
+    block count in index order and ``empty()`` makes the zero matrix.
+    ``entries(*key)`` gives the (r, l) entries; the lattice triples pass it
+    through ``cache``, since many pairs share a key.
+    """
+    R, L = empty(), empty()
+    for i, j, key in pairs:
+        rv, lv = entries(*key)
+        R.set(i, j, rv)
+        L.set(i, j, lv)
+    D = tuple(Fraction(eigenvalue(b)) for b in counts)
     return SpectralTriple(R, D, L)
+
+
+def _on_lattice(lattice: PartitionLattice):
+    """(pairs, counts, empty) on the lattice, keyed (|π|, |ρ|, restriction sizes)."""
+    return lattice.comparable_pairs(), map(len, lattice), partial(TriMatrix, lattice)
+
+
+def _on_chain(n: int):
+    """(pairs, counts, empty) on the block counts 1..n, keyed (i, j) for j <= i."""
+    if n < 1:
+        raise ValueError("block triple needs n >= 1")
+    pairs = ((i - 1, j - 1, (i, j)) for i in range(1, n + 1) for j in range(1, i + 1))
+    return pairs, range(1, n + 1), partial(RatMatrix, n)
+
+
+def _bs_eigenvalue(b: int) -> int:
+    return 1 - b
+
+
+def _kingman_eigenvalue(b: int) -> int:
+    return -comb(b, 2)
 
 
 def _bs_entries(p: int, r: int, sizes) -> tuple[Fraction, Fraction]:
@@ -125,6 +140,19 @@ def _kingman_entries(p: int, r: int, sizes) -> tuple[Fraction, Fraction]:
     return rv, (-lv if (p - r) % 2 else lv)
 
 
+def _bs_block_entries(i: int, j: int) -> tuple[Fraction, Fraction]:
+    base = Fraction(factorial(j - 1), factorial(i - 1))
+    lv = base * stirling_second(i, j)
+    return base * stirling_first(i, j), (-lv if (i - j) % 2 else lv)
+
+
+def _kingman_block_entries(i: int, j: int) -> tuple[Fraction, Fraction]:
+    lij = lah(i, j)
+    rv = Fraction(factorial(2 * j - 1) * lij, factorial(i + j - 1))
+    lv = Fraction(factorial(i + j - 2) * lij, factorial(2 * i - 2))
+    return rv, (-lv if (i - j) % 2 else lv)
+
+
 def bs_triple(lattice: PartitionLattice) -> SpectralTriple:
     """Spectral triple of the Bolthausen-Sznitman generator on the lattice.
 
@@ -132,7 +160,7 @@ def bs_triple(lattice: PartitionLattice) -> SpectralTriple:
     probabilities of random recursive trees), the left entries alternate in
     sign, and the eigenvalues are -(|π| - 1).
     """
-    return _lattice_triple(lattice, _bs_entries, lambda p: 1 - p)
+    return _lattice_triple(*_on_lattice(lattice), cache(_bs_entries), _bs_eigenvalue)
 
 
 def kingman_triple(lattice: PartitionLattice) -> SpectralTriple:
@@ -142,7 +170,9 @@ def kingman_triple(lattice: PartitionLattice) -> SpectralTriple:
     maximal-chain route m(π, ρ) 2^(p-r) (2r-1)! / ((p-r)! (p+r-1)!) for R and
     (-1)^(p-r) m(π, ρ) 2^(p-r) (p+r-2)! / ((2p-2)! (p-r)!) for L.
     """
-    return _lattice_triple(lattice, _kingman_entries, lambda p: -comb(p, 2))
+    return _lattice_triple(
+        *_on_lattice(lattice), cache(_kingman_entries), _kingman_eigenvalue
+    )
 
 
 def bs_block_triple(n: int) -> SpectralTriple:
@@ -152,20 +182,7 @@ def bs_block_triple(n: int) -> SpectralTriple:
     ((j-1)!/(i-1)!) {i, j} with Stirling numbers of the first and second
     kind; eigenvalues 1 - i.
     """
-    if n < 1:
-        raise ValueError("block triple needs n >= 1")
-    R = RatMatrix(n)
-    L = RatMatrix(n)
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            base = Fraction(factorial(j - 1), factorial(i - 1))
-            R.set(i - 1, j - 1, base * stirling_first(i, j))
-            lv = base * stirling_second(i, j)
-            if (i - j) % 2:
-                lv = -lv
-            L.set(i - 1, j - 1, lv)
-    D = tuple(Fraction(1 - i) for i in range(1, n + 1))
-    return SpectralTriple(R, D, L)
+    return _lattice_triple(*_on_chain(n), _bs_block_entries, _bs_eigenvalue)
 
 
 def kingman_block_triple(n: int) -> SpectralTriple:
@@ -174,20 +191,7 @@ def kingman_block_triple(n: int) -> SpectralTriple:
     r'(i, j) = ((2j-1)!/(i+j-1)!) L(i, j) and l'(i, j) = (-1)^(i-j)
     ((i+j-2)!/(2i-2)!) L(i, j) with Lah numbers; eigenvalues -C(i, 2).
     """
-    if n < 1:
-        raise ValueError("block triple needs n >= 1")
-    R = RatMatrix(n)
-    L = RatMatrix(n)
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            lij = lah(i, j)
-            R.set(i - 1, j - 1, Fraction(factorial(2 * j - 1) * lij, factorial(i + j - 1)))
-            lv = Fraction(factorial(i + j - 2) * lij, factorial(2 * i - 2))
-            if (i - j) % 2:
-                lv = -lv
-            L.set(i - 1, j - 1, lv)
-    D = tuple(Fraction(-comb(i, 2)) for i in range(1, n + 1))
-    return SpectralTriple(R, D, L)
+    return _lattice_triple(*_on_chain(n), _kingman_block_entries, _kingman_eigenvalue)
 
 
 def _support_ok(triple: SpectralTriple, Q: RatMatrix) -> bool:
@@ -208,8 +212,9 @@ def verify_triple(Q: RatMatrix, triple: SpectralTriple) -> VerificationReport:
     )
     return VerificationReport(
         q_equals_rdl=(triple.rdl() == Q),
-        lr_identity=triple.L.matmul(triple.R).is_identity(),
-        rl_identity=triple.R.matmul(triple.L).is_identity(),
+        # R and L are square and exact, so L R = I iff R L = I: one product decides both
+        lr_identity=(inverse := triple.L.matmul(triple.R).is_identity()),
+        rl_identity=inverse,
         unit_diagonals=unit,
         triangular_support=_support_ok(triple, Q),
     )

@@ -349,3 +349,22 @@ class TestErrors:
         code, out, err = run(capsys, command, "--n", "3", "--model", model, "--t", t)
         assert code == 2 and out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("x", ["1/0", "-3/0"])
+    def test_zero_denominator_rejected(self, capsys, x):
+        code, out, err = run(capsys, "transition", "--n", "3", f"--x={x}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "zero denominator" in err
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-10", "inf", "nan"])
+    def test_tol_outside_open_interval_rejected(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "--n-max", "2", f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--tol" in err
+
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "lattice.json"
+        code, out, err = run(capsys, "lattice", "--n", "3", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(target) in err
+        assert not target.parent.exists()

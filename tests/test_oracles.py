@@ -148,6 +148,24 @@ class TestHittingBruteforce:
         assert hitting_bruteforce("kingman", P("1|2|3"), P("1,2|3")) == F(1, 3)
         assert hitting_bruteforce("bs", P("1,3|2"), P("1,2|3")) == 0
 
+    def test_kingman_is_the_uniform_pair_merger_chain(self, lattices):
+        # the rate-weighted recursion gives weight only to the C(b, 2) pair mergers
+        def reference(sigma, rho, memo):
+            if sigma == rho:
+                return F(1)
+            if not sigma.refines(rho):
+                return F(0)
+            if sigma not in memo:
+                covers = pair_covers(sigma)
+                memo[sigma] = sum(reference(tau, rho, memo) for tau in covers) / len(covers)
+            return memo[sigma]
+
+        for n in range(1, 5):
+            for pi in lattices[n]:
+                for rho in lattices[n]:
+                    expect = reference(pi, rho, {})
+                    assert hitting_bruteforce("kingman", pi, rho) == expect
+
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             hitting_bruteforce("moran", P("1|2"), P("1,2"))

@@ -11,6 +11,7 @@ import pytest
 from coalspec import (
     PartitionLattice,
     SetPartition,
+    SizeLimitError,
     Trajectory,
     bell,
     bs_hitting,
@@ -265,6 +266,19 @@ class TestEstimateTransition:
             estimate_transition("kingman", 0, 1.0, reps=10, seed=0)
         with pytest.raises(ValueError, match="horizon must be finite"):
             estimate_transition("bs", 3, float("nan"), reps=10, seed=0)
+
+    def test_cap_checked_before_replicates(self, monkeypatch):
+        monkeypatch.delenv("COALSPEC_N_CAP", raising=False)
+        calls = []
+
+        def counted(seed, i):
+            calls.append(i)
+            return replicate_rng(seed, i)
+
+        monkeypatch.setattr(simulate, "replicate_rng", counted)
+        with pytest.raises(SizeLimitError):
+            estimate_transition("bs", 9, 1.0, reps=50, seed=0)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "jumps",

@@ -207,3 +207,58 @@ class TestTripleType:
         assert not rep.q_equals_rdl
         assert rep.lr_identity and rep.rl_identity
         assert not rep.all_pass
+
+
+class TestInverseProducts:
+    """R L = I, which ``verify_triple`` reports from the L R product alone."""
+
+    def test_rl_identity_on_lattice_triples(self, bs_triples, kingman_triples):
+        for n in range(2, 7):
+            for t in (bs_triples[n], kingman_triples[n]):
+                assert t.R.matmul(t.L).is_identity()
+
+    @pytest.mark.parametrize("build", [bs_block_triple, kingman_block_triple])
+    def test_rl_identity_on_block_triples(self, build):
+        for n in range(1, 31):
+            t = build(n)
+            assert t.R.matmul(t.L).is_identity(), n
+
+    def test_rl_flag_is_the_rl_product(self, bs_generators, bs_triples,
+                                       kingman_generators, kingman_triples):
+        n = 4
+        bs, km = bs_triples[n], kingman_triples[n]
+        doubled = SpectralTriple(bs.R, bs.D, bs.L.scaled_rows([F(2)] * bs.size))
+        mixed = SpectralTriple(bs.R, bs.D, km.L)
+        cases = [
+            (bs_generators[n], bs),
+            (kingman_generators[n], km),
+            (bs_generators[n], km),  # the wrong model's triple
+            (bs_generators[n], doubled),  # L scaled by 2
+            (bs_generators[n], mixed),
+            (bs_block_generator(6), bs_block_triple(6)),
+            (bs_block_generator(6), kingman_block_triple(6)),
+        ]
+        inverse = []
+        for Q, t in cases:
+            report = verify_triple(Q, t)
+            assert report.rl_identity == report.lr_identity
+            assert report.rl_identity == t.R.matmul(t.L).is_identity()
+            inverse.append(report.rl_identity)
+        assert inverse == [True, True, True, False, False, True, True]
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_two_products(self, block, bs_generators, kingman_triples, monkeypatch):
+        calls = []
+        matmul = RatMatrix.matmul
+
+        def counted(self, other):
+            calls.append(1)
+            return matmul(self, other)
+
+        monkeypatch.setattr(RatMatrix, "matmul", counted)
+        if block:
+            Q, t = kingman_block_generator(8), kingman_block_triple(8)
+        else:
+            Q, t = bs_generators[5], kingman_triples[5]  # a failing pair
+        verify_triple(Q, t)
+        assert len(calls) == 2
