@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +48,7 @@ from .oracles import (
     hitting_bruteforce,
     matexp_series,
 )
-from .partitions import PartitionLattice, count_maximal_chains
+from .partitions import PartitionLattice, _check_cap, count_maximal_chains
 from .rrt import contains, count_trees_containing, enumerate_increasing_trees
 from .simulate import estimate_transition
 from .spectral import (
@@ -65,8 +66,7 @@ def format_rational(value) -> str:
     """Serialize exact values: "p/q" for rationals, "inf" for divergence."""
     if value == math.inf:
         return "inf"
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{value.numerator}/{value.denominator}"
 
 
 def format_real(x: float) -> str:
@@ -134,18 +134,17 @@ def cmd_lattice(args) -> int:
 
 
 def _generator(model: str, n: int, block: bool):
-    """Returns (Q, order, rates): the lattice generator from its rate table,
-    or the block-counting generator, whose rates are None."""
+    """Returns (Q, order): the lattice generator built from the model's rate
+    table, or the block-counting generator with states labelled 1..n."""
     if block:
         order = [str(i) for i in range(1, n + 1)]
-        return _model(model)["block_generator"](n), order, None
+        return _model(model)["block_generator"](n), order
     lattice = PartitionLattice(n)
-    rates = _rates_for(model, n)
-    return build_generator(lattice, rates), _lattice_order(lattice), rates
+    return build_generator(lattice, _rates_for(model, n)), _lattice_order(lattice)
 
 
 def cmd_qmatrix(args) -> int:
-    Q, order, _ = _generator(args.model, args.n, args.block)
+    Q, order = _generator(args.model, args.n, args.block)
     if args.format == "csv":
         rows = [["row", "col", "value"]]
         rows += [[str(i), str(j), format_rational(v)] for i, j, v in Q.nonzeros()]
@@ -163,25 +162,22 @@ def cmd_qmatrix(args) -> int:
 
 
 def _build_triple(model: str, n: int, block: bool):
-    """Returns (Q, triple, order, eigenvalues) for a model at size n.
-
-    The eigenvalues come with their multiplicities and are read off Q, whose
-    spectrum is its diagonal because it is triangular.
-    """
-    Q, order, rates = _generator(model, n, block)
-    if block:
-        # the block-count diagonals 1 - i and -C(i, 2) are n distinct values
-        eigenvalues = [(Q.get(i, i), 1) for i in range(n)]
-        return Q, _model(model)["block_triple"](n), order, eigenvalues
-    triple = _model(model)["triple"](Q.lattice)
-    return Q, triple, order, characteristic_factorization(Q, rates)
+    """Returns (Q, triple, order) for a model at size n, on the lattice or
+    on the block-counting chain."""
+    Q, order = _generator(model, n, block)
+    m = _model(model)
+    return Q, m["block_triple"](n) if block else m["triple"](Q.lattice), order
 
 
 def cmd_spectral(args) -> int:
     if args.format == "csv":
         raise ValueError("spectral output is JSON only")
-    Q, triple, order, eigenvalues = _build_triple(args.model, args.n, args.block)
+    Q, triple, order = _build_triple(args.model, args.n, args.block)
     report = verify_triple(Q, triple)
+    # Q is triangular, so its spectrum is its diagonal; -λ_b falls as b grows,
+    # so the largest value, at one block, comes first
+    diagonal = Counter(Q.get(i, i) for i in range(Q.size))
+    eigenvalues = sorted(diagonal.items(), reverse=True)
     payload = {
         "model": args.model,
         "block_counting": bool(args.block),
@@ -330,7 +326,6 @@ def _verify_checks(n: int, tol: float):
     """Yield (name, ok) pairs for the invariant suite at one n."""
     lattice = PartitionLattice(n)
     el = lattice.elements
-    built = {}
     for model in ("bs", "kingman"):
         rates = _rates_for(model, n)
         Q = build_generator(lattice, rates)
@@ -338,7 +333,8 @@ def _verify_checks(n: int, tol: float):
             Q.row_sum(i) == 0 for i in range(len(lattice))
         )
         triple = _model(model)["triple"](lattice)
-        built[model] = Q, triple
+        if model == "bs":
+            Qbs, bsT = Q, triple
         report = verify_triple(Q, triple)
         yield f"{model}-triple", report.all_pass
         try:
@@ -346,7 +342,7 @@ def _verify_checks(n: int, tol: float):
             yield f"{model}-spectrum", True
         except ValueError:
             yield f"{model}-spectrum", False
-        blockQ, blockT, _, _ = _build_triple(model, n, block=True)
+        blockQ, blockT, _ = _build_triple(model, n, block=True)
         yield f"{model}-block-triple", verify_triple(blockQ, blockT).all_pass
         # closed-form semigroup against the series exponential
         if model == "bs" and n <= 5:
@@ -357,40 +353,37 @@ def _verify_checks(n: int, tol: float):
             yield "bs-transition-vs-matexp", bool(
                 np.max(np.abs(P_closed - P_series)) < tol
             )
-    if n <= 5:
-        Qbs, bsT = built["bs"]
-        # Green's matrix against the exact fundamental matrix
-        N = fundamental_matrix(Qbs)
-        ok = True
-        for i, pi in enumerate(el[:-1]):
-            for j, rho in enumerate(el[:-1]):
-                expect = N.get(i, j)
-                if bs_green(pi, rho) != expect:
-                    ok = False
-        yield "bs-green-vs-fundamental", ok
-        # per pair: hitting probabilities against the jump-chain recursion,
-        # maximal chains against DFS enumeration, tree containment counts
-        # against exhaustive enumeration
-        ok_bs = ok_k = ok_chains = ok_trees = True
-        trees = [enumerate_increasing_trees(pi) for pi in el]
-        for i, j, _ in lattice.comparable_pairs():
-            pi, rho = el[i], el[j]
-            if len(rho) > 1:
-                if bs_hitting(pi, rho) != hitting_bruteforce("bs", pi, rho):
-                    ok_bs = False
-            if kingman_hitting(pi, rho) != hitting_bruteforce("kingman", pi, rho):
-                ok_k = False
-            if count_maximal_chains(pi, rho) != len(enumerate_maximal_chains(pi, rho)):
-                ok_chains = False
-            cnt = sum(contains(t, rho) for t in trees[i])
-            if cnt != count_trees_containing(pi, rho):
-                ok_trees = False
-            if Fraction(cnt, len(trees[i])) != bsT.R.get(i, j):
-                ok_trees = False
-        yield "bs-hitting-vs-bruteforce", ok_bs
-        yield "kingman-hitting-vs-bruteforce", ok_k
-        yield "maximal-chains", ok_chains
-        yield "tree-containment", ok_trees
+    if n > 5:
+        return
+    # each closed form against its oracle; the hitting oracle keeps one memo
+    # per target, so its pairs are walked grouped by target
+    pairs = [(el[i], el[j], i, j) for i, j, _ in lattice.comparable_pairs()]
+    by_target = sorted(pairs, key=lambda p: p[3])
+    N = fundamental_matrix(Qbs)
+    transient = range(len(lattice) - 1)
+    yield "bs-green-vs-fundamental", all(
+        bs_green(el[i], el[j]) == N.get(i, j) for i in transient for j in transient
+    )
+    yield "bs-hitting-vs-bruteforce", all(
+        bs_hitting(pi, rho) == hitting_bruteforce("bs", pi, rho)
+        for pi, rho, _, _ in by_target if len(rho) > 1
+    )
+    yield "kingman-hitting-vs-bruteforce", all(
+        kingman_hitting(pi, rho) == hitting_bruteforce("kingman", pi, rho)
+        for pi, rho, _, _ in by_target
+    )
+    yield "maximal-chains", all(
+        count_maximal_chains(pi, rho) == len(enumerate_maximal_chains(pi, rho))
+        for pi, rho, _, _ in pairs
+    )
+    # the count against exhaustive enumeration, its share against R
+    trees = [enumerate_increasing_trees(pi) for pi in el]
+    yield "tree-containment", all(
+        count == count_trees_containing(pi, rho)
+        and Fraction(count, len(trees[i])) == bsT.R.get(i, j)
+        for pi, rho, i, j in pairs
+        for count in [sum(contains(t, rho) for t in trees[i])]
+    )
 
 
 def cmd_verify(args) -> int:
@@ -400,6 +393,7 @@ def cmd_verify(args) -> int:
         raise ValueError("--n-max must be at least 2")
     if not 0 < args.tol < math.inf:
         raise ValueError("--tol must be positive and finite")
+    _check_cap(args.n_max)
     checks = []
     for n in range(2, args.n_max + 1):
         for name, ok in _verify_checks(n, args.tol):

@@ -10,6 +10,7 @@ probabilities follow the memoized jump-chain recursion.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,14 +135,19 @@ def hitting_bruteforce(model: str, pi: SetPartition, rho: SetPartition) -> Fract
     h(σ) = Σ_τ (λ(b, k) / λ_b) h(τ) over the single mergers σ → τ of k of
     b blocks, with h(ρ) = 1 and the rates from the model's table (Kingman's
     are 0 for k > 2); states not below ρ can never reach it and score 0.
+    Consecutive calls for the same model and ρ share one memo.
     """
     if pi.ground != rho.ground:
         raise ValueError("partitions live on different ground sets")
-    n = pi.n
-    rates_for = {"bs": bs_rates, "kingman": kingman_rates}.get(model)
-    if rates_for is None:
+    if model not in ("bs", "kingman"):
         raise ValueError(f"unknown model {model!r}; use 'bs' or 'kingman'")
-    rates = rates_for(max(n, 2))
+    return _hitting_to(model, rho)(pi)
+
+
+@lru_cache(maxsize=1)
+def _hitting_to(model: str, rho: SetPartition):
+    """σ ↦ h(σ), the probability of hitting ρ, memoized over σ."""
+    rates = (bs_rates if model == "bs" else kingman_rates)(max(rho.n, 2))
     memo: dict[SetPartition, Fraction] = {}
 
     def h(sigma: SetPartition) -> Fraction:
@@ -162,4 +168,4 @@ def hitting_bruteforce(model: str, pi: SetPartition, rho: SetPartition) -> Fract
         memo[sigma] = acc
         return acc
 
-    return h(pi)
+    return h

@@ -62,6 +62,16 @@ def lattice_cap() -> int:
         raise ValueError(f"{ENV_N_CAP} must be an integer, got {raw!r}") from exc
 
 
+def _check_cap(n: int, cap: int | None = None) -> None:
+    """Raise SizeLimitError if P([n]) is beyond ``cap`` (default: lattice_cap())."""
+    limit = cap if cap is not None else lattice_cap()
+    if n > limit:
+        raise SizeLimitError(
+            f"P([{n}]) has bell({n}) = {bell(n)} elements, beyond the cap "
+            f"{limit}; raise {ENV_N_CAP} or pass an explicit cap"
+        )
+
+
 class SetPartition:
     """An unordered partition of a finite set of positive integers.
 
@@ -343,12 +353,7 @@ class PartitionLattice:
     def __init__(self, n: int, cap: int | None = None):
         if n < 1:
             raise ValueError("the lattice needs n >= 1")
-        limit = cap if cap is not None else lattice_cap()
-        if n > limit:
-            raise SizeLimitError(
-                f"P([{n}]) has bell({n}) = {bell(n)} elements, beyond the cap "
-                f"{limit}; raise {ENV_N_CAP} or pass an explicit cap"
-            )
+        _check_cap(n, cap)
         elements = [SetPartition(p) for p in set_partitions(list(range(1, n + 1)))]
         elements.sort(key=lambda p: p.sort_key)
         self.n = n

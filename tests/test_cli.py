@@ -11,12 +11,18 @@ import pytest
 
 from coalspec import (
     PartitionLattice,
+    RateTable,
+    SizeLimitError,
     bell,
     bs_green,
     bs_hitting,
+    bs_rates,
     bs_transition,
     bs_transition_exact,
+    build_generator,
+    characteristic_factorization,
     kingman_hitting,
+    kingman_rates,
     kingman_triple,
     transition_via_triple,
 )
@@ -112,6 +118,13 @@ class TestSpectral:
             ["0/1", 1], ["-1/1", 1], ["-3/1", 1], ["-6/1", 1], ["-10/1", 1],
             ["-15/1", 1],
         ]
+        # n distinct eigenvalues, one per block count, in the order of D
+        for model in ("bs", "kingman"):
+            for n in (1, 2, 40):
+                payload = run_json(
+                    capsys, "spectral", "--n", str(n), "--model", model, "--block"
+                )
+                assert payload["eigenvalues"] == [[d, 1] for d in payload["D"]]
 
     def test_lattice_multiplicities(self, capsys):
         payload = run_json(capsys, "spectral", "--n", "4", "--model", "bs")
@@ -119,6 +132,16 @@ class TestSpectral:
             ["0/1", 1], ["-1/1", 7], ["-2/1", 6], ["-3/1", 1]
         ]
         assert sum(m for _, m in payload["eigenvalues"]) == bell(4)
+        # read off Q's diagonal, they are the rate table's (-λ_b, S(n, b))
+        for model, rates_for in (("bs", bs_rates), ("kingman", kingman_rates)):
+            for n in range(1, 7):
+                rates = rates_for(n) if n > 1 else RateTable(1, {})
+                Q = build_generator(PartitionLattice(n), rates)
+                payload = run_json(capsys, "spectral", "--n", str(n), "--model", model)
+                assert payload["eigenvalues"] == [
+                    [format_rational(ev), mult]
+                    for ev, mult in characteristic_factorization(Q, rates)
+                ]
 
     def test_csv_rejected(self, capsys):
         code, _, err = run(capsys, "spectral", "--n", "3", "--format", "csv")
@@ -324,6 +347,56 @@ class TestVerify:
     def test_bad_nmax(self, capsys):
         code, _, err = run(capsys, "verify", "--n-max", "1")
         assert code == 2
+
+    def test_cap_checked_before_any_check(self, capsys, monkeypatch):
+        import coalspec.cli as cli
+
+        entered = []
+        monkeypatch.setattr(cli, "_verify_checks", lambda *a: entered.append(a) or [])
+        monkeypatch.setenv("COALSPEC_N_CAP", "5")
+        with pytest.raises(SizeLimitError) as exc:
+            PartitionLattice(6)
+        code, out, err = run(capsys, "verify", "--n-max", "6")
+        assert (code, out, entered) == (2, "", [])
+        assert err == f"error: {exc.value}\n"
+
+    def test_hitting_oracle_shares_a_memo_per_target(self, monkeypatch):
+        import coalspec.cli as cli
+        import coalspec.oracles as oracles
+
+        calls = Counter()
+
+        def counted(sigma, _original=oracles.merge_covers):
+            calls["merge_covers"] += 1
+            return _original(sigma)
+
+        monkeypatch.setattr(oracles, "merge_covers", counted)
+        checks = dict(cli._verify_checks(5, 1e-10))
+        assert all(checks.values())
+        # one solve per target and model; a fresh memo per pair takes 1586
+        assert calls["merge_covers"] <= 561
+
+    @pytest.mark.parametrize("name, check", [
+        ("bs_green", "bs-green-vs-fundamental"),
+        ("bs_hitting", "bs-hitting-vs-bruteforce"),
+        ("kingman_hitting", "kingman-hitting-vs-bruteforce"),
+        ("count_maximal_chains", "maximal-chains"),
+        ("count_trees_containing", "tree-containment"),
+        ("bs_transition", "bs-transition-vs-matexp"),
+    ])
+    def test_each_oracle_check_fails_on_its_own(self, monkeypatch, name, check):
+        import coalspec.cli as cli
+
+        lattice = PartitionLattice(4)
+        bad = (lattice[0], lattice[-2])  # transient, comparable, two blocks
+
+        def wrong_at_one_pair(pi, rho, *rest, _original=getattr(cli, name)):
+            value = _original(pi, rho, *rest)
+            return value + 1 if (pi, rho) == bad else value
+
+        monkeypatch.setattr(cli, name, wrong_at_one_pair)
+        checks = dict(cli._verify_checks(4, 1e-10))
+        assert [c for c, ok in checks.items() if not ok] == [check]
 
     def test_csv_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--n-max", "2", "--format", "csv")
