@@ -33,7 +33,6 @@ from .dynamics import (
     transition_via_triple,
 )
 from .generator import (
-    RateTable,
     bs_block_generator,
     bs_rates,
     build_generator,
@@ -90,12 +89,6 @@ def _model(name: str) -> dict:
                 transition=None)
 
 
-def _rates_for(model: str, n: int) -> RateTable:
-    if n < 2:
-        return RateTable(n, {})
-    return _model(model)["rates"](n)
-
-
 def _entries_payload(mat: RatMatrix) -> list:
     return [[i, j, format_rational(v)] for i, j, v in mat.nonzeros()]
 
@@ -140,7 +133,7 @@ def _generator(model: str, n: int, block: bool):
         order = [str(i) for i in range(1, n + 1)]
         return _model(model)["block_generator"](n), order
     lattice = PartitionLattice(n)
-    return build_generator(lattice, _rates_for(model, n)), _lattice_order(lattice)
+    return build_generator(lattice, _model(model)["rates"](n)), _lattice_order(lattice)
 
 
 def cmd_qmatrix(args) -> int:
@@ -264,28 +257,23 @@ def cmd_transition(args) -> int:
     return 0
 
 
-def cmd_green(args) -> int:
+def _exact_table(args, model: str, formula) -> int:
+    """Emit the exact ``formula(π, ρ)`` over the comparable pairs."""
     lattice = PartitionLattice(args.n)
     el = lattice.elements
     _emit_pair_rows(
-        args, lattice, {"model": "bs", "n": args.n},
-        lambda i, j: format_rational(bs_green(el[i], el[j])),
+        args, lattice, {"model": model, "n": args.n},
+        lambda i, j: format_rational(formula(el[i], el[j])),
     )
     return 0
 
 
+def cmd_green(args) -> int:
+    return _exact_table(args, "bs", bs_green)
+
+
 def cmd_hitting(args) -> int:
-    lattice = PartitionLattice(args.n)
-    el = lattice.elements
-    hit = _model(args.model)["hitting"]
-
-    def cell(i, j):
-        if len(el[j]) == 1:
-            return "1/1"  # absorption in the one-block state is certain
-        return format_rational(hit(el[i], el[j]))
-
-    _emit_pair_rows(args, lattice, {"model": args.model, "n": args.n}, cell)
-    return 0
+    return _exact_table(args, args.model, _model(args.model)["hitting"])
 
 
 def cmd_simulate(args) -> int:
@@ -327,7 +315,7 @@ def _verify_checks(n: int, tol: float):
     lattice = PartitionLattice(n)
     el = lattice.elements
     for model in ("bs", "kingman"):
-        rates = _rates_for(model, n)
+        rates = _model(model)["rates"](n)
         Q = build_generator(lattice, rates)
         yield f"{model}-row-sums-zero", all(
             Q.row_sum(i) == 0 for i in range(len(lattice))
@@ -417,11 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model=True, n=True):
+    def add_common(p, model=True):
         if model:
             p.add_argument("--model", choices=["bs", "kingman"], default="bs")
-        if n:
-            p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="output path, '-' for stdout")
 

@@ -4,16 +4,17 @@ Closed forms for the Bolthausen-Sznitman coalescent started from π:
 
     p(π, ρ; t) = (-1)^|ρ| e^t ((|ρ|-1)!/(|π|-1)!) ∏_B (-e^-t)^(m_B ascending)
 
-with m_B = |restrict(π, B)| and x^(k ascending) the ascending factorial; the
-same expression with a free rational x = e^-t is evaluated exactly by
-``bs_transition_exact`` (at x = 1 it collapses to the indicator of π = ρ,
-which is the statement L = R^-1).
+with m_B = |restrict(π, B)| and x^(k ascending) the ascending factorial.  One
+private evaluator holds it: ``bs_transition`` feeds it x = e^-t in doubles,
+``bs_transition_exact`` a free rational x (at x = 1 it collapses to the
+indicator of π = ρ, which is the statement L = R^-1).
 
 The Green's matrix g(π, ρ) (expected total time in ρ before absorption) has
 an exact finite-sum expression over tuples of cycle counts; it is +infinity
-exactly on the absorbing column ρ = {[n]} and the hitting probability is
-h(π, ρ) = g(π, ρ) (|ρ| - 1).  Kingman hitting probabilities come from
-maximal-chain counting and reduce to a Lah-number product.
+exactly on the absorbing column ρ = {[n]}, which is hit with certainty, and
+elsewhere the hitting probability is h(π, ρ) = g(π, ρ) (|ρ| - 1).  Kingman
+hitting probabilities come from maximal-chain counting and reduce to a
+Lah-number product.
 
 Nothing here needs the full lattice: every formula runs off the two
 partitions alone.  ``transition_via_triple`` exponentiates any spectral
@@ -45,29 +46,44 @@ __all__ = [
 ]
 
 
+def _bs_polynomial(key, x, inv_x):
+    """The closed form at a pair's key, given x and x^-1 (e^-t and e^t in doubles)."""
+    p, r, sizes = key
+    value = inv_x * factorial(r - 1) / factorial(p - 1)
+    for s in sizes:
+        value *= ascending_factorial(-x, s)
+    return -value if r % 2 else value
+
+
 def bs_transition(pi: SetPartition, rho: SetPartition, t: float) -> float:
-    """P(Π(t) = ρ | Π(0) = π) for the Bolthausen-Sznitman coalescent."""
+    """P(Π(t) = ρ | Π(0) = π) for the Bolthausen-Sznitman coalescent.
+
+    In [0, 1] for every finite t >= 0.  Once e^t (|ρ|-1)! overflows a double
+    (by t = 709.79) it returns the t → ∞ limit, 1 on ρ = {[n]} and 0
+    elsewhere, off by about H_(|π|-1) e^-t < 1e-307.
+    """
     key = pair_key(pi, rho)
     if not 0 <= t < math.inf:
         raise ValueError(f"time must be {'nonnegative' if t < 0 else 'finite'}")
     if key is None:
         return 0.0
-    p, r, sizes = key
-    x = math.exp(-t)
-    value = math.exp(t) * factorial(r - 1) / factorial(p - 1)
-    for s in sizes:
-        value *= ascending_factorial(-x, s)
-    if r % 2:
-        value = -value
-    return value
+    try:
+        inv_x = math.exp(t)
+    except OverflowError:
+        return 1.0 if key[1] == 1 else 0.0
+    value = _bs_polynomial(key, math.exp(-t), inv_x)
+    if value == math.inf:  # e^t (|ρ|-1)! overflowed, so |ρ| >= 3 and p < e^-t
+        return 0.0
+    # a product with no cancellation: only rounding (e^t e^-t) can pass 1
+    return min(value, 1.0)
+
 
 def bs_transition_exact(pi: SetPartition, rho: SetPartition, x) -> Fraction:
     """The transition polynomial Σ_σ r(π, σ) x^(|σ|-1) l(σ, ρ), exactly.
 
-    Evaluated through its closed form
-    (-1)^|ρ| x^-1 ((|ρ|-1)!/(|π|-1)!) ∏_B (-x)^(m_B ascending),
-    valid for any rational x != 0; x = e^-t recovers the transition
-    probability and x = 1 the identity matrix.
+    Evaluated through the same closed form as ``bs_transition``, valid for
+    any rational x != 0; x = e^-t recovers the transition probability and
+    x = 1 the identity matrix.
     """
     key = pair_key(pi, rho)
     x = Fraction(x)
@@ -75,11 +91,7 @@ def bs_transition_exact(pi: SetPartition, rho: SetPartition, x) -> Fraction:
         raise ValueError("x must be nonzero")
     if key is None:
         return Fraction(0)
-    p, r, sizes = key
-    value = Fraction(factorial(r - 1), factorial(p - 1)) / x
-    for s in sizes:
-        value *= ascending_factorial(-x, s)
-    return -value if r % 2 else value
+    return _bs_polynomial(key, x, 1 / x)
 
 
 def bs_green(pi: SetPartition, rho: SetPartition):
@@ -112,13 +124,11 @@ def bs_hitting(pi: SetPartition, rho: SetPartition) -> Fraction:
     """P(the Bolthausen-Sznitman coalescent from π ever visits ρ).
 
     Equals g(π, ρ) (|ρ| - 1) since the chain leaves ρ at rate |ρ| - 1 and
-    never returns.  The absorbing target ρ = {[n]} is rejected (absorption is
-    certain; there is no finite Green entry to normalize).
+    never returns; 1 on the absorbing ρ = {[n]}, where g is infinite.  Raises
+    only when the ground sets differ.
     """
-    if len(rho) == 1:
-        raise ValueError("hitting the absorbing one-block state is certain; "
-                         "only non-absorbing targets are supported")
-    return bs_green(pi, rho) * (len(rho) - 1)
+    g = bs_green(pi, rho)
+    return Fraction(1) if g == math.inf else g * (len(rho) - 1)
 
 
 def bs_block_green(i: int, j: int, n: int) -> Fraction:

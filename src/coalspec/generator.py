@@ -37,7 +37,7 @@ class RateTable:
     """Merger rates λ(b, k) for 2 ≤ k ≤ b ≤ n, all exact and nonnegative.
 
     ``total_rate(b)`` is the total jump rate λ_b = Σ_{k=2}^{b} C(b, k) λ(b, k)
-    out of a state with b blocks (zero for b = 1).
+    out of a state with b blocks (the empty sum, zero, for b = 1).
     """
 
     def __init__(self, n: int, rates: Mapping[tuple[int, int], object]):
@@ -65,8 +65,6 @@ class RateTable:
         """λ_b, the total merger rate from b blocks."""
         if b < 1 or b > self.n:
             raise ValueError(f"block count {b} outside 1..{self.n}")
-        if b == 1:
-            return Fraction(0)
         if b not in self._totals:
             self._totals[b] = sum(
                 (comb(b, k) * self.rate(b, k) for k in range(2, b + 1)), Fraction(0)
@@ -84,10 +82,8 @@ def bs_rates(n: int) -> RateTable:
     """Bolthausen-Sznitman rates λ(b, k) = (k-2)! (b-k)! / (b-1)!.
 
     Equivalently ∫ x^(k-2) (1-x)^(b-k) dx with the uniform merger measure.
-    The total rate from b blocks is b - 1.
+    The total rate from b blocks is b - 1; the table is empty for n = 1.
     """
-    if n < 2:
-        raise ValueError("rates need n >= 2")
     rates = {
         (b, k): Fraction(factorial(k - 2) * factorial(b - k), factorial(b - 1))
         for b in range(2, n + 1)
@@ -97,9 +93,7 @@ def bs_rates(n: int) -> RateTable:
 
 
 def kingman_rates(n: int) -> RateTable:
-    """Kingman rates: each pair of blocks merges at rate 1, nothing else."""
-    if n < 2:
-        raise ValueError("rates need n >= 2")
+    """Kingman rates: each pair of blocks merges at rate 1; empty for n = 1."""
     rates = {
         (b, k): Fraction(1) if k == 2 else Fraction(0)
         for b in range(2, n + 1)
@@ -171,7 +165,7 @@ def characteristic_factorization(
     rate table before returning.
     """
     n = Q.lattice.n
-    lam = {i: rates.total_rate(i) if i >= 2 else Fraction(0) for i in range(1, n + 1)}
+    lam = {i: rates.total_rate(i) for i in range(1, n + 1)}
     expected = Counter()
     for i in range(1, n + 1):
         expected[-lam[i]] += stirling_second(n, i)

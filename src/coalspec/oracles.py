@@ -147,7 +147,7 @@ def hitting_bruteforce(model: str, pi: SetPartition, rho: SetPartition) -> Fract
 @lru_cache(maxsize=1)
 def _hitting_to(model: str, rho: SetPartition):
     """σ ↦ h(σ), the probability of hitting ρ, memoized over σ."""
-    rates = (bs_rates if model == "bs" else kingman_rates)(max(rho.n, 2))
+    rates = (bs_rates if model == "bs" else kingman_rates)(rho.n)
     memo: dict[SetPartition, Fraction] = {}
 
     def h(sigma: SetPartition) -> Fraction:

@@ -11,7 +11,6 @@ import pytest
 
 from coalspec import (
     PartitionLattice,
-    RateTable,
     SizeLimitError,
     bell,
     bs_green,
@@ -135,7 +134,7 @@ class TestSpectral:
         # read off Q's diagonal, they are the rate table's (-λ_b, S(n, b))
         for model, rates_for in (("bs", bs_rates), ("kingman", kingman_rates)):
             for n in range(1, 7):
-                rates = rates_for(n) if n > 1 else RateTable(1, {})
+                rates = rates_for(n)
                 Q = build_generator(PartitionLattice(n), rates)
                 payload = run_json(capsys, "spectral", "--n", str(n), "--model", model)
                 assert payload["eigenvalues"] == [
@@ -171,6 +170,13 @@ class TestTransition:
         )
         total = sum(float(v) for v in payload["rows"]["1|2|3"].values())
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_time_past_exp_overflow(self, capsys):
+        # e^709.79 overflows a double; the table is the t -> inf limit
+        payload = run_json(capsys, "transition", "--n", "3", "--t", "709.79")
+        for source, row in payload["rows"].items():
+            for target, value in row.items():
+                assert value == ("1" if target == "1,2,3" else "0")
 
     def test_argument_validation(self, capsys):
         code, _, err = run(capsys, "transition", "--n", "3")
@@ -310,6 +316,14 @@ class TestSimulate:
             if float(row["std_error"]) > 0:
                 assert abs(float(row["z_score"])) < 5.0
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_time_past_exp_overflow(self, capsys):
+        payload = run_json(
+            capsys, "simulate", "--n", "3", "--t", "800", "--reps", "50", "--seed", "0",
+        )
+        for row in payload["rows"]:
+            absorbed = row["partition"] == "1,2,3"
+            assert row["exact"] == row["estimate"] == ("1" if absorbed else "0")
 
     def test_kingman_has_exact_column(self, capsys):
         payload = run_json(

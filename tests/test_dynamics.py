@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 
 from coalspec import (
     SetPartition,
+    ascending_factorial,
     bs_block_green,
     bs_green,
     bs_hitting,
@@ -88,6 +90,68 @@ class TestBsTransition:
                 bs_transition(P("1|2"), P("1,2"), t)
             with pytest.raises(ValueError):
                 transition_via_triple(kingman_block_triple(3), t)
+
+
+def _keys_with_pairs(lattices, n_max=6):
+    """One (key, π, ρ) for every distinct pair key with n <= n_max."""
+    seen = {}
+    for n in range(1, n_max + 1):
+        el = lattices[n].elements
+        for i, j, key in lattices[n].comparable_pairs():
+            seen.setdefault(key, (el[i], el[j]))
+    return [(key, pi, rho) for key, (pi, rho) in seen.items()]
+
+
+def _float_closed_form(key, t):
+    """The BS closed form written out operation by operation in doubles."""
+    p, r, sizes = key
+    x = math.exp(-t)
+    value = math.exp(t) * factorial(r - 1) / factorial(p - 1)
+    for s in sizes:
+        value *= ascending_factorial(-x, s)
+    if r % 2:
+        value = -value
+    return value
+
+
+def _exact_closed_form(key, x):
+    p, r, sizes = key
+    value = Fraction(factorial(r - 1), factorial(p - 1)) / x
+    for s in sizes:
+        value *= ascending_factorial(-x, s)
+    return -value if r % 2 else value
+
+
+_T_GRID = [k / 8 for k in range(41)] + [
+    1e-12, 0.905, 0.96, 1.008, 7.3, 12.0, 30.0, 100.0, 300.0, 700.0, 705.0,
+    709.78,
+]
+
+
+class TestBsTransitionFloatBits:
+    def test_bits_match_the_closed_form(self, lattices):
+        # every bit, wherever the operation-by-operation value is a probability;
+        # elsewhere it is one rounding above 1 or an overflow
+        for key, pi, rho in _keys_with_pairs(lattices):
+            for t in _T_GRID:
+                expect = _float_closed_form(key, t)
+                if 0.0 <= expect <= 1.0:
+                    assert bs_transition(pi, rho, t) == expect, (key, t)
+                else:
+                    assert expect <= 1.0 + 2**-51 or t >= 700.0, (key, t)
+
+    def test_exact_matches_the_closed_form(self, lattices):
+        for key, pi, rho in _keys_with_pairs(lattices):
+            for x in (F(1), F(2, 3), F(1, 7), F(-2), F(3), F(10**9 + 7, 10**9)):
+                assert bs_transition_exact(pi, rho, x) == _exact_closed_form(key, x)
+
+    def test_always_a_probability(self, lattices):
+        # once e^t overflows, the value is the t -> inf limit
+        for key, pi, rho in _keys_with_pairs(lattices):
+            for t in _T_GRID:
+                assert 0.0 <= bs_transition(pi, rho, t) <= 1.0, (key, t)
+            for t in (709.79, 800.0, 1e300):
+                assert bs_transition(pi, rho, t) == (1.0 if len(rho) == 1 else 0.0)
 
 
 class TestBsTransitionExact:
@@ -190,9 +254,20 @@ class TestBsHitting:
                         continue
                     assert bs_hitting(pi, rho) == hitting_bruteforce("bs", pi, rho)
 
-    def test_absorbing_target_rejected(self):
+    def test_absorbing_target_certain(self):
+        assert bs_hitting(P("1|2|3"), P("1,2,3")) == 1
         with pytest.raises(ValueError):
-            bs_hitting(P("1|2|3"), P("1,2,3"))
+            bs_hitting(P("1|2"), P("1,2,3"))
+
+    def test_top_agrees_with_kingman_and_oracle(self, lattices):
+        for n in range(1, 6):
+            top = SetPartition.whole(n)
+            for pi in lattices[n]:
+                assert (
+                    bs_hitting(pi, top) == kingman_hitting(pi, top)
+                    == hitting_bruteforce("bs", pi, top)
+                    == hitting_bruteforce("kingman", pi, top) == 1
+                )
 
     def test_green_hitting_relation(self, lattices):
         # g(π, ρ) = h(π, ρ) / (|ρ| - 1): each visit to ρ lasts Exp(|ρ| - 1)

@@ -13,6 +13,7 @@ from coalspec import (
     bs_rates,
     build_generator,
     characteristic_factorization,
+    hitting_bruteforce,
     kingman_block_generator,
     kingman_rates,
     merge_covers,
@@ -53,8 +54,8 @@ class TestRateTable:
             RateTable(3, {(4, 2): 1})
         with pytest.raises(ValueError):
             RateTable(3, {(2, 1): 1})
-        with pytest.raises(ValueError):
-            bs_rates(1)
+        # a one-element coalescent has no mergers: empty tables, not errors
+        assert bs_rates(1).items() == kingman_rates(1).items() == []
         with pytest.raises(ValueError):
             kingman_rates(0)
         r = RateTable(3, {(2, 2): "1/2"})
@@ -129,6 +130,17 @@ class TestLatticeGenerator:
         Q = build_generator(lat, RateTable(1, {}))
         assert Q.nnz() == 0
         assert characteristic_factorization(Q, RateTable(1, {})) == [(F(0), 1)]
+
+    def test_n1_rate_tables_accepted(self):
+        lat = PartitionLattice(1)
+        top = lat.top
+        for model, rates_for in (("bs", bs_rates), ("kingman", kingman_rates)):
+            rates = rates_for(1)
+            assert rates.n == 1 and rates.total_rate(1) == 0
+            Q = build_generator(lat, rates)
+            assert Q.nnz() == 0
+            assert characteristic_factorization(Q, rates) == [(F(0), 1)]
+            assert hitting_bruteforce(model, top, top) == 1
 
     def test_rate_table_too_small(self, lattices):
         with pytest.raises(ValueError):
