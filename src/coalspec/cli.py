@@ -22,8 +22,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
-
 from .dynamics import (
     bs_green,
     bs_hitting,
@@ -90,7 +88,22 @@ def _model(name: str) -> dict:
 
 
 def _entries_payload(mat: RatMatrix) -> list:
-    return [[i, j, format_rational(v)] for i, j, v in mat.nonzeros()]
+    """[i, j, "p/q"] per entry of ``mat.nonzeros()``, read off the integer rows.
+
+    Rows share their values (R and L take one per key), so each distinct
+    (numerator, row denominator) is reduced and formatted once.
+    """
+    text: dict[tuple[int, int], str] = {}
+    out = []
+    for i in sorted(mat._rows):
+        d, nums = mat._rows[i]
+        for j in sorted(nums):
+            key = (nums[j], d)
+            s = text.get(key)
+            if s is None:
+                s = text[key] = format_rational(Fraction(*key))
+            out.append([i, j, s])
+    return out
 
 
 def _lattice_order(lattice: PartitionLattice) -> list[str]:
@@ -140,7 +153,7 @@ def cmd_qmatrix(args) -> int:
     Q, order = _generator(args.model, args.n, args.block)
     if args.format == "csv":
         rows = [["row", "col", "value"]]
-        rows += [[str(i), str(j), format_rational(v)] for i, j, v in Q.nonzeros()]
+        rows += [[str(i), str(j), v] for i, j, v in _entries_payload(Q)]
         _emit_csv(rows, args.out)
     else:
         payload = {
@@ -334,6 +347,8 @@ def _verify_checks(n: int, tol: float):
         yield f"{model}-block-triple", verify_triple(blockQ, blockT).all_pass
         # closed-form semigroup against the series exponential
         if model == "bs" and n <= 5:
+            import numpy as np
+
             P_closed = np.zeros((len(lattice), len(lattice)))
             for i, j, _ in lattice.comparable_pairs():
                 P_closed[i, j] = bs_transition(el[i], el[j], 1.0)

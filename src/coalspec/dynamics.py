@@ -28,12 +28,14 @@ import math
 from fractions import Fraction
 from itertools import product
 from math import factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .combinatorics import ascending_factorial, lah, stirling_first, stirling_second
 from .partitions import SetPartition, pair_key
 from .spectral import SpectralTriple
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "bs_transition",
@@ -177,6 +179,8 @@ def transition_via_triple(triple: SpectralTriple, t: float) -> np.ndarray:
 
     Works for lattice triples and block-counting triples of either model.
     """
+    import numpy as np
+
     if not 0 <= t < math.inf:
         raise ValueError(f"time must be {'nonnegative' if t < 0 else 'finite'}")
     R = triple.R.to_float()

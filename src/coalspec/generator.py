@@ -13,9 +13,9 @@ projections (the process |Π(t)|) get their own small dense generators.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Mapping
 
 from .combinatorics import stirling_second
@@ -114,14 +114,23 @@ def build_generator(lattice: PartitionLattice, rates: RateTable) -> TriMatrix:
         raise ValueError(
             f"rate table covers b <= {rates.n} but the lattice needs b <= {lattice.n}"
         )
-    Q = TriMatrix(lattice)
+    # per block count p, the row denominator and the numerators over it of
+    # q(π, ρ) for k = p - |ρ| + 1 (k = 1 on the diagonal)
+    per_p = {}
+    for p in range(1, lattice.n + 1):
+        values = {k: rates.rate(p, k) for k in range(2, p + 1)}
+        values[1] = -rates.total_rate(p)
+        d = lcm(*[v.denominator for v in values.values()])
+        per_p[p] = d, {k: v.numerator * (d // v.denominator) for k, v in values.items()}
+    rows: dict[int, dict[int, int]] = defaultdict(dict)
     for i, j, (p, r, sizes) in lattice.comparable_pairs():
         k = p - r + 1
-        if k == 1:
-            Q.set(i, j, -rates.total_rate(p))
-        elif k in sizes:  # Σ (size - 1) = k - 1, so every other size is 1
-            Q.set(i, j, rates.rate(p, k))
-    return Q
+        if k == 1 or k in sizes:  # Σ (size - 1) = k - 1, so every other size is 1
+            rows[i][j] = per_p[p][1][k]
+    counts = [len(pi) for pi in lattice]
+    return TriMatrix.from_rows(
+        lattice, ((i, per_p[counts[i]][0], row) for i, row in rows.items())
+    )
 
 
 def bs_block_generator(n: int) -> RatMatrix:
@@ -133,25 +142,21 @@ def bs_block_generator(n: int) -> RatMatrix:
     """
     if n < 1:
         raise ValueError("block generator needs n >= 1")
-    Q = RatMatrix(n)
+    rows = []
     for i in range(2, n + 1):
-        Q.set(i - 1, i - 1, Fraction(1 - i))
-        for j in range(1, i):
-            d = i - j
-            Q.set(i - 1, j - 1, Fraction(i, d * (d + 1)))
-    return Q
+        den = lcm(*[d * (d + 1) for d in range(1, i)])
+        row = {j - 1: i * den // ((i - j) * (i - j + 1)) for j in range(1, i)}
+        row[i - 1] = (1 - i) * den
+        rows.append((i - 1, den, row))
+    return RatMatrix.from_rows(n, rows)
 
 
 def kingman_block_generator(n: int) -> RatMatrix:
     """Generator of the Kingman block-counting process: pure death at C(i, 2)."""
     if n < 1:
         raise ValueError("block generator needs n >= 1")
-    Q = RatMatrix(n)
-    for i in range(2, n + 1):
-        c = comb(i, 2)
-        Q.set(i - 1, i - 1, Fraction(-c))
-        Q.set(i - 1, i - 2, Fraction(c))
-    return Q
+    rates = ((i - 1, comb(i, 2)) for i in range(2, n + 1))
+    return RatMatrix.from_rows(n, ((i, 1, {i: -c, i - 1: c}) for i, c in rates))
 
 
 def characteristic_factorization(

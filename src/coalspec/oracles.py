@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from math import lcm
+from typing import TYPE_CHECKING
 
 from .generator import bs_rates, kingman_rates
 from .matrices import RatMatrix, TriMatrix
@@ -22,6 +22,9 @@ from .partitions import (
     merge_covers,
     pair_covers,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "matexp_series",
@@ -39,6 +42,8 @@ def matexp_series(Q, t: float, tol: float = 1e-13) -> np.ndarray:
     Scales so the infinity norm of the scaled argument is below 1/2, sums
     the series until the term norm drops below ``tol``, then squares back.
     """
+    import numpy as np
+
     A = np.asarray(Q, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matexp needs a square matrix")
@@ -100,11 +105,14 @@ def fundamental_matrix(Q: TriMatrix) -> RatMatrix:
                 prev = acc.get(j)
                 acc[j] = coeff if prev is None else prev + coeff
         rows[i] = {j: v / diag for j, v in acc.items() if v != 0}
-    N = RatMatrix(m)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            N.set(i, j, v)
-    return N
+
+    def over_common_denominator(row: dict[int, Fraction]) -> tuple[int, dict]:
+        d = lcm(*[v.denominator for v in row.values()])
+        return d, {j: v.numerator * (d // v.denominator) for j, v in row.items()}
+
+    return RatMatrix.from_rows(
+        m, ((i, *over_common_denominator(row)) for i, row in enumerate(rows))
+    )
 
 
 def enumerate_maximal_chains(

@@ -32,12 +32,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf, sqrt
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .partitions import PartitionLattice, SetPartition
 from .rrt import contains, sample_rrt
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Trajectory",
@@ -122,6 +123,8 @@ def _coarsens(fine: Blocks, coarse: Blocks) -> bool:
 
 def replicate_rng(seed: int, i: int) -> np.random.Generator:
     """The documented per-replicate stream: PCG64 seeded from (seed, i)."""
+    import numpy as np
+
     return np.random.default_rng((seed, i))
 
 

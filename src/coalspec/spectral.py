@@ -21,11 +21,15 @@ identity implies the other.
 
 Block-counting analogues (n x n, lower triangular in the block count) use
 Stirling and Lah numbers in place of the blockwise products.  One builder
-fills all four triples from a model's entry functions and eigenvalues.
+fills all four triples from a model's entry functions and eigenvalues.  The
+entry functions give integer numerators over one denominator per row, a
+factorial in the row's block count b: (b-1)! for BS R and L, (2b-1)! for
+Kingman R and (2b-2)! for Kingman L.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -85,34 +89,46 @@ class VerificationReport:
         return asdict(self)
 
 
-def _lattice_triple(pairs, counts, empty, entries, eigenvalue) -> SpectralTriple:
+def _lattice_triple(
+    pairs, counts, build, entries, denominators, eigenvalue
+) -> SpectralTriple:
     """R and L over ``pairs``, and D = ``eigenvalue(b)`` per block count b.
 
     ``pairs`` yields (i, j, key) over the support, ``counts`` is each state's
-    block count in index order and ``empty()`` makes the zero matrix.
-    ``entries(*key)`` gives the (r, l) entries; the lattice triples pass it
-    through ``cache``, since many pairs share a key.
+    block count in index order and ``build(rows)`` makes a matrix from
+    (i, d, {j: numerator}) rows.  ``entries(*key)`` gives the (r, l)
+    numerators over the row denominators ``denominators(b)`` of a row with b
+    blocks; the lattice triples pass it through ``cache``, since many pairs
+    share a key.
     """
-    R, L = empty(), empty()
+    counts = tuple(counts)
+    R: dict[int, dict[int, int]] = defaultdict(dict)
+    L: dict[int, dict[int, int]] = defaultdict(dict)
     for i, j, key in pairs:
-        rv, lv = entries(*key)
-        R.set(i, j, rv)
-        L.set(i, j, lv)
-    D = tuple(Fraction(eigenvalue(b)) for b in counts)
-    return SpectralTriple(R, D, L)
+        R[i][j], L[i][j] = entries(*key)
+    dens = {b: denominators(b) for b in set(counts)}
+    return SpectralTriple(
+        build((i, dens[counts[i]][0], row) for i, row in R.items()),
+        tuple(Fraction(eigenvalue(b)) for b in counts),
+        build((i, dens[counts[i]][1], row) for i, row in L.items()),
+    )
 
 
 def _on_lattice(lattice: PartitionLattice):
-    """(pairs, counts, empty) on the lattice, keyed (|π|, |ρ|, restriction sizes)."""
-    return lattice.comparable_pairs(), map(len, lattice), partial(TriMatrix, lattice)
+    """(pairs, counts, build) on the lattice, keyed (|π|, |ρ|, restriction sizes)."""
+    return (
+        lattice.comparable_pairs(),
+        map(len, lattice),
+        partial(TriMatrix.from_rows, lattice),
+    )
 
 
 def _on_chain(n: int):
-    """(pairs, counts, empty) on the block counts 1..n, keyed (i, j) for j <= i."""
+    """(pairs, counts, build) on the block counts 1..n, keyed (i, j) for j <= i."""
     if n < 1:
         raise ValueError("block triple needs n >= 1")
     pairs = ((i - 1, j - 1, (i, j)) for i in range(1, n + 1) for j in range(1, i + 1))
-    return pairs, range(1, n + 1), partial(RatMatrix, n)
+    return pairs, range(1, n + 1), partial(RatMatrix.from_rows, n)
 
 
 def _bs_eigenvalue(b: int) -> int:
@@ -123,33 +139,43 @@ def _kingman_eigenvalue(b: int) -> int:
     return -comb(b, 2)
 
 
-def _bs_entries(p: int, r: int, sizes) -> tuple[Fraction, Fraction]:
-    base = Fraction(factorial(r - 1), factorial(p - 1))
+def _bs_denominators(b: int) -> tuple[int, int]:
+    """Row denominators of R and L: (b-1)! for both."""
+    return factorial(b - 1), factorial(b - 1)
+
+
+def _kingman_denominators(b: int) -> tuple[int, int]:
+    """Row denominators of R and L: (2b-1)! and (2b-2)!."""
+    return factorial(2 * b - 1), factorial(2 * b - 2)
+
+
+def _bs_entries(p: int, r: int, sizes) -> tuple[int, int]:
+    base = factorial(r - 1)
     rv = base
     for s in sizes:
         rv *= factorial(s - 1)
     return rv, (base if (p - r) % 2 == 0 else -base)
 
 
-def _kingman_entries(p: int, r: int, sizes) -> tuple[Fraction, Fraction]:
+def _kingman_entries(p: int, r: int, sizes) -> tuple[int, int]:
     prod = 1
     for s in sizes:
         prod *= factorial(s)
-    rv = Fraction(factorial(2 * r - 1) * prod, factorial(p + r - 1))
-    lv = Fraction(factorial(p + r - 2) * prod, factorial(2 * p - 2))
+    rv = factorial(2 * r - 1) * prod * (factorial(2 * p - 1) // factorial(p + r - 1))
+    lv = factorial(p + r - 2) * prod
     return rv, (-lv if (p - r) % 2 else lv)
 
 
-def _bs_block_entries(i: int, j: int) -> tuple[Fraction, Fraction]:
-    base = Fraction(factorial(j - 1), factorial(i - 1))
+def _bs_block_entries(i: int, j: int) -> tuple[int, int]:
+    base = factorial(j - 1)
     lv = base * stirling_second(i, j)
     return base * stirling_first(i, j), (-lv if (i - j) % 2 else lv)
 
 
-def _kingman_block_entries(i: int, j: int) -> tuple[Fraction, Fraction]:
+def _kingman_block_entries(i: int, j: int) -> tuple[int, int]:
     lij = lah(i, j)
-    rv = Fraction(factorial(2 * j - 1) * lij, factorial(i + j - 1))
-    lv = Fraction(factorial(i + j - 2) * lij, factorial(2 * i - 2))
+    rv = factorial(2 * j - 1) * lij * (factorial(2 * i - 1) // factorial(i + j - 1))
+    lv = factorial(i + j - 2) * lij
     return rv, (-lv if (i - j) % 2 else lv)
 
 
@@ -160,7 +186,9 @@ def bs_triple(lattice: PartitionLattice) -> SpectralTriple:
     probabilities of random recursive trees), the left entries alternate in
     sign, and the eigenvalues are -(|π| - 1).
     """
-    return _lattice_triple(*_on_lattice(lattice), cache(_bs_entries), _bs_eigenvalue)
+    return _lattice_triple(
+        *_on_lattice(lattice), cache(_bs_entries), _bs_denominators, _bs_eigenvalue
+    )
 
 
 def kingman_triple(lattice: PartitionLattice) -> SpectralTriple:
@@ -171,7 +199,10 @@ def kingman_triple(lattice: PartitionLattice) -> SpectralTriple:
     (-1)^(p-r) m(π, ρ) 2^(p-r) (p+r-2)! / ((2p-2)! (p-r)!) for L.
     """
     return _lattice_triple(
-        *_on_lattice(lattice), cache(_kingman_entries), _kingman_eigenvalue
+        *_on_lattice(lattice),
+        cache(_kingman_entries),
+        _kingman_denominators,
+        _kingman_eigenvalue,
     )
 
 
@@ -182,7 +213,9 @@ def bs_block_triple(n: int) -> SpectralTriple:
     ((j-1)!/(i-1)!) {i, j} with Stirling numbers of the first and second
     kind; eigenvalues 1 - i.
     """
-    return _lattice_triple(*_on_chain(n), _bs_block_entries, _bs_eigenvalue)
+    return _lattice_triple(
+        *_on_chain(n), _bs_block_entries, _bs_denominators, _bs_eigenvalue
+    )
 
 
 def kingman_block_triple(n: int) -> SpectralTriple:
@@ -191,7 +224,12 @@ def kingman_block_triple(n: int) -> SpectralTriple:
     r'(i, j) = ((2j-1)!/(i+j-1)!) L(i, j) and l'(i, j) = (-1)^(i-j)
     ((i+j-2)!/(2i-2)!) L(i, j) with Lah numbers; eigenvalues -C(i, 2).
     """
-    return _lattice_triple(*_on_chain(n), _kingman_block_entries, _kingman_eigenvalue)
+    return _lattice_triple(
+        *_on_chain(n),
+        _kingman_block_entries,
+        _kingman_denominators,
+        _kingman_eigenvalue,
+    )
 
 
 def _support_ok(triple: SpectralTriple, Q: RatMatrix) -> bool:

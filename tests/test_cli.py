@@ -4,28 +4,39 @@ import csv
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import coalspec
 from coalspec import (
     PartitionLattice,
     SizeLimitError,
     bell,
+    bs_block_generator,
+    bs_block_triple,
     bs_green,
     bs_hitting,
     bs_rates,
     bs_transition,
     bs_transition_exact,
+    bs_triple,
     build_generator,
     characteristic_factorization,
+    kingman_block_generator,
+    kingman_block_triple,
     kingman_hitting,
     kingman_rates,
     kingman_triple,
     transition_via_triple,
 )
-from coalspec.cli import format_rational, format_real, main
+from coalspec.cli import _entries_payload, format_rational, format_real, main
 
 
 def run(capsys, *argv):
@@ -103,6 +114,73 @@ class TestQmatrix:
         assert rows[0] == ["row", "col", "value"]
         assert ["3", "2", "6/1"] in rows
         assert ["3", "3", "-6/1"] in rows
+
+
+class TestEntriesPayload:
+    """The payload read off integer rows equals formatting every Fraction."""
+
+    @staticmethod
+    def check(M):
+        want = [[i, j, format_rational(v)] for i, j, v in M.nonzeros()]
+        assert _entries_payload(M) == want
+
+    def test_lattice_triples_and_generators(self, lattices):
+        models = (
+            (bs_rates, bs_triple),
+            (kingman_rates, kingman_triple),
+        )
+        for n in range(1, 7):
+            for rates, triple_of in models:
+                t = triple_of(lattices[n])
+                self.check(t.R)
+                self.check(t.L)
+                self.check(build_generator(lattices[n], rates(n)))
+
+    def test_block_triples_and_generators(self):
+        models = (
+            (bs_block_triple, bs_block_generator),
+            (kingman_block_triple, kingman_block_generator),
+        )
+        for n in range(1, 31):
+            for triple_of, generator_of in models:
+                t = triple_of(n)
+                self.check(t.R)
+                self.check(t.L)
+                self.check(generator_of(n))
+
+
+def test_numpy_is_loaded_only_by_float_paths():
+    """Exact commands leave numpy unimported; simulate and verify load it."""
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from coalspec.cli import main
+
+        def quiet(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0, argv
+
+        quiet("spectral", "--n", "4")
+        quiet("spectral", "--n", "4", "--block")
+        quiet("transition", "--n", "4", "--x", "1/2")
+        quiet("green", "--n", "4")
+        quiet("hitting", "--n", "4", "--model", "kingman")
+        print("numpy" in sys.modules)
+        quiet("simulate", "--n", "3", "--t", "1", "--reps", "50")
+        quiet("verify", "--n-max", "3")
+        print("numpy" in sys.modules)
+        """
+    )
+    src = str(Path(coalspec.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
 
 
 class TestSpectral:

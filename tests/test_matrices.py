@@ -1,6 +1,7 @@
 """Exact sparse products and support checks in the matrices module."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -155,3 +156,142 @@ class TestSupportRespectsOrder:
         assert m.support_respects_order()
         m.set(coarse, fine, F(-1, 5))
         assert not m.support_respects_order()
+
+
+def reference_entries(m: RatMatrix) -> dict[tuple[int, int], Fraction]:
+    """The nonzero entries as a plain dict, built through ``get``."""
+    return {
+        (i, j): m.get(i, j)
+        for i in range(m.size)
+        for j in range(m.size)
+        if m.get(i, j) != 0
+    }
+
+
+@st.composite
+def sparse_entries(draw, max_size=7, values=rationals):
+    size = draw(st.integers(1, max_size))
+    index = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    return size, draw(st.dictionaries(index, values, max_size=3 * size))
+
+
+class TestStorage:
+    """Reduced integer rows: one representation per matrix, Fractions on read."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_entries())
+    def test_four_constructions_agree(self, drawn):
+        size, entries = drawn
+        forward = from_entries(size, entries)
+        backward = from_entries(size, dict(reversed(list(entries.items()))))
+        rows: dict[int, dict[int, Fraction]] = {}
+        for (i, j), v in entries.items():
+            rows.setdefault(i, {})[j] = v
+        bulk_rows = []
+        for i, row in rows.items():
+            d = 6 * lcm(*[v.denominator for v in row.values()])  # not yet reduced
+            bulk_rows.append((i, d, {j: int(v * d) for j, v in row.items()}))
+        bulk = RatMatrix.from_rows(size, bulk_rows)
+        # every entry first set to a decoy, then overwritten; one extra
+        # entry set and then cleared again
+        edited = from_entries(size, {k: F(7, 3) for k in entries})
+        for (i, j), v in entries.items():
+            edited.set(i, j, v)
+        spare = next(
+            ((i, j) for i in range(size) for j in range(size) if (i, j) not in entries),
+            None,
+        )
+        if spare is not None:
+            edited.set(*spare, F(-5, 11))
+            edited.set(*spare, 0)
+        assert forward == backward == bulk == edited
+        assert forward._rows == bulk._rows == edited._rows
+        assert reference_entries(bulk) == entries
+
+    def test_rows_are_stored_reduced(self):
+        m = RatMatrix.from_rows(
+            3, [(0, 12, {0: 4, 2: -8}), (1, -6, {1: 3, 0: 0}), (2, 5, {0: 0})]
+        )
+        assert m._rows == {0: (3, {0: 1, 2: -2}), 1: (2, {1: -1})}
+        m.set(0, 0, F(1, 6))  # row 0 becomes 1/6, -2/3 over 6
+        assert m._rows[0] == (6, {0: 1, 2: -4})
+        m.set(0, 2, F(5, 6))  # 1/6, 5/6
+        assert m._rows[0] == (6, {0: 1, 2: 5})
+        m.set(0, 0, F(1, 2))  # 3/6, 5/6: no common factor yet
+        assert m._rows[0] == (6, {0: 3, 2: 5})
+        m.set(0, 2, F(1, 2))  # 3/6, 3/6 reduce to 1/2, 1/2
+        assert m._rows[0] == (2, {0: 1, 2: 1})
+        m.set(1, 1, 0)
+        assert m._rows == {0: (2, {0: 1, 2: 1})} and m.nnz() == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_entries())
+    def test_reads_match_a_fraction_reference(self, drawn):
+        size, entries = drawn
+        m = from_entries(size, entries)
+        want = sorted((i, j, v) for (i, j), v in entries.items())
+        got = list(m.nonzeros())
+        assert got == want
+        assert all(type(v) is Fraction for _, _, v in got)
+        for i in range(size):
+            row = {j: v for (k, j), v in entries.items() if k == i}
+            assert m.row(i) == row
+            assert all(type(v) is Fraction for v in m.row(i).values())
+            total = m.row_sum(i)
+            assert total == sum(row.values(), F(0)) and type(total) is Fraction
+            for j in range(size):
+                v = m.get(i, j)
+                assert v == entries.get((i, j), 0) and type(v) is Fraction
+        assert m.nnz() == len(entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sparse_entries(
+            values=st.builds(
+                F, st.integers(-(10**45), 10**45), st.integers(10**39, 10**40)
+            ).filter(bool)
+        )
+    )
+    def test_to_float_is_bit_identical_to_float_of_fraction(self, drawn):
+        size, entries = drawn
+        got = from_entries(size, entries).to_float()
+        for i in range(size):
+            for j in range(size):
+                want = float(entries.get((i, j), 0))
+                assert float(got[i, j]).hex() == want.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sparse_entries(),
+        st.lists(st.one_of(st.just(F(0)), rationals, st.integers(-3, 3)), min_size=7),
+    )
+    def test_diagonal_scaling_matches_a_fraction_loop(self, drawn, diag):
+        size, entries = drawn
+        diag = diag[:size]
+        m = from_entries(size, entries)
+        cols = {(i, j): v * diag[j] for (i, j), v in entries.items() if diag[j]}
+        rows = {(i, j): diag[i] * v for (i, j), v in entries.items() if diag[i]}
+        assert m.scaled_cols(diag) == from_entries(size, cols)
+        assert m.scaled_rows(diag) == from_entries(size, rows)
+        assert reference_entries(m.scaled_cols(diag)) == cols
+        assert reference_entries(m.scaled_rows(diag)) == rows
+
+    def test_bulk_constructor_checks_indices(self):
+        for rows in (
+            [(3, 1, {0: 1})],
+            [(-1, 1, {0: 1})],
+            [(0, 1, {3: 1})],
+            [(0, 1, {-1: 1})],
+            [(1, 1, {0: 1, 2: 1, 5: 1})],
+            [(4, 1, {})],
+        ):
+            with pytest.raises(IndexError, match=r"outside 3x3"):
+                RatMatrix.from_rows(3, rows)
+        with pytest.raises(IndexError, match=r"outside 0x0"):
+            RatMatrix.from_rows(0, [(0, 1, {})])
+        with pytest.raises(IndexError, match=r"index \(0, 3\) outside 3x3"):
+            RatMatrix(3).set(0, 3, 1)
+        with pytest.raises(IndexError, match=r"index \(0, 3\) outside 3x3"):
+            RatMatrix.from_rows(3, [(0, 1, {3: 1})])
+        with pytest.raises(ZeroDivisionError):
+            RatMatrix.from_rows(3, [(0, 0, {1: 1})])
