@@ -62,7 +62,9 @@ def bs_transition(pi: SetPartition, rho: SetPartition, t: float) -> float:
 
     In [0, 1] for every finite t >= 0.  Once e^t (|ρ|-1)! overflows a double
     (by t = 709.79) it returns the t → ∞ limit, 1 on ρ = {[n]} and 0
-    elsewhere, off by about H_(|π|-1) e^-t < 1e-307.
+    elsewhere, off by about H_(|π|-1) e^-t < 1e-307.  For |π| >= 172, where
+    (|π|-1)! has no double, the polynomial is evaluated exactly at the
+    rational value of the double e^-t and rounded once.
     """
     key = pair_key(pi, rho)
     if not 0 <= t < math.inf:
@@ -73,7 +75,12 @@ def bs_transition(pi: SetPartition, rho: SetPartition, t: float) -> float:
         inv_x = math.exp(t)
     except OverflowError:
         return 1.0 if key[1] == 1 else 0.0
-    value = _bs_polynomial(key, math.exp(-t), inv_x)
+    x = math.exp(-t)
+    try:
+        value = _bs_polynomial(key, x, inv_x)
+    except OverflowError:  # (|π|-1)! is beyond a double: evaluate exactly, round once
+        x = Fraction(x)
+        value = float(_bs_polynomial(key, x, 1 / x))
     if value == math.inf:  # e^t (|ρ|-1)! overflowed, so |ρ| >= 3 and p < e^-t
         return 0.0
     # a product with no cancellation: only rounding (e^t e^-t) can pass 1

@@ -171,20 +171,6 @@ class RatMatrix:
                 out._rows[i] = row
         return out
 
-    def scaled_rows(self, diag: Sequence[Fraction]) -> "RatMatrix":
-        """Left-multiplication by diag(d): entry (i, j) scaled by d[i]."""
-        if len(diag) != self.size:
-            raise ValueError("diagonal length differs from matrix size")
-        out = RatMatrix(self.size)
-        for i, (d, nums) in self._rows.items():
-            x = Fraction(diag[i])
-            if x == 0:
-                continue
-            a = x.numerator
-            scaled = {j: a * v for j, v in nums.items()}
-            out._rows[i] = _reduced(d * x.denominator, scaled)
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented

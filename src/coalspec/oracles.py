@@ -119,8 +119,6 @@ def enumerate_maximal_chains(
     pi: SetPartition, rho: SetPartition
 ) -> list[list[SetPartition]]:
     """All maximal chains π = σ_0 ⋖ σ_1 ⋖ ... ⋖ σ_k = ρ, by DFS over pair mergers."""
-    if pi.ground != rho.ground:
-        raise ValueError("partitions live on different ground sets")
     if not pi.refines(rho):
         raise ValueError("chain enumeration requires π ≤ ρ")
     if pi.n > _CHAIN_ENUM_CAP:
@@ -145,8 +143,6 @@ def hitting_bruteforce(model: str, pi: SetPartition, rho: SetPartition) -> Fract
     are 0 for k > 2); states not below ρ can never reach it and score 0.
     Consecutive calls for the same model and ρ share one memo.
     """
-    if pi.ground != rho.ground:
-        raise ValueError("partitions live on different ground sets")
     if model not in ("bs", "kingman"):
         raise ValueError(f"unknown model {model!r}; use 'bs' or 'kingman'")
     return _hitting_to(model, rho)(pi)

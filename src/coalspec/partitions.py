@@ -13,14 +13,13 @@ index 0 and the one-block partition last, so every refinement-supported matrix
 indexed by the lattice is upper triangular.
 
 Full-lattice enumeration is capped (Bell numbers grow fast); the default cap
-of n = 8 can be overridden with the COALSPEC_N_CAP environment variable or a
-per-call argument.
+of n = 8 can be overridden with the COALSPEC_N_CAP environment variable.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -62,13 +61,13 @@ def lattice_cap() -> int:
         raise ValueError(f"{ENV_N_CAP} must be an integer, got {raw!r}") from exc
 
 
-def _check_cap(n: int, cap: int | None = None) -> None:
-    """Raise SizeLimitError if P([n]) is beyond ``cap`` (default: lattice_cap())."""
-    limit = cap if cap is not None else lattice_cap()
+def _check_cap(n: int) -> None:
+    """Raise SizeLimitError if P([n]) is beyond ``lattice_cap()``."""
+    limit = lattice_cap()
     if n > limit:
         raise SizeLimitError(
             f"P([{n}]) has bell({n}) = {bell(n)} elements, beyond the cap "
-            f"{limit}; raise {ENV_N_CAP} or pass an explicit cap"
+            f"{limit}; raise {ENV_N_CAP}"
         )
 
 
@@ -300,26 +299,13 @@ def pair_covers(pi: SetPartition) -> list[SetPartition]:
 
 
 def interval(pi: SetPartition, rho: SetPartition) -> list[SetPartition]:
-    """All σ with π ≤ σ ≤ ρ, via the product structure of the interval.
+    """All σ with π ≤ σ ≤ ρ: the coarsenings of π that refine ρ.
 
-    The interval [π, ρ] factorizes over the blocks B of ρ into the partition
-    lattices of restrict(π, B); the result is sorted in the lattice's linear
-    extension order.
+    Sorted in the lattice's linear extension order.
     """
     if not pi.refines(rho):
         raise ValueError("interval requires π ≤ ρ")
-    owner = _owners(rho)
-    groups: list[list[tuple[int, ...]]] = [[] for _ in rho.blocks]
-    for block in pi.blocks:
-        groups[owner[block[0]]].append(block)
-    per_block = [list(set_partitions(g)) for g in groups]
-    out = []
-    for combo in product(*per_block):
-        blocks = []
-        for grouping in combo:
-            for cluster in grouping:
-                blocks.append(tuple(sorted(e for blk in cluster for e in blk)))
-        out.append(SetPartition(blocks))
+    out = [sigma for sigma in coarsenings(pi) if sigma.refines(rho)]
     out.sort(key=lambda p: p.sort_key)
     return out
 
@@ -350,10 +336,10 @@ class PartitionLattice:
     partition; whenever π < ρ the index of π is strictly smaller.
     """
 
-    def __init__(self, n: int, cap: int | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("the lattice needs n >= 1")
-        _check_cap(n, cap)
+        _check_cap(n)
         elements = [SetPartition(p) for p in set_partitions(list(range(1, n + 1)))]
         elements.sort(key=lambda p: p.sort_key)
         self.n = n

@@ -21,10 +21,10 @@ identity implies the other.
 
 Block-counting analogues (n x n, lower triangular in the block count) use
 Stirling and Lah numbers in place of the blockwise products.  One builder
-fills all four triples from a model's entry functions and eigenvalues.  The
-entry functions give integer numerators over one denominator per row, a
-factorial in the row's block count b: (b-1)! for BS R and L, (2b-1)! for
-Kingman R and (2b-2)! for Kingman L.
+fills all four triples.  A model gives it an entry function and one function
+of a row's block count b: the eigenvalue and the R and L row denominators,
+(b-1)! for BS R and L, (2b-1)! for Kingman R and (2b-2)! for Kingman L.  The
+entry functions give integer numerators over those denominators.
 """
 
 from __future__ import annotations
@@ -89,28 +89,26 @@ class VerificationReport:
         return asdict(self)
 
 
-def _lattice_triple(
-    pairs, counts, build, entries, denominators, eigenvalue
-) -> SpectralTriple:
-    """R and L over ``pairs``, and D = ``eigenvalue(b)`` per block count b.
+def _lattice_triple(pairs, counts, build, entries, per_row) -> SpectralTriple:
+    """R and L over ``pairs``, and D from ``per_row`` per block count.
 
     ``pairs`` yields (i, j, key) over the support, ``counts`` is each state's
     block count in index order and ``build(rows)`` makes a matrix from
-    (i, d, {j: numerator}) rows.  ``entries(*key)`` gives the (r, l)
-    numerators over the row denominators ``denominators(b)`` of a row with b
-    blocks; the lattice triples pass it through ``cache``, since many pairs
-    share a key.
+    (i, d, {j: numerator}) rows.  ``per_row(b)`` gives (eigenvalue, R row
+    denominator, L row denominator) of a row with b blocks, and
+    ``entries(*key)`` the (r, l) numerators over those denominators; the
+    lattice triples pass it through ``cache``, since many pairs share a key.
     """
     counts = tuple(counts)
     R: dict[int, dict[int, int]] = defaultdict(dict)
     L: dict[int, dict[int, int]] = defaultdict(dict)
     for i, j, key in pairs:
         R[i][j], L[i][j] = entries(*key)
-    dens = {b: denominators(b) for b in set(counts)}
+    facts = {b: per_row(b) for b in set(counts)}
     return SpectralTriple(
-        build((i, dens[counts[i]][0], row) for i, row in R.items()),
-        tuple(Fraction(eigenvalue(b)) for b in counts),
-        build((i, dens[counts[i]][1], row) for i, row in L.items()),
+        build((i, facts[counts[i]][1], row) for i, row in R.items()),
+        tuple(Fraction(facts[b][0]) for b in counts),
+        build((i, facts[counts[i]][2], row) for i, row in L.items()),
     )
 
 
@@ -131,22 +129,14 @@ def _on_chain(n: int):
     return pairs, range(1, n + 1), partial(RatMatrix.from_rows, n)
 
 
-def _bs_eigenvalue(b: int) -> int:
-    return 1 - b
+def _bs_row(b: int) -> tuple[int, int, int]:
+    """Eigenvalue 1 - b; R and L row denominators (b-1)! and (b-1)!."""
+    return 1 - b, factorial(b - 1), factorial(b - 1)
 
 
-def _kingman_eigenvalue(b: int) -> int:
-    return -comb(b, 2)
-
-
-def _bs_denominators(b: int) -> tuple[int, int]:
-    """Row denominators of R and L: (b-1)! for both."""
-    return factorial(b - 1), factorial(b - 1)
-
-
-def _kingman_denominators(b: int) -> tuple[int, int]:
-    """Row denominators of R and L: (2b-1)! and (2b-2)!."""
-    return factorial(2 * b - 1), factorial(2 * b - 2)
+def _kingman_row(b: int) -> tuple[int, int, int]:
+    """Eigenvalue -C(b, 2); R and L row denominators (2b-1)! and (2b-2)!."""
+    return -comb(b, 2), factorial(2 * b - 1), factorial(2 * b - 2)
 
 
 def _bs_entries(p: int, r: int, sizes) -> tuple[int, int]:
@@ -186,9 +176,7 @@ def bs_triple(lattice: PartitionLattice) -> SpectralTriple:
     probabilities of random recursive trees), the left entries alternate in
     sign, and the eigenvalues are -(|π| - 1).
     """
-    return _lattice_triple(
-        *_on_lattice(lattice), cache(_bs_entries), _bs_denominators, _bs_eigenvalue
-    )
+    return _lattice_triple(*_on_lattice(lattice), cache(_bs_entries), _bs_row)
 
 
 def kingman_triple(lattice: PartitionLattice) -> SpectralTriple:
@@ -198,12 +186,7 @@ def kingman_triple(lattice: PartitionLattice) -> SpectralTriple:
     maximal-chain route m(π, ρ) 2^(p-r) (2r-1)! / ((p-r)! (p+r-1)!) for R and
     (-1)^(p-r) m(π, ρ) 2^(p-r) (p+r-2)! / ((2p-2)! (p-r)!) for L.
     """
-    return _lattice_triple(
-        *_on_lattice(lattice),
-        cache(_kingman_entries),
-        _kingman_denominators,
-        _kingman_eigenvalue,
-    )
+    return _lattice_triple(*_on_lattice(lattice), cache(_kingman_entries), _kingman_row)
 
 
 def bs_block_triple(n: int) -> SpectralTriple:
@@ -213,9 +196,7 @@ def bs_block_triple(n: int) -> SpectralTriple:
     ((j-1)!/(i-1)!) {i, j} with Stirling numbers of the first and second
     kind; eigenvalues 1 - i.
     """
-    return _lattice_triple(
-        *_on_chain(n), _bs_block_entries, _bs_denominators, _bs_eigenvalue
-    )
+    return _lattice_triple(*_on_chain(n), _bs_block_entries, _bs_row)
 
 
 def kingman_block_triple(n: int) -> SpectralTriple:
@@ -224,12 +205,7 @@ def kingman_block_triple(n: int) -> SpectralTriple:
     r'(i, j) = ((2j-1)!/(i+j-1)!) L(i, j) and l'(i, j) = (-1)^(i-j)
     ((i+j-2)!/(2i-2)!) L(i, j) with Lah numbers; eigenvalues -C(i, 2).
     """
-    return _lattice_triple(
-        *_on_chain(n),
-        _kingman_block_entries,
-        _kingman_denominators,
-        _kingman_eigenvalue,
-    )
+    return _lattice_triple(*_on_chain(n), _kingman_block_entries, _kingman_row)
 
 
 def _support_ok(triple: SpectralTriple, Q: RatMatrix) -> bool:

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +141,13 @@ def test_rational_arithmetic_sanity(a, b, c):
         from math import gcd
 
         assert gcd(q.numerator, q.denominator) == 1
+
+
+def test_deeper_than_the_recursion_limit():
+    # the triangles are filled from an explicit stack, not by recursion
+    assert stirling_second(2000, 2) == 2**1999 - 1
+    assert stirling_first(1100, 1099) == comb(1100, 2)
+    assert stirling_first(1500, 1) == factorial(1499)
 
 
 def test_domain_errors():

@@ -16,6 +16,7 @@ from coalspec import (
     bs_transition,
     bs_transition_exact,
     coarsenings,
+    pair_key,
     hitting_bruteforce,
     interval,
     kingman_block_triple,
@@ -102,6 +103,13 @@ def _keys_with_pairs(lattices, n_max=6):
     return [(key, pi, rho) for key, (pi, rho) in seen.items()]
 
 
+def _wide_pairs(p):
+    """(key, π, ρ) from the singletons of [p] to ρ with 2 blocks and with 1."""
+    pi = SetPartition.singletons(p)
+    half = SetPartition([range(1, p // 2 + 1), range(p // 2 + 1, p + 1)])
+    return [(pair_key(pi, rho), pi, rho) for rho in (half, SetPartition.whole(p))]
+
+
 def _float_closed_form(key, t):
     """The BS closed form written out operation by operation in doubles."""
     p, r, sizes = key
@@ -131,8 +139,9 @@ _T_GRID = [k / 8 for k in range(41)] + [
 class TestBsTransitionFloatBits:
     def test_bits_match_the_closed_form(self, lattices):
         # every bit, wherever the operation-by-operation value is a probability;
-        # elsewhere it is one rounding above 1 or an overflow
-        for key, pi, rho in _keys_with_pairs(lattices):
+        # elsewhere it is one rounding above 1 or an overflow.  170! is the
+        # largest factorial a double holds, so p = 171 is the last float key
+        for key, pi, rho in _keys_with_pairs(lattices) + _wide_pairs(171):
             for t in _T_GRID:
                 expect = _float_closed_form(key, t)
                 if 0.0 <= expect <= 1.0:
@@ -147,11 +156,18 @@ class TestBsTransitionFloatBits:
 
     def test_always_a_probability(self, lattices):
         # once e^t overflows, the value is the t -> inf limit
-        for key, pi, rho in _keys_with_pairs(lattices):
+        for key, pi, rho in _keys_with_pairs(lattices) + _wide_pairs(200):
             for t in _T_GRID:
                 assert 0.0 <= bs_transition(pi, rho, t) <= 1.0, (key, t)
             for t in (709.79, 800.0, 1e300):
                 assert bs_transition(pi, rho, t) == (1.0 if len(rho) == 1 else 0.0)
+
+    def test_past_the_largest_float_factorial(self):
+        # (p-1)! has no double from p = 172 on; the exact route rounds once
+        big, bigger = SetPartition.singletons(172), SetPartition.singletons(200)
+        assert bs_transition(big, big, 0.0) == 1.0
+        stay = bs_transition(bigger, bigger, 0.01)  # leaves at rate 199
+        assert stay == pytest.approx(math.exp(-1.99), rel=1e-13)
 
 
 class TestBsTransitionExact:
@@ -294,6 +310,11 @@ class TestBlockGreen:
                         F(0),
                     )
                     assert total == bs_block_green(i, j, n)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # one pair merger (rate i/2 of i - 1) then a holding time 1/(i - 2)
+        i = 1100
+        assert bs_block_green(i, i - 1, i) == F(i, 2 * (i - 1) * (i - 2))
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -174,8 +174,8 @@ class TestLattice:
         monkeypatch.setenv("COALSPEC_N_CAP", "4")
         with pytest.raises(SizeLimitError):
             PartitionLattice(5)
-        # explicit argument beats the environment
-        assert len(PartitionLattice(5, cap=5)) == 52
+        monkeypatch.setenv("COALSPEC_N_CAP", "5")
+        assert len(PartitionLattice(5)) == 52
         monkeypatch.setenv("COALSPEC_N_CAP", "not-an-int")
         with pytest.raises(ValueError):
             PartitionLattice(3)

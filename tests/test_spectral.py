@@ -35,7 +35,8 @@ class TestLatticeTriples:
             for Q, t in ((bs_generators[n], bs_triples[n]),
                          (kingman_generators[n], kingman_triples[n])):
                 assert Q.matmul(t.R) == t.R.scaled_cols(t.D)
-                assert t.L.matmul(Q) == t.L.scaled_rows(t.D)
+                diag = RatMatrix.identity(t.size).scaled_cols(t.D)
+                assert t.L.matmul(Q) == diag.matmul(t.L)
 
     def test_bs_eigenvalues(self, lattices, bs_triples):
         for n in range(2, 7):
@@ -227,7 +228,7 @@ class TestInverseProducts:
                                        kingman_generators, kingman_triples):
         n = 4
         bs, km = bs_triples[n], kingman_triples[n]
-        doubled = SpectralTriple(bs.R, bs.D, bs.L.scaled_rows([F(2)] * bs.size))
+        doubled = SpectralTriple(bs.R, bs.D, bs.L.scaled_cols([F(2)] * bs.size))
         mixed = SpectralTriple(bs.R, bs.D, km.L)
         cases = [
             (bs_generators[n], bs),
