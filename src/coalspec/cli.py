@@ -47,7 +47,7 @@ from .oracles import (
 )
 from .partitions import PartitionLattice, _check_cap, count_maximal_chains
 from .rrt import contains, count_trees_containing, enumerate_increasing_trees
-from .simulate import estimate_transition
+from .simulate import _estimate_transition
 from .spectral import (
     bs_block_triple,
     bs_triple,
@@ -290,8 +290,7 @@ def cmd_hitting(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    estimates = estimate_transition(args.model, args.n, args.t, args.reps, args.seed)
-    lattice = PartitionLattice(args.n)
+    lattice, estimates = _estimate_transition(args.model, args.n, args.t, args.reps, args.seed)
     p, _ = _float_transition(args.model, lattice, args.t)
     records = []
     for j, rho in enumerate(lattice):

@@ -60,10 +60,11 @@ def _bs_polynomial(key, x, inv_x):
 def bs_transition(pi: SetPartition, rho: SetPartition, t: float) -> float:
     """P(Π(t) = ρ | Π(0) = π) for the Bolthausen-Sznitman coalescent.
 
-    In [0, 1] for every finite t >= 0.  Once e^t (|ρ|-1)! overflows a double
-    (by t = 709.79) it returns the t → ∞ limit, 1 on ρ = {[n]} and 0
-    elsewhere, off by about H_(|π|-1) e^-t < 1e-307.  For |π| >= 172, where
-    (|π|-1)! has no double, the polynomial is evaluated exactly at the
+    In [0, 1] for every finite t >= 0.  Once e^t itself overflows a double
+    (t >= 709.79) it returns the t → ∞ limit, 1 on ρ = {[n]} and 0
+    elsewhere, off by about H_(|π|-1) e^-t < 1e-307.  Where the doubles
+    cannot hold an intermediate, (|π|-1)! for |π| >= 172 or e^t (|ρ|-1)!
+    (from t ≈ 3.2 at |ρ| = 171), the polynomial is evaluated exactly at the
     rational value of the double e^-t and rounded once.
     """
     key = pair_key(pi, rho)
@@ -78,11 +79,11 @@ def bs_transition(pi: SetPartition, rho: SetPartition, t: float) -> float:
     x = math.exp(-t)
     try:
         value = _bs_polynomial(key, x, inv_x)
-    except OverflowError:  # (|π|-1)! is beyond a double: evaluate exactly, round once
+    except OverflowError:  # (|π|-1)! is beyond a double
+        value = math.inf
+    if value == math.inf:  # an intermediate overflowed: evaluate exactly, round once
         x = Fraction(x)
         value = float(_bs_polynomial(key, x, 1 / x))
-    if value == math.inf:  # e^t (|ρ|-1)! overflowed, so |ρ| >= 3 and p < e^-t
-        return 0.0
     # a product with no cancellation: only rounding (e^t e^-t) can pass 1
     return min(value, 1.0)
 

@@ -19,7 +19,7 @@ of n = 8 can be overridden with the COALSPEC_N_CAP environment variable.
 from __future__ import annotations
 
 import os
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -301,11 +301,21 @@ def pair_covers(pi: SetPartition) -> list[SetPartition]:
 def interval(pi: SetPartition, rho: SetPartition) -> list[SetPartition]:
     """All σ with π ≤ σ ≤ ρ: the coarsenings of π that refine ρ.
 
+    Each σ groups the blocks of π that lie in one block of ρ, so σ is one
+    grouping per block of ρ and the work is |[π, ρ]|, not bell(|π|).
     Sorted in the lattice's linear extension order.
     """
     if not pi.refines(rho):
         raise ValueError("interval requires π ≤ ρ")
-    out = [sigma for sigma in coarsenings(pi) if sigma.refines(rho)]
+    owner = _owners(rho)
+    within: list[list[tuple[int, ...]]] = [[] for _ in rho.blocks]
+    for block in pi.blocks:
+        within[owner[block[0]]].append(block)
+    out = []
+    for groupings in product(*(set_partitions(blocks) for blocks in within)):
+        out.append(SetPartition(
+            [e for blk in group for e in blk] for grouping in groupings for group in grouping
+        ))
     out.sort(key=lambda p: p.sort_key)
     return out
 

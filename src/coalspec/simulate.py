@@ -18,7 +18,13 @@ objects; ``estimate_transition`` checks every jump on the block tuples as
 
 Replicate streams: replicate i of a run with seed s draws from
 ``numpy.random.default_rng((s, i))``, so runs are reproducible and
-replicates are independent and order-insensitive.
+replicates are independent and order-insensitive.  The estimators do not
+build one generator per replicate: ``_replicate_streams`` hashes the
+``SeedSequence((s, i))`` entropy of 1024 replicates at a time in vectorised
+uint32 arithmetic, derives each PCG64 state from it as ``PCG64`` seeds
+itself, and sets that state on one reused ``Generator``.  The streams are
+the same, draw for draw; ``replicate_rng`` is the reference they are tested
+against.
 
 Estimators return exact empirical fractions (count/reps) so the estimated
 law sums to exactly 1, alongside float binomial standard errors
@@ -32,6 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf, sqrt
+from operator import index
 from typing import TYPE_CHECKING, Iterator
 
 from .partitions import PartitionLattice, SetPartition
@@ -128,6 +135,117 @@ def replicate_rng(seed: int, i: int) -> np.random.Generator:
     return np.random.default_rng((seed, i))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool of four
+# 32-bit words, hashmix constants A for the pool, B for generate_state
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG: state <- state * multiplier + inc
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# replicates hashed per batch; 2**32 is a multiple, so the index i has the
+# same number of 32-bit words across a batch
+_CHUNK = 1024
+
+
+def _words(x: int) -> list[int]:
+    """x as SeedSequence reads an int: little-endian 32-bit words, 0 as [0]."""
+    x = index(x)
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _generate_state(seed_words: list[int], i: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence((seed, i)).generate_state(8, uint32)`` for every i at once.
+
+    ``seed_words`` is ``_words(seed)`` and ``i`` a uint64 array of indices that
+    share one word count (none below 2**32 with one above).  Returns the 8
+    output words as uint32 arrays; every step acts elementwise on the batch,
+    wrapping mod 2**32 as numpy's C code does.
+    """
+    import numpy as np
+
+    entropy = [np.full(len(i), w, dtype=np.uint32) for w in seed_words]
+    entropy.append((i & np.uint64(_MASK32)).astype(np.uint32))
+    if i[0] > _MASK32:
+        entropy.append((i >> np.uint64(32)).astype(np.uint32))
+    shift = np.uint32(_XSHIFT)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> shift)
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> shift)
+
+    zero = np.zeros(len(i), dtype=np.uint32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    out = []
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        out.append(value ^ (value >> shift))
+    return out
+
+
+def _replicate_streams(seed: int, reps: int) -> Iterator[np.random.Generator]:
+    """``replicate_rng(seed, i)`` for i in range(reps), as one reused Generator.
+
+    Yields the same generator once per replicate, each time in the state
+    ``default_rng((seed, i))`` starts in; a replicate's draws must be done
+    before the next one is taken.  Per batch of ``_CHUNK`` replicates the
+    SeedSequence hash runs vectorised; per replicate PCG64's seeding
+    (``pcg_setseq_128_srandom_r``) runs on Python ints: inc = 2 initseq + 1,
+    then step, add initstate, step.
+    """
+    import numpy as np
+
+    seed_words = _words(seed)
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    for start in range(0, reps, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, reps), dtype=np.uint64)
+        words = np.stack(_generate_state(seed_words, i), axis=1)
+        # as generate_state(4, uint64) reads them: 32-bit words 2k, 2k + 1 are
+        # the 64-bit word k, little-endian; PCG64 takes words 0, 1 as the high
+        # and low halves of initstate and 2, 3 of initseq, so the big-endian
+        # bytes of the 64-bit words are the two 128-bit numbers in turn
+        data = words.astype("<u4").view("<u8").astype(">u8").tobytes()
+        for k in range(0, len(data), 32):
+            initstate = int.from_bytes(data[k:k + 16], "big")
+            inc = (int.from_bytes(data[k + 16:k + 32], "big") << 1 | 1) & _MASK128
+            state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
 def _check_run(n: int, horizon: float | None) -> None:
     if n < 1:
         raise ValueError("need n >= 1")
@@ -146,7 +264,7 @@ def _bs_jumps(n: int, horizon: float | None, rng) -> Iterator[tuple[float, Block
     cut node plus the later survivors whose parent is already in it; it
     merges into the cut node's parent.
     """
-    parent = [0] + [int(rng.integers(0, k)) for k in range(1, n)]
+    parent = [0] + rng.integers(0, range(1, n)).tolist()  # one call, same draws
     labels = [(k + 1,) for k in range(n)]
     alive = list(range(n))
     t = 0.0
@@ -233,6 +351,13 @@ def estimate_transition(
     block tuples, with every jump checked as ``Trajectory`` checks it; one
     ``SetPartition`` is built per distinct final state.
     """
+    return _estimate_transition(model, n, t, reps, seed)[1]
+
+
+def _estimate_transition(
+    model: str, n: int, t: float, reps: int, seed: int
+) -> tuple[PartitionLattice, dict[SetPartition, tuple[Fraction, float]]]:
+    """``estimate_transition`` together with the P([n]) it was taken over."""
     jumps = _JUMPS.get(model)
     if jumps is None:
         raise ValueError(f"unknown model {model!r}; use 'bs' or 'kingman'")
@@ -242,9 +367,9 @@ def estimate_transition(
     lattice = PartitionLattice(n)  # enforces the size cap before any replicate runs
     start = tuple((e,) for e in range(1, n + 1))
     counts: Counter[Blocks] = Counter()
-    for i in range(reps):
+    for rng in _replicate_streams(seed, reps):
         prev, state = 0.0, start
-        for time, blocks in jumps(n, t, replicate_rng(seed, i)):
+        for time, blocks in jumps(n, t, rng):
             _check_jump(prev, time, state, blocks)
             prev, state = time, blocks
         counts[state] += 1
@@ -256,7 +381,7 @@ def estimate_transition(
         p_hat = Fraction(finals[pi], reps)
         se = sqrt(float(p_hat * (1 - p_hat)) / reps)
         out[pi] = (p_hat, se)
-    return out
+    return lattice, out
 
 
 def estimate_containment(
@@ -266,8 +391,8 @@ def estimate_containment(
     if reps < 1:
         raise ValueError("need at least one replicate")
     hits = 0
-    for i in range(reps):
-        if contains(sample_rrt(pi, replicate_rng(seed, i)), rho):
+    for rng in _replicate_streams(seed, reps):
+        if contains(sample_rrt(pi, rng), rho):
             hits += 1
     p_hat = Fraction(hits, reps)
     se = sqrt(float(p_hat * (1 - p_hat)) / reps)

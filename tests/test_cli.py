@@ -411,6 +411,20 @@ class TestSimulate:
         exact = {row["partition"]: float(row["exact"]) for row in payload["rows"]}
         assert sum(exact.values()) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("model", ["bs", "kingman"])
+    def test_lattice_built_once(self, capsys, monkeypatch, model):
+        builds = []
+        init = PartitionLattice.__init__
+
+        def counted(self, n):
+            builds.append(n)
+            init(self, n)
+
+        monkeypatch.setattr(PartitionLattice, "__init__", counted)
+        run_json(capsys, "simulate", "--n", "4", "--model", model, "--t", "0.5",
+                 "--reps", "20", "--seed", "2")
+        assert builds == [4]
+
 
 class TestVerify:
     def test_passes(self, capsys):

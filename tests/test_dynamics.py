@@ -169,6 +169,13 @@ class TestBsTransitionFloatBits:
         stay = bs_transition(bigger, bigger, 0.01)  # leaves at rate 199
         assert stay == pytest.approx(math.exp(-1.99), rel=1e-13)
 
+    def test_past_the_largest_float_product(self):
+        # e^t 170! overflows from t ≈ 3.21 while the value is still a double
+        delta = SetPartition.singletons(171)
+        for t in (3.0, 3.25):  # leaves at rate 170
+            stay = math.exp(-170 * t)
+            assert bs_transition(delta, delta, t) == pytest.approx(stay, rel=1e-13, abs=0)
+
 
 class TestBsTransitionExact:
     def test_x_one_is_identity(self, lattices):

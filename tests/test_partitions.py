@@ -278,6 +278,32 @@ class TestInterval:
                         expected *= bell(s)
                     assert len(interval(pi, rho)) == expected
 
+    def test_matches_the_definition(self, lattices):
+        # every σ of P([n]) with π ≤ σ ≤ ρ, in lattice order, for all π ≤ ρ
+        for n in range(1, 7):
+            lat = lattices[n]
+            for pi in lat:
+                up = [sigma for sigma in lat if pi.refines(sigma)]
+                for rho in up:
+                    assert interval(pi, rho) == [s for s in up if s.refines(rho)]
+
+    def test_work_is_the_interval(self, monkeypatch):
+        # one SetPartition per element of [π, ρ], however many coarsenings π has
+        delta, halves = SetPartition.singletons(10), P("1,2,3,4,5|6,7,8,9,10")
+        built = 0
+        init = SetPartition.__init__
+
+        def counted(self, blocks):
+            nonlocal built
+            built += 1
+            init(self, blocks)
+
+        monkeypatch.setattr(SetPartition, "__init__", counted)
+        for rho, size in ((delta, 1), (halves, bell(5) ** 2)):
+            built = 0
+            assert len(interval(delta, rho)) == size
+            assert built == size
+
     def test_full_interval_is_lattice(self, lattices):
         lat = lattices[4]
         assert interval(lat.bottom, lat.top) == lat.elements

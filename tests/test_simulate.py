@@ -16,6 +16,7 @@ from coalspec import (
     bell,
     bs_hitting,
     bs_transition,
+    contains,
     cut_random,
     estimate_containment,
     estimate_transition,
@@ -203,10 +204,13 @@ class TestAgainstReferencePaths:
         for n in range(1, 9):
             for horizon in (None, 0.3, 1.0):
                 for i in range(50):
-                    got = fast(n, horizon, replicate_rng(n, i))
-                    want = reference(n, horizon, replicate_rng(n, i))
+                    fast_rng, reference_rng = replicate_rng(n, i), replicate_rng(n, i)
+                    got = fast(n, horizon, fast_rng)
+                    want = reference(n, horizon, reference_rng)
                     assert got.times == want.times
                     assert got.states == want.states
+                    # the same draws, down to the buffered half of a 64-bit output
+                    assert fast_rng.bit_generator.state == reference_rng.bit_generator.state
 
     @pytest.mark.parametrize("model", ["bs", "kingman"])
     def test_estimate_matches_reference(self, model):
@@ -269,16 +273,35 @@ class TestEstimateTransition:
 
     def test_cap_checked_before_replicates(self, monkeypatch):
         monkeypatch.delenv("COALSPEC_N_CAP", raising=False)
-        calls = []
+        streams = simulate._replicate_streams
+        taken = []
 
-        def counted(seed, i):
-            calls.append(i)
-            return replicate_rng(seed, i)
+        def counted(seed, reps):
+            for rng in streams(seed, reps):
+                taken.append(rng)
+                yield rng
 
-        monkeypatch.setattr(simulate, "replicate_rng", counted)
+        monkeypatch.setattr(simulate, "_replicate_streams", counted)
+        estimate_transition("bs", 3, 1.0, reps=5, seed=0)
+        assert len(taken) == 5  # the counter sees every replicate's stream
+        taken.clear()
         with pytest.raises(SizeLimitError):
             estimate_transition("bs", 9, 1.0, reps=50, seed=0)
-        assert calls == []
+        assert taken == []
+
+    @pytest.mark.parametrize("model", ["bs", "kingman"])
+    def test_negative_seed_rejected_before_replicates(self, model, monkeypatch):
+        runs = []
+        jumps = simulate._JUMPS[model]
+
+        def counted(n, t, rng):
+            runs.append(n)
+            return jumps(n, t, rng)
+
+        monkeypatch.setitem(simulate._JUMPS, model, counted)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            estimate_transition(model, 3, 1.0, reps=10, seed=-1)
+        assert runs == []
 
     @pytest.mark.parametrize(
         "jumps",
@@ -335,9 +358,21 @@ class TestEstimateContainment:
         pi = P("1|2|3")
         assert estimate_containment(pi, P("1,2,3"), reps=50, seed=0)[0] == 1
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_streams_are_default_rng_per_replicate(self, seed):
+        pi, rho, reps = P("1|2|3|4|5"), P("1,2,4|3|5"), 1500
+        hits = sum(
+            contains(sample_rrt(pi, replicate_rng(seed, i)), rho) for i in range(reps)
+        )
+        p_hat = F(hits, reps)
+        want = (p_hat, sqrt(float(p_hat * (1 - p_hat)) / reps))
+        assert estimate_containment(pi, rho, reps=reps, seed=seed) == want
+
     def test_errors(self):
         with pytest.raises(ValueError):
             estimate_containment(P("1|2"), P("1,2"), reps=0, seed=0)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            estimate_containment(P("1|2"), P("1,2"), reps=3, seed=-5)
 
 
 def test_replicate_rng_is_deterministic():
@@ -346,3 +381,23 @@ def test_replicate_rng_is_deterministic():
     c = replicate_rng(3, 10).integers(0, 1000, size=5)
     assert list(a) == list(b)
     assert list(a) != list(c)
+
+
+class TestReplicateStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**99 + 12345])
+    @pytest.mark.parametrize("reps", [1, 1023, 1024, 1025, 2049])
+    def test_states_are_default_rng(self, seed, reps):
+        # every replicate starts where default_rng((seed, i)) starts, across
+        # batch edges and for seeds of one to four 32-bit words
+        got = [rng.bit_generator.state for rng in simulate._replicate_streams(seed, reps)]
+        assert got == [replicate_rng(seed, i).bit_generator.state for i in range(reps)]
+
+    @pytest.mark.parametrize("start", [2**32 - 5, 2**32, 2**32 + 1024, 2**64 - 5])
+    def test_indices_of_two_words(self, start):
+        # indices from 2**32 on enter the entropy as two words
+        i = np.arange(start, start + 5, dtype=np.uint64)
+        for seed in (7, 2**64 + 5):
+            got = simulate._generate_state(simulate._words(seed), i)
+            for k in range(5):
+                want = np.random.SeedSequence((seed, start + k)).generate_state(8, np.uint32)
+                assert [int(w[k]) for w in got] == want.tolist()
