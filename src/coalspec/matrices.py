@@ -15,16 +15,18 @@ denominator and reduced with one multi-argument gcd.  ``to_float`` divides
 numerator by denominator in int true division, which is correctly rounded,
 so it gives the same bits as ``float(Fraction)``.
 
-``TriMatrix`` ties a matrix to a ``PartitionLattice`` and is the carrier for
-generator and eigenvector matrices, whose support lives on
-refinement-comparable pairs (hence upper triangular in the lattice's linear
-extension).
+``TriMatrix`` ties a matrix to a ``PartitionLattice`` and carries generator
+and eigenvector matrices, whose support lies on pairs π ≤ ρ (upper triangular
+in the lattice's linear extension); ``_within_order`` checks any number of
+them against one pass of the lattice's walk, ``comparable_pairs()``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .partitions import PartitionLattice
@@ -205,11 +207,7 @@ class RatMatrix:
 
 
 class TriMatrix(RatMatrix):
-    """A RatMatrix indexed by a partition lattice.
-
-    The intended support is refinement-comparable pairs (π, ρ) with π ≤ ρ,
-    which the lattice's linear extension makes upper triangular.
-    """
+    """A RatMatrix indexed by a partition lattice; its intended support is π ≤ ρ."""
 
     __slots__ = ("lattice",)
 
@@ -218,16 +216,15 @@ class TriMatrix(RatMatrix):
         self.lattice = lattice
 
     def support_respects_order(self) -> bool:
-        """True iff every nonzero entry sits on a pair with π ≤ ρ.
+        """True iff every nonzero entry sits on a pair with π ≤ ρ."""
+        return _within_order(self.lattice, (self,))
 
-        Each partition is labelled by the block owning each element of [n];
-        π ≤ ρ iff the pairs (owner_π(e), owner_ρ(e)) number exactly |π|,
-        that is, iff no block of π meets two blocks of ρ.
-        """
-        labels = self.lattice.owner_labels()
-        for i, (_, nums) in self._rows.items():
-            p, owner_pi = len(self.lattice[i]), labels[i]
-            for j in nums:
-                if len(set(zip(owner_pi, labels[j]))) != p:
-                    return False
-        return True
+
+def _within_order(lattice: PartitionLattice, mats: Sequence[RatMatrix]) -> bool:
+    """True iff row i of every matrix lies in the up-set of lattice[i], read from
+    one pass of ``comparable_pairs()`` that holds one row's up-set at a time."""
+    for i, pairs in groupby(lattice.comparable_pairs(), itemgetter(0)):
+        up = {j for _, j, _ in pairs}
+        if any(i in m._rows and not m._rows[i][1].keys() <= up for m in mats):
+            return False
+    return True

@@ -65,9 +65,10 @@ def _check_cap(n: int) -> None:
     """Raise SizeLimitError if P([n]) is beyond ``lattice_cap()``."""
     limit = lattice_cap()
     if n > limit:
+        k = max(limit + 1, 0)  # bell(k) <= bell(n), at a cost that n does not set
         raise SizeLimitError(
-            f"P([{n}]) has bell({n}) = {bell(n)} elements, beyond the cap "
-            f"{limit}; raise {ENV_N_CAP}"
+            f"P([{n}]) has at least bell({k}) = {bell(k)} elements, beyond the "
+            f"cap {limit}; raise {ENV_N_CAP}"
         )
 
 

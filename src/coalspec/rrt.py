@@ -156,7 +156,7 @@ def enumerate_increasing_trees(pi: SetPartition) -> list[IncreasingTree]:
     m = len(pi)
     if m > ENUMERATION_CAP:
         raise SizeLimitError(
-            f"enumerating {factorial(m - 1)} trees on {m} blocks exceeds the cap "
+            f"enumerating ({m - 1})! trees on {m} blocks exceeds the cap "
             f"of {ENUMERATION_CAP} blocks"
         )
     blocks = pi.blocks

@@ -36,7 +36,7 @@ from functools import cache, partial
 from math import comb, factorial
 
 from .combinatorics import lah, stirling_first, stirling_second
-from .matrices import RatMatrix, TriMatrix
+from .matrices import RatMatrix, TriMatrix, _within_order
 from .partitions import PartitionLattice
 
 __all__ = [
@@ -210,15 +210,15 @@ def kingman_block_triple(n: int) -> SpectralTriple:
 
 def _support_ok(triple: SpectralTriple, Q: RatMatrix) -> bool:
     mats = (Q, triple.R, triple.L)
-    if all(isinstance(m, TriMatrix) for m in mats):
-        return all(m.support_respects_order() for m in mats)
-    upper = all(m.is_upper() for m in mats)
-    lower = all(m.is_lower() for m in mats)
-    return upper or lower
+    if isinstance(Q, TriMatrix):
+        return _within_order(Q.lattice, mats)
+    return all(m.is_upper() for m in mats) or all(m.is_lower() for m in mats)
 
 
 def verify_triple(Q: RatMatrix, triple: SpectralTriple) -> VerificationReport:
-    """Exact verification of Q = R D L, L R = I, R L = I, diagonals, support."""
+    """Exact verification of Q = R D L, L R = I, R L = I, diagonals and support;
+    for support, a ``TriMatrix`` Q has Q, R and L checked against one walk of its
+    lattice, any other Q has all three upper or all three lower triangular."""
     if Q.size != triple.size:
         raise ValueError("generator and triple dimensions disagree")
     unit = all(

@@ -87,6 +87,11 @@ class TestLattice:
         assert code == 2
         assert "cap" in err
 
+    def test_far_over_cap_fails_fast_and_short(self, capsys):
+        code, out, err = run(capsys, "lattice", "--n", "2000")
+        assert (code, out) == (2, "")
+        assert "cap" in err and len(err) < 200
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "lattice.json"
         code, out, _ = run(capsys, "lattice", "--n", "3", "--out", str(target))

@@ -170,6 +170,11 @@ class TestLattice:
             PartitionLattice(9)
         assert "21147" in str(err.value)
 
+    def test_cap_message_does_not_grow_with_n(self):
+        with pytest.raises(SizeLimitError) as err:
+            PartitionLattice(2000)
+        assert "21147" in str(err.value) and len(str(err.value)) < 200
+
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("COALSPEC_N_CAP", "4")
         with pytest.raises(SizeLimitError):

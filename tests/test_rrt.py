@@ -112,6 +112,8 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             enumerate_increasing_trees(SetPartition.singletons(10))
+        with pytest.raises(SizeLimitError):
+            enumerate_increasing_trees(SetPartition.singletons(2000))
 
 
 class TestCutting:

@@ -5,12 +5,19 @@ from fractions import Fraction
 import pytest
 
 from coalspec import (
+    PartitionLattice,
     RatMatrix,
+    SetPartition,
     SpectralTriple,
     bs_block_generator,
     bs_block_triple,
+    bs_rates,
+    bs_triple,
+    build_generator,
     kingman_block_generator,
     kingman_block_triple,
+    kingman_rates,
+    kingman_triple,
     verify_triple,
 )
 
@@ -263,3 +270,74 @@ class TestInverseProducts:
             Q, t = bs_generators[5], kingman_triples[5]  # a failing pair
         verify_triple(Q, t)
         assert len(calls) == 2
+
+
+class TestSupportFlag:
+    """``triangular_support`` takes its rule from Q: on a lattice, Q, R and L
+    are checked against one walk, whatever R and L are stored as."""
+
+    @staticmethod
+    def bs4_with_off_order_pair(lattices):
+        lat = lattices[4]
+        i = lat.index_of(SetPartition.from_string("1,2|3|4"))
+        j = lat.index_of(SetPartition.from_string("1,3|2,4"))
+        assert i < j and not lat[i].refines(lat[j])
+        return build_generator(lat, bs_rates(4)), bs_triple(lat), i, j
+
+    def test_holds_for_every_model_and_size(self):
+        for n in range(1, 8):
+            lat = PartitionLattice(n)
+            for rates, triple in ((bs_rates, bs_triple),
+                                  (kingman_rates, kingman_triple)):
+                Q, t = build_generator(lat, rates(n)), triple(lat)
+                assert all(m.support_respects_order() for m in (Q, t.R, t.L)), n
+                assert verify_triple(Q, t).triangular_support, n
+        for n in range(1, 31):
+            for gen, triple in ((bs_block_generator, bs_block_triple),
+                                (kingman_block_generator, kingman_block_triple)):
+                assert verify_triple(gen(n), triple(n)).triangular_support, n
+
+    @pytest.mark.parametrize("which", ["Q", "R", "L"])
+    def test_off_order_entry(self, lattices, which):
+        Q, t, i, j = self.bs4_with_off_order_pair(lattices)
+        assert verify_triple(Q, t).triangular_support
+        {"Q": Q, "R": t.R, "L": t.L}[which].set(i, j, F(1, 3))
+        assert not verify_triple(Q, t).triangular_support
+
+    def test_off_order_entry_in_a_plain_matrix(self, lattices):
+        Q, t, i, j = self.bs4_with_off_order_pair(lattices)
+        t.L.set(i, j, F(1, 3))
+        plain = t.L.scaled_cols([1] * t.size)
+        assert type(plain) is RatMatrix and plain.is_upper()
+        report = verify_triple(Q, SpectralTriple(t.R, t.D, plain))
+        assert not report.triangular_support
+
+    def test_block_entry_above_diagonal(self):
+        t = bs_block_triple(5)
+        assert verify_triple(bs_block_generator(5), t).triangular_support
+        t.L.set(1, 3, F(1))
+        assert not verify_triple(bs_block_generator(5), t).triangular_support
+
+    def test_non_unit_diagonal(self, lattices):
+        Q, t, _, _ = self.bs4_with_off_order_pair(lattices)
+        assert verify_triple(Q, t).unit_diagonals
+        t.R.set(3, 3, F(2))
+        report = verify_triple(Q, t)
+        assert not report.unit_diagonals and report.triangular_support
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_one_walk(self, block, bs_generators, bs_triples, monkeypatch):
+        calls = []
+        walk = PartitionLattice.comparable_pairs
+
+        def counted(self):
+            calls.append(1)
+            return walk(self)
+
+        monkeypatch.setattr(PartitionLattice, "comparable_pairs", counted)
+        if block:
+            Q, t = bs_block_generator(8), bs_block_triple(8)
+        else:
+            Q, t = bs_generators[5], bs_triples[5]
+        verify_triple(Q, t)
+        assert len(calls) == (0 if block else 1)
