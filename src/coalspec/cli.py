@@ -256,6 +256,8 @@ def cmd_transition(args) -> int:
             x = Fraction(args.x)
         except ZeroDivisionError:
             raise ValueError(f"--x {args.x!r} has a zero denominator") from None
+        if not 0 < x <= 1:
+            raise ValueError(f"--x {args.x!r} is not e^-t for a time t >= 0; use 0 < x <= 1")
         head["x"] = format_rational(x)
 
         def cell(i, j):

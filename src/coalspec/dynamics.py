@@ -9,8 +9,8 @@ private evaluator holds it: ``bs_transition`` feeds it x = e^-t in doubles,
 ``bs_transition_exact`` a free rational x (at x = 1 it collapses to the
 indicator of π = ρ, which is the statement L = R^-1).
 
-The Green's matrix g(π, ρ) (expected total time in ρ before absorption) has
-an exact finite-sum expression over tuples of cycle counts; it is +infinity
+The Green's matrix g(π, ρ) (expected total time in ρ before absorption) is
+an exact sum over the coefficients of one integer polynomial; it is +infinity
 exactly on the absorbing column ρ = {[n]}, which is hit with certainty, and
 elsewhere the hitting probability is h(π, ρ) = g(π, ρ) (|ρ| - 1).  Kingman
 hitting probabilities come from maximal-chain counting and reduce to a
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -109,7 +108,9 @@ def bs_green(pi: SetPartition, rho: SetPartition):
 
     Returns an exact Fraction for ρ below the top, ``math.inf`` when
     ρ = {[n]} (the absorbing state is never left), and 0 when π is not finer
-    than ρ.
+    than ρ.  With c_K the coefficients of the integer polynomial
+    ∏_B z(z+1)…(z+m_B-1) (products of unsigned Stirling numbers of the first
+    kind), g(π, ρ) = (-1)^|ρ| ((|ρ|-1)!/(|π|-1)!) Σ_{K≥2} (-1)^K c_K/(K-1).
     """
     key = pair_key(pi, rho)
     if key is None:
@@ -117,15 +118,11 @@ def bs_green(pi: SetPartition, rho: SetPartition):
     p, r, sizes = key
     if r == 1:
         return math.inf
-    total = Fraction(0)
-    for ks in product(*(range(1, s + 1) for s in sizes)):
-        ktot = sum(ks)
-        if ktot < 2:
-            continue
-        term = Fraction(1, ktot - 1)
-        for s, k in zip(sizes, ks):
-            term *= stirling_first(s, k)
-        total += -term if ktot % 2 else term
+    coeffs = [1]  # of z^0, z^1, ...
+    for s in sizes:
+        for a in range(s):  # times (z + a)
+            coeffs = [a * c + below for c, below in zip(coeffs + [0], [0] + coeffs)]
+    total = sum(Fraction(-c if k % 2 else c, k - 1) for k, c in enumerate(coeffs[2:], 2))
     value = Fraction(factorial(r - 1), factorial(p - 1)) * total
     return -value if r % 2 else value
 

@@ -19,6 +19,7 @@ of n = 8 can be overridden with the COALSPEC_N_CAP environment variable.
 from __future__ import annotations
 
 import os
+from functools import cache
 from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
@@ -247,22 +248,26 @@ def restriction_sizes(pi: SetPartition, rho: SetPartition) -> list[int]:
 def coarsenings(pi: SetPartition) -> Iterator[SetPartition]:
     """All ρ with π ≤ ρ, generated by grouping the blocks of π."""
     for grouping in set_partitions(list(pi.blocks)):
-        merged = [tuple(sorted(e for blk in group for e in blk)) for group in grouping]
-        yield SetPartition(merged)
+        yield SetPartition([e for blk in group for e in blk] for group in grouping)
 
 
-def _groupings(p: int) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """Every grouping of range(p) as (group of each item, group count, group
-    sizes), groups numbered by their least items (a restricted growth string)."""
-    out = []
-    for grouping in set_partitions(range(p)):
-        groups = sorted(grouping, key=min)
-        label = [0] * p
-        for g, members in enumerate(groups):
-            for b in members:
-                label[b] = g
-        out.append((tuple(label), len(groups), tuple(len(m) for m in groups)))
-    return out
+def _growth_strings(p: int) -> list[tuple[tuple[int, ...], tuple]]:
+    """Every partition of [p] as its owner label (a restricted growth string,
+    groups numbered by their least items) and its canonical blocks: the
+    elements of P([p]), and the groupings of p blocks."""
+    level = [((), ())]
+    for e in range(1, p + 1):  # e opens a new block, or joins block g
+        level = [(label + (len(blocks),), blocks + ((e,),)) for label, blocks in level] + [
+            (label + (g,), (*blocks[:g], (*blocks[g], e), *blocks[g + 1:]))
+            for label, blocks in level for g in range(len(blocks))
+        ]
+    return level
+
+
+@cache
+def _groupings(p: int) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
+    """Every grouping of p blocks as (group of each block, group count, group sizes)."""
+    return tuple((g, len(b), tuple(map(len, b))) for g, b in _growth_strings(p))
 
 
 def merge_covers(pi: SetPartition) -> list[SetPartition]:
@@ -275,13 +280,10 @@ def merge_covers(pi: SetPartition) -> list[SetPartition]:
     m = len(blocks)
     out = []
     for mask in range(3, 1 << m):
-        chosen = [k for k in range(m) if mask >> k & 1]
-        if len(chosen) < 2:
-            continue
-        chosen_set = set(chosen)
-        merged = tuple(sorted(e for k in chosen for e in blocks[k]))
-        rest = [blocks[k] for k in range(m) if k not in chosen_set]
-        out.append(SetPartition([merged] + rest))
+        if mask & (mask - 1):  # at least two blocks chosen
+            merged = [e for k in range(m) if mask >> k & 1 for e in blocks[k]]
+            rest = [blocks[k] for k in range(m) if not mask >> k & 1]
+            out.append(SetPartition([merged] + rest))
     return out
 
 
@@ -341,21 +343,22 @@ def count_maximal_chains(pi: SetPartition, rho: SetPartition) -> int:
 
 
 class PartitionLattice:
-    """All of P([n]) in a fixed linear extension of the refinement order.
-
-    elements[0] is the all-singleton partition, elements[-1] the one-block
-    partition; whenever π < ρ the index of π is strictly smaller.
+    """All of P([n]) in a fixed linear extension of the refinement order, built
+    once with one index, keyed by owner label.  elements[0] is the
+    all-singleton partition, elements[-1] the one-block partition; whenever
+    π < ρ the index of π is strictly smaller.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("the lattice needs n >= 1")
         _check_cap(n)
-        elements = [SetPartition(p) for p in set_partitions(list(range(1, n + 1)))]
-        elements.sort(key=lambda p: p.sort_key)
+        # the sort_key order; no two elements tie
+        made = sorted((-len(b), b, label) for label, b in _growth_strings(n))
         self.n = n
-        self.elements = elements
-        self._index = {p: i for i, p in enumerate(elements)}
+        self.elements = [SetPartition(blocks) for _, blocks, _ in made]
+        # owner label -> index; its keys, in lattice order, are the label table
+        self._index = {label: i for i, (_, _, label) in enumerate(made)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -367,10 +370,11 @@ class PartitionLattice:
         return self.elements[i]
 
     def index_of(self, pi: SetPartition) -> int:
-        try:
-            return self._index[pi]
-        except KeyError:
-            raise ValueError(f"{pi!r} is not a partition of [{self.n}]") from None
+        owner = _owners(pi)
+        i = self._index.get(tuple(map(owner.get, range(1, self.n + 1))))
+        if i is None or len(owner) != self.n:
+            raise ValueError(f"{pi!r} is not a partition of [{self.n}]")
+        return i
 
     @property
     def bottom(self) -> SetPartition:
@@ -385,9 +389,8 @@ class PartitionLattice:
 
     def owner_labels(self) -> list[tuple[int, ...]]:
         """Each partition as the block index of 1..n in turn, blocks numbered
-        by their minima (a restricted growth string).  Built per call."""
-        ground = range(1, self.n + 1)
-        return [tuple(map(_owners(pi).__getitem__, ground)) for pi in self.elements]
+        by their minima (a restricted growth string).  A copy of the lattice's."""
+        return list(self._index)
 
     def comparable_pairs(self) -> Iterator[tuple[int, int, tuple]]:
         """Yield (i, j, key) for every π = self[i] ≤ ρ = self[j], i then j ascending.
@@ -397,18 +400,15 @@ class PartitionLattice:
         form on a pair is a function of it.  No partition is built: a
         grouping of π's blocks, as a restricted growth string g, sends π's
         label to ρ's label g[label], already in first-appearance order since
-        π's blocks are numbered by their minima.  Nothing outlives the walk.
+        π's blocks are numbered by their minima; the lattice's label -> index
+        dict gives j.  The walk holds one row; the groupings are built once per p.
         """
-        labels = self.owner_labels()
-        index = {label: i for i, label in enumerate(labels)}
-        groupings: dict[int, list] = {}
-        for i, label in enumerate(labels):
+        index = self._index
+        for i, label in enumerate(index):
             p = len(self.elements[i])
-            if p not in groupings:
-                groupings[p] = _groupings(p)
             row = sorted(
                 (index[tuple(map(g.__getitem__, label))], r, sizes)
-                for g, r, sizes in groupings[p]
+                for g, r, sizes in _groupings(p)
             )
             for j, r, sizes in row:
                 yield i, j, (p, r, sizes)

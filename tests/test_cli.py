@@ -534,11 +534,13 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "finite" in err
 
-    @pytest.mark.parametrize("x", ["1/0", "-3/0"])
-    def test_zero_denominator_rejected(self, capsys, x):
+    @pytest.mark.parametrize("x", ["1/0", "-3/0", "3", "5/4", "-1/2"])
+    def test_x_rejected(self, capsys, x):
+        # x = e^-t for some t >= 0 only on (0, 1]
         code, out, err = run(capsys, "transition", "--n", "3", f"--x={x}")
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "zero denominator" in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert ("zero denominator" if x.endswith("/0") else "0 < x <= 1") in err
 
     @pytest.mark.parametrize("tol", ["0", "-1e-10", "inf", "nan"])
     def test_tol_outside_open_interval_rejected(self, capsys, tol):

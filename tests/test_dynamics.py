@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import numpy as np
 import pytest
 
 from coalspec import (
+    PartitionLattice,
     SetPartition,
     ascending_factorial,
     bs_block_green,
@@ -21,6 +23,7 @@ from coalspec import (
     interval,
     kingman_block_triple,
     kingman_hitting,
+    stirling_first,
     transition_via_triple,
 )
 
@@ -224,7 +227,42 @@ class TestBsTransitionExact:
             bs_transition_exact(P("1|2"), P("1,2"), 0)
 
 
+def _stirling_product_green(key):
+    """g at a key below the top as a sum over tuples (k_B) of cycle counts:
+    (-1)^|ρ| ((|ρ|-1)!/(|π|-1)!) Σ (-1)^K/(K-1) ∏_B [m_B, k_B], K = Σ k_B ≥ 2."""
+    p, r, sizes = key
+    total = F(0)
+    for ks in product(*(range(1, s + 1) for s in sizes)):
+        ktot = sum(ks)
+        if ktot >= 2:
+            term = F(1, ktot - 1)
+            for s, k in zip(sizes, ks):
+                term *= stirling_first(s, k)
+            total += -term if ktot % 2 else term
+    value = F(factorial(r - 1), factorial(p - 1)) * total
+    return -value if r % 2 else value
+
+
+def _blocks_of(sizes):
+    """(key, π, ρ) from the singletons to consecutive blocks of these sizes."""
+    bounds = [sum(sizes[:b]) for b in range(len(sizes) + 1)]
+    pi = SetPartition.singletons(bounds[-1])
+    rho = SetPartition(range(lo + 1, hi + 1) for lo, hi in zip(bounds, bounds[1:]))
+    return pair_key(pi, rho), pi, rho
+
+
 class TestBsGreen:
+    def test_matches_the_stirling_product_sum(self, lattices):
+        pairs = {**{n: lattices[n] for n in range(1, 7)}, 7: PartitionLattice(7)}
+        cases = _keys_with_pairs(pairs, n_max=7) + [
+            _blocks_of(sizes)
+            for sizes in ((5, 1), (3, 6), (7, 2, 1), (5, 5, 5, 5), (5, 6, 7))
+        ]
+        below_top = [(key, pi, rho) for key, pi, rho in cases if key[1] > 1]
+        assert len(below_top) > 100
+        for key, pi, rho in below_top:
+            assert bs_green(pi, rho) == _stirling_product_green(key), key
+
     def test_frozen_values(self):
         assert bs_green(P("1|2|3"), P("1,2|3")) == F(1, 4)
         assert bs_green(P("1|2|3|4"), P("1,2|3,4")) == F(1, 18)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from coalspec import partitions
 from coalspec import (
     PartitionLattice,
     SetPartition,
@@ -162,8 +163,18 @@ class TestLattice:
                 assert len(lattices[n].with_block_count(i)) == stirling_second(n, i)
 
     def test_index_of_foreign_partition(self, lattices):
-        with pytest.raises(ValueError):
-            lattices[3].index_of(P("1|2"))
+        # a partition of [n - 1], of [n + 1], and of a ground set with a gap
+        for text in ("1|2", "1,2", "1|2|3|4", "1,2,3,4", "1|2|4", "1,3|4"):
+            with pytest.raises(ValueError, match=r"is not a partition of \[3\]"):
+                lattices[3].index_of(P(text))
+
+    def test_elements_match_set_partitions(self, lattices):
+        for n in range(1, 7):
+            reference = sorted(
+                (SetPartition(p) for p in set_partitions(range(1, n + 1))),
+                key=lambda p: p.sort_key,
+            )
+            assert lattices[n].elements == reference
 
     def test_cap_default(self):
         with pytest.raises(SizeLimitError) as err:
@@ -230,6 +241,25 @@ class TestComparablePairs:
     def test_pair_key_ground_mismatch_raises(self, pi, rho):
         with pytest.raises(ValueError):
             pair_key(P(pi), P(rho))
+
+    def test_walk_builds_no_labels(self, monkeypatch):
+        lat = PartitionLattice(5)
+        calls = []
+        owners = partitions._owners
+        monkeypatch.setattr(partitions, "_owners", lambda pi: calls.append(pi) or owners(pi))
+        pairs = sum(1 for _ in lat.comparable_pairs())
+        assert pairs == sum(bell(len(pi)) for pi in lat)
+        assert calls == []
+
+    def test_walks_repeat_and_ignore_label_copies(self):
+        lat = PartitionLattice(4)
+        first = list(lat.comparable_pairs())
+        labels = lat.owner_labels()
+        expected = list(labels)
+        labels.reverse()
+        labels[0] = (0, 0, 0, 0)
+        assert list(lat.comparable_pairs()) == first
+        assert lat.owner_labels() == expected
 
     def test_owner_labels(self, lattices):
         for n in range(1, 7):

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import coalspec
@@ -17,3 +18,16 @@ def test_no_assert_statements():
                   if isinstance(node, ast.Assert)]
     assert found == []
     assert len(list(SOURCE.glob("*.py"))) >= 10
+
+
+def test_package_names_come_from_the_modules():
+    # every library module but the command line lends its __all__ to the package
+    names = {"__version__"}
+    for path in SOURCE.glob("*.py"):
+        if path.stem not in ("__init__", "cli"):
+            names |= set(importlib.import_module(f"coalspec.{path.stem}").__all__)
+    assert set(coalspec.__all__) == names
+    assert len(coalspec.__all__) == len(names)
+    for name in coalspec.__all__:
+        getattr(coalspec, name)
+    assert {"lattice_cap", "ENV_N_CAP", "PartitionLattice"} <= names
