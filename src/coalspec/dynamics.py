@@ -190,5 +190,6 @@ def transition_via_triple(triple: SpectralTriple, t: float) -> np.ndarray:
         raise ValueError(f"time must be {'nonnegative' if t < 0 else 'finite'}")
     R = triple.R.to_float()
     L = triple.L.to_float()
-    w = np.exp(t * np.array([float(d) for d in triple.D]))
+    # products in Python floats: an overflow is -inf, and e^-inf = 0, unwarned
+    w = np.exp([t * float(d) for d in triple.D])
     return (R * w) @ L

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isfinite, lcm
 from typing import TYPE_CHECKING
 
 from .generator import bs_rates, kingman_rates
@@ -49,13 +49,18 @@ def matexp_series(Q, t: float, tol: float = 1e-13) -> np.ndarray:
         raise ValueError("matexp needs a square matrix")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    B = t * A
-    norm = np.max(np.sum(np.abs(B), axis=1)) if A.size else 0.0
+    if not isfinite(t):
+        raise ValueError("matexp needs a finite t")
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = t * A
+        norm = np.max(np.sum(np.abs(B), axis=1)) if A.size else 0.0
+    if not isfinite(norm):
+        raise ValueError("matexp needs a finite t·Q")
     s = 0
     while norm > 0.5:
         norm /= 2.0
         s += 1
-    B = B / (2 ** s)
+    B = np.ldexp(B, -s)  # exact, where 2.0 ** s overflows from s = 1024
     dim = A.shape[0]
     X = np.eye(dim)
     term = np.eye(dim)

@@ -183,13 +183,13 @@ class SetPartition:
         return f"SetPartition({self.to_string()!r})"
 
 
-def _owners(pi: SetPartition) -> dict[int, int]:
+# a partition as canonical block tuples: each block sorted, blocks by their minima
+Blocks = tuple[tuple[int, ...], ...]
+
+
+def _owners(blocks: Blocks) -> dict[int, int]:
     """Element -> index of its block, blocks numbered by their minima."""
-    owner = {}
-    for idx, block in enumerate(pi.blocks):
-        for e in block:
-            owner[e] = idx
-    return owner
+    return {e: idx for idx, block in enumerate(blocks) for e in block}
 
 
 def set_partitions(items: Sequence) -> Iterator[list[list]]:
@@ -216,11 +216,16 @@ def pair_key(pi: SetPartition, rho: SetPartition) -> tuple | None:
     this is the key ``PartitionLattice.comparable_pairs`` yields for the pair.
     One pass over π's elements; ValueError when the ground sets differ.
     """
-    owner = _owners(rho)
-    sizes = [0] * len(rho.blocks)
+    return _block_key(pi.blocks, rho.blocks)
+
+
+def _block_key(fine: Blocks, coarse: Blocks) -> tuple | None:
+    """``pair_key`` on the canonical block tuples of π and ρ: the one pass."""
+    owner = _owners(coarse)
+    sizes = [0] * len(coarse)
     finer, seen = True, 0
     try:
-        for block in pi.blocks:
+        for block in fine:
             b = owner[block[0]]
             sizes[b] += 1
             seen += len(block)
@@ -231,7 +236,7 @@ def pair_key(pi: SetPartition, rho: SetPartition) -> tuple | None:
         raise ValueError("partitions live on different ground sets") from None
     if seen != len(owner):  # π's elements are distinct and all owned by ρ
         raise ValueError("partitions live on different ground sets")
-    return (len(pi.blocks), len(rho.blocks), tuple(sizes)) if finer else None
+    return (len(fine), len(coarse), tuple(sizes)) if finer else None
 
 
 def restriction_sizes(pi: SetPartition, rho: SetPartition) -> list[int]:
@@ -310,7 +315,7 @@ def interval(pi: SetPartition, rho: SetPartition) -> list[SetPartition]:
     """
     if not pi.refines(rho):
         raise ValueError("interval requires π ≤ ρ")
-    owner = _owners(rho)
+    owner = _owners(rho.blocks)
     within: list[list[tuple[int, ...]]] = [[] for _ in rho.blocks]
     for block in pi.blocks:
         within[owner[block[0]]].append(block)
@@ -370,7 +375,7 @@ class PartitionLattice:
         return self.elements[i]
 
     def index_of(self, pi: SetPartition) -> int:
-        owner = _owners(pi)
+        owner = _owners(pi.blocks)
         i = self._index.get(tuple(map(owner.get, range(1, self.n + 1))))
         if i is None or len(owner) != self.n:
             raise ValueError(f"{pi!r} is not a partition of [{self.n}]")

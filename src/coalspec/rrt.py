@@ -214,7 +214,7 @@ def contains(tree: IncreasingTree, rho: SetPartition) -> bool:
     pi = tree.labels
     if pair_key(pi, rho) is None:
         return False
-    region = _owners(rho)
+    region = _owners(rho.blocks)
     # a region's top is the π-block holding min B, so its own min is min B
     tops = {B[0] for B in rho.blocks}
     return all(

@@ -13,8 +13,9 @@ C(b, 2).
 
 Both paths run as private jump generators yielding (time, blocks) per jump.
 Only ``simulate_bs``/``simulate_kingman`` turn them into ``Trajectory``
-objects; ``estimate_transition`` checks every jump on the block tuples as
-``Trajectory`` does and builds one ``SetPartition`` per distinct final state.
+objects.  Both ``Trajectory`` and ``estimate_transition`` check every jump
+with ``pair_key``'s pass on the block tuples, and the estimator counts final
+states by the block tuples of the lattice's own partitions.
 
 Replicate streams: replicate i of a run with seed s draws from
 ``numpy.random.default_rng((s, i))``, so runs are reproducible and
@@ -41,7 +42,7 @@ from math import comb, inf, sqrt
 from operator import index
 from typing import TYPE_CHECKING, Iterator
 
-from .partitions import PartitionLattice, SetPartition
+from .partitions import Blocks, PartitionLattice, SetPartition, _block_key
 from .rrt import contains, sample_rrt
 
 if TYPE_CHECKING:
@@ -91,41 +92,21 @@ class Trajectory:
         return self.states[-1]
 
 
-# a state as canonical block tuples: each block sorted, blocks by their minima
-Blocks = tuple[tuple[int, ...], ...]
-
-
 def _check_jump(prev: float, t: float, fine: Blocks, coarse: Blocks) -> None:
     """Raise ValueError unless the jump fine -> coarse at time t is legal.
 
     ``prev`` is the previous jump time (0 at the first jump); t must be
-    finite and later, and ``coarse`` must strictly coarsen ``fine``.
+    finite and later, and ``coarse`` must strictly coarsen ``fine``: the
+    pair has a key (the same ground set, fine ≤ coarse) with fewer blocks.
     """
     if not prev < t < inf:
         raise ValueError("jump times must be finite and increase strictly from 0")
-    if not _coarsens(fine, coarse):
+    try:
+        key = _block_key(fine, coarse)
+    except ValueError:
+        key = None
+    if key is None or key[1] >= key[0]:
         raise ValueError("states must coarsen strictly at each jump")
-
-
-def _coarsens(fine: Blocks, coarse: Blocks) -> bool:
-    """True iff ``coarse`` merges the blocks of ``fine`` into fewer blocks.
-
-    Each block of ``fine`` must lie inside one block of ``coarse``, and the
-    two must cover the same elements.
-    """
-    if len(coarse) >= len(fine):
-        return False
-    owner = {e: i for i, block in enumerate(coarse) for e in block}
-    seen = 0
-    for block in fine:
-        i = owner.get(block[0])
-        if i is None:
-            return False
-        for e in block:
-            if owner.get(e) != i:
-                return False
-        seen += len(block)
-    return seen == len(owner)
 
 
 def replicate_rng(seed: int, i: int) -> np.random.Generator:
@@ -348,8 +329,9 @@ def estimate_transition(
 
     Returns {partition: (exact empirical fraction, binomial standard error)}
     over all of P([n]); the fractions sum to exactly 1.  Replicates run on
-    block tuples, with every jump checked as ``Trajectory`` checks it; one
-    ``SetPartition`` is built per distinct final state.
+    block tuples, with every jump checked as ``Trajectory`` checks it, and
+    are counted by the blocks of the lattice's partitions; no other
+    ``SetPartition`` is built.
     """
     return _estimate_transition(model, n, t, reps, seed)[1]
 
@@ -373,12 +355,9 @@ def _estimate_transition(
             _check_jump(prev, time, state, blocks)
             prev, state = time, blocks
         counts[state] += 1
-    finals: Counter[SetPartition] = Counter()
-    for blocks, count in counts.items():
-        finals[SetPartition(blocks)] += count
     out = {}
     for pi in lattice:
-        p_hat = Fraction(finals[pi], reps)
+        p_hat = Fraction(counts[pi.blocks], reps)
         se = sqrt(float(p_hat * (1 - p_hat)) / reps)
         out[pi] = (p_hat, se)
     return lattice, out

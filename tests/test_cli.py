@@ -261,6 +261,16 @@ class TestTransition:
             for target, value in row.items():
                 assert value == ("1" if target == "1,2,3" else "0")
 
+    @pytest.mark.filterwarnings("error")
+    def test_kingman_time_past_overflow(self, capsys):
+        # t * D overflows to -inf: the t -> inf limit, with no float warning
+        payload = run_json(
+            capsys, "transition", "--n", "4", "--model", "kingman", "--t", "1e308"
+        )
+        for source, row in payload["rows"].items():
+            for target, value in row.items():
+                assert float(value) == (1.0 if target == "1,2,3,4" else 0.0)
+
     def test_argument_validation(self, capsys):
         code, _, err = run(capsys, "transition", "--n", "3")
         assert code == 2 and "exactly one" in err
@@ -407,6 +417,16 @@ class TestSimulate:
         for row in payload["rows"]:
             absorbed = row["partition"] == "1,2,3"
             assert row["exact"] == row["estimate"] == ("1" if absorbed else "0")
+
+    @pytest.mark.filterwarnings("error")
+    def test_kingman_time_past_overflow(self, capsys):
+        payload = run_json(
+            capsys, "simulate", "--n", "4", "--model", "kingman", "--t", "1e308",
+            "--reps", "50", "--seed", "0",
+        )
+        for row in payload["rows"]:
+            absorbed = row["partition"] == "1,2,3,4"
+            assert float(row["exact"]) == float(row["estimate"]) == (1.0 if absorbed else 0.0)
 
     def test_kingman_has_exact_column(self, capsys):
         payload = run_json(

@@ -63,11 +63,24 @@ class TestMatexpSeries:
         M = matexp_series(A, 1.0)
         assert M[0, 1] == pytest.approx(1 - math.exp(-30.0), rel=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    def test_scaling_past_the_double_range(self):
+        # |t Q| = 1.6e308 takes 1025 halvings, and 2 ** 1025 is no double
+        M = matexp_series(np.array([[-2.0, 2.0], [0.0, 0.0]]), 4e307)
+        assert np.allclose(M, [[0.0, 1.0], [0.0, 1.0]], rtol=0, atol=1e-12)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             matexp_series(np.zeros((2, 3)), 1.0)
         with pytest.raises(ValueError):
             matexp_series(np.zeros((2, 2)), 1.0, tol=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1e308, math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_argument(self, t):
+        # t * Q overflows at 1e308: no squaring count would bring it below 1/2
+        with pytest.raises(ValueError, match="finite"):
+            matexp_series(np.array([[-2.0, 2.0], [0.0, 0.0]]), t)
 
 
 class TestFundamentalMatrix:

@@ -241,6 +241,22 @@ class TestComparablePairs:
     def test_pair_key_ground_mismatch_raises(self, pi, rho):
         with pytest.raises(ValueError):
             pair_key(P(pi), P(rho))
+        with pytest.raises(ValueError):
+            partitions._block_key(P(pi).blocks, P(rho).blocks)
+
+    def test_block_pass_is_pair_key(self, lattices):
+        # every ordered pair drawn from P([1]), ..., P([4]): comparable, not
+        # comparable, or on different ground sets
+        states = [pi for n in range(1, 5) for pi in lattices[n]]
+        for pi in states:
+            for rho in states:
+                try:
+                    want = pair_key(pi, rho)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        partitions._block_key(pi.blocks, rho.blocks)
+                else:
+                    assert partitions._block_key(pi.blocks, rho.blocks) == want
 
     def test_walk_builds_no_labels(self, monkeypatch):
         lat = PartitionLattice(5)

@@ -13,7 +13,6 @@ from coalspec import (
     SetPartition,
     SizeLimitError,
     Trajectory,
-    bell,
     bs_hitting,
     bs_transition,
     contains,
@@ -29,7 +28,7 @@ from coalspec import (
     simulate_kingman,
     transition_via_triple,
 )
-from coalspec import simulate
+from coalspec import partitions, simulate
 
 F = Fraction
 
@@ -219,8 +218,9 @@ class TestAgainstReferencePaths:
             assert got == reference_estimate(model, 5, t, reps=400, seed=19)
 
     @pytest.mark.parametrize("model", ["bs", "kingman"])
-    def test_one_set_partition_per_final_state(self, model, monkeypatch):
+    def test_builds_only_the_lattice(self, model, monkeypatch):
         n, built = 5, 0
+        size = len(PartitionLattice(n))
         init = SetPartition.__init__
 
         def counting_init(self, blocks):
@@ -230,8 +230,33 @@ class TestAgainstReferencePaths:
 
         monkeypatch.setattr(SetPartition, "__init__", counting_init)
         estimate_transition(model, n, 1.0, reps=2000, seed=3)
-        # the lattice's own bell(n), plus at most one per distinct final state
-        assert built <= 2 * bell(n) + 1
+        # finals are counted by the blocks of the lattice's own partitions
+        assert built == size
+
+    @pytest.mark.parametrize("model", ["bs", "kingman"])
+    def test_jumps_checked_by_the_pair_key_pass(self, model, monkeypatch):
+        n, t, reps, seed = 5, 1.0, 300, 11
+        jumps = sum(
+            1
+            for rng in simulate._replicate_streams(seed, reps)
+            for _ in simulate._JUMPS[model](n, t, rng)
+        )
+        assert simulate._block_key is partitions._block_key
+        calls = 0
+        key = simulate._block_key
+
+        def counted(fine, coarse):
+            nonlocal calls
+            calls += 1
+            return key(fine, coarse)
+
+        monkeypatch.setattr(simulate, "_block_key", counted)
+        estimate_transition(model, n, t, reps=reps, seed=seed)
+        assert jumps > 0 and calls == jumps
+        calls = 0  # and Trajectory checks its jumps with the same pass
+        simulate_path = {"bs": simulate_bs, "kingman": simulate_kingman}[model]
+        path = simulate_path(n, None, replicate_rng(seed, 0))
+        assert calls == len(path.times) > 0
 
 
 class TestEstimateTransition:
