@@ -10,11 +10,13 @@ private evaluator holds it: ``bs_transition`` feeds it x = e^-t in doubles,
 indicator of π = ρ, which is the statement L = R^-1).
 
 The Green's matrix g(π, ρ) (expected total time in ρ before absorption) is
-an exact sum over the coefficients of one integer polynomial; it is +infinity
-exactly on the absorbing column ρ = {[n]}, which is hit with certainty, and
-elsewhere the hitting probability is h(π, ρ) = g(π, ρ) (|ρ| - 1).  Kingman
-hitting probabilities come from maximal-chain counting and reduce to a
-Lah-number product.
+an exact sum over the coefficients c_K of ∏_B z^(m_B ascending); it is
++infinity exactly on the absorbing column ρ = {[n]}, which is hit with
+certainty, and elsewhere the hitting probability is h(π, ρ) = g(π, ρ)
+(|ρ| - 1).  Lumped over the ρ with j blocks, the c_K become the Stirling
+products [i, K] {K, j} of i = |π|, and the same sum gives the block-counting
+Green's matrix.  Kingman hitting probabilities come from maximal-chain
+counting and reduce to a Lah-number product.
 
 Nothing here needs the full lattice: every formula runs off the two
 partitions alone.  ``transition_via_triple`` exponentiates any spectral
@@ -103,6 +105,14 @@ def bs_transition_exact(pi: SetPartition, rho: SetPartition, x) -> Fraction:
     return _bs_polynomial(key, x, 1 / x)
 
 
+def _green_sum(p: int, r: int, coeffs) -> Fraction:
+    """(-1)^r ((r-1)!/(p-1)!) Σ_{K≥2} (-1)^K c_K/(K-1) with c_K = coeffs[K]."""
+    terms = enumerate(coeffs[2:], 2)
+    total = sum(Fraction(-c if k % 2 else c, k - 1) for k, c in terms if c)
+    value = Fraction(factorial(r - 1), factorial(p - 1)) * total
+    return -value if r % 2 else value
+
+
 def bs_green(pi: SetPartition, rho: SetPartition):
     """Expected total time the Bolthausen-Sznitman coalescent spends in ρ.
 
@@ -122,9 +132,7 @@ def bs_green(pi: SetPartition, rho: SetPartition):
     for s in sizes:
         for a in range(s):  # times (z + a)
             coeffs = [a * c + below for c, below in zip(coeffs + [0], [0] + coeffs)]
-    total = sum(Fraction(-c if k % 2 else c, k - 1) for k, c in enumerate(coeffs[2:], 2))
-    value = Fraction(factorial(r - 1), factorial(p - 1)) * total
-    return -value if r % 2 else value
+    return _green_sum(p, r, coeffs)
 
 
 def bs_hitting(pi: SetPartition, rho: SetPartition) -> Fraction:
@@ -151,12 +159,8 @@ def bs_block_green(i: int, j: int, n: int) -> Fraction:
         raise ValueError(f"need 1 <= j <= i <= n, got i={i}, j={j}, n={n}")
     if j == 1:
         raise ValueError("the one-block count is absorbing; its Green entry diverges")
-    total = Fraction(0)
-    for k in range(j, i + 1):
-        term = Fraction(stirling_first(i, k) * stirling_second(k, j), k - 1)
-        total += -term if k % 2 else term
-    value = Fraction(factorial(j - 1), factorial(i - 1)) * total
-    return -value if j % 2 else value
+    coeffs = [stirling_first(i, k) * stirling_second(k, j) for k in range(i + 1)]
+    return _green_sum(i, j, coeffs)
 
 
 def kingman_hitting(pi: SetPartition, rho: SetPartition) -> Fraction:

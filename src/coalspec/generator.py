@@ -19,7 +19,7 @@ from math import comb, factorial, lcm
 from typing import Mapping
 
 from .combinatorics import stirling_second
-from .matrices import RatMatrix, TriMatrix
+from .matrices import RatMatrix, TriMatrix, _over_lcm
 from .partitions import PartitionLattice
 
 __all__ = [
@@ -120,8 +120,7 @@ def build_generator(lattice: PartitionLattice, rates: RateTable) -> TriMatrix:
     for p in range(1, lattice.n + 1):
         values = {k: rates.rate(p, k) for k in range(2, p + 1)}
         values[1] = -rates.total_rate(p)
-        d = lcm(*[v.denominator for v in values.values()])
-        per_p[p] = d, {k: v.numerator * (d // v.denominator) for k, v in values.items()}
+        per_p[p] = _over_lcm(values)
     rows: dict[int, dict[int, int]] = defaultdict(dict)
     for i, j, (p, r, sizes) in lattice.comparable_pairs():
         k = p - r + 1

@@ -39,6 +39,12 @@ __all__ = ["RatMatrix", "TriMatrix"]
 _ZERO = Fraction(0)
 
 
+def _over_lcm(row: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
+    """A row of ``Fraction``s as (d, {j: numerator over d}), d their lcm denominator."""
+    d = lcm(*[v.denominator for v in row.values()])
+    return d, {j: v.numerator * (d // v.denominator) for j, v in row.items()}
+
+
 def _reduced(d: int, nums: dict[int, int]) -> tuple[int, dict[int, int]] | None:
     """Row numerators over d as a reduced row; None when every numerator is 0."""
     g = gcd(d, *nums.values())
@@ -78,12 +84,17 @@ class RatMatrix:
         ``shape`` is what the class takes: a size, or a ``TriMatrix``'s
         lattice.  Row indices are distinct, d is a nonzero int and the
         numerators are ints; zero numerators are dropped and each row is
-        reduced.  An index outside the matrix raises ``IndexError``.
+        reduced.  An index outside the matrix raises ``IndexError``, a
+        repeated row index ``ValueError``.
         """
         out = cls(shape)
+        seen = set()
         for i, d, nums in rows:
             for j in (min(nums), max(nums)) if nums else (0,):
                 out._check_index(i, j)
+            if i in seen:
+                raise ValueError(f"row {i} is given twice")
+            seen.add(i)
             if d == 0:
                 raise ZeroDivisionError(f"row {i} has denominator 0")
             row = _reduced(d, nums)
@@ -98,14 +109,12 @@ class RatMatrix:
     def set(self, i: int, j: int, value) -> None:
         """Set entry (i, j), re-reducing its row (O(row length) per call)."""
         self._check_index(i, j)
-        value = Fraction(value)
-        d, nums = self._rows.pop(i, (1, {}))
-        m = lcm(d, value.denominator)
-        nums = {k: v * (m // d) for k, v in nums.items()}
-        nums[j] = value.numerator * (m // value.denominator)
-        row = _reduced(m, nums)
-        if row is not None:
-            self._rows[i] = row
+        row = self.row(i)
+        row[j] = Fraction(value)
+        self._rows.pop(i, None)
+        reduced = _reduced(*_over_lcm(row))
+        if reduced is not None:
+            self._rows[i] = reduced
 
     def get(self, i: int, j: int) -> Fraction:
         self._check_index(i, j)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isfinite, lcm
+from math import inf, isfinite
 from typing import TYPE_CHECKING
 
 from .generator import bs_rates, kingman_rates
-from .matrices import RatMatrix, TriMatrix
+from .matrices import RatMatrix, TriMatrix, _over_lcm
 from .partitions import (
     SetPartition,
     SizeLimitError,
@@ -47,8 +47,8 @@ def matexp_series(Q, t: float, tol: float = 1e-13) -> np.ndarray:
     A = np.asarray(Q, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matexp needs a square matrix")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < inf:
+        raise ValueError("tolerance must be positive and finite")
     if not isfinite(t):
         raise ValueError("matexp needs a finite t")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -110,14 +110,7 @@ def fundamental_matrix(Q: TriMatrix) -> RatMatrix:
                 prev = acc.get(j)
                 acc[j] = coeff if prev is None else prev + coeff
         rows[i] = {j: v / diag for j, v in acc.items() if v != 0}
-
-    def over_common_denominator(row: dict[int, Fraction]) -> tuple[int, dict]:
-        d = lcm(*[v.denominator for v in row.values()])
-        return d, {j: v.numerator * (d // v.denominator) for j, v in row.items()}
-
-    return RatMatrix.from_rows(
-        m, ((i, *over_common_denominator(row)) for i, row in enumerate(rows))
-    )
+    return RatMatrix.from_rows(m, ((i, *_over_lcm(row)) for i, row in enumerate(rows)))
 
 
 def enumerate_maximal_chains(

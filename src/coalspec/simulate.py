@@ -355,12 +355,7 @@ def _estimate_transition(
             _check_jump(prev, time, state, blocks)
             prev, state = time, blocks
         counts[state] += 1
-    out = {}
-    for pi in lattice:
-        p_hat = Fraction(counts[pi.blocks], reps)
-        se = sqrt(float(p_hat * (1 - p_hat)) / reps)
-        out[pi] = (p_hat, se)
-    return lattice, out
+    return lattice, {pi: _estimate(counts[pi.blocks], reps) for pi in lattice}
 
 
 def estimate_containment(
@@ -373,6 +368,10 @@ def estimate_containment(
     for rng in _replicate_streams(seed, reps):
         if contains(sample_rrt(pi, rng), rho):
             hits += 1
-    p_hat = Fraction(hits, reps)
-    se = sqrt(float(p_hat * (1 - p_hat)) / reps)
-    return p_hat, se
+    return _estimate(hits, reps)
+
+
+def _estimate(count: int, reps: int) -> tuple[Fraction, float]:
+    """The empirical fraction count/reps and its binomial standard error."""
+    p_hat = Fraction(count, reps)
+    return p_hat, sqrt(float(p_hat * (1 - p_hat)) / reps)

@@ -19,12 +19,15 @@ exact inverse of R in all cases, with unit diagonals; ``verify_triple``
 reports R L = I from the L R product, since for square exact matrices one
 identity implies the other.
 
-Block-counting analogues (n x n, lower triangular in the block count) use
-Stirling and Lah numbers in place of the blockwise products.  One builder
-fills all four triples.  A model gives it an entry function and one function
-of a row's block count b: the eigenvalue and the R and L row denominators,
-(b-1)! for BS R and L, (2b-1)! for Kingman R and (2b-2)! for Kingman L.  The
-entry functions give integer numerators over those denominators.
+The block-counting triples (n x n, lower triangular in the block count) are
+the lattice triples lumped by block count: summed over the ρ with j blocks,
+the blockwise weights ∏_B (m_B - 1)!, 1 and ∏_B m_B! become the Stirling
+numbers [i, j], {i, j} and the Lah number L(i, j) of i = |π| and j.  So each
+model has one entry function of (p, r) and its weights, and one builder fills
+all four triples.  A model gives it that function and one function of a row's
+block count b: the eigenvalue and the R and L row denominators, (b-1)! for BS
+R and L, (2b-1)! for Kingman R and (2b-2)! for Kingman L.  The entry
+functions give integer numerators over those denominators.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .combinatorics import lah, stirling_first, stirling_second
 from .matrices import RatMatrix, TriMatrix, _within_order
@@ -139,34 +142,16 @@ def _kingman_row(b: int) -> tuple[int, int, int]:
     return -comb(b, 2), factorial(2 * b - 1), factorial(2 * b - 2)
 
 
-def _bs_entries(p: int, r: int, sizes) -> tuple[int, int]:
+def _bs_entries(p: int, r: int, r_weight: int, l_weight: int) -> tuple[int, int]:
     base = factorial(r - 1)
-    rv = base
-    for s in sizes:
-        rv *= factorial(s - 1)
-    return rv, (base if (p - r) % 2 == 0 else -base)
+    lv = base * l_weight
+    return base * r_weight, (-lv if (p - r) % 2 else lv)
 
 
-def _kingman_entries(p: int, r: int, sizes) -> tuple[int, int]:
-    prod = 1
-    for s in sizes:
-        prod *= factorial(s)
-    rv = factorial(2 * r - 1) * prod * (factorial(2 * p - 1) // factorial(p + r - 1))
-    lv = factorial(p + r - 2) * prod
+def _kingman_entries(p: int, r: int, weight: int) -> tuple[int, int]:
+    rv = factorial(2 * r - 1) * weight * (factorial(2 * p - 1) // factorial(p + r - 1))
+    lv = factorial(p + r - 2) * weight
     return rv, (-lv if (p - r) % 2 else lv)
-
-
-def _bs_block_entries(i: int, j: int) -> tuple[int, int]:
-    base = factorial(j - 1)
-    lv = base * stirling_second(i, j)
-    return base * stirling_first(i, j), (-lv if (i - j) % 2 else lv)
-
-
-def _kingman_block_entries(i: int, j: int) -> tuple[int, int]:
-    lij = lah(i, j)
-    rv = factorial(2 * j - 1) * lij * (factorial(2 * i - 1) // factorial(i + j - 1))
-    lv = factorial(i + j - 2) * lij
-    return rv, (-lv if (i - j) % 2 else lv)
 
 
 def bs_triple(lattice: PartitionLattice) -> SpectralTriple:
@@ -176,7 +161,10 @@ def bs_triple(lattice: PartitionLattice) -> SpectralTriple:
     probabilities of random recursive trees), the left entries alternate in
     sign, and the eigenvalues are -(|π| - 1).
     """
-    return _lattice_triple(*_on_lattice(lattice), cache(_bs_entries), _bs_row)
+    entries = cache(
+        lambda p, r, sizes: _bs_entries(p, r, prod(factorial(s - 1) for s in sizes), 1)
+    )
+    return _lattice_triple(*_on_lattice(lattice), entries, _bs_row)
 
 
 def kingman_triple(lattice: PartitionLattice) -> SpectralTriple:
@@ -186,7 +174,8 @@ def kingman_triple(lattice: PartitionLattice) -> SpectralTriple:
     maximal-chain route m(π, ρ) 2^(p-r) (2r-1)! / ((p-r)! (p+r-1)!) for R and
     (-1)^(p-r) m(π, ρ) 2^(p-r) (p+r-2)! / ((2p-2)! (p-r)!) for L.
     """
-    return _lattice_triple(*_on_lattice(lattice), cache(_kingman_entries), _kingman_row)
+    entries = cache(lambda p, r, sizes: _kingman_entries(p, r, prod(map(factorial, sizes))))
+    return _lattice_triple(*_on_lattice(lattice), entries, _kingman_row)
 
 
 def bs_block_triple(n: int) -> SpectralTriple:
@@ -196,7 +185,8 @@ def bs_block_triple(n: int) -> SpectralTriple:
     ((j-1)!/(i-1)!) {i, j} with Stirling numbers of the first and second
     kind; eigenvalues 1 - i.
     """
-    return _lattice_triple(*_on_chain(n), _bs_block_entries, _bs_row)
+    entries = lambda i, j: _bs_entries(i, j, stirling_first(i, j), stirling_second(i, j))
+    return _lattice_triple(*_on_chain(n), entries, _bs_row)
 
 
 def kingman_block_triple(n: int) -> SpectralTriple:
@@ -205,7 +195,8 @@ def kingman_block_triple(n: int) -> SpectralTriple:
     r'(i, j) = ((2j-1)!/(i+j-1)!) L(i, j) and l'(i, j) = (-1)^(i-j)
     ((i+j-2)!/(2i-2)!) L(i, j) with Lah numbers; eigenvalues -C(i, 2).
     """
-    return _lattice_triple(*_on_chain(n), _kingman_block_entries, _kingman_row)
+    entries = lambda i, j: _kingman_entries(i, j, lah(i, j))
+    return _lattice_triple(*_on_chain(n), entries, _kingman_row)
 
 
 def _support_ok(triple: SpectralTriple, Q: RatMatrix) -> bool:

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import hashlib
 import io
 import json
 import os
@@ -574,3 +575,56 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(target) in err
         assert not target.parent.exists()
+
+
+# sha256 of each command's stdout.  Every value printed is exact (no float
+# beyond the --tol echo), so the digests hold on any platform; a changed digest
+# is a changed output format or a changed value.
+GOLDEN = [
+    ("lattice --n 5",
+     "5872e74ef6b93b85d98eaa845cda9eeab22f6efe79177cae4dcccb1375ffb30e"),
+    ("lattice --n 5 --format csv",
+     "32962f3800e0a70eeb557a061f9ddf7fc0abdb0304a01dddb722899689403fda"),
+    ("qmatrix --n 5",
+     "0dd22acd6e28c747bc355ea4a1242b93d090934a283de2841c28f3405216fb91"),
+    ("qmatrix --n 5 --model kingman --format csv",
+     "720eae0266c81da198c3e2762f3cf1ab220bae5343c972be7d717a559cbcd52d"),
+    ("qmatrix --n 20 --block",
+     "ab90db8c535e8f7095354733e0dac71c7e944d1ee223867e3b4481c3ddccef36"),
+    ("qmatrix --n 20 --block --model kingman --format csv",
+     "b1ae35100465aa48e92fa4564efee930dec43c1ec9d85e31efbf39acd192154b"),
+    ("spectral --n 5",
+     "fadb5901b471db0b7ae29c6235cdf57d5af70161bb8e0c05bd3054f0778a42a4"),
+    ("spectral --n 5 --model kingman",
+     "17e08fa03e81c90c6e5832c36c8c24c2f4871e55b9701554c583d1852f013077"),
+    ("spectral --n 20 --block",
+     "e8885a23735896f64c1bdf9d2280b03b817063f8fea2d52979156ae517c8ed87"),
+    ("spectral --n 20 --block --model kingman",
+     "a8a676fd038811a39c482274c6176f53edfe2e7cc26b3dbdc36d1bd10f46a957"),
+    ("transition --n 5 --x 2/7",
+     "75c0e19cdde5539cc1ab54aee064a267501c0c453f4b98a1924ca499e0bbbd9f"),
+    ("transition --n 5 --x 2/7 --format csv",
+     "2ddab88df34852f4f7db04abc2d770feacf1fefcee4bebe0549f2dd7f010c6d3"),
+    ("green --n 5",
+     "2ae1202397b949982a1a0f584d2b9ae176472d63b822a6c711a42c8ca802f39c"),
+    ("green --n 5 --format csv",
+     "b101246c104f022338be0dab635d76fc43d25e2489bee7097aaba49f2f07d7cb"),
+    ("hitting --n 5",
+     "739fcd06f91562e37c74f1fe8eba0d7a302297c6e8d1d4b89a7307dad04a6dd2"),
+    ("hitting --n 5 --format csv",
+     "727dcf1b9c80f33d24fcfa5222c429d8744dfb8a6f0b69f8e353bbb7b0ef5595"),
+    ("hitting --n 5 --model kingman",
+     "0fb08dd6cbe9cf37069d9233541e005e5939d2bddbab77cd62ed9a885790425c"),
+    ("hitting --n 5 --model kingman --format csv",
+     "21966a8ed7be2f38a5e9f17e14295b7006ae5f3aaf27d97b12711fa27d60aaf4"),
+    ("verify --n-max 4",
+     "2f9bccce32d2e6aa957558a255ee3ae4a01c2f0992c2949e4f71527978778702"),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+    def test_stdout_digest(self, capsys, command, digest):
+        code, out, err = run(capsys, *command.split())
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

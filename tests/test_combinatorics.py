@@ -1,8 +1,9 @@
 """Exact combinatorial numbers against brute-force enumeration oracles."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,49 @@ def test_stirling_first_partition_weight_identity():
                         w *= factorial(len(b) - 1)
                     total += w
             assert stirling_first(n, i) == total
+
+
+def integer_partitions(p, r, largest=None):
+    """The partitions of p into r parts, largest first, none above ``largest``."""
+    if r == 0:
+        if p == 0:
+            yield ()
+        return
+    for first in range(min(p - r + 1, p if largest is None else largest), 0, -1):
+        for rest in integer_partitions(p - first, r - 1, first):
+            yield (first, *rest)
+
+
+def test_lumping_identities_at_key_level():
+    # Above a π with p blocks, the ρ with r blocks whose restriction sizes are
+    # the parts of λ number p! / (∏ λ_i! ∏ c_k!), c_k the parts equal to k.
+    # Summed with that weight, each blockwise weight of the closed forms is a
+    # number of (p, r) alone: the block triples and bs_block_green take these
+    # sums in place of the blockwise products.  p runs past the lattice cap.
+    for p in range(1, 27):
+        for r in range(1, p + 1):
+            first = second = lah_sum = 0
+            coeffs = [0] * (p + 1)
+            for lam in integer_partitions(p, r):
+                w = factorial(p) // (
+                    prod(map(factorial, lam)) * prod(map(factorial, Counter(lam).values()))
+                )
+                first += w * prod(factorial(s - 1) for s in lam)
+                second += w
+                lah_sum += w * prod(map(factorial, lam))
+                if p <= 18:  # the coefficients of ∏_i z (z+1) … (z+λ_i-1)
+                    poly = [1]
+                    for a in (a for s in lam for a in range(s)):
+                        poly = [a * c + below for c, below in zip(poly + [0], [0] + poly)]
+                    for k, c in enumerate(poly):
+                        coeffs[k] += w * c
+            assert first == stirling_first(p, r)
+            assert second == stirling_second(p, r)
+            assert lah_sum == lah(p, r)
+            if p <= 18:
+                assert coeffs == [
+                    stirling_first(p, k) * stirling_second(k, r) for k in range(p + 1)
+                ]
 
 
 @given(

@@ -292,3 +292,10 @@ class TestStorage:
             RatMatrix.from_rows(3, [(0, 1, {3: 1})])
         with pytest.raises(ZeroDivisionError):
             RatMatrix.from_rows(3, [(0, 0, {1: 1})])
+        # a repeated row would silently replace the first
+        for i, rows in (
+            (0, [(0, 1, {0: 1}), (0, 2, {1: 1})]),
+            (2, [(2, 1, {}), (1, 1, {1: 1}), (2, 1, {2: 3})]),
+        ):
+            with pytest.raises(ValueError, match=rf"row {i} is given twice"):
+                RatMatrix.from_rows(3, rows)
