@@ -1,7 +1,9 @@
 """Command-line interface for batch use.
 
 Subcommands: lattice, qmatrix, spectral, transition, green, hitting,
-simulate, verify.  Output is JSON (default) or CSV, to stdout or --out.
+simulate, verify.  Output is JSON (default) or CSV, to stdout or --out;
+JSON output is exactly ``json.dumps(payload, indent=2)`` and a newline, so
+every non-ASCII character is escaped.
 Rationals serialize as "p/q", reals with 15 significant digits, divergent
 Green entries as "inf".  Exit codes: 0 success, 1 verification failure,
 2 usage or domain error.  Seeded commands are byte-reproducible.
@@ -21,6 +23,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 
 from .dynamics import (
     bs_green,
@@ -118,8 +121,55 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _json_pieces(obj, nl: str, out: list[str]) -> None:
+    """Append the text of ``obj`` as ``json.dumps(obj, indent=2)`` prints it.
+
+    ``nl`` is a newline and the indent of the line ``obj`` starts on.  With
+    an indent json always runs its pure-Python encoder, six small chunks per
+    [i, j, "p/q"] row, all held until they are joined; here each such row and each str-valued dict item
+    is one f-string.  Other values recurse, strings are escaped as json's
+    default ``ensure_ascii`` does, and other scalars go to ``json.dumps``.
+    Keys must be str.
+    """
+    if isinstance(obj, dict) and obj:
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in obj.items():
+            if type(v) is str:
+                out.append(f"{sep}{_escape(k)}: {_escape(v)}")
+            else:
+                out.append(f"{sep}{_escape(k)}: ")
+                _json_pieces(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = nl + "  "
+        deep = inner + "  "
+        sep = "[" + inner
+        for v in obj:
+            if (type(v) is list and len(v) == 3 and type(v[0]) is int
+                    and type(v[1]) is int and type(v[2]) is str):
+                out.append(f"{sep}[{deep}{v[0]},{deep}{v[1]},{deep}{_escape(v[2])}{inner}]")
+            else:
+                out.append(sep)
+                _json_pieces(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, str):
+        out.append(_escape(obj))
+    else:
+        out.append(json.dumps(obj))
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for str-keyed ``obj``."""
+    out: list[str] = []
+    _json_pieces(obj, "\n", out)
+    return "".join(out)
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
-    _write(json.dumps(payload, indent=2) + "\n", out)
+    _write(_json_text(payload) + "\n", out)
 
 
 def _emit_csv(rows: list[list[str]], out: str | None) -> None:

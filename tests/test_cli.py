@@ -14,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import coalspec
 from coalspec import (
@@ -37,7 +39,7 @@ from coalspec import (
     kingman_triple,
     transition_via_triple,
 )
-from coalspec.cli import _entries_payload, format_rational, format_real, main
+from coalspec.cli import _entries_payload, _json_text, format_rational, format_real, main
 
 
 def run(capsys, *argv):
@@ -153,6 +155,74 @@ class TestEntriesPayload:
                 self.check(t.R)
                 self.check(t.L)
                 self.check(generator_of(n))
+
+
+# every kind of character json.dumps escapes differently: quotes, backslashes,
+# control characters, the JavaScript line separators, non-ASCII inside and
+# beyond the BMP, and lone surrogates
+_hostile_text = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\u2029\xe9\u20ac\U0001f600'),
+        st.characters(),
+        st.characters(categories=["Cs"]),
+    )
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**300), max_value=2**300),
+    st.floats(),
+    _hostile_text,
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_hostile_text, children, max_size=4),
+        # the [i, j, "p/q"] entry rows, and three-item lists that only look like one
+        st.tuples(st.integers(), st.integers(), _hostile_text).map(list),
+        st.lists(st.one_of(st.booleans(), st.integers(), _hostile_text),
+                 min_size=3, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """The one JSON writer prints json.dumps(obj, indent=2), byte for byte."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_json_values)
+    @example({})
+    @example([])
+    @example({"": [], "a": {}, "b": [[], {}, [[]]]})
+    @example({"rows": {"1|2": {"1,2": "1/1"}, "1,2": {}}})
+    @example([[0, 0, "1/1"], [True, 0, "x"], [0, 0, 1], ["0", 0, "x"]])
+    def test_matches_json_dumps(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("command", [
+        "lattice",
+        "qmatrix", "qmatrix --block",
+        "qmatrix --model kingman", "qmatrix --model kingman --block",
+        "spectral", "spectral --block",
+        "spectral --model kingman", "spectral --model kingman --block",
+        "transition --x 1/3", "transition --t 0.7", "transition --model kingman --t 0.7",
+        "green",
+        "hitting", "hitting --model kingman",
+        "simulate --t 1 --reps 200", "simulate --model kingman --t 1 --reps 200",
+        "verify --n-max",
+    ])
+    def test_every_command_prints_json_dumps(self, capsys, command, n):
+        argv = command.split()
+        # verify's sizes start at 2
+        argv += [str(max(n, 2))] if argv[-1] == "--n-max" else ["--n", str(n)]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_numpy_is_loaded_only_by_float_paths():
@@ -619,6 +689,16 @@ GOLDEN = [
      "21966a8ed7be2f38a5e9f17e14295b7006ae5f3aaf27d97b12711fa27d60aaf4"),
     ("verify --n-max 4",
      "2f9bccce32d2e6aa957558a255ee3ae4a01c2f0992c2949e4f71527978778702"),
+    # the degenerate shapes: an empty entry list, a one-state triple, the
+    # divergent "inf" cell, an exact row at x = 1
+    ("qmatrix --n 1",
+     "c3c5086d22794860e777d0cdbaa90ac63680bc4e8a7112cb3b154c8598eabdd0"),
+    ("spectral --n 1",
+     "222f1759fe7ec25598035fc5a5b3f2ade6fc0cf1c5c947ba648ef2699a0648a5"),
+    ("green --n 1",
+     "fe95fd6dda51135a5a7748d9a0cca341fc1eadaf270a0b962092e8aff5db95e8"),
+    ("transition --n 2 --x 1",
+     "48617053d1f33f7a53639cd2d601799bccc61d2a62ccaabd152436171758ff35"),
 ]
 
 
