@@ -25,7 +25,13 @@ build one generator per replicate: ``_replicate_streams`` hashes the
 uint32 arithmetic, derives each PCG64 state from it as ``PCG64`` seeds
 itself, and sets that state on one reused ``Generator``.  The streams are
 the same, draw for draw; ``replicate_rng`` is the reference they are tested
-against.
+against.  ``estimate_transition`` also makes its bounded draws (a tree's
+parents, the cut edge, the Kingman pair) from the raw stream: ``_raw_below``
+gives what ``Generator.integers(0, m)`` gives from a state with no buffered
+half, by Lemire's method on PCG64's 32-bit halves (low half first, high half
+kept for the next draw), as numpy >= 1.24 does.  The public
+``simulate_bs``/``simulate_kingman`` accept any ``Generator`` and keep
+drawing through ``Generator.integers``.
 
 Estimators return exact empirical fractions (count/reps) so the estimated
 law sums to exactly 1, alongside float binomial standard errors
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf, sqrt
 from operator import index
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .partitions import Blocks, PartitionLattice, SetPartition, _block_key
 from .rrt import contains, sample_rrt
@@ -124,6 +130,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
+_2_32 = 1 << 32
 # PCG64's 128-bit LCG: state <- state * multiplier + inc
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
@@ -227,6 +234,46 @@ def _replicate_streams(seed: int, reps: int) -> Iterator[np.random.Generator]:
             yield rng
 
 
+def _raw_below(bit_generator) -> Callable[[int], int]:
+    """``below(m)``: ``Generator.integers(0, m)`` read from the raw PCG64 stream.
+
+    Valid for 1 <= m <= 2**32 - 1 on a PCG64 set with ``has_uint32 = 0``
+    whose buffered half nothing else reads while the draws run (exponential
+    draws take whole 64-bit outputs and leave it alone).  This is numpy's
+    Lemire method on buffered 32-bit halves: u is the low half of one
+    ``random_raw()``, the high half is kept for the next draw; x = u m is
+    redrawn while x mod 2**32 < (2**32 - m) mod m, and x >> 32 is returned.
+    m = 1 draws nothing.  The kept half lives in the closure, not in the bit
+    generator's state, so a ``below`` serves one replicate only.
+    """
+    raw = bit_generator.random_raw
+    spare = None
+
+    def below(m: int) -> int:
+        nonlocal spare
+        if m == 1:
+            return 0
+        while True:
+            if spare is None:
+                u = raw()
+                spare = u >> 32
+                u &= _MASK32
+            else:
+                u, spare = spare, None
+            x = u * m
+            low = x & _MASK32
+            if low >= m or low >= (_2_32 - m) % m:
+                return x >> 32
+
+    return below
+
+
+def _integers_below(rng) -> Callable[[int], int]:
+    """``below(m)`` through ``rng.integers``: any bit generator, its state kept."""
+    integers = rng.integers
+    return lambda m: int(integers(0, m))
+
+
 def _check_run(n: int, horizon: float | None) -> None:
     if n < 1:
         raise ValueError("need n >= 1")
@@ -234,8 +281,13 @@ def _check_run(n: int, horizon: float | None) -> None:
         raise ValueError(f"horizon must be {'nonnegative' if horizon < 0 else 'finite'}")
 
 
-def _bs_jumps(n: int, horizon: float | None, rng) -> Iterator[tuple[float, Blocks]]:
+def _bs_jumps(
+    n: int, horizon: float | None, rng, below: Callable[[int], int] | None = None
+) -> Iterator[tuple[float, Blocks]]:
     """Tree-cutting path from the singletons of [n]: (time, blocks) per jump.
+
+    Exponential clocks come from ``rng``; ``below(m)``, uniform on
+    range(m), makes the bounded draws (``rng.integers`` when None).
 
     Node k starts as the singleton {k + 1} with ``parent[k]`` uniform among
     the earlier nodes (the draws of ``sample_rrt``).  A node keeps its
@@ -245,7 +297,9 @@ def _bs_jumps(n: int, horizon: float | None, rng) -> Iterator[tuple[float, Block
     cut node plus the later survivors whose parent is already in it; it
     merges into the cut node's parent.
     """
-    parent = [0] + rng.integers(0, range(1, n)).tolist()  # one call, same draws
+    if below is None:
+        below = _integers_below(rng)
+    parent = [0] + [below(k) for k in range(1, n)]
     labels = [(k + 1,) for k in range(n)]
     alive = list(range(n))
     t = 0.0
@@ -254,7 +308,7 @@ def _bs_jumps(n: int, horizon: float | None, rng) -> Iterator[tuple[float, Block
         t += rng.exponential(1.0 / edges)
         if horizon is not None and t > horizon:
             return
-        cut = int(rng.integers(0, edges)) + 1
+        cut = below(edges) + 1
         node = alive[cut]
         subtree = {node}
         merged = [*labels[parent[node]], *labels[node]]
@@ -270,13 +324,19 @@ def _bs_jumps(n: int, horizon: float | None, rng) -> Iterator[tuple[float, Block
         yield t, tuple([labels[v] for v in alive])
 
 
-def _kingman_jumps(n: int, horizon: float | None, rng) -> Iterator[tuple[float, Blocks]]:
+def _kingman_jumps(
+    n: int, horizon: float | None, rng, below: Callable[[int], int] | None = None
+) -> Iterator[tuple[float, Blocks]]:
     """Uniform pair mergers from the singletons of [n]: (time, blocks) per jump.
+
+    ``rng`` and ``below`` are as in ``_bs_jumps``.
 
     Pair number k is the k-th of ``combinations(range(b), 2)``, decoded
     without building the list; the merged pair a < c lands at position a,
     which keeps the blocks in canonical order.
     """
+    if below is None:
+        below = _integers_below(rng)
     blocks = [(e,) for e in range(1, n + 1)]
     t = 0.0
     while len(blocks) > 1:
@@ -285,7 +345,7 @@ def _kingman_jumps(n: int, horizon: float | None, rng) -> Iterator[tuple[float, 
         t += rng.exponential(1.0 / rate)
         if horizon is not None and t > horizon:
             return
-        k = int(rng.integers(0, rate))
+        k = below(rate)
         a = 0  # skip the rows (a, a+1..b-1) of b - 1 - a pairs before pair k
         while k >= b - 1 - a:
             k -= b - 1 - a
@@ -351,7 +411,7 @@ def _estimate_transition(
     counts: Counter[Blocks] = Counter()
     for rng in _replicate_streams(seed, reps):
         prev, state = 0.0, start
-        for time, blocks in jumps(n, t, rng):
+        for time, blocks in jumps(n, t, rng, _raw_below(rng.bit_generator)):
             _check_jump(prev, time, state, blocks)
             prev, state = time, blocks
         counts[state] += 1

@@ -1,5 +1,6 @@
 """Seeded Monte Carlo paths and estimators against the exact laws."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -211,11 +212,49 @@ class TestAgainstReferencePaths:
                     # the same draws, down to the buffered half of a 64-bit output
                     assert fast_rng.bit_generator.state == reference_rng.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "fast, reference",
+        [(simulate_bs, reference_bs), (simulate_kingman, reference_kingman)],
+    )
+    def test_same_times_and_states_mt19937(self, fast, reference):
+        # the public paths draw through Generator.integers, so any bit
+        # generator works and is left exactly where the reference leaves it
+        for n in range(1, 9):
+            for horizon in (None, 0.3, 1.0):
+                for i in range(20):
+                    fast_rng = np.random.Generator(np.random.MT19937((n, i)))
+                    reference_rng = np.random.Generator(np.random.MT19937((n, i)))
+                    got = fast(n, horizon, fast_rng)
+                    want = reference(n, horizon, reference_rng)
+                    assert got.times == want.times
+                    assert got.states == want.states
+                    got_state = fast_rng.bit_generator.state["state"]
+                    want_state = reference_rng.bit_generator.state["state"]
+                    assert got_state["pos"] == want_state["pos"]
+                    assert np.array_equal(got_state["key"], want_state["key"])
+
     @pytest.mark.parametrize("model", ["bs", "kingman"])
     def test_estimate_matches_reference(self, model):
-        for t in (0.4, 1.0):
-            got = estimate_transition(model, 5, t, reps=400, seed=19)
-            assert got == reference_estimate(model, 5, t, reps=400, seed=19)
+        # n <= 2 makes no bounded draw; n = 8 draws up to m = C(8, 2) = 28
+        for n in (1, 2, 5, 6, 8):
+            for t in (0.4, 1.0):
+                got = estimate_transition(model, n, t, reps=400, seed=19)
+                assert got == reference_estimate(model, n, t, reps=400, seed=19)
+
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            ("bs", "f4ca93c175db3aeddda6ba2b721ef398d6b73e386e7914880b60554e72a7f7ac"),
+            ("kingman", "a1e9335d6dbd91f7b6142691e0dc98dd4313722752e5c08da6854034a0b903f8"),
+        ],
+    )
+    def test_counts_at_benchmark_size(self, model, digest):
+        # recorded when every bounded draw still went through
+        # Generator.integers; exact counts, with no BLAS column in them
+        reps = 20000
+        est = estimate_transition(model, 6, 1.013, reps=reps, seed=123)
+        pairs = sorted((pi.blocks, int(p * reps)) for pi, (p, _) in est.items())
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("model", ["bs", "kingman"])
     def test_builds_only_the_lattice(self, model, monkeypatch):
@@ -319,9 +358,9 @@ class TestEstimateTransition:
         runs = []
         jumps = simulate._JUMPS[model]
 
-        def counted(n, t, rng):
+        def counted(n, t, rng, below=None):
             runs.append(n)
-            return jumps(n, t, rng)
+            return jumps(n, t, rng, below)
 
         monkeypatch.setitem(simulate._JUMPS, model, counted)
         with pytest.raises(ValueError, match="expected non-negative integer"):
@@ -339,7 +378,7 @@ class TestEstimateTransition:
         ],
     )
     def test_rejects_illegal_jumps(self, jumps, monkeypatch):
-        monkeypatch.setitem(simulate._JUMPS, "bs", lambda n, t, rng: iter(jumps))
+        monkeypatch.setitem(simulate._JUMPS, "bs", lambda n, t, rng, below: iter(jumps))
         with pytest.raises(ValueError, match="jump times|coarsen"):
             estimate_transition("bs", 3, 1.0, reps=2, seed=0)
 
@@ -406,6 +445,41 @@ def test_replicate_rng_is_deterministic():
     c = replicate_rng(3, 10).integers(0, 1000, size=5)
     assert list(a) == list(b)
     assert list(a) != list(c)
+
+
+class TestRawBelow:
+    class CountingRaw:
+        """A bit generator's ``random_raw``, counting the 64-bit outputs taken."""
+
+        def __init__(self, bit_generator):
+            self.bit_generator, self.outputs = bit_generator, 0
+
+        def random_raw(self):
+            self.outputs += 1
+            return self.bit_generator.random_raw()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**33 + 5])
+    def test_matches_generator_integers(self, seed):
+        # every bound used up to n = 8, one that rejects about half its
+        # draws, and the largest the raw draw supports
+        bounds = [*range(1, 29), 2**31 + 1, 2**32 - 1]
+        for i in range(4):
+            want_rng, got_rng = replicate_rng(seed, i), replicate_rng(seed, i)
+            raw = self.CountingRaw(got_rng.bit_generator)
+            below = simulate._raw_below(raw)
+            draws = 0
+            for k, m in enumerate(bounds[i:] + bounds[:i] + [2**31 + 1] * 20):
+                got, want = below(m), want_rng.integers(0, m)
+                assert type(got) is int and got == want
+                draws += m > 1
+                # the same 64-bit outputs taken; the buffered half lives in
+                # the closure instead of the bit generator
+                got_state = got_rng.bit_generator.state["state"]["state"]
+                assert got_state == want_rng.bit_generator.state["state"]["state"]
+                if k % 3 == i % 3:  # exponentials take whole outputs
+                    assert got_rng.exponential(0.5) == want_rng.exponential(0.5)
+            # 2**31 + 1 made the rejection loop run
+            assert 2 * raw.outputs > draws + 1
 
 
 class TestReplicateStreams:
