@@ -13,9 +13,13 @@ C(b, 2).
 
 Both paths run as private jump generators yielding (time, blocks) per jump.
 Only ``simulate_bs``/``simulate_kingman`` turn them into ``Trajectory``
-objects.  Both ``Trajectory`` and ``estimate_transition`` check every jump
-with ``pair_key``'s pass on the block tuples, and the estimator counts final
-states by the block tuples of the lattice's own partitions.
+objects.  ``Trajectory`` checks every jump with ``pair_key``'s pass on the
+block tuples, so the public paths check every jump.  ``estimate_transition``
+checks the time of every jump and runs the pass once per distinct
+(fine, coarse) pair a run yields, keyed by the yielded tuples themselves; a
+jump whose time fails is checked in full.  Its Kingman path steps through a
+merge table, ``_kingman_merge`` memoized for the one run, and the estimator
+counts final states by the block tuples of the lattice's own partitions.
 
 Replicate streams: replicate i of a run with seed s draws from
 ``numpy.random.default_rng((s, i))``, so runs are reproducible and
@@ -44,6 +48,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from math import comb, inf, sqrt
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -325,34 +330,49 @@ def _bs_jumps(
 
 
 def _kingman_jumps(
-    n: int, horizon: float | None, rng, below: Callable[[int], int] | None = None
+    n: int,
+    horizon: float | None,
+    rng,
+    below: Callable[[int], int] | None = None,
+    merge: Callable[[Blocks, int], Blocks] | None = None,
 ) -> Iterator[tuple[float, Blocks]]:
     """Uniform pair mergers from the singletons of [n]: (time, blocks) per jump.
 
     ``rng`` and ``below`` are as in ``_bs_jumps``.
 
+    ``merge`` maps (blocks, pair number) to the next blocks
+    (``_kingman_merge`` when None); the estimator passes a per-run memo of it.
+    """
+    if below is None:
+        below = _integers_below(rng)
+    if merge is None:
+        merge = _kingman_merge
+    blocks = tuple((e,) for e in range(1, n + 1))
+    t = 0.0
+    while len(blocks) > 1:
+        rate = comb(len(blocks), 2)
+        t += rng.exponential(1.0 / rate)
+        if horizon is not None and t > horizon:
+            return
+        blocks = merge(blocks, below(rate))
+        yield t, blocks
+
+
+def _kingman_merge(blocks: Blocks, k: int) -> Blocks:
+    """``blocks`` with pair number k merged.
+
     Pair number k is the k-th of ``combinations(range(b), 2)``, decoded
     without building the list; the merged pair a < c lands at position a,
     which keeps the blocks in canonical order.
     """
-    if below is None:
-        below = _integers_below(rng)
-    blocks = [(e,) for e in range(1, n + 1)]
-    t = 0.0
-    while len(blocks) > 1:
-        b = len(blocks)
-        rate = comb(b, 2)
-        t += rng.exponential(1.0 / rate)
-        if horizon is not None and t > horizon:
-            return
-        k = below(rate)
-        a = 0  # skip the rows (a, a+1..b-1) of b - 1 - a pairs before pair k
-        while k >= b - 1 - a:
-            k -= b - 1 - a
-            a += 1
-        merged = blocks[a] + blocks.pop(a + 1 + k)
-        blocks[a] = tuple(sorted(merged))
-        yield t, tuple(blocks)
+    b = len(blocks)
+    a = 0  # skip the rows (a, a+1..b-1) of b - 1 - a pairs before pair k
+    while k >= b - 1 - a:
+        k -= b - 1 - a
+        a += 1
+    c = a + 1 + k
+    merged = tuple(sorted(blocks[a] + blocks[c]))
+    return (*blocks[:a], merged, *blocks[a + 1:c], *blocks[c + 1:])
 
 
 _JUMPS = {"bs": _bs_jumps, "kingman": _kingman_jumps}
@@ -389,9 +409,10 @@ def estimate_transition(
 
     Returns {partition: (exact empirical fraction, binomial standard error)}
     over all of P([n]); the fractions sum to exactly 1.  Replicates run on
-    block tuples, with every jump checked as ``Trajectory`` checks it, and
-    are counted by the blocks of the lattice's partitions; no other
-    ``SetPartition`` is built.
+    block tuples and are counted by the blocks of the lattice's partitions;
+    no other ``SetPartition`` is built.  Every jump's time is checked, and
+    each distinct (fine, coarse) pair of the run gets ``Trajectory``'s
+    coarsening check once.
     """
     return _estimate_transition(model, n, t, reps, seed)[1]
 
@@ -407,12 +428,18 @@ def _estimate_transition(
         raise ValueError("need at least one replicate")
     _check_run(n, t)
     lattice = PartitionLattice(n)  # enforces the size cap before any replicate runs
+    if model == "kingman":  # a merge table that lives as long as this run
+        jumps = partial(jumps, merge=cache(_kingman_merge))
     start = tuple((e,) for e in range(1, n + 1))
     counts: Counter[Blocks] = Counter()
+    passed: set[tuple[Blocks, Blocks]] = set()  # pairs _check_jump passed this run
     for rng in _replicate_streams(seed, reps):
         prev, state = 0.0, start
         for time, blocks in jumps(n, t, rng, _raw_below(rng.bit_generator)):
-            _check_jump(prev, time, state, blocks)
+            pair = state, blocks
+            if not prev < time < inf or pair not in passed:
+                _check_jump(prev, time, state, blocks)
+                passed.add(pair)
             prev, state = time, blocks
         counts[state] += 1
     return lattice, {pi: _estimate(counts[pi.blocks], reps) for pi in lattice}

@@ -275,27 +275,35 @@ class TestAgainstReferencePaths:
     @pytest.mark.parametrize("model", ["bs", "kingman"])
     def test_jumps_checked_by_the_pair_key_pass(self, model, monkeypatch):
         n, t, reps, seed = 5, 1.0, 300, 11
-        jumps = sum(
-            1
-            for rng in simulate._replicate_streams(seed, reps)
-            for _ in simulate._JUMPS[model](n, t, rng)
-        )
+        jumps = simulate._JUMPS[model]
+        yielded = []
+
+        def recorded(n, t, rng, below, **kwargs):
+            state = tuple((e,) for e in range(1, n + 1))
+            for time, blocks in jumps(n, t, rng, below, **kwargs):
+                yielded.append((state, blocks))
+                state = blocks
+                yield time, blocks
+
         assert simulate._block_key is partitions._block_key
-        calls = 0
+        calls = []
         key = simulate._block_key
 
         def counted(fine, coarse):
-            nonlocal calls
-            calls += 1
+            calls.append((fine, coarse))
             return key(fine, coarse)
 
+        monkeypatch.setitem(simulate._JUMPS, model, recorded)
         monkeypatch.setattr(simulate, "_block_key", counted)
         estimate_transition(model, n, t, reps=reps, seed=seed)
-        assert jumps > 0 and calls == jumps
-        calls = 0  # and Trajectory checks its jumps with the same pass
+        # the pass runs once per distinct pair the run yields, and every
+        # yielded jump is a pair it passed
+        assert len(yielded) > len(calls) > 0
+        assert sorted(calls) == sorted(set(calls)) == sorted(set(yielded))
+        calls.clear()  # and Trajectory checks every jump with the same pass
         simulate_path = {"bs": simulate_bs, "kingman": simulate_kingman}[model]
         path = simulate_path(n, None, replicate_rng(seed, 0))
-        assert calls == len(path.times) > 0
+        assert len(calls) == len(path.times) > 0
 
 
 class TestEstimateTransition:
@@ -381,6 +389,59 @@ class TestEstimateTransition:
         monkeypatch.setitem(simulate._JUMPS, "bs", lambda n, t, rng, below: iter(jumps))
         with pytest.raises(ValueError, match="jump times|coarsen"):
             estimate_transition("bs", 3, 1.0, reps=2, seed=0)
+
+    @pytest.mark.parametrize(
+        "jumps",
+        [
+            [(0.5, ((1, 2), (3,))), (0.5, ((1, 2, 3),))],  # repeated time
+            [(0.5, ((1, 2), (3,))), (0.2, ((1, 2, 3),))],  # time goes back
+            [(0.5, ((1, 2), (3,))), (float("inf"), ((1, 2, 3),))],
+            [(float("nan"), ((1, 2), (3,)))],
+        ],
+    )
+    def test_passed_pair_with_failing_time_rejected(self, jumps, monkeypatch):
+        # replicate 0 passes both pairs; replicate 1 repeats one at a bad time
+        legal = [(0.5, ((1, 2), (3,))), (0.7, ((1, 2, 3),))]
+        runs = iter([legal, jumps])
+        monkeypatch.setitem(simulate._JUMPS, "bs", lambda n, t, rng, below: iter(next(runs)))
+        with pytest.raises(ValueError, match="jump times"):
+            estimate_transition("bs", 3, 1.0, reps=2, seed=0)
+
+    @pytest.mark.parametrize(
+        "illegal",
+        [
+            [(0.5, ((1, 2), (3,))), (0.7, ((1, 3), (2,)))],  # not coarser
+            [(0.5, ((1, 2), (3,))), (0.7, ((1, 2), (3,)))],  # no merger
+            [(0.5, ((1, 2), (4,)))],  # another ground set
+        ],
+    )
+    def test_illegal_pair_after_legal_repeats_rejected(self, illegal, monkeypatch):
+        legal = [(0.5, ((1, 2), (3,))), (0.7, ((1, 2, 3),))]
+        runs = iter([legal] * 99 + [illegal])
+        monkeypatch.setitem(simulate._JUMPS, "bs", lambda n, t, rng, below: iter(next(runs)))
+        with pytest.raises(ValueError, match="coarsen"):
+            estimate_transition("bs", 3, 1.0, reps=100, seed=0)
+
+    def test_merge_table_lasts_one_run(self, monkeypatch):
+        merge = simulate._kingman_merge
+        merges = 0
+
+        def counted(blocks, k):
+            nonlocal merges
+            merges += 1
+            return merge(blocks, k)
+
+        monkeypatch.setattr(simulate, "_kingman_merge", counted)
+        made = []
+        for _ in range(2):
+            merges = 0
+            estimate_transition("kingman", 5, 1.0, reps=300, seed=11)
+            made.append(merges)
+        # a table left over from the first run would spare the second its
+        # merges; within a run each (state, pair) is merged once, and P([5])
+        # has only 160 of them against 300 replicates' jumps
+        assert made[0] == made[1]
+        assert 0 < made[0] <= 160
 
 
 class TestPathLaws:
