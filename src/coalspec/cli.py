@@ -297,48 +297,42 @@ def cmd_transition(args) -> int:
     if (args.t is None) == (args.x is None):
         raise ValueError("give exactly one of --t (real time) or --x (exact point)")
     lattice = PartitionLattice(args.n)
-    el = lattice.elements
-    head = {"model": args.model, "n": args.n}
-    if args.x is not None:
-        if args.model != "bs":
-            raise ValueError("exact evaluation at --x is available for --model bs only")
-        try:
-            x = Fraction(args.x)
-        except ZeroDivisionError:
-            raise ValueError(f"--x {args.x!r} has a zero denominator") from None
-        if not 0 < x <= 1:
-            raise ValueError(f"--x {args.x!r} is not e^-t for a time t >= 0; use 0 < x <= 1")
-        head["x"] = format_rational(x)
-
-        def cell(i, j):
-            v = bs_transition_exact(el[i], el[j], x)
-            return format_rational(v) if v else None
-
-        _emit_pair_rows(args, lattice, head, cell)
+    if args.x is None:
+        head = {"model": args.model, "n": args.n, "t": format_real(args.t)}
+        p, per_key = _float_transition(args.model, lattice, args.t)
+        _emit_pair_rows(args, lattice, head, lambda i, j: format_real(p(i, j)), per_key)
         return 0
-    head["t"] = format_real(args.t)
-    p, per_key = _float_transition(args.model, lattice, args.t)
-    _emit_pair_rows(args, lattice, head, lambda i, j: format_real(p(i, j)), per_key)
-    return 0
+    if args.model != "bs":
+        raise ValueError("exact evaluation at --x is available for --model bs only")
+    try:
+        x = Fraction(args.x)
+    except ZeroDivisionError:
+        raise ValueError(f"--x {args.x!r} has a zero denominator") from None
+    if not 0 < x <= 1:
+        raise ValueError(f"--x {args.x!r} is not e^-t for a time t >= 0; use 0 < x <= 1")
+    head = {"model": args.model, "n": args.n, "x": format_rational(x)}
+    return _exact_table(args, lattice, head, lambda pi, rho: bs_transition_exact(pi, rho, x))
 
 
-def _exact_table(args, model: str, formula) -> int:
-    """Emit the exact ``formula(π, ρ)`` over the comparable pairs."""
-    lattice = PartitionLattice(args.n)
+def _exact_table(args, lattice: PartitionLattice, head: dict, formula) -> int:
+    """Emit the exact ``formula(π, ρ)`` over the comparable pairs, zeros left out."""
     el = lattice.elements
-    _emit_pair_rows(
-        args, lattice, {"model": model, "n": args.n},
-        lambda i, j: format_rational(formula(el[i], el[j])),
-    )
+
+    def cell(i, j):
+        v = formula(el[i], el[j])
+        return format_rational(v) if v else None
+
+    _emit_pair_rows(args, lattice, head, cell)
     return 0
 
 
 def cmd_green(args) -> int:
-    return _exact_table(args, "bs", bs_green)
+    return _exact_table(args, PartitionLattice(args.n), {"model": "bs", "n": args.n}, bs_green)
 
 
 def cmd_hitting(args) -> int:
-    return _exact_table(args, args.model, _model(args.model)["hitting"])
+    head = {"model": args.model, "n": args.n}
+    return _exact_table(args, PartitionLattice(args.n), head, _model(args.model)["hitting"])
 
 
 def cmd_simulate(args) -> int:

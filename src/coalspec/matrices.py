@@ -187,9 +187,6 @@ class RatMatrix:
             return NotImplemented
         return self.size == other.size and self._rows == other._rows
 
-    def __hash__(self):
-        raise TypeError("RatMatrix is mutable and unhashable")
-
     def is_identity(self) -> bool:
         if len(self._rows) != self.size:
             return False

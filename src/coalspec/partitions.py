@@ -331,8 +331,8 @@ def interval(pi: SetPartition, rho: SetPartition) -> list[SetPartition]:
 def count_maximal_chains(pi: SetPartition, rho: SetPartition) -> int:
     """Number of maximal chains in [π, ρ].
 
-    Closed form 2^(|ρ|-|π|) (|π|-|ρ|)! ∏_B |restrict(π, B)|!, always an
-    integer.
+    Closed form 2^(|ρ|-|π|) (|π|-|ρ|)! ∏_B |restrict(π, B)|!: the count of
+    maximal chains in ∏_B P(|restrict(π, B)|), so always an integer.
     """
     key = pair_key(pi, rho)
     if key is None:
@@ -341,10 +341,7 @@ def count_maximal_chains(pi: SetPartition, rho: SetPartition) -> int:
     num = factorial(p - r)
     for s in sizes:
         num *= factorial(s)
-    den = 1 << (p - r)
-    if num % den:
-        raise ArithmeticError("chain count was not an integer; formula misapplied")
-    return num // den
+    return num >> (p - r)
 
 
 class PartitionLattice:

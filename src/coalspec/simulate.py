@@ -11,13 +11,14 @@ makes the draws ``sample_rrt`` and ``cut_random`` make on an
 ``IncreasingTree``.  The Kingman path merges a uniform pair of blocks at rate
 C(b, 2).
 
-Both paths run as private jump generators yielding (time, blocks) per jump.
-Only ``simulate_bs``/``simulate_kingman`` turn them into ``Trajectory``
-objects.  ``Trajectory`` checks every jump with ``pair_key``'s pass on the
-block tuples, so the public paths check every jump.  ``estimate_transition``
-checks the time of every jump and runs the pass once per distinct
-(fine, coarse) pair a run yields, keyed by the yielded tuples themselves; a
-jump whose time fails is checked in full.  Its Kingman path steps through a
+Both paths run as private jump generators yielding (time, blocks) per jump;
+each caller hands them its rule for bounded draws, ``below(m)``, and the
+Kingman merge step.  Only ``simulate_bs``/``simulate_kingman`` turn them
+into ``Trajectory`` objects.  ``Trajectory`` checks every jump with
+``pair_key``'s pass on the block tuples, so the public paths check every
+jump.  ``estimate_transition`` checks the time of every jump and runs the
+pass once per distinct (fine, coarse) pair a run yields, keyed by the
+yielded tuples themselves; a jump whose time fails is checked in full.  Its Kingman path steps through a
 merge table, ``_kingman_merge`` memoized for the one run, and the estimator
 counts final states by the block tuples of the lattice's own partitions.
 
@@ -34,8 +35,8 @@ parents, the cut edge, the Kingman pair) from the raw stream: ``_raw_below``
 gives what ``Generator.integers(0, m)`` gives from a state with no buffered
 half, by Lemire's method on PCG64's 32-bit halves (low half first, high half
 kept for the next draw), as numpy >= 1.24 does.  The public
-``simulate_bs``/``simulate_kingman`` accept any ``Generator`` and keep
-drawing through ``Generator.integers``.
+``simulate_bs``/``simulate_kingman`` accept any ``Generator`` and draw
+through ``Generator.integers`` (``_integers_below``).
 
 Estimators return exact empirical fractions (count/reps) so the estimated
 law sums to exactly 1, alongside float binomial standard errors
@@ -287,12 +288,12 @@ def _check_run(n: int, horizon: float | None) -> None:
 
 
 def _bs_jumps(
-    n: int, horizon: float | None, rng, below: Callable[[int], int] | None = None
+    n: int, horizon: float | None, rng, below: Callable[[int], int]
 ) -> Iterator[tuple[float, Blocks]]:
     """Tree-cutting path from the singletons of [n]: (time, blocks) per jump.
 
     Exponential clocks come from ``rng``; ``below(m)``, uniform on
-    range(m), makes the bounded draws (``rng.integers`` when None).
+    range(m), makes every bounded draw.
 
     Node k starts as the singleton {k + 1} with ``parent[k]`` uniform among
     the earlier nodes (the draws of ``sample_rrt``).  A node keeps its
@@ -302,8 +303,6 @@ def _bs_jumps(
     cut node plus the later survivors whose parent is already in it; it
     merges into the cut node's parent.
     """
-    if below is None:
-        below = _integers_below(rng)
     parent = [0] + [below(k) for k in range(1, n)]
     labels = [(k + 1,) for k in range(n)]
     alive = list(range(n))
@@ -333,20 +332,15 @@ def _kingman_jumps(
     n: int,
     horizon: float | None,
     rng,
-    below: Callable[[int], int] | None = None,
-    merge: Callable[[Blocks, int], Blocks] | None = None,
+    below: Callable[[int], int],
+    merge: Callable[[Blocks, int], Blocks],
 ) -> Iterator[tuple[float, Blocks]]:
     """Uniform pair mergers from the singletons of [n]: (time, blocks) per jump.
 
-    ``rng`` and ``below`` are as in ``_bs_jumps``.
-
-    ``merge`` maps (blocks, pair number) to the next blocks
-    (``_kingman_merge`` when None); the estimator passes a per-run memo of it.
+    ``rng`` and ``below`` are as in ``_bs_jumps``.  ``merge`` maps (blocks,
+    pair number) to the next blocks: ``_kingman_merge`` itself on the public
+    path, a memo of it that lives for one run in the estimator.
     """
-    if below is None:
-        below = _integers_below(rng)
-    if merge is None:
-        merge = _kingman_merge
     blocks = tuple((e,) for e in range(1, n + 1))
     t = 0.0
     while len(blocks) > 1:
@@ -393,13 +387,14 @@ def simulate_bs(n: int, horizon: float | None, rng) -> Trajectory:
     ``horizon`` bounds the simulated time window; None runs to absorption.
     """
     _check_run(n, horizon)
-    return _trajectory(n, _bs_jumps(n, horizon, rng))
+    return _trajectory(n, _bs_jumps(n, horizon, rng, _integers_below(rng)))
 
 
 def simulate_kingman(n: int, horizon: float | None, rng) -> Trajectory:
     """Kingman path from the singletons of [n]: uniform pair mergers."""
     _check_run(n, horizon)
-    return _trajectory(n, _kingman_jumps(n, horizon, rng))
+    jumps = _kingman_jumps(n, horizon, rng, _integers_below(rng), _kingman_merge)
+    return _trajectory(n, jumps)
 
 
 def estimate_transition(

@@ -633,6 +633,13 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert ("zero denominator" if x.endswith("/0") else "0 < x <= 1") in err
 
+    def test_lattice_cap_reported_before_x(self, capsys, monkeypatch):
+        # the lattice is built before --x is read, so the cap error wins
+        monkeypatch.delenv("COALSPEC_N_CAP", raising=False)
+        code, out, err = run(capsys, "transition", "--n", "9", "--x", "0")
+        assert code == 2 and out == ""
+        assert "beyond the cap 8" in err and "--x" not in err
+
     @pytest.mark.parametrize("tol", ["0", "-1e-10", "inf", "nan"])
     def test_tol_outside_open_interval_rejected(self, capsys, tol):
         code, out, err = run(capsys, "verify", "--n-max", "2", f"--tol={tol}")
@@ -699,6 +706,16 @@ GOLDEN = [
      "fe95fd6dda51135a5a7748d9a0cca341fc1eadaf270a0b962092e8aff5db95e8"),
     ("transition --n 2 --x 1",
      "48617053d1f33f7a53639cd2d601799bccc61d2a62ccaabd152436171758ff35"),
+    # transition --x shares the exact-table path of green and hitting; at
+    # x = 1 only the diagonal cells are nonzero
+    ("transition --n 6 --x 1/3 --format csv",
+     "ff3950f5e68e368420898c7af41cf99b05471decd8909fb8e0d57057e53eefd1"),
+    ("transition --n 4 --x 1",
+     "9787ebf91b4a3ca4a5f1acb672907d13267677642927ddca26b356704bebba9a"),
+    ("green --n 6 --format csv",
+     "751861215fa0ffca2aca06cd98b66e66406b4a5dabb801e461e20c4a41db162b"),
+    ("hitting --n 6 --model kingman",
+     "e3b625e8f4b460efb5e79d6c96dba48b2924907c1039e6e25516208578772aad"),
 ]
 
 

@@ -62,9 +62,9 @@ def test_stirling_second_frozen_and_oracle():
 def test_lah_frozen_and_oracle():
     assert lah(3, 2) == 6
     assert lah(4, 1) == 24
-    # oracle: sum over partitions into j blocks of prod |B|!
+    # oracle: sum over partitions into j blocks of prod |B|!; none for j > n
     for n in range(1, 7):
-        for j in range(1, n + 1):
+        for j in range(1, n + 2):
             total = 0
             for p in set_partitions(list(range(n))):
                 if len(p) == j:

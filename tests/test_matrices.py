@@ -107,6 +107,8 @@ class TestMatmulAgainstReference:
         assert RatMatrix.identity(4).matmul(a) == a
         assert a.matmul(RatMatrix(4)) == RatMatrix(4)
         assert RatMatrix(0).matmul(RatMatrix(0)) == RatMatrix(0)
+        # a missing row is a zero row, not the identity's
+        assert not RatMatrix.from_rows(2, [(0, 1, {0: 1})]).is_identity()
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="sizes differ"):
@@ -272,6 +274,12 @@ class TestStorage:
         cols = {(i, j): v * diag[j] for (i, j), v in entries.items() if diag[j]}
         assert m.scaled_cols(diag) == from_entries(size, cols)
         assert reference_entries(m.scaled_cols(diag)) == cols
+
+    def test_unhashable(self, lattices):
+        # defining __eq__ leaves RatMatrix, and TriMatrix with it, unhashable
+        for m in (RatMatrix.identity(3), TriMatrix(lattices[3])):
+            with pytest.raises(TypeError):
+                hash(m)
 
     def test_bulk_constructor_checks_indices(self):
         for rows in (

@@ -387,6 +387,26 @@ class TestMaximalChainCounts:
                 == expect
             )
 
+    def test_closed_form_divides_exactly(self):
+        # (p - r)! prod s! / 2^(p - r) counts the maximal chains of
+        # prod_s P(s), so the division is exact for every composition of p
+        from math import factorial, prod
+
+        def compositions(p):
+            if p == 0:
+                yield ()
+            for first in range(1, p + 1):
+                for rest in compositions(p - first):
+                    yield (first, *rest)
+
+        checked = 0
+        for p in range(1, 13):
+            for sizes in compositions(p):
+                r = len(sizes)
+                assert factorial(p - r) * prod(map(factorial, sizes)) % 2 ** (p - r) == 0
+                checked += 1
+        assert checked == 2**12 - 1
+
     def test_chain_recursions(self, lattices):
         # m(pi, rho) = sum over first steps = sum over last steps
         for n in range(2, 6):

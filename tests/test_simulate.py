@@ -233,6 +233,50 @@ class TestAgainstReferencePaths:
                     assert got_state["pos"] == want_state["pos"]
                     assert np.array_equal(got_state["key"], want_state["key"])
 
+    class ExponentialOnly:
+        """A Generator's exponential clocks with its bounded draws forbidden."""
+
+        def __init__(self, rng):
+            self.exponential = rng.exponential
+
+        def integers(self, *args, **kwargs):
+            raise AssertionError("a bounded draw did not go through below")
+
+    @pytest.mark.parametrize("model", ["bs", "kingman"])
+    def test_bounded_draws_come_through_below(self, model):
+        # the jump generators take their draw rule as an argument: every
+        # bounded draw goes through ``below``, in the order the public path
+        # makes it through Generator.integers
+        public = {"bs": simulate_bs, "kingman": simulate_kingman}[model]
+        for n in (1, 2, 5, 8):
+            for horizon in (None, 0.3):
+                for i in range(10):
+                    rng, reference_rng = replicate_rng(n, i), replicate_rng(n, i)
+                    draw = simulate._integers_below(rng)
+                    bounds = []
+
+                    def below(m):
+                        bounds.append(m)
+                        return draw(m)
+
+                    clocks = self.ExponentialOnly(rng)
+                    if model == "bs":
+                        path = simulate._bs_jumps(n, horizon, clocks, below)
+                    else:
+                        path = simulate._kingman_jumps(
+                            n, horizon, clocks, below, simulate._kingman_merge
+                        )
+                    jumps = list(path)
+                    want = public(n, horizon, reference_rng)
+                    assert tuple(t for t, _ in jumps) == want.times
+                    assert [b for _, b in jumps] == [s.blocks for s in want.states[1:]]
+                    assert rng.bit_generator.state == reference_rng.bit_generator.state
+                    sizes = [len(s) for s in want.states[:-1]]
+                    if model == "bs":  # the tree's parents, then one edge per cut
+                        assert bounds == [*range(1, n), *(b - 1 for b in sizes)]
+                    else:  # one pair per merger
+                        assert bounds == [comb(b, 2) for b in sizes]
+
     @pytest.mark.parametrize("model", ["bs", "kingman"])
     def test_estimate_matches_reference(self, model):
         # n <= 2 makes no bounded draw; n = 8 draws up to m = C(8, 2) = 28
@@ -366,7 +410,7 @@ class TestEstimateTransition:
         runs = []
         jumps = simulate._JUMPS[model]
 
-        def counted(n, t, rng, below=None):
+        def counted(n, t, rng, below):
             runs.append(n)
             return jumps(n, t, rng, below)
 
