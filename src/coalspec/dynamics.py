@@ -194,6 +194,7 @@ def transition_via_triple(triple: SpectralTriple, t: float) -> np.ndarray:
         raise ValueError(f"time must be {'nonnegative' if t < 0 else 'finite'}")
     R = triple.R.to_float()
     L = triple.L.to_float()
-    # products in Python floats: an overflow is -inf, and e^-inf = 0, unwarned
-    w = np.exp([t * float(d) for d in triple.D])
-    return (R * w) @ L
+    # products in Python floats: an overflow is -inf, and e^-inf = 0, unwarned;
+    # R's columns are scaled in place, so no third dense array is made
+    R *= np.exp([t * float(d) for d in triple.D])
+    return R @ L

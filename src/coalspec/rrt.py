@@ -22,6 +22,7 @@ Bolthausen-Sznitman generator.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from math import factorial
 from types import MappingProxyType
@@ -44,63 +45,52 @@ Block = tuple[int, ...]
 ENUMERATION_CAP = 9
 
 
+@dataclass(frozen=True, slots=True)
 class IncreasingTree:
-    """An increasing tree on the blocks of a partition.
+    """An increasing tree on the blocks of a partition, as a frozen value.
 
     ``parent`` maps every non-root block to its parent block; the root is the
-    block holding the smallest ground element.  Instances are immutable and
-    hashable (usable as counter keys in distribution tests).
+    block holding the smallest ground element.  The fields cannot be
+    reassigned and ``parent`` is a read-only view, so trees compare and hash
+    by value (usable as counter keys in distribution tests).
     """
 
-    __slots__ = ("_labels", "_parent")
+    labels: SetPartition
+    parent: Mapping[Block, Block]
 
-    def __init__(self, labels: SetPartition, parent: Mapping[Block, Block]):
-        blocks = labels.blocks
-        root = blocks[0]
-        if set(parent) != set(blocks[1:]):
+    def __post_init__(self):
+        blocks = self.labels.blocks
+        if set(self.parent) != set(blocks[1:]):
             raise ValueError("parent map must cover exactly the non-root blocks")
-        for child, par in parent.items():
-            if par not in set(blocks):
+        for child, par in self.parent.items():
+            if par not in blocks:
                 raise ValueError(f"parent {par!r} is not a block of the partition")
             if par[0] >= child[0]:
                 raise ValueError(
                     f"minima must increase along edges: {par!r} -> {child!r}"
                 )
-        object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_parent", dict(parent))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IncreasingTree is immutable")
-
-    @property
-    def labels(self) -> SetPartition:
-        """The label partition p(T)."""
-        return self._labels
+        object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
 
     @property
     def root(self) -> Block:
-        return self._labels.blocks[0]
-
-    @property
-    def parent(self) -> Mapping[Block, Block]:
-        return MappingProxyType(self._parent)
+        return self.labels.blocks[0]
 
     @property
     def nodes(self) -> tuple[Block, ...]:
-        return self._labels.blocks
+        return self.labels.blocks
 
     @property
     def non_root_nodes(self) -> tuple[Block, ...]:
         """Nodes identifying the |π| - 1 edges (each edge named by its upper node)."""
-        return self._labels.blocks[1:]
+        return self.labels.blocks[1:]
 
     @property
     def edge_count(self) -> int:
-        return len(self._labels) - 1
+        return len(self.labels) - 1
 
     def children_map(self) -> dict[Block, list[Block]]:
         kids: dict[Block, list[Block]] = {b: [] for b in self.nodes}
-        for child, par in self._parent.items():
+        for child, par in self.parent.items():
             kids[par].append(child)
         return kids
 
@@ -120,21 +110,14 @@ class IncreasingTree:
         label = lambda b: ",".join(str(e) for e in b)
         return {
             "labels": [label(b) for b in self.nodes],
-            "parent": {label(c): label(p) for c, p in sorted(self._parent.items())},
+            "parent": {label(c): label(p) for c, p in sorted(self.parent.items())},
         }
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IncreasingTree)
-            and self._labels == other._labels
-            and self._parent == other._parent
-        )
-
     def __hash__(self) -> int:
-        return hash((self._labels, frozenset(self._parent.items())))
+        return hash((self.labels, frozenset(self.parent.items())))
 
     def __repr__(self) -> str:
-        return f"IncreasingTree({self._labels.to_string()!r}, {self.edge_count} edges)"
+        return f"IncreasingTree({self.labels.to_string()!r}, {self.edge_count} edges)"
 
 
 def sample_rrt(pi: SetPartition, rng) -> IncreasingTree:
@@ -184,13 +167,9 @@ def cut_edge(tree: IncreasingTree, node: Block) -> IncreasingTree:
     new_blocks = [merged if b == base else b
                   for b in tree.nodes if b not in removed]
     relabel = lambda b: merged if b == base else b
-    new_parent: dict[Block, Block] = {}
-    for child, par in tree.parent.items():
-        if child in removed or child == base:
-            continue
-        new_parent[child] = relabel(par)
-    if base != tree.root:
-        new_parent[merged] = tree.parent[base]
+    new_parent = {
+        relabel(c): relabel(p) for c, p in tree.parent.items() if c not in removed
+    }
     return IncreasingTree(SetPartition(new_blocks), new_parent)
 
 

@@ -573,10 +573,12 @@ class TestVerify:
             return _original(sigma)
 
         monkeypatch.setattr(oracles, "merge_covers", counted)
+        oracles._hitting_from.cache_clear()
         checks = dict(cli._verify_checks(5, 1e-10))
         assert all(checks.values())
-        # one solve per target and model; a fresh memo per pair takes 1586
-        assert calls["merge_covers"] <= 561
+        # one solve per state and model, 2 * bell(5); a memo per target takes
+        # 561 and a fresh memo per pair 1586
+        assert calls["merge_covers"] <= 104
 
     @pytest.mark.parametrize("name, check", [
         ("bs_green", "bs-green-vs-fundamental"),

@@ -190,3 +190,31 @@ class TestHittingBruteforce:
     def test_ground_mismatch(self):
         with pytest.raises(ValueError):
             hitting_bruteforce("bs", P("1|2"), P("1,2,3"))
+
+    def test_work_does_not_depend_on_call_order(self, lattices, monkeypatch):
+        import coalspec.oracles as oracles
+
+        calls = 0
+
+        def counted(sigma, _original=oracles.merge_covers):
+            nonlocal calls
+            calls += 1
+            return _original(sigma)
+
+        monkeypatch.setattr(oracles, "merge_covers", counted)
+        lattice = lattices[5]
+        by_source = [(i, j) for i, j, _ in lattice.comparable_pairs()]
+        by_target = sorted(by_source, key=lambda ij: ij[1])
+        for model in ("bs", "kingman"):
+            work, values = [], []
+            for order in (by_source, by_target):
+                oracles._hitting_from.cache_clear()
+                calls = 0
+                values.append({
+                    (i, j): hitting_bruteforce(model, lattice[i], lattice[j])
+                    for i, j in order
+                })
+                work.append(calls)
+            # one solve per state, whichever order the pairs come in
+            assert work == [len(lattice), len(lattice)]
+            assert values[0] == values[1]

@@ -1,5 +1,7 @@
 """Increasing trees: enumeration, cutting, containment, sampling laws."""
 
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -75,6 +77,13 @@ class TestIncreasingTree:
         with pytest.raises(TypeError):
             a.parent[(2,)] = (1,)
 
+    def test_insertion_order_does_not_matter(self):
+        pi = P("1|2|3|4")
+        edges = [((2,), (1,)), ((3,), (1,)), ((4,), (2,))]
+        a = IncreasingTree(pi, dict(edges))
+        b = IncreasingTree(pi, dict(reversed(edges)))
+        assert a == b and hash(a) == hash(b)
+
     def test_subtree_nodes(self):
         pi = P("1|2|3|4")
         t = IncreasingTree(pi, {(2,): (1,), (3,): (2,), (4,): (2,)})
@@ -147,6 +156,19 @@ class TestCutting:
             covers = set(merge_covers(t.labels))
             for node in t.non_root_nodes:
                 assert cut_edge(t, node).labels in covers
+
+    def test_every_cut_pinned_by_digest(self):
+        # every edge of every tree on 1|2|3|4|5 and on 1,4|2|3,5, in order
+        cuts = [
+            cut_edge(t, v).to_json()
+            for pi in (SetPartition.singletons(5), P("1,4|2|3,5"))
+            for t in enumerate_increasing_trees(pi)
+            for v in t.non_root_nodes
+        ]
+        assert len(cuts) == 100
+        assert hashlib.sha256(json.dumps(cuts).encode()).hexdigest() == (
+            "35dde859737ce6c9506192832610494fb494438cbb68d9bf64ef27cbf8c45c8a"
+        )
 
     def test_invalid_edge(self):
         t = IncreasingTree(P("1|2"), {(2,): (1,)})
@@ -266,6 +288,15 @@ class TestSampling:
         a = sample_rrt(pi, np.random.default_rng(42))
         b = sample_rrt(pi, np.random.default_rng(42))
         assert a == b
+
+    def test_seeded_trees_pinned_by_digest(self):
+        trees = [
+            sample_rrt(SetPartition.singletons(6), np.random.default_rng(s)).to_json()
+            for s in range(10)
+        ]
+        assert hashlib.sha256(json.dumps(trees).encode()).hexdigest() == (
+            "2263f07a7eded56d5957f4fbd6e21de91d50eb0d9a4ad2a56c33759d7e985c4d"
+        )
 
     def test_uniformity(self):
         pi = P("1|2|3|4")
