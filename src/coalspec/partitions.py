@@ -19,6 +19,7 @@ of n = 8 can be overridden with the COALSPEC_N_CAP environment variable.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from math import factorial
@@ -73,19 +74,24 @@ def _check_cap(n: int) -> None:
         )
 
 
+# a partition as canonical block tuples: each block sorted, blocks by their minima
+Blocks = tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True, slots=True)
 class SetPartition:
     """An unordered partition of a finite set of positive integers.
 
     Blocks are stored canonically: each block as a sorted tuple, blocks sorted
-    by their minima.  Instances are immutable and hashable.
+    by their minima.  A frozen value: hashable, and it pickles and copies.
     """
 
-    __slots__ = ("_blocks",)
+    blocks: Blocks
 
-    def __init__(self, blocks: Iterable[Iterable[int]]):
+    def __post_init__(self):
         canon = []
         seen: set[int] = set()
-        for raw in blocks:
+        for raw in self.blocks:
             block = tuple(sorted(raw))
             if not block:
                 raise ValueError("blocks must be nonempty")
@@ -99,10 +105,7 @@ class SetPartition:
         if not canon:
             raise ValueError("a partition needs at least one block")
         canon.sort(key=lambda b: b[0])
-        object.__setattr__(self, "_blocks", tuple(canon))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetPartition is immutable")
+        object.__setattr__(self, "blocks", tuple(canon))
 
     @classmethod
     def singletons(cls, items: int | Iterable[int]) -> "SetPartition":
@@ -127,25 +130,21 @@ class SetPartition:
 
     def to_string(self) -> str:
         """Canonical encoding: blocks sorted by min, ``"1,3|2|4"``."""
-        return "|".join(",".join(str(e) for e in b) for b in self._blocks)
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self._blocks
+        return "|".join(",".join(str(e) for e in b) for b in self.blocks)
 
     @property
     def n(self) -> int:
         """Size of the ground set."""
-        return sum(len(b) for b in self._blocks)
+        return sum(len(b) for b in self.blocks)
 
     @property
     def ground(self) -> tuple[int, ...]:
-        return tuple(sorted(e for b in self._blocks for e in b))
+        return tuple(sorted(e for b in self.blocks for e in b))
 
     @property
     def sort_key(self):
         """Linear-extension key: decreasing block count, then canonical blocks."""
-        return (-len(self._blocks), self._blocks)
+        return (-len(self.blocks), self.blocks)
 
     def refines(self, other: "SetPartition") -> bool:
         """True iff every block of self lies inside a block of ``other``."""
@@ -161,30 +160,23 @@ class SetPartition:
         if not wanted <= set(self.ground):
             raise ValueError("restriction subset must lie inside the ground set")
         pieces = []
-        for block in self._blocks:
+        for block in self.blocks:
             piece = tuple(e for e in block if e in wanted)
             if piece:
                 pieces.append(piece)
         return SetPartition(pieces)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SetPartition) and self._blocks == other._blocks
-
     def __hash__(self) -> int:
-        return hash(self._blocks)
+        return hash(self.blocks)
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self.blocks)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self._blocks)
+        return iter(self.blocks)
 
     def __repr__(self) -> str:
         return f"SetPartition({self.to_string()!r})"
-
-
-# a partition as canonical block tuples: each block sorted, blocks by their minima
-Blocks = tuple[tuple[int, ...], ...]
 
 
 def _owners(blocks: Blocks) -> dict[int, int]:

@@ -71,6 +71,9 @@ class IncreasingTree:
                 )
         object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
 
+    def __reduce__(self):  # a mappingproxy does not pickle; rebuild through __init__
+        return IncreasingTree, (self.labels, dict(self.parent))
+
     @property
     def root(self) -> Block:
         return self.labels.blocks[0]

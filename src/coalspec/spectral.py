@@ -215,10 +215,13 @@ def verify_triple(Q: RatMatrix, triple: SpectralTriple) -> VerificationReport:
     unit = all(
         triple.R.get(i, i) == 1 and triple.L.get(i, i) == 1 for i in range(Q.size)
     )
+    # R and L are square and exact, so L R = I iff R L = I: one product decides both
+    inverse = triple.L.matmul(triple.R).is_identity()
+    # given L = R^-1, Q = R D L iff Q R = R D, the cheaper product
+    rdl = Q.matmul(triple.R) == triple.R.scaled_cols(triple.D) if inverse else triple.rdl() == Q
     return VerificationReport(
-        q_equals_rdl=(triple.rdl() == Q),
-        # R and L are square and exact, so L R = I iff R L = I: one product decides both
-        lr_identity=(inverse := triple.L.matmul(triple.R).is_identity()),
+        q_equals_rdl=rdl,
+        lr_identity=inverse,
         rl_identity=inverse,
         unit_diagonals=unit,
         triangular_support=_support_ok(triple, Q),

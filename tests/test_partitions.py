@@ -1,5 +1,9 @@
 """Set partitions, refinement order and the lattice linear extension."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 
 from coalspec import partitions
@@ -8,6 +12,13 @@ from coalspec import (
     SetPartition,
     SizeLimitError,
     bell,
+    bs_rates,
+    bs_triple,
+    build_generator,
+    estimate_transition,
+    sample_rrt,
+    simulate_bs,
+    verify_triple,
     coarsenings,
     count_maximal_chains,
     interval,
@@ -62,6 +73,8 @@ class TestSetPartition:
         p = P("1|2")
         with pytest.raises(AttributeError):
             p.blocks = ()
+        assert hash(p) == hash(p.blocks)
+        assert SetPartition(blocks=[[2], [1]]) == p
 
 
 class TestRefinement:
@@ -435,3 +448,52 @@ class TestMaximalChainCounts:
 def test_set_partitions_counts():
     for n in range(7):
         assert sum(1 for _ in set_partitions(list(range(n)))) == bell(n)
+
+
+def _lattice_values():
+    lattice = PartitionLattice(5)
+    Q, T = build_generator(lattice, bs_rates(5)), bs_triple(lattice)
+    return lattice, Q, T, verify_triple(Q, T)
+
+
+# (value, what two copies must agree on): every value that holds a partition
+ROUND_TRIPS = {
+    "partition": (lambda: P("1,3|2|4"), lambda p: p),
+    "lattice": (lambda: PartitionLattice(5), lambda lat: lat.elements),
+    "generator": (
+        lambda: _lattice_values()[1], lambda Q: (Q, Q.lattice.elements)
+    ),
+    "triple": (lambda: _lattice_values()[2], lambda t: (t.R, t.D, t.L)),
+    "trajectory": (
+        lambda: simulate_bs(6, None, np.random.default_rng(3)), lambda tr: tr
+    ),
+    "transition table": (
+        lambda: estimate_transition("kingman", 4, 0.5, reps=50, seed=0), lambda d: d
+    ),
+    "tree": (
+        lambda: sample_rrt(SetPartition.singletons(6), np.random.default_rng(1)),
+        lambda tree: tree,
+    ),
+    "rates": (lambda: bs_rates(4), lambda rates: rates.items()),
+    "report": (lambda: _lattice_values()[3], lambda report: report),
+}
+
+
+class TestRoundTrip:
+    """Library values pickle and copy, so they cross process boundaries."""
+
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+    def test_pickle_and_copies(self, name):
+        make, view = ROUND_TRIPS[name]
+        value = make()
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                     copy.deepcopy(value)):
+            assert type(twin) is type(value)
+            assert view(twin) == view(value)
+
+    def test_unpickled_tree_stays_read_only(self):
+        tree = sample_rrt(SetPartition.singletons(5), np.random.default_rng(0))
+        twin = pickle.loads(pickle.dumps(tree))
+        assert twin == tree and hash(twin) == hash(tree)
+        with pytest.raises(TypeError):
+            twin.parent[tree.non_root_nodes[0]] = tree.root

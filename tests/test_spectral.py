@@ -246,13 +246,72 @@ class TestInverseProducts:
             (bs_block_generator(6), bs_block_triple(6)),
             (bs_block_generator(6), kingman_block_triple(6)),
         ]
-        inverse = []
+        inverse, rdl = [], []
         for Q, t in cases:
             report = verify_triple(Q, t)
             assert report.rl_identity == report.lr_identity
             assert report.rl_identity == t.R.matmul(t.L).is_identity()
             inverse.append(report.rl_identity)
+            rdl.append(report.q_equals_rdl)
         assert inverse == [True, True, True, False, False, True, True]
+        assert rdl == [True, True, False, False, False, True, False]
+
+    @staticmethod
+    def lattice_cases(n):
+        lat = PartitionLattice(n)
+        bs, km = bs_triple(lat), kingman_triple(lat)
+        triples = {
+            "bs": bs,
+            "kingman": km,
+            "doubled": SpectralTriple(bs.R, bs.D, bs.L.scaled_cols([F(2)] * bs.size)),
+            "mixed": SpectralTriple(bs.R, bs.D, km.L),
+        }
+        generators = {"bs": build_generator(lat, bs_rates(n)),
+                      "kingman": build_generator(lat, kingman_rates(n))}
+        return generators, triples
+
+    # flags that fail, by (Q, triple) and n; a pair or n not named passes all five
+    RDL, INV, UNIT = {"q_equals_rdl"}, {"lr_identity", "rl_identity"}, {"unit_diagonals"}
+    DOUBLED = {1: INV | UNIT, **dict.fromkeys(range(2, 6), RDL | INV | UNIT)}  # D = 0 at n = 1
+    LATTICE_FAILS = {
+        ("bs", "kingman"): {3: RDL, 4: RDL, 5: RDL},
+        ("kingman", "bs"): {3: RDL, 4: RDL, 5: RDL},
+        ("bs", "doubled"): DOUBLED,
+        ("kingman", "doubled"): DOUBLED,
+        ("bs", "mixed"): {4: RDL | INV, 5: RDL | INV},
+        ("kingman", "mixed"): {3: RDL, 4: RDL | INV, 5: RDL | INV},
+    }
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_lattice_flags(self, n):
+        generators, triples = self.lattice_cases(n)
+        for q, Q in generators.items():
+            for name, t in triples.items():
+                fails = self.LATTICE_FAILS.get((q, name), {}).get(n, set())
+                report = verify_triple(Q, t).as_dict()
+                assert {k for k, ok in report.items() if not ok} == fails, (q, name)
+
+    def test_block_flags(self):
+        builds = {"bs": (bs_block_generator, bs_block_triple),
+                  "kingman": (kingman_block_generator, kingman_block_triple)}
+        for n in range(1, 31):
+            for q, (generator, _) in builds.items():
+                for name, (_, triple) in builds.items():
+                    report = verify_triple(generator(n), triple(n)).as_dict()
+                    fails = self.RDL if q != name and n >= 3 else set()
+                    assert {k for k, ok in report.items() if not ok} == fails, (q, name, n)
+
+    def test_inverse_pair_skips_rdl(self, monkeypatch):
+        """Once L R = I, Q = R D L is checked as Q R = R D, without R D L."""
+        def refuse(self):
+            raise AssertionError("R D L was formed")
+
+        monkeypatch.setattr(SpectralTriple, "rdl", refuse)
+        generators, triples = self.lattice_cases(5)
+        for model in ("bs", "kingman"):
+            assert verify_triple(generators[model], triples[model]).all_pass
+        assert verify_triple(bs_block_generator(20), bs_block_triple(20)).all_pass
+        assert verify_triple(kingman_block_generator(20), kingman_block_triple(20)).all_pass
 
     @pytest.mark.parametrize("block", [False, True])
     def test_two_products(self, block, bs_generators, kingman_triples, monkeypatch):
