@@ -11,16 +11,23 @@ makes the draws ``sample_rrt`` and ``cut_random`` make on an
 ``IncreasingTree``.  The Kingman path merges a uniform pair of blocks at rate
 C(b, 2).
 
-Both paths run as private jump generators yielding (time, blocks) per jump;
-each caller hands them its rule for bounded draws, ``below(m)``, and the
-Kingman merge step.  Only ``simulate_bs``/``simulate_kingman`` turn them
-into ``Trajectory`` objects.  ``Trajectory`` checks every jump with
-``pair_key``'s pass on the block tuples, so the public paths check every
-jump.  ``estimate_transition`` checks the time of every jump and runs the
-pass once per distinct (fine, coarse) pair a run yields, keyed by the
-yielded tuples themselves; a jump whose time fails is checked in full.  Its Kingman path steps through a
-merge table, ``_kingman_merge`` memoized for the one run, and the estimator
-counts final states by the block tuples of the lattice's own partitions.
+The public paths run as private jump generators yielding (time, blocks)
+per jump; each caller hands them its rule for bounded draws, ``below(m)``,
+and ``_bs_cut`` or ``_kingman_merge`` makes each jump.  Only
+``simulate_bs``/``simulate_kingman`` turn them into ``Trajectory`` objects,
+and ``Trajectory`` checks every jump with ``pair_key``'s pass on the block
+tuples.
+
+``estimate_transition`` makes the same draws in the same order but steps
+every replicate through a table that lasts one run: each distinct state gets
+an int id holding its rate, its canonical blocks and its successors, filled
+on first use by the same two rules (Kingman states are keyed by their
+blocks, BS states by the drawn tree and its surviving nodes).  A repeated
+jump costs one exponential clock, one bounded draw and one list index.  The
+estimator checks the time of every jump, before the horizon test, and runs
+the pass when a jump is first filled, once per distinct pair of partition
+ids; final states are counted by partition id and read out by the block
+tuples of the lattice's own partitions.
 
 Replicate streams: replicate i of a run with seed s draws from
 ``numpy.random.default_rng((s, i))``, so runs are reproducible and
@@ -46,10 +53,8 @@ sqrt(p(1-p)/reps).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 from math import comb, inf, sqrt
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -111,14 +116,19 @@ def _check_jump(prev: float, t: float, fine: Blocks, coarse: Blocks) -> None:
     finite and later, and ``coarse`` must strictly coarsen ``fine``: the
     pair has a key (the same ground set, fine ≤ coarse) with fewer blocks.
     """
-    if not prev < t < inf:
-        raise ValueError("jump times must be finite and increase strictly from 0")
+    _check_time(prev, t)
     try:
         key = _block_key(fine, coarse)
     except ValueError:
         key = None
     if key is None or key[1] >= key[0]:
         raise ValueError("states must coarsen strictly at each jump")
+
+
+def _check_time(prev: float, t: float) -> None:
+    """Raise ValueError unless t is finite and later than ``prev``."""
+    if not prev < t < inf:
+        raise ValueError("jump times must be finite and increase strictly from 0")
 
 
 def replicate_rng(seed: int, i: int) -> np.random.Generator:
@@ -212,13 +222,17 @@ def _replicate_streams(seed: int, reps: int) -> Iterator[np.random.Generator]:
     before the next one is taken.  Per batch of ``_CHUNK`` replicates the
     SeedSequence hash runs vectorised; per replicate PCG64's seeding
     (``pcg_setseq_128_srandom_r``) runs on Python ints: inc = 2 initseq + 1,
-    then step, add initstate, step.
+    then step, add initstate, step.  The two numbers go into one state dict,
+    refilled in place for every replicate, that the bit generator's setter
+    reads.
     """
     import numpy as np
 
     seed_words = _words(seed)
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 1}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for start in range(0, reps, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, reps), dtype=np.uint64)
         words = np.stack(_generate_state(seed_words, i), axis=1)
@@ -230,13 +244,9 @@ def _replicate_streams(seed: int, reps: int) -> Iterator[np.random.Generator]:
         for k in range(0, len(data), 32):
             initstate = int.from_bytes(data[k:k + 16], "big")
             inc = (int.from_bytes(data[k + 16:k + 32], "big") << 1 | 1) & _MASK128
-            state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            pcg["state"] = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+            pcg["inc"] = inc
+            bit_generator.state = state
             yield rng
 
 
@@ -293,53 +303,64 @@ def _bs_jumps(
     """Tree-cutting path from the singletons of [n]: (time, blocks) per jump.
 
     Exponential clocks come from ``rng``; ``below(m)``, uniform on
-    range(m), makes every bounded draw.
-
-    Node k starts as the singleton {k + 1} with ``parent[k]`` uniform among
-    the earlier nodes (the draws of ``sample_rrt``).  A node keeps its
-    minimum, so the surviving nodes in index order are the blocks in
-    canonical order and ``alive[1:]`` are the edges ``cut_random`` draws
-    from.  A parent precedes its child, so the subtree below a cut is the
-    cut node plus the later survivors whose parent is already in it; it
-    merges into the cut node's parent.
+    range(m), makes every bounded draw.  Node k starts as the singleton
+    {k + 1} with ``parent[k]`` uniform among the earlier nodes (the draws of
+    ``sample_rrt``); each jump cuts edge ``below(edges) + 1`` by ``_bs_cut``.
     """
-    parent = [0] + [below(k) for k in range(1, n)]
-    labels = [(k + 1,) for k in range(n)]
-    alive = list(range(n))
+    parent = _bs_tree(n, below)
+    alive, blocks = tuple(range(n)), tuple((k + 1,) for k in range(n))
     t = 0.0
     while len(alive) > 1:
         edges = len(alive) - 1
         t += rng.exponential(1.0 / edges)
         if horizon is not None and t > horizon:
             return
-        cut = below(edges) + 1
-        node = alive[cut]
-        subtree = {node}
-        merged = [*labels[parent[node]], *labels[node]]
-        kept = alive[:cut]
-        for v in alive[cut + 1:]:
-            if parent[v] in subtree:
-                subtree.add(v)
-                merged += labels[v]
-            else:
-                kept.append(v)
-        labels[parent[node]] = tuple(sorted(merged))
-        alive = kept
-        yield t, tuple([labels[v] for v in alive])
+        alive, blocks = _bs_cut(parent, alive, blocks, below(edges) + 1)
+        yield t, blocks
+
+
+def _bs_tree(n: int, below: Callable[[int], int]) -> tuple[int, ...]:
+    """A uniform increasing tree on nodes 0..n-1 as its parent array."""
+    return (0, *[below(k) for k in range(1, n)])
+
+
+def _bs_cut(
+    parent: tuple[int, ...], alive: tuple[int, ...], blocks: Blocks, cut: int
+) -> tuple[tuple[int, ...], Blocks]:
+    """The surviving nodes and blocks after cutting the edge above ``alive[cut]``.
+
+    ``alive`` lists the surviving nodes in index order and ``blocks[i]`` is
+    the label set of node ``alive[i]``.  A node keeps its minimum, so the
+    blocks are in canonical order and ``alive[1:]`` are the edges
+    ``cut_random`` draws from.  A parent precedes its child and survives it,
+    so the subtree below the cut is the cut node plus the later survivors
+    whose parent is already in it; its labels merge into the parent's block.
+    """
+    node = alive[cut]
+    up = alive.index(parent[node])
+    subtree = {node}
+    merged = [*blocks[up], *blocks[cut]]
+    kept, kept_blocks = [*alive[:cut]], [*blocks[:cut]]
+    for i in range(cut + 1, len(alive)):
+        v = alive[i]
+        if parent[v] in subtree:
+            subtree.add(v)
+            merged += blocks[i]
+        else:
+            kept.append(v)
+            kept_blocks.append(blocks[i])
+    merged.sort()
+    kept_blocks[up] = tuple(merged)
+    return tuple(kept), tuple(kept_blocks)
 
 
 def _kingman_jumps(
-    n: int,
-    horizon: float | None,
-    rng,
-    below: Callable[[int], int],
-    merge: Callable[[Blocks, int], Blocks],
+    n: int, horizon: float | None, rng, below: Callable[[int], int]
 ) -> Iterator[tuple[float, Blocks]]:
     """Uniform pair mergers from the singletons of [n]: (time, blocks) per jump.
 
-    ``rng`` and ``below`` are as in ``_bs_jumps``.  ``merge`` maps (blocks,
-    pair number) to the next blocks: ``_kingman_merge`` itself on the public
-    path, a memo of it that lives for one run in the estimator.
+    ``rng`` and ``below`` are as in ``_bs_jumps``; ``_kingman_merge`` makes
+    each merger.
     """
     blocks = tuple((e,) for e in range(1, n + 1))
     t = 0.0
@@ -348,7 +369,7 @@ def _kingman_jumps(
         t += rng.exponential(1.0 / rate)
         if horizon is not None and t > horizon:
             return
-        blocks = merge(blocks, below(rate))
+        blocks = _kingman_merge(blocks, below(rate))
         yield t, blocks
 
 
@@ -369,7 +390,78 @@ def _kingman_merge(blocks: Blocks, k: int) -> Blocks:
     return (*blocks[:a], merged, *blocks[a + 1:c], *blocks[c + 1:])
 
 
-_JUMPS = {"bs": _bs_jumps, "kingman": _kingman_jumps}
+class _JumpTable:
+    """The states one estimator run meets, each with an int id.
+
+    ``states[s]`` is (rate, scale, base, part): state s leaves at total rate
+    ``rate`` (0 once absorbed) on a clock of scale 1.0 / rate, bounded draw
+    k leads to state ``succ[base + k]``, -1 until the estimator first takes
+    that jump and stores ``successor(s, k)`` there, and its partition has id
+    ``part``, blocks ``blocks[part]`` and a count ``finals[part]`` of the
+    replicates that end in it.  ``keys[s]`` is what the model's rule steps
+    from.  A table lives for one run.  Every successor sits in the one flat
+    ``succ`` list and a state is a tuple of numbers, so the garbage
+    collector, which rescans every list it tracks, has no list per state.
+    """
+
+    def __init__(self):
+        self.ids: dict = {}  # keys[s] -> s
+        self.keys: list = []
+        self.states: list[tuple[int, float, int, int]] = []
+        self.succ: list[int] = []
+        self.part_ids: dict[Blocks, int] = {}
+        self.blocks: list[Blocks] = []
+        self.finals: list[int] = []
+
+    def state(self, key, blocks: Blocks, rate: int) -> int:
+        """The id of state ``key``, added with its blocks and rate if new."""
+        s = self.ids.get(key)
+        if s is None:
+            s = self.ids[key] = len(self.states)
+            part = self.part_ids.setdefault(blocks, len(self.blocks))
+            if part == len(self.blocks):
+                self.blocks.append(blocks)
+                self.finals.append(0)
+            self.keys.append(key)
+            self.states.append((rate, 1.0 / rate if rate else inf, len(self.succ), part))
+            self.succ.extend([-1] * rate)
+        return s
+
+
+class _KingmanTable(_JumpTable):
+    """States keyed by their blocks; draw k merges pair number k."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        singletons = tuple((e,) for e in range(1, n + 1))
+        self.state(singletons, singletons, comb(n, 2))
+
+    def start(self, below: Callable[[int], int]) -> int:
+        return 0
+
+    def successor(self, s: int, k: int) -> int:
+        blocks = _kingman_merge(self.keys[s], k)
+        return self.state(blocks, blocks, comb(len(blocks), 2))
+
+
+class _BsTable(_JumpTable):
+    """States keyed by (drawn tree, surviving nodes); draw k cuts edge k + 1."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n, self.everyone = n, tuple(range(n))
+        self.singletons = tuple((e,) for e in range(1, n + 1))
+
+    def start(self, below: Callable[[int], int]) -> int:
+        return self.state((_bs_tree(self.n, below), self.everyone), self.singletons, self.n - 1)
+
+    def successor(self, s: int, k: int) -> int:
+        parent, alive = self.keys[s]
+        alive, blocks = _bs_cut(parent, alive, self.blocks[self.states[s][3]], k + 1)
+        return self.state((parent, alive), blocks, len(alive) - 1)
+
+
+_TABLES = {"bs": _BsTable, "kingman": _KingmanTable}
 
 
 def _trajectory(n: int, jumps: Iterator[tuple[float, Blocks]]) -> Trajectory:
@@ -393,8 +485,7 @@ def simulate_bs(n: int, horizon: float | None, rng) -> Trajectory:
 def simulate_kingman(n: int, horizon: float | None, rng) -> Trajectory:
     """Kingman path from the singletons of [n]: uniform pair mergers."""
     _check_run(n, horizon)
-    jumps = _kingman_jumps(n, horizon, rng, _integers_below(rng), _kingman_merge)
-    return _trajectory(n, jumps)
+    return _trajectory(n, _kingman_jumps(n, horizon, rng, _integers_below(rng)))
 
 
 def estimate_transition(
@@ -403,11 +494,12 @@ def estimate_transition(
     """Empirical law of Π(t) over ``reps`` seeded replicates.
 
     Returns {partition: (exact empirical fraction, binomial standard error)}
-    over all of P([n]); the fractions sum to exactly 1.  Replicates run on
-    block tuples and are counted by the blocks of the lattice's partitions;
-    no other ``SetPartition`` is built.  Every jump's time is checked, and
+    over all of P([n]); the fractions sum to exactly 1.  Replicates step
+    through a table of the states the run meets, which computes each
+    distinct jump once and looks it up on every repeat; no ``SetPartition``
+    is built beyond the lattice's own.  Every jump's time is checked, and
     each distinct (fine, coarse) pair of the run gets ``Trajectory``'s
-    coarsening check once.
+    coarsening check once, when a replicate first makes it.
     """
     return _estimate_transition(model, n, t, reps, seed)[1]
 
@@ -416,28 +508,40 @@ def _estimate_transition(
     model: str, n: int, t: float, reps: int, seed: int
 ) -> tuple[PartitionLattice, dict[SetPartition, tuple[Fraction, float]]]:
     """``estimate_transition`` together with the P([n]) it was taken over."""
-    jumps = _JUMPS.get(model)
-    if jumps is None:
+    table_type = _TABLES.get(model)
+    if table_type is None:
         raise ValueError(f"unknown model {model!r}; use 'bs' or 'kingman'")
     if reps < 1:
         raise ValueError("need at least one replicate")
     _check_run(n, t)
     lattice = PartitionLattice(n)  # enforces the size cap before any replicate runs
-    if model == "kingman":  # a merge table that lives as long as this run
-        jumps = partial(jumps, merge=cache(_kingman_merge))
-    start = tuple((e,) for e in range(1, n + 1))
-    counts: Counter[Blocks] = Counter()
-    passed: set[tuple[Blocks, Blocks]] = set()  # pairs _check_jump passed this run
+    table = table_type(n)  # lives as long as this run
+    states, succ, blocks, finals = table.states, table.succ, table.blocks, table.finals
+    checked: set[tuple[int, int]] = set()  # partition-id pairs _check_jump passed
     for rng in _replicate_streams(seed, reps):
-        prev, state = 0.0, start
-        for time, blocks in jumps(n, t, rng, _raw_below(rng.bit_generator)):
-            pair = state, blocks
-            if not prev < time < inf or pair not in passed:
-                _check_jump(prev, time, state, blocks)
-                passed.add(pair)
-            prev, state = time, blocks
-        counts[state] += 1
-    return lattice, {pi: _estimate(counts[pi.blocks], reps) for pi in lattice}
+        below = _raw_below(rng.bit_generator)
+        exponential = rng.exponential
+        s, prev = table.start(below), 0.0
+        rate, scale, base, part = states[s]
+        while rate:
+            time = prev + exponential(scale)
+            if not prev < time < inf:
+                _check_time(prev, time)
+            if time > t:
+                break
+            k = below(rate)
+            target = succ[base + k]
+            if target < 0:
+                target = succ[base + k] = table.successor(s, k)
+                pair = part, states[target][3]
+                if pair not in checked:
+                    _check_jump(prev, time, blocks[part], blocks[pair[1]])
+                    checked.add(pair)
+            prev, s = time, target
+            rate, scale, base, part = states[s]
+        finals[part] += 1
+    counts = dict(zip(blocks, finals))
+    return lattice, {pi: _estimate(counts.get(pi.blocks, 0), reps) for pi in lattice}
 
 
 def estimate_containment(

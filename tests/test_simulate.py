@@ -260,13 +260,8 @@ class TestAgainstReferencePaths:
                         return draw(m)
 
                     clocks = self.ExponentialOnly(rng)
-                    if model == "bs":
-                        path = simulate._bs_jumps(n, horizon, clocks, below)
-                    else:
-                        path = simulate._kingman_jumps(
-                            n, horizon, clocks, below, simulate._kingman_merge
-                        )
-                    jumps = list(path)
+                    path = {"bs": simulate._bs_jumps, "kingman": simulate._kingman_jumps}[model]
+                    jumps = list(path(n, horizon, clocks, below))
                     want = public(n, horizon, reference_rng)
                     assert tuple(t for t, _ in jumps) == want.times
                     assert [b for _, b in jumps] == [s.blocks for s in want.states[1:]]
@@ -279,9 +274,10 @@ class TestAgainstReferencePaths:
 
     @pytest.mark.parametrize("model", ["bs", "kingman"])
     def test_estimate_matches_reference(self, model):
-        # n <= 2 makes no bounded draw; n = 8 draws up to m = C(8, 2) = 28
-        for n in (1, 2, 5, 6, 8):
-            for t in (0.4, 1.0):
+        # n <= 2 makes no bounded draw; n = 8 draws up to m = C(8, 2) = 28;
+        # t = 0 takes no jump and t = 50 ends every replicate absorbed
+        for n in (1, 2, 5, 6, 7, 8):
+            for t in (0.0, 0.4, 1.0, 50.0):
                 got = estimate_transition(model, n, t, reps=400, seed=19)
                 assert got == reference_estimate(model, n, t, reps=400, seed=19)
 
@@ -319,15 +315,30 @@ class TestAgainstReferencePaths:
     @pytest.mark.parametrize("model", ["bs", "kingman"])
     def test_jumps_checked_by_the_pair_key_pass(self, model, monkeypatch):
         n, t, reps, seed = 5, 1.0, 300, 11
-        jumps = simulate._JUMPS[model]
-        yielded = []
+        simulate_path = {"bs": simulate_bs, "kingman": simulate_kingman}[model]
+        yielded = []  # every jump of the run: the public path on the same streams
+        for i in range(reps):
+            states = simulate_path(n, t, replicate_rng(seed, i)).states
+            yielded += [(a.blocks, b.blocks) for a, b in zip(states, states[1:])]
+        filled = []  # every jump the run's table fills, through the model's rule
+        if model == "bs":
+            cut = simulate._bs_cut
 
-        def recorded(n, t, rng, below, **kwargs):
-            state = tuple((e,) for e in range(1, n + 1))
-            for time, blocks in jumps(n, t, rng, below, **kwargs):
-                yielded.append((state, blocks))
-                state = blocks
-                yield time, blocks
+            def rule(parent, alive, blocks, k):
+                alive, coarse = cut(parent, alive, blocks, k)
+                filled.append((blocks, coarse))
+                return alive, coarse
+
+            monkeypatch.setattr(simulate, "_bs_cut", rule)
+        else:
+            merge = simulate._kingman_merge
+
+            def rule(blocks, k):
+                coarse = merge(blocks, k)
+                filled.append((blocks, coarse))
+                return coarse
+
+            monkeypatch.setattr(simulate, "_kingman_merge", rule)
 
         assert simulate._block_key is partitions._block_key
         calls = []
@@ -337,17 +348,58 @@ class TestAgainstReferencePaths:
             calls.append((fine, coarse))
             return key(fine, coarse)
 
-        monkeypatch.setitem(simulate._JUMPS, model, recorded)
         monkeypatch.setattr(simulate, "_block_key", counted)
         estimate_transition(model, n, t, reps=reps, seed=seed)
         # the pass runs once per distinct pair the run yields, and every
-        # yielded jump is a pair it passed
+        # yielded jump is a pair it passed, reached through a filled jump
         assert len(yielded) > len(calls) > 0
         assert sorted(calls) == sorted(set(calls)) == sorted(set(yielded))
+        assert set(filled) == set(yielded)
         calls.clear()  # and Trajectory checks every jump with the same pass
-        simulate_path = {"bs": simulate_bs, "kingman": simulate_kingman}[model]
         path = simulate_path(n, None, replicate_rng(seed, 0))
         assert len(calls) == len(path.times) > 0
+
+
+class ChosenClocks:
+    """A replicate's stream whose clocks ring at chosen jump times.
+
+    ``exponential`` returns the gap to the next chosen time and hands that
+    jump's chosen blocks to ``chosen``; every raw output is ``raw``, so it
+    fixes the replicate's tree and bounded draws.
+    """
+
+    def __init__(self, jumps, chosen, raw):
+        self.jumps, self.chosen, self.prev = iter(jumps), chosen, 0.0
+        self.bit_generator = self
+        self.random_raw = lambda: raw
+
+    def exponential(self, scale):
+        time, self.chosen[0] = next(self.jumps)
+        gap, self.prev = time - self.prev, time
+        return gap
+
+
+def run_bs_on(monkeypatch, runs, raws=None):
+    """Run BS replicate i on runs[i], a list of chosen (time, blocks) jumps.
+
+    The stand-in cut rule keeps the real rule's surviving nodes and returns
+    the chosen blocks; it is called only when the table fills a jump.
+    Replicate i draws from the raw output ``raws[i]`` (0 by default).
+    """
+    chosen = [None]
+    cut = simulate._bs_cut
+    raws = raws or [0] * len(runs)
+
+    def streams(seed, reps):
+        for jumps, raw in zip(runs[:reps], raws):
+            yield ChosenClocks(jumps, chosen, raw)
+
+    def rule(parent, alive, blocks, k):
+        return cut(parent, alive, blocks, k)[0], chosen[0]
+
+    monkeypatch.setattr(simulate, "_replicate_streams", streams)
+    monkeypatch.setattr(simulate, "_bs_cut", rule)
+    estimate_transition("bs", 3, 1.0, reps=len(runs), seed=0)
 
 
 class TestEstimateTransition:
@@ -407,14 +459,18 @@ class TestEstimateTransition:
 
     @pytest.mark.parametrize("model", ["bs", "kingman"])
     def test_negative_seed_rejected_before_replicates(self, model, monkeypatch):
+        streams = simulate._replicate_streams
         runs = []
-        jumps = simulate._JUMPS[model]
 
-        def counted(n, t, rng, below):
-            runs.append(n)
-            return jumps(n, t, rng, below)
+        def counted(seed, reps):
+            for rng in streams(seed, reps):
+                runs.append(rng)
+                yield rng
 
-        monkeypatch.setitem(simulate._JUMPS, model, counted)
+        monkeypatch.setattr(simulate, "_replicate_streams", counted)
+        estimate_transition(model, 3, 1.0, reps=10, seed=0)
+        assert len(runs) == 10  # the counter sees every replicate run
+        runs.clear()
         with pytest.raises(ValueError, match="expected non-negative integer"):
             estimate_transition(model, 3, 1.0, reps=10, seed=-1)
         assert runs == []
@@ -430,9 +486,8 @@ class TestEstimateTransition:
         ],
     )
     def test_rejects_illegal_jumps(self, jumps, monkeypatch):
-        monkeypatch.setitem(simulate._JUMPS, "bs", lambda n, t, rng, below: iter(jumps))
         with pytest.raises(ValueError, match="jump times|coarsen"):
-            estimate_transition("bs", 3, 1.0, reps=2, seed=0)
+            run_bs_on(monkeypatch, [jumps, jumps])
 
     @pytest.mark.parametrize(
         "jumps",
@@ -444,12 +499,11 @@ class TestEstimateTransition:
         ],
     )
     def test_passed_pair_with_failing_time_rejected(self, jumps, monkeypatch):
-        # replicate 0 passes both pairs; replicate 1 repeats one at a bad time
+        # replicate 0 passes both pairs; replicate 1 makes the same draws, so
+        # it repeats them from the table, one at a bad time
         legal = [(0.5, ((1, 2), (3,))), (0.7, ((1, 2, 3),))]
-        runs = iter([legal, jumps])
-        monkeypatch.setitem(simulate._JUMPS, "bs", lambda n, t, rng, below: iter(next(runs)))
         with pytest.raises(ValueError, match="jump times"):
-            estimate_transition("bs", 3, 1.0, reps=2, seed=0)
+            run_bs_on(monkeypatch, [legal, jumps])
 
     @pytest.mark.parametrize(
         "illegal",
@@ -460,32 +514,37 @@ class TestEstimateTransition:
         ],
     )
     def test_illegal_pair_after_legal_repeats_rejected(self, illegal, monkeypatch):
+        # the last replicate draws another tree, so the table fills its jumps
         legal = [(0.5, ((1, 2), (3,))), (0.7, ((1, 2, 3),))]
-        runs = iter([legal] * 99 + [illegal])
-        monkeypatch.setitem(simulate._JUMPS, "bs", lambda n, t, rng, below: iter(next(runs)))
         with pytest.raises(ValueError, match="coarsen"):
-            estimate_transition("bs", 3, 1.0, reps=100, seed=0)
+            run_bs_on(monkeypatch, [legal] * 99 + [illegal], [0] * 99 + [2**64 - 1])
 
-    def test_merge_table_lasts_one_run(self, monkeypatch):
-        merge = simulate._kingman_merge
-        merges = 0
+    @pytest.mark.parametrize(
+        "model, rule, edges",
+        # every (state, draw) of P([5]): sum of C(b, 2) over its partitions
+        # for Kingman; for BS, sum of (survivors - 1) over the states each of
+        # the 24 increasing trees on 5 nodes reaches by cuts
+        [("kingman", "_kingman_merge", 160), ("bs", "_bs_cut", 466)],
+    )
+    def test_merge_table_lasts_one_run(self, model, rule, edges, monkeypatch):
+        step = getattr(simulate, rule)
+        fills = 0
 
-        def counted(blocks, k):
-            nonlocal merges
-            merges += 1
-            return merge(blocks, k)
+        def counted(*args):
+            nonlocal fills
+            fills += 1
+            return step(*args)
 
-        monkeypatch.setattr(simulate, "_kingman_merge", counted)
+        monkeypatch.setattr(simulate, rule, counted)
         made = []
         for _ in range(2):
-            merges = 0
-            estimate_transition("kingman", 5, 1.0, reps=300, seed=11)
-            made.append(merges)
+            fills = 0
+            estimate_transition(model, 5, 1.0, reps=300, seed=11)
+            made.append(fills)
         # a table left over from the first run would spare the second its
-        # merges; within a run each (state, pair) is merged once, and P([5])
-        # has only 160 of them against 300 replicates' jumps
+        # fills; within a run each (state, draw) is filled once
         assert made[0] == made[1]
-        assert 0 < made[0] <= 160
+        assert 0 < made[0] <= edges
 
 
 class TestPathLaws:
