@@ -252,23 +252,25 @@ def cmd_spectral(args) -> int:
 def _emit_pair_rows(args, lattice: PartitionLattice, head: dict, cell, per_key=True):
     """Emit ``cell(i, j)`` over the comparable pairs as JSON rows or CSV triples.
 
-    With ``per_key`` the cell is computed on the first pair of each key
-    (|π|, |ρ|, restriction sizes) and reused for the others.  A cell of None
-    is left out of its row.
+    Read a row at a time from ``comparable_rows()``.  With ``per_key`` the
+    cell is computed on the first pair of each key (|π|, |ρ|, restriction
+    sizes) and reused for the others: the first row with p blocks holds every
+    key of p blocks, so a row whose diagonal key is known reads all its cells
+    from the memo.  A cell of None is left out of its row.
     """
     order = _lattice_order(lattice)
     rows: dict[str, dict[str, str]] = {}
     memo: dict[tuple, str | None] = {}
-    for i, j, key in lattice.comparable_pairs():
-        row = rows.setdefault(order[i], {})
+    for i, js, keys in lattice.comparable_rows():
         if not per_key:
-            text = cell(i, j)
-        elif key in memo:
-            text = memo[key]
+            texts = [cell(i, j) for j in js]
         else:
-            text = memo[key] = cell(i, j)
-        if text is not None:
-            row[order[j]] = text
+            if keys[0] not in memo:
+                for j, key in zip(js, keys):
+                    if key not in memo:
+                        memo[key] = cell(i, j)
+            texts = map(memo.__getitem__, keys)
+        rows[order[i]] = {order[j]: text for j, text in zip(js, texts) if text is not None}
     if args.format == "csv":
         table = [["source", "target", "value"]]
         for source, row in rows.items():
@@ -392,19 +394,24 @@ def _verify_checks(n: int, tol: float):
         yield f"{model}-block-triple", verify_triple(blockQ, blockT).all_pass
         # closed-form semigroup against the series exponential
         if model == "bs" and n <= 5:
-            import numpy as np
-
-            P_closed = np.zeros((len(lattice), len(lattice)))
-            for i, j, _ in lattice.comparable_pairs():
-                P_closed[i, j] = bs_transition(el[i], el[j], 1.0)
-            P_series = matexp_series(Q.to_float(), 1.0)
-            yield "bs-transition-vs-matexp", bool(
-                np.max(np.abs(P_closed - P_series)) < tol
+            size = len(lattice)
+            Q_float = [[0.0] * size for _ in range(size)]
+            for i, row in enumerate(Q_float):
+                for j, v in Q.row(i).items():
+                    row[j] = float(v)
+            P_series = matexp_series(Q_float, 1.0)
+            closed = {
+                (i, j): bs_transition(el[i], el[j], 1.0)
+                for i, js, _ in lattice.comparable_rows() for j in js
+            }
+            yield "bs-transition-vs-matexp", all(
+                abs(closed.get((i, j), 0.0) - v) < tol
+                for i, row in enumerate(P_series) for j, v in enumerate(row)
             )
     if n > 5:
         return
     # each closed form against its oracle
-    pairs = [(el[i], el[j], i, j) for i, j, _ in lattice.comparable_pairs()]
+    pairs = [(el[i], el[j], i, j) for i, js, _ in lattice.comparable_rows() for j in js]
     N = fundamental_matrix(Qbs)
     transient = range(len(lattice) - 1)
     yield "bs-green-vs-fundamental", all(

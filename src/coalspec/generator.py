@@ -13,7 +13,7 @@ projections (the process |Π(t)|) get their own small dense generators.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Mapping
@@ -106,9 +106,9 @@ def build_generator(lattice: PartitionLattice, rates: RateTable) -> TriMatrix:
     """Assemble the generator Q on the lattice from a rate table.
 
     Rows sum to zero exactly; off-diagonal support consists of the single
-    mergers with nonzero rate.  Filled from ``lattice.comparable_pairs()``:
-    ρ is a single merger of π iff one restriction size, k = |π| - |ρ| + 1,
-    exceeds 1 (k = 1 on the diagonal).
+    mergers with nonzero rate.  Filled a row at a time from
+    ``lattice.comparable_rows()``: ρ is a single merger of π iff one
+    restriction size, k = |π| - |ρ| + 1, exceeds 1 (k = 1 on the diagonal).
     """
     if rates.n < lattice.n:
         raise ValueError(
@@ -121,15 +121,19 @@ def build_generator(lattice: PartitionLattice, rates: RateTable) -> TriMatrix:
         values = {k: rates.rate(p, k) for k in range(2, p + 1)}
         values[1] = -rates.total_rate(p)
         per_p[p] = _over_lcm(values)
-    rows: dict[int, dict[int, int]] = defaultdict(dict)
-    for i, j, (p, r, sizes) in lattice.comparable_pairs():
-        k = p - r + 1
-        if k == 1 or k in sizes:  # Σ (size - 1) = k - 1, so every other size is 1
-            rows[i][j] = per_p[p][1][k]
-    counts = [len(pi) for pi in lattice]
-    return TriMatrix.from_rows(
-        lattice, ((i, per_p[counts[i]][0], row) for i, row in rows.items())
-    )
+
+    def rows():
+        for i, js, keys in lattice.comparable_rows():
+            p = keys[0][0]
+            d, nums = per_p[p]
+            # Σ (size - 1) = k - 1, so a single merger has every other size 1
+            yield i, d, {
+                j: nums[p - r + 1]
+                for j, (_, r, sizes) in zip(js, keys)
+                if r == p or p - r + 1 in sizes
+            }
+
+    return TriMatrix.from_rows(lattice, rows())
 
 
 def bs_block_generator(n: int) -> RatMatrix:

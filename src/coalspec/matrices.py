@@ -18,15 +18,14 @@ so it gives the same bits as ``float(Fraction)``.
 ``TriMatrix`` ties a matrix to a ``PartitionLattice`` and carries generator
 and eigenvector matrices, whose support lies on pairs π ≤ ρ (upper triangular
 in the lattice's linear extension); ``_within_order`` checks any number of
-them against one pass of the lattice's walk, ``comparable_pairs()``.
+them against one pass of the lattice's row walk, ``comparable_rows()``, which
+yields each π's up-set as one row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
 from math import gcd, lcm
-from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .partitions import PartitionLattice
@@ -227,10 +226,10 @@ class TriMatrix(RatMatrix):
 
 
 def _within_order(lattice: PartitionLattice, mats: Sequence[RatMatrix]) -> bool:
-    """True iff row i of every matrix lies in the up-set of lattice[i], read from
-    one pass of ``comparable_pairs()`` that holds one row's up-set at a time."""
-    for i, pairs in groupby(lattice.comparable_pairs(), itemgetter(0)):
-        up = {j for _, j, _ in pairs}
+    """True iff row i of every matrix lies in the up-set of lattice[i], read a
+    row at a time from one pass of ``comparable_rows()``."""
+    for i, js, _ in lattice.comparable_rows():
+        up = set(js)
         if any(i in m._rows and not m._rows[i][1].keys() <= up for m in mats):
             return False
     return True

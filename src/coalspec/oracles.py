@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import inf, isfinite
-from typing import TYPE_CHECKING
+from math import inf, isfinite, ldexp
 
 from .generator import bs_rates, kingman_rates
 from .matrices import RatMatrix, TriMatrix, _over_lcm
@@ -24,9 +23,6 @@ from .partitions import (
     pair_key,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "matexp_series",
     "fundamental_matrix",
@@ -37,46 +33,63 @@ __all__ = [
 _CHAIN_ENUM_CAP = 6
 
 
-def matexp_series(Q, t: float, tol: float = 1e-13) -> np.ndarray:
-    """e^(tQ) by scaling-and-squaring Taylor summation.
+def matexp_series(Q, t: float, tol: float = 1e-13) -> list[list[float]]:
+    """e^(tQ) by scaling-and-squaring Taylor summation, in plain Python floats.
 
-    Scales so the infinity norm of the scaled argument is below 1/2, sums
-    the series until the term norm drops below ``tol``, then squares back.
+    Q is any square matrix given as rows of reals (nested lists, a numpy
+    array); the result is a list of float rows.  Scales so the infinity norm
+    of the scaled argument is below 1/2, sums the series until the term norm
+    drops below ``tol``, then squares back.  Every product runs over the
+    nonzeros of each row, so the sparse lattice generators stay cheap.
     """
-    import numpy as np
-
-    A = np.asarray(Q, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    try:
+        A = [[float(x) for x in row] for row in Q]
+    except TypeError:
+        raise ValueError("matexp needs a square matrix") from None
+    dim = len(A)
+    if any(len(row) != dim for row in A):
         raise ValueError("matexp needs a square matrix")
     if not 0 < tol < inf:
         raise ValueError("tolerance must be positive and finite")
     if not isfinite(t):
         raise ValueError("matexp needs a finite t")
-    with np.errstate(over="ignore", invalid="ignore"):
-        B = t * A
-        norm = np.max(np.sum(np.abs(B), axis=1)) if A.size else 0.0
+    t = float(t)
+    B = [[t * x for x in row] for row in A]
+    norm = max((sum(map(abs, row)) for row in B), default=0.0)
     if not isfinite(norm):
         raise ValueError("matexp needs a finite t·Q")
     s = 0
     while norm > 0.5:
         norm /= 2.0
         s += 1
-    B = np.ldexp(B, -s)  # exact, where 2.0 ** s overflows from s = 1024
-    dim = A.shape[0]
-    X = np.eye(dim)
-    term = np.eye(dim)
+    # ldexp is exact, where 2.0 ** s overflows from s = 1024
+    B = [{j: ldexp(x, -s) for j, x in enumerate(row) if x} for row in B]
+    X = [{i: 1.0} for i in range(dim)]
+    term = [{i: 1.0} for i in range(dim)]
     k = 0
     while True:
         k += 1
-        term = term @ B / k
-        X = X + term
-        if np.max(np.sum(np.abs(term), axis=1)) < tol:
+        term = [{j: v / k for j, v in _row_times(row, B).items()} for row in term]
+        for x_row, row in zip(X, term):
+            for j, v in row.items():
+                x_row[j] = x_row.get(j, 0.0) + v
+        if max((sum(map(abs, row.values())) for row in term), default=0.0) < tol:
             break
         if k > 200:
             raise ArithmeticError("matrix exponential series failed to converge")
     for _ in range(s):
-        X = X @ X
-    return X
+        X = [_row_times(row, X) for row in X]
+    return [[row.get(j, 0.0) for j in range(dim)] for row in X]
+
+
+def _row_times(row: dict[int, float], M: list[dict[int, float]]) -> dict[int, float]:
+    """The sparse row ``row`` times the matrix of sparse rows ``M``."""
+    acc: dict[int, float] = {}
+    get = acc.get
+    for k, a in row.items():
+        for j, b in M[k].items():
+            acc[j] = get(j, 0.0) + a * b
+    return acc
 
 
 def fundamental_matrix(Q: TriMatrix) -> RatMatrix:

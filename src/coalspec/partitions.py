@@ -262,9 +262,14 @@ def _growth_strings(p: int) -> list[tuple[tuple[int, ...], tuple]]:
 
 
 @cache
-def _groupings(p: int) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
-    """Every grouping of p blocks as (group of each block, group count, group sizes)."""
-    return tuple((g, len(b), tuple(map(len, b))) for g, b in _growth_strings(p))
+def _groupings(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple, ...]]:
+    """Every grouping of p blocks, read by column: for each block k, its group
+    in every grouping; and each grouping's pair key (p, group count, group sizes)."""
+    table = _growth_strings(p)
+    return (
+        tuple(zip(*(g for g, _ in table))),
+        tuple((p, len(b), tuple(map(len, b))) for _, b in table),
+    )
 
 
 def merge_covers(pi: SetPartition) -> list[SetPartition]:
@@ -386,23 +391,31 @@ class PartitionLattice:
         by their minima (a restricted growth string).  A copy of the lattice's."""
         return list(self._index)
 
-    def comparable_pairs(self) -> Iterator[tuple[int, int, tuple]]:
-        """Yield (i, j, key) for every π = self[i] ≤ ρ = self[j], i then j ascending.
+    def comparable_rows(self) -> Iterator[tuple[int, tuple[int, ...], tuple[tuple, ...]]]:
+        """Yield (i, js, keys) for every π = self[i], i ascending: js the
+        indices of the ρ ≥ π, ascending, and keys[k] = ``pair_key(π, self[js[k]])``.
 
-        key = ``pair_key(π, ρ)``, sizes ordered like ``rho.blocks`` (unsorted:
-        float products taken in that order keep their bits); every closed
-        form on a pair is a function of it.  No partition is built: a
-        grouping of π's blocks, as a restricted growth string g, sends π's
-        label to ρ's label g[label], already in first-appearance order since
-        π's blocks are numbered by their minima; the lattice's label -> index
-        dict gives j.  The walk holds one row; the groupings are built once per p.
+        Sizes in a key are ordered like ``rho.blocks`` (unsorted: float
+        products taken in that order keep their bits); every closed form on
+        a pair is a function of its key.  No partition is built: a grouping
+        of π's blocks, as a restricted growth string g, sends π's label to
+        ρ's label g[label], already in first-appearance order since π's
+        blocks are numbered by their minima.  With the groupings of p blocks
+        read by column, ``zip(*map(cols.__getitem__, label))`` is every
+        coarse label of the row, and the lattice's label -> index dict maps
+        them to j in one ``map``.  The columns are built once per p; the walk
+        holds one row, and nothing of it is kept on the lattice.
         """
         index = self._index
         for i, label in enumerate(index):
-            p = len(self.elements[i])
-            row = sorted(
-                (index[tuple(map(g.__getitem__, label))], r, sizes)
-                for g, r, sizes in _groupings(p)
-            )
-            for j, r, sizes in row:
-                yield i, j, (p, r, sizes)
+            cols, keys = _groupings(len(self.elements[i]))
+            js = map(index.__getitem__, zip(*map(cols.__getitem__, label)))
+            js, keys = zip(*sorted(zip(js, keys)))  # the js are distinct
+            yield i, js, keys
+
+    def comparable_pairs(self) -> Iterator[tuple[int, int, tuple]]:
+        """Yield (i, j, key) for every π = self[i] ≤ ρ = self[j], i then j
+        ascending: ``comparable_rows()`` flattened, one pair at a time."""
+        for i, js, keys in self.comparable_rows():
+            for j, key in zip(js, keys):
+                yield i, j, key

@@ -32,10 +32,10 @@ functions give integer numerators over those denominators.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, partial
+from itertools import starmap
 from math import comb, factorial, prod
 
 from .combinatorics import lah, stirling_first, stirling_second
@@ -92,44 +92,44 @@ class VerificationReport:
         return asdict(self)
 
 
-def _lattice_triple(pairs, counts, build, entries, per_row) -> SpectralTriple:
-    """R and L over ``pairs``, and D from ``per_row`` per block count.
+def _lattice_triple(rows, counts, build, entries, per_row) -> SpectralTriple:
+    """R and L over ``rows``, and D from ``per_row`` per block count.
 
-    ``pairs`` yields (i, j, key) over the support, ``counts`` is each state's
-    block count in index order and ``build(rows)`` makes a matrix from
-    (i, d, {j: numerator}) rows.  ``per_row(b)`` gives (eigenvalue, R row
-    denominator, L row denominator) of a row with b blocks, and
-    ``entries(*key)`` the (r, l) numerators over those denominators; the
+    ``rows`` yields (i, js, keys) over the support, a row at a time, ``counts``
+    is each state's block count in index order and ``build(rows)`` makes a
+    matrix from (i, d, {j: numerator}) rows.  ``per_row(b)`` gives
+    (eigenvalue, R row denominator, L row denominator) of a row with b blocks,
+    and ``entries(*key)`` the (r, l) numerators over those denominators; the
     lattice triples pass it through ``cache``, since many pairs share a key.
     """
     counts = tuple(counts)
-    R: dict[int, dict[int, int]] = defaultdict(dict)
-    L: dict[int, dict[int, int]] = defaultdict(dict)
-    for i, j, key in pairs:
-        R[i][j], L[i][j] = entries(*key)
     facts = {b: per_row(b) for b in set(counts)}
-    return SpectralTriple(
-        build((i, facts[counts[i]][1], row) for i, row in R.items()),
-        tuple(Fraction(facts[b][0]) for b in counts),
-        build((i, facts[counts[i]][2], row) for i, row in L.items()),
-    )
+    R, L = [], []
+    for i, js, keys in rows:
+        _, r_den, l_den = facts[counts[i]]
+        rs, ls = zip(*starmap(entries, keys))
+        R.append((i, r_den, dict(zip(js, rs))))
+        L.append((i, l_den, dict(zip(js, ls))))
+    return SpectralTriple(build(R), tuple(Fraction(facts[b][0]) for b in counts), build(L))
 
 
 def _on_lattice(lattice: PartitionLattice):
-    """(pairs, counts, build) on the lattice, keyed (|π|, |ρ|, restriction sizes)."""
+    """(rows, counts, build) on the lattice, keyed (|π|, |ρ|, restriction sizes)."""
     return (
-        lattice.comparable_pairs(),
+        lattice.comparable_rows(),
         map(len, lattice),
         partial(TriMatrix.from_rows, lattice),
     )
 
 
 def _on_chain(n: int):
-    """(pairs, counts, build) on the block counts 1..n, keyed (i, j) for j <= i."""
+    """(rows, counts, build) on the block counts 1..n, keyed (i, j) for j <= i."""
     if n < 1:
         raise ValueError("block triple needs n >= 1")
-    pairs = ((i - 1, j - 1, (i, j)) for i in range(1, n + 1) for j in range(1, i + 1))
-    return pairs, range(1, n + 1), partial(RatMatrix.from_rows, n)
+    rows = (
+        (i - 1, range(i), tuple((i, j) for j in range(1, i + 1))) for i in range(1, n + 1)
+    )
+    return rows, range(1, n + 1), partial(RatMatrix.from_rows, n)
 
 
 def _bs_row(b: int) -> tuple[int, int, int]:

@@ -226,7 +226,7 @@ class TestJsonWriter:
 
 
 def test_numpy_is_loaded_only_by_float_paths():
-    """Exact commands leave numpy unimported; simulate and verify load it."""
+    """Exact commands, verify among them, run with numpy blocked; simulate loads it."""
     script = textwrap.dedent(
         """
         import contextlib, io, sys
@@ -236,14 +236,15 @@ def test_numpy_is_loaded_only_by_float_paths():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(list(argv)) == 0, argv
 
+        sys.modules["numpy"] = None  # from here on, importing numpy raises
         quiet("spectral", "--n", "4")
         quiet("spectral", "--n", "4", "--block")
         quiet("transition", "--n", "4", "--x", "1/2")
         quiet("green", "--n", "4")
         quiet("hitting", "--n", "4", "--model", "kingman")
-        print("numpy" in sys.modules)
+        quiet("verify", "--n-max", "5")
+        print(sys.modules.pop("numpy") is None)
         quiet("simulate", "--n", "3", "--t", "1", "--reps", "50")
-        quiet("verify", "--n-max", "3")
         print("numpy" in sys.modules)
         """
     )
@@ -256,7 +257,7 @@ def test_numpy_is_loaded_only_by_float_paths():
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "True"]
+    assert result.stdout.split() == ["True", "True"]
 
 
 class TestSpectral:

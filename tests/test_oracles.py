@@ -17,6 +17,7 @@ from coalspec import (
     hitting_bruteforce,
     matexp_series,
     pair_covers,
+    transition_via_triple,
 )
 
 F = Fraction
@@ -54,13 +55,13 @@ class TestMatexpSeries:
     def test_inverse_pairing(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(4, 4))
-        M = matexp_series(A, 1.0) @ matexp_series(A, -1.0)
+        M = np.asarray(matexp_series(A, 1.0)) @ np.asarray(matexp_series(A, -1.0))
         assert np.allclose(M, np.eye(4), atol=1e-10)
 
     def test_scaling_branch(self):
         # norm far above 1/2 exercises the squaring loop
         A = np.array([[-30.0, 30.0], [0.0, 0.0]])
-        M = matexp_series(A, 1.0)
+        M = np.asarray(matexp_series(A, 1.0))
         assert M[0, 1] == pytest.approx(1 - math.exp(-30.0), rel=1e-10)
 
     @pytest.mark.filterwarnings("error")
@@ -85,6 +86,22 @@ class TestMatexpSeries:
         # t * Q overflows at 1e308: no squaring count would bring it below 1/2
         with pytest.raises(ValueError, match="finite"):
             matexp_series(np.array([[-2.0, 2.0], [0.0, 0.0]]), t)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_agrees_with_spectral_triple(self, n, lattices, bs_generators, bs_triples,
+                                         kingman_generators, kingman_triples):
+        for Q, triple in ((bs_generators[n], bs_triples[n]),
+                          (kingman_generators[n], kingman_triples[n])):
+            for t in (0.1, 1.0, 5.0):
+                series = np.asarray(matexp_series(Q.to_float(), t))
+                assert np.max(np.abs(series - transition_via_triple(triple, t))) < 1e-12
+
+    def test_rows_in_rows_out(self):
+        M = matexp_series([[-1, 1], [0, 0]], 1.0)
+        assert type(M) is list and all(type(row) is list for row in M)
+        assert all(type(v) is float for row in M for v in row)
+        assert M[1] == [0.0, 1.0]
+        assert M[0][0] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 class TestFundamentalMatrix:

@@ -212,8 +212,8 @@ class TestLattice:
 
 class TestComparablePairs:
     def test_matches_coarsenings_walk(self, lattices):
-        for n in range(1, 7):
-            lat = lattices[n]
+        for n in range(1, 8):
+            lat = lattices[n] if n in lattices else PartitionLattice(n)
             reference = [
                 (i, lat.index_of(rho), len(pi), len(rho), restriction_sizes(pi, rho))
                 for i, pi in enumerate(lat)
@@ -225,6 +225,12 @@ class TestComparablePairs:
             ]
             assert walk == reference
             assert len(walk) == sum(bell(len(pi)) for pi in lat)
+            rows = list(lat.comparable_rows())
+            assert [i for i, _, _ in rows] == list(range(len(lat)))
+            assert all(list(js) == sorted(js) for _, js, _ in rows)
+            assert [
+                (i, j, key) for i, js, keys in rows for j, key in zip(js, keys)
+            ] == list(lat.comparable_pairs())
 
     def test_sizes_follow_rho_blocks(self):
         lat = PartitionLattice(3)

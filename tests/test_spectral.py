@@ -20,6 +20,7 @@ from coalspec import (
     kingman_triple,
     verify_triple,
 )
+from coalspec.cli import main
 
 F = Fraction
 
@@ -384,19 +385,29 @@ class TestSupportFlag:
         report = verify_triple(Q, t)
         assert not report.unit_diagonals and report.triangular_support
 
-    @pytest.mark.parametrize("block", [False, True])
-    def test_one_walk(self, block, bs_generators, bs_triples, monkeypatch):
+    @pytest.mark.parametrize("job, walks", [
+        ("verify", 1), ("verify-block", 0), ("generator", 1), ("triple", 1), ("table", 1),
+    ])
+    def test_one_walk(self, job, walks, lattices, bs_generators, bs_triples, monkeypatch,
+                      capsys):
+        # every lattice consumer reads its pairs from one row walk
         calls = []
-        walk = PartitionLattice.comparable_pairs
+        walk = PartitionLattice.comparable_rows
 
         def counted(self):
             calls.append(1)
             return walk(self)
 
-        monkeypatch.setattr(PartitionLattice, "comparable_pairs", counted)
-        if block:
-            Q, t = bs_block_generator(8), bs_block_triple(8)
+        monkeypatch.setattr(PartitionLattice, "comparable_rows", counted)
+        if job == "verify":
+            verify_triple(bs_generators[5], bs_triples[5])
+        elif job == "verify-block":
+            verify_triple(bs_block_generator(8), bs_block_triple(8))
+        elif job == "generator":
+            build_generator(lattices[5], bs_rates(5))
+        elif job == "triple":
+            kingman_triple(lattices[5])
         else:
-            Q, t = bs_generators[5], bs_triples[5]
-        verify_triple(Q, t)
-        assert len(calls) == (0 if block else 1)
+            assert main(["green", "--n", "5"]) == 0
+            assert capsys.readouterr().out
+        assert len(calls) == walks
