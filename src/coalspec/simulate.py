@@ -11,17 +11,19 @@ makes the draws ``sample_rrt`` and ``cut_random`` make on an
 ``IncreasingTree``.  The Kingman path merges a uniform pair of blocks at rate
 C(b, 2).
 
-The public paths run as private jump generators yielding (time, blocks)
-per jump; each caller hands them its rule for bounded draws, ``below(m)``,
-and ``_bs_cut`` or ``_kingman_merge`` makes each jump.  Only
-``simulate_bs``/``simulate_kingman`` turn them into ``Trajectory`` objects,
-and ``Trajectory`` checks every jump with ``pair_key``'s pass on the block
-tuples.
+Each model's jump rule is written once, as a small object built per n
+(``_RULES``): ``start(below)`` gives the first state's key and blocks, the
+BS tree drawn by ``_bs_tree`` through the caller's bounded draws
+``below(m)``; ``step(key, blocks, k)`` makes the jump draw k picks, by
+``_bs_cut`` or ``_kingman_merge``; ``rate(b)`` is the total rate with b
+blocks.  Two consumers walk it.  ``simulate_bs``/``simulate_kingman`` step
+it directly and hold only the path, which ``Trajectory`` checks jump by
+jump with ``pair_key``'s pass on the block tuples.
 
 ``estimate_transition`` makes the same draws in the same order but steps
 every replicate through a table that lasts one run: each distinct state gets
 an int id holding its rate, its canonical blocks and its successors, filled
-on first use by the same two rules (Kingman states are keyed by their
+on first use by the model's rule (Kingman states are keyed by their
 blocks, BS states by the drawn tree and its surviving nodes).  A repeated
 jump costs one exponential clock, one bounded draw and one list index.  The
 estimator checks the time of every jump, before the horizon test, and runs
@@ -297,28 +299,6 @@ def _check_run(n: int, horizon: float | None) -> None:
         raise ValueError(f"horizon must be {'nonnegative' if horizon < 0 else 'finite'}")
 
 
-def _bs_jumps(
-    n: int, horizon: float | None, rng, below: Callable[[int], int]
-) -> Iterator[tuple[float, Blocks]]:
-    """Tree-cutting path from the singletons of [n]: (time, blocks) per jump.
-
-    Exponential clocks come from ``rng``; ``below(m)``, uniform on
-    range(m), makes every bounded draw.  Node k starts as the singleton
-    {k + 1} with ``parent[k]`` uniform among the earlier nodes (the draws of
-    ``sample_rrt``); each jump cuts edge ``below(edges) + 1`` by ``_bs_cut``.
-    """
-    parent = _bs_tree(n, below)
-    alive, blocks = tuple(range(n)), tuple((k + 1,) for k in range(n))
-    t = 0.0
-    while len(alive) > 1:
-        edges = len(alive) - 1
-        t += rng.exponential(1.0 / edges)
-        if horizon is not None and t > horizon:
-            return
-        alive, blocks = _bs_cut(parent, alive, blocks, below(edges) + 1)
-        yield t, blocks
-
-
 def _bs_tree(n: int, below: Callable[[int], int]) -> tuple[int, ...]:
     """A uniform increasing tree on nodes 0..n-1 as its parent array."""
     return (0, *[below(k) for k in range(1, n)])
@@ -354,25 +334,6 @@ def _bs_cut(
     return tuple(kept), tuple(kept_blocks)
 
 
-def _kingman_jumps(
-    n: int, horizon: float | None, rng, below: Callable[[int], int]
-) -> Iterator[tuple[float, Blocks]]:
-    """Uniform pair mergers from the singletons of [n]: (time, blocks) per jump.
-
-    ``rng`` and ``below`` are as in ``_bs_jumps``; ``_kingman_merge`` makes
-    each merger.
-    """
-    blocks = tuple((e,) for e in range(1, n + 1))
-    t = 0.0
-    while len(blocks) > 1:
-        rate = comb(len(blocks), 2)
-        t += rng.exponential(1.0 / rate)
-        if horizon is not None and t > horizon:
-            return
-        blocks = _kingman_merge(blocks, below(rate))
-        yield t, blocks
-
-
 def _kingman_merge(blocks: Blocks, k: int) -> Blocks:
     """``blocks`` with pair number k merged.
 
@@ -390,84 +351,67 @@ def _kingman_merge(blocks: Blocks, k: int) -> Blocks:
     return (*blocks[:a], merged, *blocks[a + 1:c], *blocks[c + 1:])
 
 
-class _JumpTable:
-    """The states one estimator run meets, each with an int id.
+class _BsRule:
+    """Tree cutting on [n]: a state is keyed by (drawn tree, surviving nodes).
 
-    ``states[s]`` is (rate, scale, base, part): state s leaves at total rate
-    ``rate`` (0 once absorbed) on a clock of scale 1.0 / rate, bounded draw
-    k leads to state ``succ[base + k]``, -1 until the estimator first takes
-    that jump and stores ``successor(s, k)`` there, and its partition has id
-    ``part``, blocks ``blocks[part]`` and a count ``finals[part]`` of the
-    replicates that end in it.  ``keys[s]`` is what the model's rule steps
-    from.  A table lives for one run.  Every successor sits in the one flat
-    ``succ`` list and a state is a tuple of numbers, so the garbage
-    collector, which rescans every list it tracks, has no list per state.
+    ``start`` draws the tree; draw k of ``step`` cuts edge k + 1.
     """
 
-    def __init__(self):
-        self.ids: dict = {}  # keys[s] -> s
-        self.keys: list = []
-        self.states: list[tuple[int, float, int, int]] = []
-        self.succ: list[int] = []
-        self.part_ids: dict[Blocks, int] = {}
-        self.blocks: list[Blocks] = []
-        self.finals: list[int] = []
-
-    def state(self, key, blocks: Blocks, rate: int) -> int:
-        """The id of state ``key``, added with its blocks and rate if new."""
-        s = self.ids.get(key)
-        if s is None:
-            s = self.ids[key] = len(self.states)
-            part = self.part_ids.setdefault(blocks, len(self.blocks))
-            if part == len(self.blocks):
-                self.blocks.append(blocks)
-                self.finals.append(0)
-            self.keys.append(key)
-            self.states.append((rate, 1.0 / rate if rate else inf, len(self.succ), part))
-            self.succ.extend([-1] * rate)
-        return s
-
-
-class _KingmanTable(_JumpTable):
-    """States keyed by their blocks; draw k merges pair number k."""
-
     def __init__(self, n: int):
-        super().__init__()
-        singletons = tuple((e,) for e in range(1, n + 1))
-        self.state(singletons, singletons, comb(n, 2))
-
-    def start(self, below: Callable[[int], int]) -> int:
-        return 0
-
-    def successor(self, s: int, k: int) -> int:
-        blocks = _kingman_merge(self.keys[s], k)
-        return self.state(blocks, blocks, comb(len(blocks), 2))
-
-
-class _BsTable(_JumpTable):
-    """States keyed by (drawn tree, surviving nodes); draw k cuts edge k + 1."""
-
-    def __init__(self, n: int):
-        super().__init__()
         self.n, self.everyone = n, tuple(range(n))
         self.singletons = tuple((e,) for e in range(1, n + 1))
 
-    def start(self, below: Callable[[int], int]) -> int:
-        return self.state((_bs_tree(self.n, below), self.everyone), self.singletons, self.n - 1)
+    def start(self, below: Callable[[int], int]) -> tuple:
+        return (_bs_tree(self.n, below), self.everyone), self.singletons
 
-    def successor(self, s: int, k: int) -> int:
-        parent, alive = self.keys[s]
-        alive, blocks = _bs_cut(parent, alive, self.blocks[self.states[s][3]], k + 1)
-        return self.state((parent, alive), blocks, len(alive) - 1)
+    def step(self, key, blocks: Blocks, k: int) -> tuple:
+        parent, alive = key
+        alive, blocks = _bs_cut(parent, alive, blocks, k + 1)
+        return (parent, alive), blocks
+
+    @staticmethod
+    def rate(b: int) -> int:
+        return b - 1
 
 
-_TABLES = {"bs": _BsTable, "kingman": _KingmanTable}
+class _KingmanRule:
+    """Pair mergers on [n]: a state is keyed by its blocks.
+
+    ``start`` draws nothing; draw k of ``step`` merges pair number k.
+    """
+
+    def __init__(self, n: int):
+        self.singletons = tuple((e,) for e in range(1, n + 1))
+
+    def start(self, below: Callable[[int], int]) -> tuple:
+        return self.singletons, self.singletons
+
+    def step(self, key, blocks: Blocks, k: int) -> tuple:
+        blocks = _kingman_merge(blocks, k)
+        return blocks, blocks
+
+    @staticmethod
+    def rate(b: int) -> int:
+        return comb(b, 2)
 
 
-def _trajectory(n: int, jumps: Iterator[tuple[float, Blocks]]) -> Trajectory:
+_RULES = {"bs": _BsRule, "kingman": _KingmanRule}
+
+
+def _simulate(model: str, n: int, horizon: float | None, rng) -> Trajectory:
+    """A path of ``model`` from the singletons of [n]: its rule walked on ``rng``."""
+    _check_run(n, horizon)
+    rule = _RULES[model](n)
+    below = _integers_below(rng)
+    key, blocks = rule.start(below)
     times: list[float] = []
-    states = [SetPartition.singletons(n)]
-    for t, blocks in jumps:
+    states = [SetPartition(blocks)]
+    t = 0.0
+    while rate := rule.rate(len(blocks)):
+        t += rng.exponential(1.0 / rate)
+        if horizon is not None and t > horizon:
+            break
+        key, blocks = rule.step(key, blocks, below(rate))
         times.append(t)
         states.append(SetPartition(blocks))
     return Trajectory(tuple(times), tuple(states))
@@ -478,14 +422,63 @@ def simulate_bs(n: int, horizon: float | None, rng) -> Trajectory:
 
     ``horizon`` bounds the simulated time window; None runs to absorption.
     """
-    _check_run(n, horizon)
-    return _trajectory(n, _bs_jumps(n, horizon, rng, _integers_below(rng)))
+    return _simulate("bs", n, horizon, rng)
 
 
 def simulate_kingman(n: int, horizon: float | None, rng) -> Trajectory:
     """Kingman path from the singletons of [n]: uniform pair mergers."""
-    _check_run(n, horizon)
-    return _trajectory(n, _kingman_jumps(n, horizon, rng, _integers_below(rng)))
+    return _simulate("kingman", n, horizon, rng)
+
+
+class _JumpTable:
+    """The states one estimator run meets, each with an int id.
+
+    ``states[s]`` is (rate, scale, base, part): state s leaves at total rate
+    ``rate`` (0 once absorbed) on a clock of scale 1.0 / rate, bounded draw
+    k leads to state ``succ[base + k]``, -1 until the estimator first takes
+    that jump and stores ``successor(s, k)`` there, and its partition has id
+    ``part``, blocks ``blocks[part]`` and a count ``finals[part]`` of the
+    replicates that end in it.  ``keys[s]`` is what ``rule`` steps from:
+    ``start`` and ``successor`` take the model's start state and jumps from
+    its rule, and the table only numbers and remembers them.  A table lives
+    for one run.  Every successor sits in the one flat ``succ`` list and a
+    state is a tuple of numbers, so the garbage collector, which rescans
+    every list it tracks, has no list per state.
+    """
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.ids: dict = {}  # keys[s] -> s
+        self.keys: list = []
+        self.states: list[tuple[int, float, int, int]] = []
+        self.succ: list[int] = []
+        self.part_ids: dict[Blocks, int] = {}
+        self.blocks: list[Blocks] = []
+        self.finals: list[int] = []
+
+    def state(self, key, blocks: Blocks) -> int:
+        """The id of state ``key``, added with its blocks and rate if new."""
+        s = self.ids.get(key)
+        if s is None:
+            s = self.ids[key] = len(self.states)
+            part = self.part_ids.setdefault(blocks, len(self.blocks))
+            if part == len(self.blocks):
+                self.blocks.append(blocks)
+                self.finals.append(0)
+            rate = self.rule.rate(len(blocks))
+            self.keys.append(key)
+            self.states.append((rate, 1.0 / rate if rate else inf, len(self.succ), part))
+            self.succ.extend([-1] * rate)
+        return s
+
+    def start(self, below: Callable[[int], int]) -> int:
+        """The id of a replicate's start state, drawn through ``below``."""
+        return self.state(*self.rule.start(below))
+
+    def successor(self, s: int, k: int) -> int:
+        """The id of the state bounded draw k leads to from state s."""
+        blocks = self.blocks[self.states[s][3]]
+        return self.state(*self.rule.step(self.keys[s], blocks, k))
 
 
 def estimate_transition(
@@ -508,14 +501,14 @@ def _estimate_transition(
     model: str, n: int, t: float, reps: int, seed: int
 ) -> tuple[PartitionLattice, dict[SetPartition, tuple[Fraction, float]]]:
     """``estimate_transition`` together with the P([n]) it was taken over."""
-    table_type = _TABLES.get(model)
-    if table_type is None:
+    rule_type = _RULES.get(model)
+    if rule_type is None:
         raise ValueError(f"unknown model {model!r}; use 'bs' or 'kingman'")
     if reps < 1:
         raise ValueError("need at least one replicate")
     _check_run(n, t)
     lattice = PartitionLattice(n)  # enforces the size cap before any replicate runs
-    table = table_type(n)  # lives as long as this run
+    table = _JumpTable(rule_type(n))  # lives as long as this run
     states, succ, blocks, finals = table.states, table.succ, table.blocks, table.finals
     checked: set[tuple[int, int]] = set()  # partition-id pairs _check_jump passed
     for rng in _replicate_streams(seed, reps):

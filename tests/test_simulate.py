@@ -199,11 +199,18 @@ class TestAgainstReferencePaths:
         "fast, reference",
         [(simulate_bs, reference_bs), (simulate_kingman, reference_kingman)],
     )
-    def test_same_times_and_states(self, fast, reference):
-        # exact float equality: every draw and every sum must be the same
-        for n in range(1, 9):
+    def test_same_times_and_states(self, fast, reference, monkeypatch):
+        # exact float equality: every draw and every sum must be the same.
+        # The public path holds only its path, never the estimator's table
+        # (C(b, 2) slots per Kingman state), so it reaches n = 30, past the
+        # lattice cap
+        def no_table(rule):
+            raise AssertionError("the public path built a jump table")
+
+        monkeypatch.setattr(simulate, "_JumpTable", no_table)
+        for n, reps in [*((n, 50) for n in range(1, 9)), (30, 10)]:
             for horizon in (None, 0.3, 1.0):
-                for i in range(50):
+                for i in range(reps):
                     fast_rng, reference_rng = replicate_rng(n, i), replicate_rng(n, i)
                     got = fast(n, horizon, fast_rng)
                     want = reference(n, horizon, reference_rng)
@@ -243,28 +250,34 @@ class TestAgainstReferencePaths:
             raise AssertionError("a bounded draw did not go through below")
 
     @pytest.mark.parametrize("model", ["bs", "kingman"])
-    def test_bounded_draws_come_through_below(self, model):
-        # the jump generators take their draw rule as an argument: every
-        # bounded draw goes through ``below``, in the order the public path
-        # makes it through Generator.integers
+    def test_bounded_draws_come_through_below(self, model, monkeypatch):
+        # the public path makes every bounded draw through the rule
+        # ``_integers_below`` hands it, in the order the reference path makes
+        # it through Generator.integers; its clocks forbid any other draw
         public = {"bs": simulate_bs, "kingman": simulate_kingman}[model]
+        reference = {"bs": reference_bs, "kingman": reference_kingman}[model]
+        integers_below = simulate._integers_below
         for n in (1, 2, 5, 8):
             for horizon in (None, 0.3):
                 for i in range(10):
                     rng, reference_rng = replicate_rng(n, i), replicate_rng(n, i)
-                    draw = simulate._integers_below(rng)
+                    clocks = self.ExponentialOnly(rng)
+                    draw = integers_below(rng)
                     bounds = []
 
                     def below(m):
                         bounds.append(m)
                         return draw(m)
 
-                    clocks = self.ExponentialOnly(rng)
-                    path = {"bs": simulate._bs_jumps, "kingman": simulate._kingman_jumps}[model]
-                    jumps = list(path(n, horizon, clocks, below))
-                    want = public(n, horizon, reference_rng)
-                    assert tuple(t for t, _ in jumps) == want.times
-                    assert [b for _, b in jumps] == [s.blocks for s in want.states[1:]]
+                    def recording(source):
+                        assert source is clocks
+                        return below
+
+                    monkeypatch.setattr(simulate, "_integers_below", recording)
+                    got = public(n, horizon, clocks)
+                    want = reference(n, horizon, reference_rng)
+                    assert got.times == want.times
+                    assert [s.blocks for s in got.states] == [s.blocks for s in want.states]
                     assert rng.bit_generator.state == reference_rng.bit_generator.state
                     sizes = [len(s) for s in want.states[:-1]]
                     if model == "bs":  # the tree's parents, then one edge per cut
