@@ -39,7 +39,14 @@ from coalspec import (
     kingman_triple,
     transition_via_triple,
 )
-from coalspec.cli import _entries_payload, _json_text, format_rational, format_real, main
+from coalspec.cli import (
+    _entries_payload,
+    _Object,
+    _write_json,
+    format_rational,
+    format_real,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -130,7 +137,7 @@ class TestEntriesPayload:
     @staticmethod
     def check(M):
         want = [[i, j, format_rational(v)] for i, j, v in M.nonzeros()]
-        assert _entries_payload(M) == want
+        assert list(_entries_payload(M)) == want
 
     def test_lattice_triples_and_generators(self, lattices):
         models = (
@@ -190,6 +197,27 @@ _json_values = st.recursive(
 )
 
 
+def _json_text(obj) -> str:
+    """The text the CLI's JSON writer prints for ``obj``, without its newline."""
+    writes = []
+    _write_json(obj, writes.append)
+    text = "".join(writes)
+    assert text.endswith("\n")
+    return text[:-1]
+
+
+def _lazy(obj, pick):
+    """``obj`` with each list, tuple or dict for which ``pick()`` is true
+    replaced by a one-shot iterator: an ``_Object`` in place of a dict."""
+    if isinstance(obj, dict):
+        items = [(k, _lazy(v, pick)) for k, v in obj.items()]
+        return _Object(iter(items)) if pick() else dict(items)
+    if isinstance(obj, (list, tuple)):
+        items = [_lazy(v, pick) for v in obj]
+        return (v for v in items) if pick() else type(obj)(items)
+    return obj
+
+
 class TestJsonWriter:
     """The one JSON writer prints json.dumps(obj, indent=2), byte for byte."""
 
@@ -202,6 +230,26 @@ class TestJsonWriter:
     @example([[0, 0, "1/1"], [True, 0, "x"], [0, 0, 1], ["0", 0, "x"]])
     def test_matches_json_dumps(self, obj):
         assert _json_text(obj) == json.dumps(obj, indent=2)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_json_values, st.data())
+    def test_lazy_inputs_match_json_dumps(self, obj, data):
+        lazy = _lazy(obj, lambda: data.draw(st.booleans()))
+        assert _json_text(lazy) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [[], {}, (), [[]], {"a": {}}, [{}, [], "x"]])
+    def test_empty_iterators(self, obj):
+        assert _json_text(_lazy(obj, lambda: True)) == json.dumps(obj, indent=2)
+
+    def test_lazy_table_written_in_bounded_pieces(self):
+        def table():
+            for i in range(2000):
+                yield f"{i}|x", {f"{i}|{j}": f"{j}/{i + 1}" for j in range(100)}
+
+        writes = []
+        _write_json({"n": 8, "rows": _Object(table())}, writes.append)
+        assert max(map(len, writes)) <= 2**20
+        assert "".join(writes) == json.dumps({"n": 8, "rows": dict(table())}, indent=2) + "\n"
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("command", [
@@ -622,9 +670,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["transition", "simulate"])
     @pytest.mark.parametrize("model", ["bs", "kingman"])
-    @pytest.mark.parametrize("t", ["nan", "inf"])
+    @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
     def test_non_finite_time_rejected(self, capsys, command, model, t):
-        code, out, err = run(capsys, command, "--n", "3", "--model", model, "--t", t)
+        code, out, err = run(capsys, command, "--n", "3", "--model", model, f"--t={t}")
         assert code == 2 and out == ""
         assert "finite" in err
 
@@ -649,9 +697,12 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--tol" in err
 
-    def test_out_in_missing_directory(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "lattice.json"
-        code, out, err = run(capsys, "lattice", "--n", "3", "--out", str(target))
+    @pytest.mark.parametrize("command", [
+        "lattice", "spectral", "green", "transition --t 0.5 --format csv",
+    ])
+    def test_out_in_missing_directory(self, capsys, tmp_path, command):
+        target = tmp_path / "missing" / "table.json"
+        code, out, err = run(capsys, *command.split(), "--n", "3", "--out", str(target))
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(target) in err
         assert not target.parent.exists()
