@@ -1,19 +1,24 @@
 """Sparse square matrices over exact rationals.
 
-``RatMatrix`` stores a dict of sparse rows, each as ``(d, {col: numerator})``
-in Python ints: entry (i, j) is numerator / d.  Every stored row is reduced,
-meaning d > 0, gcd(d, all numerators) = 1, no zero numerator and no empty row.
-A row therefore has one representation, so ``==`` is dict equality and
-stays exact.  The closed forms give every row a natural denominator (a
-factorial in the block count), and the builders hand rows over in that form
-through ``from_rows``.
+``RatMatrix`` stores a dict of sparse rows, each as ``(d, cols, nums)`` in
+Python ints: ``cols`` is a strictly ascending tuple of column indices and
+``nums`` the tuple of their numerators, so entry (i, cols[k]) is
+nums[k] / d.  Every stored row is reduced, meaning d > 0, gcd(d, all
+numerators) = 1, no zero numerator and no empty row.  A row therefore has
+one representation, so ``==`` is dict equality and stays exact.  The closed
+forms give every row a natural denominator (a factorial in the block count),
+and the builders hand rows over in that form through ``from_rows``.  A row
+costs two tuples, whose ints the builders share across rows.
 
-``Fraction``s are built only on read: ``get``, ``row``, ``row_sum`` and
-``nonzeros`` return reduced ``Fraction``s made on request.  ``matmul`` works
-on the integer rows directly: an output row is accumulated in ints over one
-denominator and reduced with one multi-argument gcd.  ``to_float`` divides
-numerator by denominator in int true division, which is correctly rounded,
-so it gives the same bits as ``float(Fraction)``.
+``Fraction``s are built only on read: ``get`` (which bisects ``cols``),
+``row``, ``row_sum`` and ``nonzeros`` return reduced ``Fraction``s made on
+request.  Products have one kernel, ``_product_rows``: it yields each row of
+left · right accumulated in ints over one denominator, unreduced.
+``matmul`` reduces each such row with one multi-argument gcd, and
+``spectral.verify_triple`` compares the rows as they come, without forming
+a product matrix.  ``to_float`` divides numerator by denominator in int true
+division, which is correctly rounded, so it gives the same bits as
+``float(Fraction)``.
 
 ``TriMatrix`` ties a matrix to a ``PartitionLattice`` and carries generator
 and eigenvector matrices, whose support lies on pairs π ≤ ρ (upper triangular
@@ -24,6 +29,7 @@ yields each π's up-set as one row.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -36,6 +42,9 @@ if TYPE_CHECKING:
 __all__ = ["RatMatrix", "TriMatrix"]
 
 _ZERO = Fraction(0)
+_EMPTY = (1, (), ())
+
+_Row = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 def _over_lcm(row: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
@@ -44,16 +53,28 @@ def _over_lcm(row: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
     return d, {j: v.numerator * (d // v.denominator) for j, v in row.items()}
 
 
-def _reduced(d: int, nums: dict[int, int]) -> tuple[int, dict[int, int]] | None:
-    """Row numerators over d as a reduced row; None when every numerator is 0."""
-    g = gcd(d, *nums.values())
+def _by_column(nums: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A {j: numerator} row as (cols, nums) with cols ascending."""
+    cols = tuple(sorted(nums))
+    return cols, tuple(map(nums.__getitem__, cols))
+
+
+def _reduced(d: int, cols: tuple[int, ...], nums: tuple[int, ...]) -> _Row | None:
+    """Numerators over d on ascending cols as a reduced row; None when every
+    numerator is 0.  Tuples that need no change are stored as given."""
+    g = gcd(d, *nums)
     if d < 0:
         g = -g
-    if g == 1:
-        row = {j: v for j, v in nums.items() if v}
-    else:
-        row = {j: v // g for j, v in nums.items() if v}
-    return (d // g, row) if row else None
+    if 0 in nums:
+        kept = [(j, v) for j, v in zip(cols, nums) if v]
+        if not kept:
+            return None
+        cols, nums = map(tuple, zip(*kept))
+    elif not nums:
+        return None
+    if g != 1:
+        nums = tuple(v // g for v in nums)
+    return d // g, cols, nums
 
 
 class RatMatrix:
@@ -65,13 +86,13 @@ class RatMatrix:
         if size < 0:
             raise ValueError("matrix size must be nonnegative")
         self.size = size
-        self._rows: dict[int, tuple[int, dict[int, int]]] = {}
+        self._rows: dict[int, _Row] = {}
 
     @classmethod
     def identity(cls, size: int) -> "RatMatrix":
         out = cls(size)
         for i in range(size):
-            out._rows[i] = (1, {i: 1})
+            out._rows[i] = (1, (i,), (1,))
         return out
 
     @classmethod
@@ -82,21 +103,28 @@ class RatMatrix:
 
         ``shape`` is what the class takes: a size, or a ``TriMatrix``'s
         lattice.  Row indices are distinct, d is a nonzero int and the
-        numerators are ints; zero numerators are dropped and each row is
-        reduced.  An index outside the matrix raises ``IndexError``, a
-        repeated row index ``ValueError``.
+        numerators are ints, in any column order; zero numerators are
+        dropped and each row is reduced.  An index outside the matrix raises
+        ``IndexError``, a repeated row index ``ValueError``.
         """
+        return cls._from_columns(shape, ((i, d, *_by_column(nums)) for i, d, nums in rows))
+
+    @classmethod
+    def _from_columns(
+        cls, shape, rows: Iterable[tuple[int, int, tuple[int, ...], tuple[int, ...]]]
+    ) -> "RatMatrix":
+        """``from_rows`` on (i, d, cols, nums) rows, cols strictly ascending."""
         out = cls(shape)
         seen = set()
-        for i, d, nums in rows:
-            for j in (min(nums), max(nums)) if nums else (0,):
+        for i, d, cols, nums in rows:
+            for j in (cols[0], cols[-1]) if cols else (0,):
                 out._check_index(i, j)
             if i in seen:
                 raise ValueError(f"row {i} is given twice")
             seen.add(i)
             if d == 0:
                 raise ZeroDivisionError(f"row {i} has denominator 0")
-            row = _reduced(d, nums)
+            row = _reduced(d, cols, nums)
             if row is not None:
                 out._rows[i] = row
         return out
@@ -111,57 +139,65 @@ class RatMatrix:
         row = self.row(i)
         row[j] = Fraction(value)
         self._rows.pop(i, None)
-        reduced = _reduced(*_over_lcm(row))
+        d, nums = _over_lcm(row)
+        reduced = _reduced(d, *_by_column(nums))
         if reduced is not None:
             self._rows[i] = reduced
 
     def get(self, i: int, j: int) -> Fraction:
         self._check_index(i, j)
-        d, nums = self._rows.get(i, (1, {}))
-        v = nums.get(j)
-        return _ZERO if v is None else Fraction(v, d)
+        d, cols, nums = self._rows.get(i, _EMPTY)
+        k = bisect_left(cols, j)
+        return Fraction(nums[k], d) if k < len(cols) and cols[k] == j else _ZERO
 
     def nonzeros(self) -> Iterator[tuple[int, int, Fraction]]:
         """Yield (row, col, value) sorted by (row, col)."""
         for i in sorted(self._rows):
-            d, nums = self._rows[i]
-            for j in sorted(nums):
-                yield i, j, Fraction(nums[j], d)
+            d, cols, nums = self._rows[i]
+            for j, v in zip(cols, nums):
+                yield i, j, Fraction(v, d)
 
     def nnz(self) -> int:
-        return sum(len(nums) for _, nums in self._rows.values())
+        return sum(len(cols) for _, cols, _ in self._rows.values())
 
     def row(self, i: int) -> dict[int, Fraction]:
-        d, nums = self._rows.get(i, (1, {}))
-        return {j: Fraction(v, d) for j, v in nums.items()}
+        d, cols, nums = self._rows.get(i, _EMPTY)
+        return {j: Fraction(v, d) for j, v in zip(cols, nums)}
 
     def row_sum(self, i: int) -> Fraction:
-        d, nums = self._rows.get(i, (1, {}))
-        return Fraction(sum(nums.values()), d)
+        d, _, nums = self._rows.get(i, _EMPTY)
+        return Fraction(sum(nums), d)
 
-    def matmul(self, other: "RatMatrix") -> "RatMatrix":
-        """The exact product self · other.
+    def _product_rows(self, other: "RatMatrix") -> Iterator[tuple[int, int, dict[int, int]]]:
+        """Yield (i, scale, acc) per row i of self that meets a stored row of
+        ``other``: row i of self · other is {j: acc[j] / scale}, unreduced.
 
-        Output row i is accumulated in ints over d_i · M, where d_i is the
+        The row is accumulated in ints over scale = d_i · M, where d_i is the
         denominator of row i and M the lcm of the denominators of the rows
-        of ``other`` that row i touches, then reduced with one gcd.
+        of ``other`` that row i touches; scale > 0, and acc may hold zeros.
         """
         if self.size != other.size:
             raise ValueError("matrix sizes differ")
-        out = RatMatrix(self.size)
         right = other._rows
-        for i, (d_i, row) in self._rows.items():
-            touched = [(a, right[k]) for k, a in row.items() if k in right]
+        for i, (d_i, cols, nums) in self._rows.items():
+            touched = [(a, right[k]) for k, a in zip(cols, nums) if k in right]
             if not touched:
                 continue
-            m = lcm(*[d_k for _, (d_k, _) in touched])
+            m = lcm(*[d_k for _, (d_k, _, _) in touched])
             acc: dict[int, int] = {}
             get = acc.get
-            for a, (d_k, orow) in touched:
+            for a, (d_k, ocols, onums) in touched:
                 s = a * (m // d_k)
-                for j, b in orow.items():
+                for j, b in zip(ocols, onums):
                     acc[j] = get(j, 0) + s * b
-            reduced = _reduced(d_i * m, acc)
+            yield i, d_i * m, acc
+
+    def matmul(self, other: "RatMatrix") -> "RatMatrix":
+        """The exact product self · other: each row of ``_product_rows``
+        reduced with one gcd."""
+        out = RatMatrix(self.size)
+        for i, scale, acc in self._product_rows(other):
+            reduced = _reduced(scale, *_by_column(acc))
             if reduced is not None:
                 out._rows[i] = reduced
         return out
@@ -173,10 +209,10 @@ class RatMatrix:
         diag = [Fraction(x) for x in diag]
         tops, bottoms = [x.numerator for x in diag], [x.denominator for x in diag]
         out = RatMatrix(self.size)
-        for i, (d, nums) in self._rows.items():
-            m = lcm(*[bottoms[j] for j in nums])
-            scaled = {j: v * tops[j] * (m // bottoms[j]) for j, v in nums.items()}
-            row = _reduced(d * m, scaled)
+        for i, (d, cols, nums) in self._rows.items():
+            m = lcm(*[bottoms[j] for j in cols])
+            scaled = tuple(v * tops[j] * (m // bottoms[j]) for j, v in zip(cols, nums))
+            row = _reduced(d * m, cols, scaled)
             if row is not None:
                 out._rows[i] = row
         return out
@@ -189,21 +225,21 @@ class RatMatrix:
     def is_identity(self) -> bool:
         if len(self._rows) != self.size:
             return False
-        return all(row == (1, {i: 1}) for i, row in self._rows.items())
+        return all(row == (1, (i,), (1,)) for i, row in self._rows.items())
 
     def is_upper(self) -> bool:
-        return all(i <= j for i, (_, nums) in self._rows.items() for j in nums)
+        return all(i <= cols[0] for i, (_, cols, _) in self._rows.items())
 
     def is_lower(self) -> bool:
-        return all(i >= j for i, (_, nums) in self._rows.items() for j in nums)
+        return all(i >= cols[-1] for i, (_, cols, _) in self._rows.items())
 
     def to_float(self) -> np.ndarray:
         """The matrix in doubles, each entry correctly rounded."""
         import numpy as np
 
         out = np.zeros((self.size, self.size))
-        for i, (d, nums) in self._rows.items():
-            for j, v in nums.items():
+        for i, (d, cols, nums) in self._rows.items():
+            for j, v in zip(cols, nums):
                 out[i, j] = v / d
         return out
 
@@ -230,6 +266,6 @@ def _within_order(lattice: PartitionLattice, mats: Sequence[RatMatrix]) -> bool:
     row at a time from one pass of ``comparable_rows()``."""
     for i, js, _ in lattice.comparable_rows():
         up = set(js)
-        if any(i in m._rows and not m._rows[i][1].keys() <= up for m in mats):
+        if any(i in m._rows and not up.issuperset(m._rows[i][1]) for m in mats):
             return False
     return True

@@ -39,7 +39,7 @@ from itertools import starmap
 from math import comb, factorial, prod
 
 from .combinatorics import lah, stirling_first, stirling_second
-from .matrices import RatMatrix, TriMatrix, _within_order
+from .matrices import _EMPTY, RatMatrix, TriMatrix, _within_order
 from .partitions import PartitionLattice
 
 __all__ = [
@@ -97,20 +97,27 @@ def _lattice_triple(rows, counts, build, entries, per_row) -> SpectralTriple:
 
     ``rows`` yields (i, js, keys) over the support, a row at a time, ``counts``
     is each state's block count in index order and ``build(rows)`` makes a
-    matrix from (i, d, {j: numerator}) rows.  ``per_row(b)`` gives
-    (eigenvalue, R row denominator, L row denominator) of a row with b blocks,
-    and ``entries(*key)`` the (r, l) numerators over those denominators; the
-    lattice triples pass it through ``cache``, since many pairs share a key.
+    matrix from (i, d, js, numerators) rows, js ascending.  ``per_row(b)``
+    gives (eigenvalue, R row denominator, L row denominator) of a row with b
+    blocks, and ``entries(*key)`` the (r, l) numerators over those
+    denominators; the lattice triples pass it through ``cache``, since many
+    pairs share a key.  R takes its rows as the walk yields them; L's rows
+    wait in a list as the same tuples that L then stores (when already
+    reduced), with js shared with R.
     """
     counts = tuple(counts)
     facts = {b: per_row(b) for b in set(counts)}
-    R, L = [], []
-    for i, js, keys in rows:
-        _, r_den, l_den = facts[counts[i]]
-        rs, ls = zip(*starmap(entries, keys))
-        R.append((i, r_den, dict(zip(js, rs))))
-        L.append((i, l_den, dict(zip(js, ls))))
-    return SpectralTriple(build(R), tuple(Fraction(facts[b][0]) for b in counts), build(L))
+    L = []
+
+    def r_rows():
+        for i, js, keys in rows:
+            _, r_den, l_den = facts[counts[i]]
+            rs, ls = zip(*starmap(entries, keys))
+            L.append((i, l_den, js, ls))
+            yield i, r_den, js, rs
+
+    R = build(r_rows())
+    return SpectralTriple(R, tuple(Fraction(facts[b][0]) for b in counts), build(L))
 
 
 def _on_lattice(lattice: PartitionLattice):
@@ -118,7 +125,7 @@ def _on_lattice(lattice: PartitionLattice):
     return (
         lattice.comparable_rows(),
         map(len, lattice),
-        partial(TriMatrix.from_rows, lattice),
+        partial(TriMatrix._from_columns, lattice),
     )
 
 
@@ -127,9 +134,10 @@ def _on_chain(n: int):
     if n < 1:
         raise ValueError("block triple needs n >= 1")
     rows = (
-        (i - 1, range(i), tuple((i, j) for j in range(1, i + 1))) for i in range(1, n + 1)
+        (i - 1, tuple(range(i)), tuple((i, j) for j in range(1, i + 1)))
+        for i in range(1, n + 1)
     )
-    return rows, range(1, n + 1), partial(RatMatrix.from_rows, n)
+    return rows, range(1, n + 1), partial(RatMatrix._from_columns, n)
 
 
 def _bs_row(b: int) -> tuple[int, int, int]:
@@ -206,19 +214,56 @@ def _support_ok(triple: SpectralTriple, Q: RatMatrix) -> bool:
     return all(m.is_upper() for m in mats) or all(m.is_lower() for m in mats)
 
 
+def _is_inverse(L: RatMatrix, R: RatMatrix) -> bool:
+    """L R = I, read one product row at a time: row i must be scale at i, 0 elsewhere."""
+    rows = 0
+    for i, scale, acc in L._product_rows(R):
+        if acc.pop(i, 0) != scale or any(acc.values()):
+            return False
+        rows += 1
+    return rows == L.size
+
+
+def _right_eigen(Q: RatMatrix, R: RatMatrix, D: tuple[Fraction, ...]) -> bool:
+    """Q R = R diag(D), one row of Q R at a time against the stored row of R.
+
+    Entry j of row i is acc[j] / scale on the left and v D[j] / d on the
+    right, for R's row (d, cols, nums); the two are compared cross-multiplied.
+    A row of R that meets no row of Q R must vanish under D.
+    """
+    D = [Fraction(x) for x in D]
+    tops, bottoms = [x.numerator for x in D], [x.denominator for x in D]
+    stored, met = R._rows, set()
+    for i, scale, acc in Q._product_rows(R):
+        d, cols, nums = stored.get(i, _EMPTY)
+        for j, v in zip(cols, nums):
+            if acc.pop(j, 0) * d * bottoms[j] != scale * v * tops[j]:
+                return False
+        if any(acc.values()):
+            return False
+        met.add(i)
+    return all(i in met or not any(tops[j] for j in cols)
+               for i, (_, cols, _) in stored.items())
+
+
 def verify_triple(Q: RatMatrix, triple: SpectralTriple) -> VerificationReport:
     """Exact verification of Q = R D L, L R = I, R L = I, diagonals and support;
     for support, a ``TriMatrix`` Q has Q, R and L checked against one walk of its
-    lattice, any other Q has all three upper or all three lower triangular."""
+    lattice, any other Q has all three upper or all three lower triangular.
+
+    L R = I and Q R = R D are read a product row at a time and compared with
+    the stored rows by cross-multiplying, so no product matrix is formed;
+    only when L R != I is Q = R D L decided by forming R D L.
+    """
     if Q.size != triple.size:
         raise ValueError("generator and triple dimensions disagree")
     unit = all(
         triple.R.get(i, i) == 1 and triple.L.get(i, i) == 1 for i in range(Q.size)
     )
     # R and L are square and exact, so L R = I iff R L = I: one product decides both
-    inverse = triple.L.matmul(triple.R).is_identity()
+    inverse = _is_inverse(triple.L, triple.R)
     # given L = R^-1, Q = R D L iff Q R = R D, the cheaper product
-    rdl = Q.matmul(triple.R) == triple.R.scaled_cols(triple.D) if inverse else triple.rdl() == Q
+    rdl = _right_eigen(Q, triple.R, triple.D) if inverse else triple.rdl() == Q
     return VerificationReport(
         q_equals_rdl=rdl,
         lr_identity=inverse,

@@ -212,19 +212,24 @@ class TestStorage:
 
     def test_rows_are_stored_reduced(self):
         m = RatMatrix.from_rows(
-            3, [(0, 12, {0: 4, 2: -8}), (1, -6, {1: 3, 0: 0}), (2, 5, {0: 0})]
+            3, [(0, 12, {2: -8, 0: 4}), (1, -6, {1: 3, 0: 0}), (2, 5, {0: 0})]
         )
-        assert m._rows == {0: (3, {0: 1, 2: -2}), 1: (2, {1: -1})}
+        # (d, ascending columns, their numerators)
+        assert m._rows == {0: (3, (0, 2), (1, -2)), 1: (2, (1,), (-1,))}
         m.set(0, 0, F(1, 6))  # row 0 becomes 1/6, -2/3 over 6
-        assert m._rows[0] == (6, {0: 1, 2: -4})
+        assert m._rows[0] == (6, (0, 2), (1, -4))
         m.set(0, 2, F(5, 6))  # 1/6, 5/6
-        assert m._rows[0] == (6, {0: 1, 2: 5})
+        assert m._rows[0] == (6, (0, 2), (1, 5))
         m.set(0, 0, F(1, 2))  # 3/6, 5/6: no common factor yet
-        assert m._rows[0] == (6, {0: 3, 2: 5})
+        assert m._rows[0] == (6, (0, 2), (3, 5))
         m.set(0, 2, F(1, 2))  # 3/6, 3/6 reduce to 1/2, 1/2
-        assert m._rows[0] == (2, {0: 1, 2: 1})
+        assert m._rows[0] == (2, (0, 2), (1, 1))
+        m.set(0, 1, F(-1, 3))  # a column between the two stored ones
+        assert m._rows[0] == (6, (0, 1, 2), (3, -2, 3))
+        m.set(0, 1, 0)
         m.set(1, 1, 0)
-        assert m._rows == {0: (2, {0: 1, 2: 1})} and m.nnz() == 2
+        assert m._rows == {0: (2, (0, 2), (1, 1))} and m.nnz() == 2
+        assert all(type(x) is tuple for row in m._rows.values() for x in row[1:])
 
     @settings(max_examples=200, deadline=None)
     @given(sparse_entries())

@@ -21,6 +21,7 @@ from coalspec import (
     verify_triple,
 )
 from coalspec.cli import main
+from coalspec.spectral import _is_inverse, _right_eigen
 
 F = Fraction
 
@@ -316,20 +317,108 @@ class TestInverseProducts:
 
     @pytest.mark.parametrize("block", [False, True])
     def test_two_products(self, block, bs_generators, kingman_triples, monkeypatch):
-        calls = []
-        matmul = RatMatrix.matmul
+        # L R and Q R are each one pass of product rows; no product matrix is made
+        passes, calls = [], []
+        product_rows, matmul = RatMatrix._product_rows, RatMatrix.matmul
+
+        def counted_rows(self, other):
+            passes.append(1)
+            return product_rows(self, other)
 
         def counted(self, other):
             calls.append(1)
             return matmul(self, other)
 
+        monkeypatch.setattr(RatMatrix, "_product_rows", counted_rows)
         monkeypatch.setattr(RatMatrix, "matmul", counted)
         if block:
             Q, t = kingman_block_generator(8), kingman_block_triple(8)
         else:
             Q, t = bs_generators[5], kingman_triples[5]  # a failing pair
         verify_triple(Q, t)
-        assert len(calls) == 2
+        assert len(passes) == 2 and not calls
+
+
+class TestStreamedChecks:
+    """The row-at-a-time checks of ``verify_triple`` on broken triples, flag by
+    flag against the materialised products they replace."""
+
+    @staticmethod
+    def builds():
+        """(label, make) with make() a fresh (Q, R, D, L) to break."""
+        def lattice(n, rates, triple):
+            lat = PartitionLattice(n)
+            t = triple(lat)
+            return build_generator(lat, rates(n)), t.R, t.D, t.L
+
+        def block(n, generator, triple):
+            t = triple(n)
+            return generator(n), t.R, t.D, t.L
+
+        for n in range(1, 6):
+            for rates, triple in ((bs_rates, bs_triple), (kingman_rates, kingman_triple)):
+                yield f"{triple.__name__} {n}", lambda a=(n, rates, triple): lattice(*a)
+        for n in range(1, 21):
+            for generator, triple in ((bs_block_generator, bs_block_triple),
+                                      (kingman_block_generator, kingman_block_triple)):
+                yield f"{triple.__name__} {n}", lambda a=(n, generator, triple): block(*a)
+
+    @staticmethod
+    def breaks(Q, R, D, L):
+        """(name, apply) for each break that applies; apply edits the
+        matrices in place and returns the broken D."""
+        def bump(m, i, j):
+            def apply():
+                m.set(i, j, m.get(i, j) + 1)
+                return D
+            return apply
+
+        def empty_row(m, i):
+            def apply():
+                for j in m.row(i):
+                    m.set(i, j, 0)
+                return D
+            return apply
+
+        off = [(i, j) for i, j, _ in R.nonzeros() if i != j]
+        for k in {0, len(off) - 1} if off else ():
+            yield f"R{off[k]} changed", bump(R, *off[k])
+        entries = [(i, j) for i, j, _ in L.nonzeros()]
+        for k in {0, len(entries) // 2, len(entries) - 1}:
+            yield f"L{entries[k]} changed", bump(L, *entries[k])
+        spare = next((i, j) for i in range(Q.size) for j in range(Q.size)
+                     if Q.get(i, j) == 0)
+        yield f"Q{spare} added", bump(Q, *spare)
+        live = [i for i, x in enumerate(D) if x]
+        if live:
+            yield f"R row {live[0]} deleted", empty_row(R, live[0])
+            yield f"Q row {live[-1]} deleted", empty_row(Q, live[-1])
+        # a row of L R that never comes up: L's last row meets only R's last row
+        yield f"L row {L.size - 1} deleted", empty_row(L, L.size - 1)
+        for i in {0, len(D) - 1}:
+            yield f"D[{i}] changed", lambda i=i: D[:i] + (D[i] + 1,) + D[i + 1:]
+
+    def test_flags_match_the_materialised_products(self):
+        seen = 0
+        for label, make in self.builds():
+            for name, _ in self.breaks(*make()):
+                Q, R, D, L = make()
+                D = dict(self.breaks(Q, R, D, L))[name]()
+                report = verify_triple(Q, SpectralTriple(R, D, L))
+                inverse = L.matmul(R).is_identity()
+                right = Q.matmul(R) == R.scaled_cols(D)
+                where = (label, name)
+                assert _is_inverse(L, R) == inverse, where
+                assert _right_eigen(Q, R, D) == right, where
+                assert report.lr_identity == inverse, where
+                assert report.rl_identity == R.matmul(L).is_identity(), where
+                assert report.q_equals_rdl == (
+                    right if inverse else R.scaled_cols(D).matmul(L) == Q
+                ), where
+                # R is invertible, so every break shows in one of the two
+                assert not (inverse and right), where
+                seen += 1
+        assert seen > 400
 
 
 class TestSupportFlag:
