@@ -11,11 +11,10 @@ Green entries as "inf".  Exit codes: 0 success, 1 verification failure,
 Output is written as it is produced: tables are read off the computed
 matrices a row at a time and written in batches, so peak memory is set by
 the matrices, not by the size of the output: ``spectral --n 8 --model
-kingman`` peaks at about 64 MB, and 137 MB when the whole document was held
-before writing (CPython 3.11, Linux x86-64).  Every matrix, product and
-verification, and every check that can raise, finishes before the first
-byte is written, and --out is opened only then, so a failing command
-writes nothing.
+kingman`` peaks at about 33 MB (CPython 3.11, Linux x86-64).  Every matrix,
+product and verification, and every check that can raise, finishes before
+the first byte is written, and --out is opened only then, so a failing
+command writes nothing.
 
 Configuration precedence is flags over environment over defaults; the only
 environment knob is COALSPEC_N_CAP, which bounds full-lattice enumeration
@@ -102,20 +101,17 @@ def _model(name: str) -> dict:
 
 
 def _entries_payload(mat: RatMatrix) -> Iterator[list]:
-    """Yield [i, j, "p/q"] per entry of ``mat.nonzeros()``, read off the integer rows.
+    """Yield [i, j, "p/q"] per entry of ``mat.nonzeros()``, read off ``mat._entries()``.
 
     Rows share their values (R and L take one per key), so each distinct
     (numerator, row denominator) is reduced and formatted once.
     """
     text: dict[tuple[int, int], str] = {}
-    for i in sorted(mat._rows):
-        d, cols, nums = mat._rows[i]
-        for j, v in zip(cols, nums):
-            key = (v, d)
-            s = text.get(key)
-            if s is None:
-                s = text[key] = format_rational(Fraction(*key))
-            yield [i, j, s]
+    for i, j, v, d in mat._entries():
+        s = text.get((v, d))
+        if s is None:
+            s = text[v, d] = format_rational(Fraction(v, d))
+        yield [i, j, s]
 
 
 def _lattice_order(lattice: PartitionLattice) -> list[str]:

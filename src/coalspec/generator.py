@@ -127,13 +127,11 @@ def build_generator(lattice: PartitionLattice, rates: RateTable) -> TriMatrix:
             p = keys[0][0]
             d, nums = per_p[p]
             # Σ (size - 1) = k - 1, so a single merger has every other size 1
-            yield i, d, {
-                j: nums[p - r + 1]
-                for j, (_, r, sizes) in zip(js, keys)
-                if r == p or p - r + 1 in sizes
-            }
+            cols, ks = zip(*[(j, p - r + 1) for j, (_, r, sizes) in zip(js, keys)
+                             if r == p or p - r + 1 in sizes])
+            yield i, d, cols, tuple(map(nums.__getitem__, ks))
 
-    return TriMatrix.from_rows(lattice, rows())
+    return TriMatrix._from_columns(lattice, rows())
 
 
 def bs_block_generator(n: int) -> RatMatrix:

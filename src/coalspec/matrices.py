@@ -5,20 +5,29 @@ Python ints: ``cols`` is a strictly ascending tuple of column indices and
 ``nums`` the tuple of their numerators, so entry (i, cols[k]) is
 nums[k] / d.  Every stored row is reduced, meaning d > 0, gcd(d, all
 numerators) = 1, no zero numerator and no empty row.  A row therefore has
-one representation, so ``==`` is dict equality and stays exact.  The closed
-forms give every row a natural denominator (a factorial in the block count),
-and the builders hand rows over in that form through ``from_rows``.  A row
-costs two tuples, whose ints the builders share across rows.
+one representation, so ``==`` is dict equality and stays exact.  This module
+is the only one that stores, reads or compares rows.
 
-``Fraction``s are built only on read: ``get`` (which bisects ``cols``),
-``row``, ``row_sum`` and ``nonzeros`` return reduced ``Fraction``s made on
-request.  Products have one kernel, ``_product_rows``: it yields each row of
-left · right accumulated in ints over one denominator, unreduced.
-``matmul`` reduces each such row with one multi-argument gcd, and
-``spectral.verify_triple`` compares the rows as they come, without forming
-a product matrix.  ``to_float`` divides numerator by denominator in int true
+Rows come in one form: the lattice builders (the generator and the spectral
+triples) stream (i, d, cols, nums) rows, cols ascending, to
+``_from_columns``, with d the natural denominator the closed forms give a
+row (a factorial in the block count) and ints shared across rows; the
+public ``from_rows`` takes {j: num} rows in any column order and sorts them
+into that form.  They go out in one form as well: ``_entries()`` yields
+(i, j, numerator, row denominator) in (i, j) order, ``nonzeros()`` turns
+those into ``Fraction``s, and the command line formats from them.  ``get``
+(which bisects ``cols``), ``row`` and ``row_sum`` build ``Fraction``s on
+request.  ``to_float`` divides numerator by denominator in int true
 division, which is correctly rounded, so it gives the same bits as
 ``float(Fraction)``.
+
+Products have one kernel, ``_product_rows``: it yields each row of
+left · right accumulated in ints over one denominator, unreduced.
+``matmul`` reduces each such row with one multi-argument gcd, and
+``_product_is(left, right, target, diag)`` decides left · right =
+target · diag(diag) by comparing the rows as they come with target's
+stored rows, without forming a product matrix; ``spectral.verify_triple``
+decides all three identities of a triple with it.
 
 ``TriMatrix`` ties a matrix to a ``PartitionLattice`` and carries generator
 and eigenvector matrices, whose support lies on pairs π ≤ ρ (upper triangular
@@ -150,12 +159,17 @@ class RatMatrix:
         k = bisect_left(cols, j)
         return Fraction(nums[k], d) if k < len(cols) and cols[k] == j else _ZERO
 
-    def nonzeros(self) -> Iterator[tuple[int, int, Fraction]]:
-        """Yield (row, col, value) sorted by (row, col)."""
+    def _entries(self) -> Iterator[tuple[int, int, int, int]]:
+        """Yield (row, col, numerator, row denominator) sorted by (row, col)."""
         for i in sorted(self._rows):
             d, cols, nums = self._rows[i]
             for j, v in zip(cols, nums):
-                yield i, j, Fraction(v, d)
+                yield i, j, v, d
+
+    def nonzeros(self) -> Iterator[tuple[int, int, Fraction]]:
+        """Yield (row, col, value) sorted by (row, col)."""
+        for i, j, v, d in self._entries():
+            yield i, j, Fraction(v, d)
 
     def nnz(self) -> int:
         return sum(len(cols) for _, cols, _ in self._rows.values())
@@ -256,10 +270,6 @@ class TriMatrix(RatMatrix):
         super().__init__(len(lattice))
         self.lattice = lattice
 
-    def support_respects_order(self) -> bool:
-        """True iff every nonzero entry sits on a pair with π ≤ ρ."""
-        return _within_order(self.lattice, (self,))
-
 
 def _within_order(lattice: PartitionLattice, mats: Sequence[RatMatrix]) -> bool:
     """True iff row i of every matrix lies in the up-set of lattice[i], read a
@@ -269,3 +279,32 @@ def _within_order(lattice: PartitionLattice, mats: Sequence[RatMatrix]) -> bool:
         if any(i in m._rows and not up.issuperset(m._rows[i][1]) for m in mats):
             return False
     return True
+
+
+def _product_is(
+    left: RatMatrix, right: RatMatrix, target: RatMatrix, diag: Sequence[Fraction]
+) -> bool:
+    """True iff left · right = target · diag(diag), no product matrix formed.
+
+    Each row of ``left._product_rows(right)`` is compared, as it comes, with
+    the stored row of target: entry j is acc[j] / scale on the left and
+    v diag[j] / d on the right, for target's row (d, cols, nums), and the
+    two are compared cross-multiplied.  A row of target that meets no
+    product row must vanish under diag.  Sizes or the diag length that
+    disagree raise ``ValueError``.
+    """
+    if not (left.size == right.size == target.size == len(diag)):
+        raise ValueError("matrix sizes or diagonal length differ")
+    diag = [Fraction(x) for x in diag]
+    tops, bottoms = [x.numerator for x in diag], [x.denominator for x in diag]
+    stored, met = target._rows, set()
+    for i, scale, acc in left._product_rows(right):
+        d, cols, nums = stored.get(i, _EMPTY)
+        for j, v in zip(cols, nums):
+            if acc.pop(j, 0) * d * bottoms[j] != scale * v * tops[j]:
+                return False
+        if any(acc.values()):
+            return False
+        met.add(i)
+    return all(i in met or not any(tops[j] for j in cols)
+               for i, (_, cols, _) in stored.items())

@@ -383,14 +383,6 @@ class PartitionLattice:
     def top(self) -> SetPartition:
         return self.elements[-1]
 
-    def with_block_count(self, k: int) -> list[SetPartition]:
-        return [p for p in self.elements if len(p) == k]
-
-    def owner_labels(self) -> list[tuple[int, ...]]:
-        """Each partition as the block index of 1..n in turn, blocks numbered
-        by their minima (a restricted growth string).  A copy of the lattice's."""
-        return list(self._index)
-
     def comparable_rows(self) -> Iterator[tuple[int, tuple[int, ...], tuple[tuple, ...]]]:
         """Yield (i, js, keys) for every π = self[i], i ascending: js the
         indices of the ρ ≥ π, ascending, and keys[k] = ``pair_key(π, self[js[k]])``.

@@ -15,9 +15,11 @@ Kingman (diagonal -C(p, 2)):
 
 The Kingman entries are also proportional to the number of maximal chains in
 [π, ρ]; the test suite checks every entry against that route.  L is the
-exact inverse of R in all cases, with unit diagonals; ``verify_triple``
-reports R L = I from the L R product, since for square exact matrices one
-identity implies the other.
+exact inverse of R in all cases, with unit diagonals.  ``verify_triple``
+decides L R = I, Q R = R D and, only when L R != I, Q = R D L with one
+streamed kernel, ``matrices._product_is``, and forms no product matrix; it
+reports R L = I from L R, since for square exact matrices one identity
+implies the other.
 
 The block-counting triples (n x n, lower triangular in the block count) are
 the lattice triples lumped by block count: summed over the ρ with j blocks,
@@ -39,7 +41,7 @@ from itertools import starmap
 from math import comb, factorial, prod
 
 from .combinatorics import lah, stirling_first, stirling_second
-from .matrices import _EMPTY, RatMatrix, TriMatrix, _within_order
+from .matrices import RatMatrix, TriMatrix, _product_is, _within_order
 from .partitions import PartitionLattice
 
 __all__ = [
@@ -92,52 +94,48 @@ class VerificationReport:
         return asdict(self)
 
 
-def _lattice_triple(rows, counts, build, entries, per_row) -> SpectralTriple:
+def _lattice_triple(rows, build, entries, per_row) -> SpectralTriple:
     """R and L over ``rows``, and D from ``per_row`` per block count.
 
-    ``rows`` yields (i, js, keys) over the support, a row at a time, ``counts``
-    is each state's block count in index order and ``build(rows)`` makes a
-    matrix from (i, d, js, numerators) rows, js ascending.  ``per_row(b)``
-    gives (eigenvalue, R row denominator, L row denominator) of a row with b
-    blocks, and ``entries(*key)`` the (r, l) numerators over those
-    denominators; the lattice triples pass it through ``cache``, since many
-    pairs share a key.  R takes its rows as the walk yields them; L's rows
-    wait in a list as the same tuples that L then stores (when already
-    reduced), with js shared with R.
+    ``rows`` yields (i, js, keys) over the support, a row at a time, i
+    ascending and every state once, and ``build(rows)`` makes a matrix from
+    (i, d, js, numerators) rows, js ascending.  ``per_row(b)`` gives
+    (eigenvalue, R row denominator, L row denominator) of a row with b
+    blocks, b the first component of every key of the row, and
+    ``entries(*key)`` the (r, l) numerators over those denominators; the
+    lattice triples pass it through ``cache``, since many pairs share a key.
+    R takes its rows as the walk yields them; L's rows wait in a list as the
+    same tuples that L then stores (when already reduced), with js shared
+    with R.
     """
-    counts = tuple(counts)
-    facts = {b: per_row(b) for b in set(counts)}
-    L = []
+    per_row, D, L = cache(per_row), [], []
 
     def r_rows():
         for i, js, keys in rows:
-            _, r_den, l_den = facts[counts[i]]
+            eigenvalue, r_den, l_den = per_row(keys[0][0])
             rs, ls = zip(*starmap(entries, keys))
+            D.append(Fraction(eigenvalue))
             L.append((i, l_den, js, ls))
             yield i, r_den, js, rs
 
     R = build(r_rows())
-    return SpectralTriple(R, tuple(Fraction(facts[b][0]) for b in counts), build(L))
+    return SpectralTriple(R, tuple(D), build(L))
 
 
 def _on_lattice(lattice: PartitionLattice):
-    """(rows, counts, build) on the lattice, keyed (|π|, |ρ|, restriction sizes)."""
-    return (
-        lattice.comparable_rows(),
-        map(len, lattice),
-        partial(TriMatrix._from_columns, lattice),
-    )
+    """(rows, build) on the lattice, keyed (|π|, |ρ|, restriction sizes)."""
+    return lattice.comparable_rows(), partial(TriMatrix._from_columns, lattice)
 
 
 def _on_chain(n: int):
-    """(rows, counts, build) on the block counts 1..n, keyed (i, j) for j <= i."""
+    """(rows, build) on the block counts 1..n, keyed (i, j) for j <= i."""
     if n < 1:
         raise ValueError("block triple needs n >= 1")
     rows = (
         (i - 1, tuple(range(i)), tuple((i, j) for j in range(1, i + 1)))
         for i in range(1, n + 1)
     )
-    return rows, range(1, n + 1), partial(RatMatrix._from_columns, n)
+    return rows, partial(RatMatrix._from_columns, n)
 
 
 def _bs_row(b: int) -> tuple[int, int, int]:
@@ -214,56 +212,25 @@ def _support_ok(triple: SpectralTriple, Q: RatMatrix) -> bool:
     return all(m.is_upper() for m in mats) or all(m.is_lower() for m in mats)
 
 
-def _is_inverse(L: RatMatrix, R: RatMatrix) -> bool:
-    """L R = I, read one product row at a time: row i must be scale at i, 0 elsewhere."""
-    rows = 0
-    for i, scale, acc in L._product_rows(R):
-        if acc.pop(i, 0) != scale or any(acc.values()):
-            return False
-        rows += 1
-    return rows == L.size
-
-
-def _right_eigen(Q: RatMatrix, R: RatMatrix, D: tuple[Fraction, ...]) -> bool:
-    """Q R = R diag(D), one row of Q R at a time against the stored row of R.
-
-    Entry j of row i is acc[j] / scale on the left and v D[j] / d on the
-    right, for R's row (d, cols, nums); the two are compared cross-multiplied.
-    A row of R that meets no row of Q R must vanish under D.
-    """
-    D = [Fraction(x) for x in D]
-    tops, bottoms = [x.numerator for x in D], [x.denominator for x in D]
-    stored, met = R._rows, set()
-    for i, scale, acc in Q._product_rows(R):
-        d, cols, nums = stored.get(i, _EMPTY)
-        for j, v in zip(cols, nums):
-            if acc.pop(j, 0) * d * bottoms[j] != scale * v * tops[j]:
-                return False
-        if any(acc.values()):
-            return False
-        met.add(i)
-    return all(i in met or not any(tops[j] for j in cols)
-               for i, (_, cols, _) in stored.items())
-
-
 def verify_triple(Q: RatMatrix, triple: SpectralTriple) -> VerificationReport:
     """Exact verification of Q = R D L, L R = I, R L = I, diagonals and support;
     for support, a ``TriMatrix`` Q has Q, R and L checked against one walk of its
     lattice, any other Q has all three upper or all three lower triangular.
 
-    L R = I and Q R = R D are read a product row at a time and compared with
-    the stored rows by cross-multiplying, so no product matrix is formed;
-    only when L R != I is Q = R D L decided by forming R D L.
+    One kernel, ``_product_is``, decides all three identities a product row
+    at a time against stored rows, so no product matrix is formed, not even
+    on the fallback that decides Q = R D L when L R != I.
     """
-    if Q.size != triple.size:
+    n = Q.size
+    if n != triple.size:
         raise ValueError("generator and triple dimensions disagree")
-    unit = all(
-        triple.R.get(i, i) == 1 and triple.L.get(i, i) == 1 for i in range(Q.size)
-    )
+    R, D, L = triple.R, triple.D, triple.L
+    unit = all(R.get(i, i) == 1 and L.get(i, i) == 1 for i in range(n))
+    ones = (1,) * n
     # R and L are square and exact, so L R = I iff R L = I: one product decides both
-    inverse = _is_inverse(triple.L, triple.R)
+    inverse = _product_is(L, R, RatMatrix.identity(n), ones)
     # given L = R^-1, Q = R D L iff Q R = R D, the cheaper product
-    rdl = _right_eigen(Q, triple.R, triple.D) if inverse else triple.rdl() == Q
+    rdl = _product_is(Q, R, R, D) if inverse else _product_is(R.scaled_cols(D), L, Q, ones)
     return VerificationReport(
         q_equals_rdl=rdl,
         lr_identity=inverse,

@@ -16,6 +16,7 @@ from coalspec import (
     build_generator,
     kingman_block_triple,
 )
+from coalspec.matrices import _product_is, _within_order
 
 F = Fraction
 
@@ -117,6 +118,60 @@ class TestMatmulAgainstReference:
             RatMatrix.identity(2).matmul(RatMatrix.identity(1))
 
 
+@st.composite
+def product_cases(draw):
+    """(A, B, C, d): sparse square matrices of size 0-5, often with empty rows,
+    and a diagonal with zeros among its entries; C is random, A·B' for
+    B' = B diag(d), or that plus entries in columns where d is 0."""
+    size = draw(st.integers(0, 5))
+    index = st.tuples(st.integers(0, max(size - 1, 0)), st.integers(0, max(size - 1, 0)))
+    entries = st.dictionaries(index, rationals, max_size=2 * size)
+    a, b, c = (from_entries(size, draw(entries)) for _ in range(3))
+    d = draw(st.lists(st.one_of(st.just(F(0)), rationals, st.integers(-3, 3)),
+                      min_size=size, max_size=size))
+    kind = draw(st.sampled_from(["random", "product", "product plus dead columns"]))
+    if kind != "random":
+        b, c = b.scaled_cols(d), a.matmul(b)
+        if kind == "product plus dead columns":
+            for (i, j), v in draw(entries).items():
+                if not d[j]:
+                    c.set(i, j, v)
+    return a, b, c, d
+
+
+class TestProductIs:
+    """The streamed kernel against the materialised product it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(product_cases())
+    def test_matches_the_materialised_product(self, case):
+        a, b, c, d = case
+        assert _product_is(a, b, c, d) == (a.matmul(b) == c.scaled_cols(d))
+        n, ones = a.size, (1,) * a.size
+        eye = RatMatrix.identity(n)
+        assert _product_is(a, b, eye, ones) == (a.matmul(b) == eye)
+        assert _product_is(a, b, eye, d) == (a.matmul(b) == eye.scaled_cols(d))
+        # against C = I the kernel holds exactly when the product is diag(d)
+        diag = eye.scaled_cols(d)
+        assert _product_is(diag, eye, eye, d) and _product_is(eye, diag, eye, d)
+        assert _product_is(a, eye, eye, d) == (a == diag)
+
+    def test_sizes_must_agree(self):
+        three, four = RatMatrix.identity(3), RatMatrix.identity(4)
+        for args in ((three, four, three, (1,) * 3), (three, three, four, (1,) * 3),
+                     (four, three, three, (1,) * 3), (three, three, three, (1,) * 4),
+                     (three, three, three, (1,) * 2)):
+            with pytest.raises(ValueError):
+                _product_is(*args)
+
+    def test_target_row_no_product_row_meets(self):
+        # row 1 of A is empty, so row 1 of C must vanish under d
+        a = from_entries(2, {(0, 0): F(1)})
+        c = from_entries(2, {(0, 0): F(2), (1, 1): F(5)})
+        assert _product_is(a, RatMatrix.identity(2), c, (F(1, 2), 0))
+        assert not _product_is(a, RatMatrix.identity(2), c, (F(1, 2), 1))
+
+
 class TestTripleProducts:
     """The three products verify_triple forms, on all four triple families."""
 
@@ -137,16 +192,16 @@ class TestTripleProducts:
             self.check(kingman_block_triple(n))
 
 
-class TestSupportRespectsOrder:
+class TestWithinOrder:
     def test_rejects_non_comparable_pair(self, lattices):
         lat = lattices[4]
         i = lat.index_of(SetPartition.from_string("1,2|3|4"))
         j = lat.index_of(SetPartition.from_string("1,3|2,4"))
         assert i < j and not lat[i].refines(lat[j])
         Q = build_generator(lat, bs_rates(4))
-        assert Q.support_respects_order()
+        assert _within_order(lat, (Q,))
         Q.set(i, j, F(1, 3))
-        assert not Q.support_respects_order()
+        assert not _within_order(lat, (Q,))
 
     def test_rejects_entry_below_diagonal(self, lattices):
         lat = lattices[4]
@@ -155,9 +210,9 @@ class TestSupportRespectsOrder:
         assert fine < coarse and lat[fine].refines(lat[coarse])
         m = TriMatrix(lat)
         m.set(fine, coarse, F(2))
-        assert m.support_respects_order()
+        assert _within_order(lat, (m,))
         m.set(coarse, fine, F(-1, 5))
-        assert not m.support_respects_order()
+        assert not _within_order(lat, (m,))
 
 
 def reference_entries(m: RatMatrix) -> dict[tuple[int, int], Fraction]:

@@ -168,13 +168,6 @@ class TestLattice:
             "1,2,3",
         ]
 
-    def test_with_block_count(self, lattices):
-        from coalspec import stirling_second
-
-        for n in range(1, 7):
-            for i in range(1, n + 1):
-                assert len(lattices[n].with_block_count(i)) == stirling_second(n, i)
-
     def test_index_of_foreign_partition(self, lattices):
         # a partition of [n - 1], of [n + 1], and of a ground set with a gap
         for text in ("1|2", "1,2", "1|2|3|4", "1,2,3,4", "1|2|4", "1,3|4"):
@@ -286,24 +279,10 @@ class TestComparablePairs:
         assert pairs == sum(bell(len(pi)) for pi in lat)
         assert calls == []
 
-    def test_walks_repeat_and_ignore_label_copies(self):
+    def test_walks_repeat(self):
         lat = PartitionLattice(4)
         first = list(lat.comparable_pairs())
-        labels = lat.owner_labels()
-        expected = list(labels)
-        labels.reverse()
-        labels[0] = (0, 0, 0, 0)
         assert list(lat.comparable_pairs()) == first
-        assert lat.owner_labels() == expected
-
-    def test_owner_labels(self, lattices):
-        for n in range(1, 7):
-            lat = lattices[n]
-            labels = lat.owner_labels()
-            assert len(set(labels)) == len(lat)
-            for pi, label in zip(lat, labels):
-                for idx, block in enumerate(pi.blocks):
-                    assert all(label[e - 1] == idx for e in block)
 
 
 class TestCovers:

@@ -31,3 +31,19 @@ def test_package_names_come_from_the_modules():
     for name in coalspec.__all__:
         getattr(coalspec, name)
     assert {"lattice_cap", "ENV_N_CAP", "PartitionLattice"} <= names
+
+
+def test_only_matrices_reads_exact_rows():
+    # the stored row format is private to matrices: no other module reads
+    # a matrix's rows or product rows, or names the empty-row constant
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("_rows", "_product_rows")
+                    or isinstance(node, ast.Name) and node.id == "_EMPTY"
+                    or isinstance(node, ast.alias) and node.name == "_EMPTY"):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert found == []

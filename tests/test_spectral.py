@@ -21,7 +21,7 @@ from coalspec import (
     verify_triple,
 )
 from coalspec.cli import main
-from coalspec.spectral import _is_inverse, _right_eigen
+from coalspec.matrices import _product_is, _within_order
 
 F = Fraction
 
@@ -337,6 +337,11 @@ class TestInverseProducts:
             Q, t = bs_generators[5], kingman_triples[5]  # a failing pair
         verify_triple(Q, t)
         assert len(passes) == 2 and not calls
+        # the fallback once L R != I is one more pass, R D L still unformed
+        t.L.set(0, 0, 2)
+        passes.clear()
+        assert not verify_triple(Q, t).lr_identity
+        assert len(passes) == 2 and not calls
 
 
 class TestStreamedChecks:
@@ -408,8 +413,12 @@ class TestStreamedChecks:
                 inverse = L.matmul(R).is_identity()
                 right = Q.matmul(R) == R.scaled_cols(D)
                 where = (label, name)
-                assert _is_inverse(L, R) == inverse, where
-                assert _right_eigen(Q, R, D) == right, where
+                ones = (1,) * Q.size
+                assert _product_is(L, R, RatMatrix.identity(Q.size), ones) == inverse, where
+                assert _product_is(Q, R, R, D) == right, where
+                assert _product_is(R.scaled_cols(D), L, Q, ones) == (
+                    R.scaled_cols(D).matmul(L) == Q
+                ), where
                 assert report.lr_identity == inverse, where
                 assert report.rl_identity == R.matmul(L).is_identity(), where
                 assert report.q_equals_rdl == (
@@ -439,7 +448,7 @@ class TestSupportFlag:
             for rates, triple in ((bs_rates, bs_triple),
                                   (kingman_rates, kingman_triple)):
                 Q, t = build_generator(lat, rates(n)), triple(lat)
-                assert all(m.support_respects_order() for m in (Q, t.R, t.L)), n
+                assert all(_within_order(lat, (m,)) for m in (Q, t.R, t.L)), n
                 assert verify_triple(Q, t).triangular_support, n
         for n in range(1, 31):
             for gen, triple in ((bs_block_generator, bs_block_triple),
