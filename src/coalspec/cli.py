@@ -16,6 +16,15 @@ product and verification, and every check that can raise, finishes before
 the first byte is written, and --out is opened only then, so a failing
 command writes nothing.
 
+Each command imports the library modules it runs when it runs, so start-up
+pays only for them.  ``lattice`` loads ``partitions`` and ``combinatorics``;
+``transition --x``, BS ``transition --t``, ``green`` and ``hitting`` add
+``dynamics``; Kingman ``transition --t`` adds ``spectral``, ``matrices`` and
+numpy to those; ``simulate`` adds ``simulate`` and numpy to its model's
+``transition --t``; ``qmatrix`` loads ``generator`` and ``matrices`` over
+``lattice``, ``spectral`` those and ``spectral``; ``verify`` loads every
+module but ``simulate``, through ``coalspec._verify``.
+
 Configuration precedence is flags over environment over defaults; the only
 environment knob is COALSPEC_N_CAP, which bounds full-lattice enumeration
 (default 8).
@@ -32,49 +41,22 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from fractions import Fraction
+from importlib import import_module
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
+from typing import TYPE_CHECKING
 
-from .dynamics import (
-    bs_green,
-    bs_hitting,
-    bs_transition,
-    bs_transition_exact,
-    kingman_hitting,
-    transition_via_triple,
-)
-from .generator import (
-    bs_block_generator,
-    bs_rates,
-    build_generator,
-    characteristic_factorization,
-    kingman_block_generator,
-    kingman_rates,
-)
-from .matrices import RatMatrix
-from .oracles import (
-    enumerate_maximal_chains,
-    fundamental_matrix,
-    hitting_bruteforce,
-    matexp_series,
-)
-from .partitions import PartitionLattice, _check_cap, count_maximal_chains
-from .rrt import contains, count_trees_containing, enumerate_increasing_trees
-from .simulate import _estimate_transition
-from .spectral import (
-    bs_block_triple,
-    bs_triple,
-    kingman_block_triple,
-    kingman_triple,
-    verify_triple,
-)
+from .partitions import PartitionLattice, _check_cap
+
+if TYPE_CHECKING:
+    from .matrices import RatMatrix
 
 __all__ = ["main", "console_main"]
 
 
 def format_rational(value) -> str:
     """Serialize exact values: "p/q" for rationals, "inf" for divergence."""
-    if value == math.inf:
+    if type(value) is float and value == math.inf:
         return "inf"
     return f"{value.numerator}/{value.denominator}"
 
@@ -84,20 +66,28 @@ def format_real(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _model(name: str) -> dict:
-    """The functions of model ``name``; "transition" is None without a closed form.
+# role -> (module, BS function, Kingman function); None: no closed form
+_MODELS = {
+    "rates": ("generator", "bs_rates", "kingman_rates"),
+    "block_generator": ("generator", "bs_block_generator", "kingman_block_generator"),
+    "triple": ("spectral", "bs_triple", "kingman_triple"),
+    "block_triple": ("spectral", "bs_block_triple", "kingman_block_triple"),
+    "hitting": ("dynamics", "bs_hitting", "kingman_hitting"),
+    "transition": ("dynamics", "bs_transition", None),
+}
 
-    Built per call, so a replaced module attribute (a tracer's wrapper, a
-    test's counter) is the one called.
+
+def _model(name: str, role: str):
+    """Model ``name``'s function for ``role``, or None without a closed form.
+
+    The module is imported and the function read from it on every call, so
+    a command loads only the modules it uses, and a replaced module
+    attribute (a tracer's wrapper, a test's counter) is the one called.
     """
-    if name == "bs":
-        return dict(rates=bs_rates, triple=bs_triple, block_triple=bs_block_triple,
-                    block_generator=bs_block_generator, hitting=bs_hitting,
-                    transition=bs_transition)
-    return dict(rates=kingman_rates, triple=kingman_triple,
-                block_triple=kingman_block_triple,
-                block_generator=kingman_block_generator, hitting=kingman_hitting,
-                transition=None)
+    module_name, bs, kingman = _MODELS[role]
+    module = import_module(f".{module_name}", __package__)
+    attr = bs if name == "bs" else kingman
+    return None if attr is None else getattr(module, attr)
 
 
 def _entries_payload(mat: RatMatrix) -> Iterator[list]:
@@ -226,9 +216,11 @@ def _generator(model: str, n: int, block: bool):
     table, or the block-counting generator with states labelled 1..n."""
     if block:
         order = [str(i) for i in range(1, n + 1)]
-        return _model(model)["block_generator"](n), order
+        return _model(model, "block_generator")(n), order
+    from .generator import build_generator
+
     lattice = PartitionLattice(n)
-    return build_generator(lattice, _model(model)["rates"](n)), _lattice_order(lattice)
+    return build_generator(lattice, _model(model, "rates")(n)), _lattice_order(lattice)
 
 
 def cmd_qmatrix(args) -> int:
@@ -247,18 +239,16 @@ def cmd_qmatrix(args) -> int:
     return 0
 
 
-def _build_triple(model: str, n: int, block: bool):
-    """Returns (Q, triple, order) for a model at size n, on the lattice or
-    on the block-counting chain."""
-    Q, order = _generator(model, n, block)
-    m = _model(model)
-    return Q, m["block_triple"](n) if block else m["triple"](Q.lattice), order
-
-
 def cmd_spectral(args) -> int:
     if args.format == "csv":
         raise ValueError("spectral output is JSON only")
-    Q, triple, order = _build_triple(args.model, args.n, args.block)
+    from .spectral import verify_triple
+
+    Q, order = _generator(args.model, args.n, args.block)
+    if args.block:
+        triple = _model(args.model, "block_triple")(args.n)
+    else:
+        triple = _model(args.model, "triple")(Q.lattice)
     report = verify_triple(Q, triple)
     # Q is triangular, so its spectrum is its diagonal; -λ_b falls as b grows,
     # so the largest value, at one block, comes first
@@ -326,12 +316,13 @@ def _float_transition(model: str, lattice: PartitionLattice, t: float):
     A closed form depends on the pair's key only; R e^(tD) L is read per pair,
     as the float product's last bits differ between pairs of a key.
     """
-    m = _model(model)
     el = lattice.elements
-    closed = m["transition"]
+    closed = _model(model, "transition")
     if closed is not None:
         return (lambda i, j: closed(el[i], el[j], t)), True
-    P = transition_via_triple(m["triple"](lattice), t)
+    from .dynamics import transition_via_triple
+
+    P = transition_via_triple(_model(model, "triple")(lattice), t)
     return (lambda i, j: float(P[i, j])), False
 
 
@@ -351,8 +342,12 @@ def cmd_transition(args) -> int:
         x = Fraction(args.x)
     except ZeroDivisionError:
         raise ValueError(f"--x {args.x!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"--x {args.x!r} is not a rational p/q") from None
     if not 0 < x <= 1:
         raise ValueError(f"--x {args.x!r} is not e^-t for a time t >= 0; use 0 < x <= 1")
+    from .dynamics import bs_transition_exact
+
     head = {"model": args.model, "n": args.n, "x": format_rational(x)}
     return _exact_table(args, lattice, head, lambda pi, rho: bs_transition_exact(pi, rho, x))
 
@@ -370,16 +365,23 @@ def _exact_table(args, lattice: PartitionLattice, head: dict, formula) -> int:
 
 
 def cmd_green(args) -> int:
+    from .dynamics import bs_green
+
     return _exact_table(args, PartitionLattice(args.n), {"model": "bs", "n": args.n}, bs_green)
 
 
 def cmd_hitting(args) -> int:
     head = {"model": args.model, "n": args.n}
-    return _exact_table(args, PartitionLattice(args.n), head, _model(args.model)["hitting"])
+    return _exact_table(args, PartitionLattice(args.n), head, _model(args.model, "hitting"))
 
 
 def cmd_simulate(args) -> int:
     _check_time(args.t)
+    from .simulate import _estimate_transition
+
+    # load the exact law's modules before the replicates run: loaded after
+    # them, they land above the replicates' freed memory and raise peak RSS
+    _model(args.model, "transition") or _model(args.model, "triple")
     lattice, estimates = _estimate_transition(args.model, args.n, args.t, args.reps, args.seed)
     p, _ = _float_transition(args.model, lattice, args.t)
     records = []
@@ -412,83 +414,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _verify_checks(n: int, tol: float):
-    """Yield (name, ok) pairs for the invariant suite at one n."""
-    lattice = PartitionLattice(n)
-    el = lattice.elements
-    for model in ("bs", "kingman"):
-        rates = _model(model)["rates"](n)
-        Q = build_generator(lattice, rates)
-        yield f"{model}-row-sums-zero", all(
-            Q.row_sum(i) == 0 for i in range(len(lattice))
-        )
-        triple = _model(model)["triple"](lattice)
-        if model == "bs":
-            Qbs, bsT = Q, triple
-        report = verify_triple(Q, triple)
-        yield f"{model}-triple", report.all_pass
-        try:
-            characteristic_factorization(Q, rates)
-            yield f"{model}-spectrum", True
-        except ValueError:
-            yield f"{model}-spectrum", False
-        blockQ, blockT, _ = _build_triple(model, n, block=True)
-        yield f"{model}-block-triple", verify_triple(blockQ, blockT).all_pass
-        # closed-form semigroup against the series exponential
-        if model == "bs" and n <= 5:
-            size = len(lattice)
-            Q_float = [[0.0] * size for _ in range(size)]
-            for i, row in enumerate(Q_float):
-                for j, v in Q.row(i).items():
-                    row[j] = float(v)
-            P_series = matexp_series(Q_float, 1.0)
-            closed = {
-                (i, j): bs_transition(el[i], el[j], 1.0)
-                for i, js, _ in lattice.comparable_rows() for j in js
-            }
-            yield "bs-transition-vs-matexp", all(
-                abs(closed.get((i, j), 0.0) - v) < tol
-                for i, row in enumerate(P_series) for j, v in enumerate(row)
-            )
-    if n > 5:
-        return
-    # each closed form against its oracle
-    pairs = [
-        (el[i], el[j], i, j, key)
-        for i, js, keys in lattice.comparable_rows() for j, key in zip(js, keys)
-    ]
-    N = fundamental_matrix(Qbs)
-    transient = range(len(lattice) - 1)
-    yield "bs-green-vs-fundamental", all(
-        bs_green(el[i], el[j]) == N.get(i, j) for i in transient for j in transient
-    )
-    yield "bs-hitting-vs-bruteforce", all(
-        bs_hitting(pi, rho) == hitting_bruteforce("bs", pi, rho)
-        for pi, rho, *_ in pairs if len(rho) > 1
-    )
-    yield "kingman-hitting-vs-bruteforce", all(
-        kingman_hitting(pi, rho) == hitting_bruteforce("kingman", pi, rho)
-        for pi, rho, *_ in pairs
-    )
-    # [π, ρ] is a product of partition lattices, one per block of ρ, so its
-    # chains depend only on the key: they are listed for one pair per key
-    chains, ok = {}, True
-    for pi, rho, _, _, (p, r, sizes) in pairs:
-        key = (p, r, tuple(sorted(sizes)))
-        if key not in chains:
-            chains[key] = len(enumerate_maximal_chains(pi, rho))
-        ok = ok and count_maximal_chains(pi, rho) == chains[key]
-    yield "maximal-chains", ok
-    # the count against exhaustive enumeration, its share against R
-    trees = [enumerate_increasing_trees(pi) for pi in el]
-    yield "tree-containment", all(
-        count == count_trees_containing(pi, rho)
-        and Fraction(count, len(trees[i])) == bsT.R.get(i, j)
-        for pi, rho, i, j, _ in pairs
-        for count in [sum(contains(t, rho) for t in trees[i])]
-    )
-
-
 def cmd_verify(args) -> int:
     if args.format == "csv":
         raise ValueError("verify output is JSON only")
@@ -497,9 +422,11 @@ def cmd_verify(args) -> int:
     if not 0 < args.tol < math.inf:
         raise ValueError("--tol must be positive and finite")
     _check_cap(args.n_max)
+    from . import _verify
+
     checks = []
     for n in range(2, args.n_max + 1):
-        for name, ok in _verify_checks(n, args.tol):
+        for name, ok in _verify.checks(n, args.tol):
             checks.append({"n": n, "check": name, "pass": bool(ok)})
     all_pass = all(c["pass"] for c in checks)
     payload = {

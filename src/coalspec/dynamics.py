@@ -33,10 +33,11 @@ from typing import TYPE_CHECKING
 
 from .combinatorics import ascending_factorial, lah, stirling_first, stirling_second
 from .partitions import SetPartition, pair_key
-from .spectral import SpectralTriple
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .spectral import SpectralTriple
 
 __all__ = [
     "bs_transition",

@@ -179,6 +179,14 @@ class SetPartition:
         return f"SetPartition({self.to_string()!r})"
 
 
+def _canonical(blocks: Blocks) -> SetPartition:
+    """The SetPartition of ``blocks``, which must already be canonical
+    (sorted tuples, ordered by their minima), built without the check."""
+    pi = object.__new__(SetPartition)
+    object.__setattr__(pi, "blocks", blocks)
+    return pi
+
+
 def _owners(blocks: Blocks) -> dict[int, int]:
     """Element -> index of its block, blocks numbered by their minima."""
     return {e: idx for idx, block in enumerate(blocks) for e in block}
@@ -355,7 +363,7 @@ class PartitionLattice:
         # the sort_key order; no two elements tie
         made = sorted((-len(b), b, label) for label, b in _growth_strings(n))
         self.n = n
-        self.elements = [SetPartition(blocks) for _, blocks, _ in made]
+        self.elements = [_canonical(blocks) for _, blocks, _ in made]
         # owner label -> index; its keys, in lattice order, are the label table
         self._index = {label: i for i, (_, _, label) in enumerate(made)}
 

@@ -62,7 +62,6 @@ from operator import index
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .partitions import Blocks, PartitionLattice, SetPartition, _block_key
-from .rrt import contains, sample_rrt
 
 if TYPE_CHECKING:
     import numpy as np
@@ -541,6 +540,8 @@ def estimate_containment(
     pi: SetPartition, rho: SetPartition, reps: int, seed: int
 ) -> tuple[Fraction, float]:
     """Empirical probability that a uniform increasing tree on π contains ρ."""
+    from .rrt import contains, sample_rrt
+
     if reps < 1:
         raise ValueError("need at least one replicate")
     hits = 0

@@ -68,6 +68,9 @@ class TestFormatting:
         assert format_rational(Fraction(2)) == "2/1"
         assert format_rational(0) == "0/1"
         assert format_rational(float("inf")) == "inf"
+        big = -Fraction(3**252, 2**399)  # 400-bit numerator and denominator
+        assert big.numerator.bit_length() == big.denominator.bit_length() == 400
+        assert format_rational(big) == f"-{3**252}/{2**399}"
 
     def test_reals(self):
         assert format_real(0.5) == "0.5"
@@ -306,6 +309,71 @@ def test_numpy_is_loaded_only_by_float_paths():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["True", "True"]
+
+
+def test_each_command_loads_only_its_modules():
+    """The package loads modules on first use, and each command what it runs."""
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+
+        def loaded():
+            names = {m.partition(".")[2] for m in sys.modules if m.startswith("coalspec.")}
+            return sorted(names | ({"numpy"} & set(sys.modules)))
+
+        def quiet(*argv):
+            from coalspec.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0, argv
+
+        stages = {}
+        import coalspec
+        stages["import"] = loaded()
+        coalspec.PartitionLattice(5)
+        stages["lattice"] = loaded()
+        quiet("lattice", "--n", "4")
+        stages["lattice command"] = loaded()
+        quiet("transition", "--n", "4", "--x", "1/2")
+        quiet("transition", "--n", "4", "--t", "0.5")
+        quiet("green", "--n", "4")
+        quiet("hitting", "--n", "4")
+        quiet("hitting", "--n", "4", "--model", "kingman")
+        stages["pair formulas"] = loaded()
+        quiet("spectral", "--n", "4")
+        stages["spectral"] = loaded()
+        try:
+            coalspec.nope
+        except AttributeError as exc:
+            stages["nope"] = str(exc)
+        print(json.dumps(stages))
+        """
+    )
+    src = str(Path(coalspec.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    stages = json.loads(result.stdout)
+    assert stages["import"] == []
+    assert stages["lattice"] == ["combinatorics", "partitions"]
+    assert stages["lattice command"] == ["cli", "combinatorics", "partitions"]
+    assert stages["pair formulas"] == ["cli", "combinatorics", "dynamics", "partitions"]
+    assert not {"simulate", "rrt", "oracles"} & set(stages["spectral"])
+    assert {"generator", "matrices", "spectral"} <= set(stages["spectral"])
+    assert stages["nope"] == "module 'coalspec' has no attribute 'nope'"
+
+
+def test_package_binds_every_name():
+    namespace = {}
+    exec("from coalspec import *", namespace)
+    assert set(coalspec.__all__) <= set(namespace)
+    assert set(coalspec.__all__) <= set(dir(coalspec))
+    assert "__version__" in vars(coalspec)  # a plain attribute, no module loads
+    assert coalspec.spectral.bs_triple is coalspec.bs_triple
 
 
 class TestSpectral:
@@ -581,16 +649,16 @@ class TestVerify:
         assert all(c["pass"] for c in payload["checks"])
 
     def test_builds_bs_triple_and_generators_once(self, monkeypatch):
-        import coalspec.cli as cli
+        import coalspec._verify as suite
 
         calls = Counter()
         for name in ("bs_triple", "build_generator"):
-            def counted(*args, _original=getattr(cli, name), _name=name):
+            def counted(*args, _original=getattr(suite, name), _name=name):
                 calls[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(cli, name, counted)
-        checks = dict(cli._verify_checks(4, 1e-10))
+            monkeypatch.setattr(suite, name, counted)
+        checks = dict(suite.checks(4, 1e-10))
         assert "tree-containment" in checks and all(checks.values())
         # one BS triple and one generator per model, shared by the n <= 5 checks
         assert calls == {"bs_triple": 1, "build_generator": 2}
@@ -600,10 +668,10 @@ class TestVerify:
         assert code == 2
 
     def test_cap_checked_before_any_check(self, capsys, monkeypatch):
-        import coalspec.cli as cli
+        import coalspec._verify as suite
 
         entered = []
-        monkeypatch.setattr(cli, "_verify_checks", lambda *a: entered.append(a) or [])
+        monkeypatch.setattr(suite, "checks", lambda *a: entered.append(a) or [])
         monkeypatch.setenv("COALSPEC_N_CAP", "5")
         with pytest.raises(SizeLimitError) as exc:
             PartitionLattice(6)
@@ -612,7 +680,7 @@ class TestVerify:
         assert err == f"error: {exc.value}\n"
 
     def test_hitting_oracle_shares_a_memo_per_target(self, monkeypatch):
-        import coalspec.cli as cli
+        import coalspec._verify as suite
         import coalspec.oracles as oracles
 
         calls = Counter()
@@ -623,7 +691,7 @@ class TestVerify:
 
         monkeypatch.setattr(oracles, "merge_covers", counted)
         oracles._hitting_from.cache_clear()
-        checks = dict(cli._verify_checks(5, 1e-10))
+        checks = dict(suite.checks(5, 1e-10))
         assert all(checks.values())
         # one solve per state and model, 2 * bell(5); a memo per target takes
         # 561 and a fresh memo per pair 1586
@@ -638,17 +706,17 @@ class TestVerify:
         ("bs_transition", "bs-transition-vs-matexp"),
     ])
     def test_each_oracle_check_fails_on_its_own(self, monkeypatch, name, check):
-        import coalspec.cli as cli
+        import coalspec._verify as suite
 
         lattice = PartitionLattice(4)
         bad = (lattice[0], lattice[-2])  # transient, comparable, two blocks
 
-        def wrong_at_one_pair(pi, rho, *rest, _original=getattr(cli, name)):
+        def wrong_at_one_pair(pi, rho, *rest, _original=getattr(suite, name)):
             value = _original(pi, rho, *rest)
             return value + 1 if (pi, rho) == bad else value
 
-        monkeypatch.setattr(cli, name, wrong_at_one_pair)
-        checks = dict(cli._verify_checks(4, 1e-10))
+        monkeypatch.setattr(suite, name, wrong_at_one_pair)
+        checks = dict(suite.checks(4, 1e-10))
         assert [c for c, ok in checks.items() if not ok] == [check]
 
     def test_csv_rejected(self, capsys):
@@ -683,6 +751,12 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert ("zero denominator" if x.endswith("/0") else "0 < x <= 1") in err
+
+    @pytest.mark.parametrize("x", ["abc", "", "1 /2", "1/2/3"])
+    def test_x_not_a_rational(self, capsys, x):
+        code, out, err = run(capsys, "transition", "--n", "3", f"--x={x}")
+        assert (code, out) == (2, "")
+        assert err == f"error: --x {x!r} is not a rational p/q\n"
 
     def test_lattice_cap_reported_before_x(self, capsys, monkeypatch):
         # the lattice is built before --x is read, so the cap error wins

@@ -182,6 +182,18 @@ class TestLattice:
             )
             assert lattices[n].elements == reference
 
+    def test_elements_are_checked_values(self):
+        # the lattice builds its elements from canonical blocks, skipping the
+        # check; each must be the value the checked constructor gives
+        for n in range(1, 8):
+            for pi in PartitionLattice(n):
+                checked = SetPartition([list(reversed(b)) for b in reversed(pi.blocks)])
+                assert type(pi) is SetPartition
+                assert checked.blocks == pi.blocks and checked == pi
+                assert hash(checked) == hash(pi)
+                assert pickle.dumps(checked) == pickle.dumps(pi)
+                assert pickle.loads(pickle.dumps(pi)) == pi
+
     def test_cap_default(self):
         with pytest.raises(SizeLimitError) as err:
             PartitionLattice(9)

@@ -313,14 +313,21 @@ class TestAgainstReferencePaths:
     def test_builds_only_the_lattice(self, model, monkeypatch):
         n, built = 5, 0
         size = len(PartitionLattice(n))
-        init = SetPartition.__init__
+        init, canonical = SetPartition.__init__, partitions._canonical
 
         def counting_init(self, blocks):
             nonlocal built
             built += 1
             init(self, blocks)
 
+        def counting_canonical(blocks):
+            nonlocal built
+            built += 1
+            return canonical(blocks)
+
+        # a partition is built checked, or from canonical blocks as the lattice does
         monkeypatch.setattr(SetPartition, "__init__", counting_init)
+        monkeypatch.setattr(partitions, "_canonical", counting_canonical)
         estimate_transition(model, n, 1.0, reps=2000, seed=3)
         # finals are counted by the blocks of the lattice's own partitions
         assert built == size

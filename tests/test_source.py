@@ -21,11 +21,14 @@ def test_no_assert_statements():
 
 
 def test_package_names_come_from_the_modules():
-    # every library module but the command line lends its __all__ to the package
+    # every public library module but the command line lends its __all__ to
+    # the package, through the package's static name -> module table
     names = {"__version__"}
     for path in SOURCE.glob("*.py"):
-        if path.stem not in ("__init__", "cli"):
-            names |= set(importlib.import_module(f"coalspec.{path.stem}").__all__)
+        if not path.stem.startswith("_") and path.stem != "cli":
+            module_names = importlib.import_module(f"coalspec.{path.stem}").__all__
+            assert coalspec._EXPORTS[path.stem] == tuple(module_names)
+            names |= set(module_names)
     assert set(coalspec.__all__) == names
     assert len(coalspec.__all__) == len(names)
     for name in coalspec.__all__:
