@@ -22,18 +22,22 @@ division, which is correctly rounded, so it gives the same bits as
 ``float(Fraction)``.
 
 Products have one kernel, ``_product_rows``: it yields each row of
-left · right accumulated in ints over one denominator, unreduced.
-``matmul`` reduces each such row with one multi-argument gcd, and
-``_product_is(left, right, target, diag)`` decides left · right =
-target · diag(diag) by comparing the rows as they come with target's
-stored rows, without forming a product matrix; ``spectral.verify_triple``
-decides all three identities of a triple with it.
+left · right accumulated in ints over one denominator, unreduced, on every
+row or on a given subset.  ``matmul`` reduces each such row with one
+multi-argument gcd, and ``_product_is(left, right, target, diag, rows)``
+decides left · right = target · diag(diag), on ``rows`` or on all rows, by
+comparing the rows as they come with target's stored rows, without forming
+a product matrix; ``spectral.verify_triple`` decides all three identities
+of a triple with it.
 
 ``TriMatrix`` ties a matrix to a ``PartitionLattice`` and carries generator
 and eigenvector matrices, whose support lies on pairs π ≤ ρ (upper triangular
 in the lattice's linear extension); ``_within_order`` checks any number of
 them against one pass of the lattice's row walk, ``comparable_rows()``, which
-yields each π's up-set as one row.
+yields each π's up-set as one row with the pair key of every entry.  In the
+same pass it certifies, given a diagonal, that every entry is a function of
+its pair key, which lets ``verify_triple`` decide its products on one row
+per block count.
 """
 
 from __future__ import annotations
@@ -182,9 +186,12 @@ class RatMatrix:
         d, _, nums = self._rows.get(i, _EMPTY)
         return Fraction(sum(nums), d)
 
-    def _product_rows(self, other: "RatMatrix") -> Iterator[tuple[int, int, dict[int, int]]]:
+    def _product_rows(
+        self, other: "RatMatrix", rows: Iterable[int] | None = None
+    ) -> Iterator[tuple[int, int, dict[int, int]]]:
         """Yield (i, scale, acc) per row i of self that meets a stored row of
-        ``other``: row i of self · other is {j: acc[j] / scale}, unreduced.
+        ``other``, over ``rows`` (all stored rows when None): row i of
+        self · other is {j: acc[j] / scale}, unreduced.
 
         The row is accumulated in ints over scale = d_i · M, where d_i is the
         denominator of row i and M the lcm of the denominators of the rows
@@ -192,8 +199,9 @@ class RatMatrix:
         """
         if self.size != other.size:
             raise ValueError("matrix sizes differ")
-        right = other._rows
-        for i, (d_i, cols, nums) in self._rows.items():
+        left, right = self._rows, other._rows
+        for i in left if rows is None else filter(left.__contains__, rows):
+            d_i, cols, nums = left[i]
             touched = [(a, right[k]) for k, a in zip(cols, nums) if k in right]
             if not touched:
                 continue
@@ -271,34 +279,78 @@ class TriMatrix(RatMatrix):
         self.lattice = lattice
 
 
-def _within_order(lattice: PartitionLattice, mats: Sequence[RatMatrix]) -> bool:
-    """True iff row i of every matrix lies in the up-set of lattice[i], read a
-    row at a time from one pass of ``comparable_rows()``."""
-    for i, js, _ in lattice.comparable_rows():
-        up = set(js)
-        if any(i in m._rows and not up.issuperset(m._rows[i][1]) for m in mats):
-            return False
-    return True
+def _within_order(
+    lattice: PartitionLattice, mats: Sequence[RatMatrix], diag: Sequence | None = None
+) -> tuple[bool, tuple[int, ...] | None]:
+    """(within, keyed), read from one pass of ``comparable_rows()``.
+
+    ``within`` is True iff row i of every matrix lies in the up-set of
+    lattice[i].  ``keyed`` is the first row of each block count, ascending,
+    when ``diag`` is given and certifies that every entry of every matrix,
+    zeros included, and diag[i] are functions of the pair key alone: a row
+    with p blocks, read through its keys, equals the first row with p
+    blocks; keys whose sizes sort alike hold one value; and diag[i] equals
+    diag at that first row.  Otherwise ``keyed`` is None.  Row denominators
+    are compared first: rows of equal values reduce alike.
+    """
+    keyed = diag is not None
+    first: dict[int, tuple] = {}  # p -> (row, key -> class, per matrix (d, value by class))
+    for i, js, keys in lattice.comparable_rows():
+        dense = []
+        for m in mats:
+            d, cols, nums = m._rows.get(i, _EMPTY)
+            if cols != js:  # fill in the zeros; a column off js adds a key
+                row = dict.fromkeys(js, 0)
+                row.update(zip(cols, nums))
+                if len(row) != len(js):
+                    return False, None
+                nums = tuple(row.values())
+            dense.append((d, nums))
+        if not keyed:
+            continue
+        p = keys[0][0]
+        if p not in first:
+            sorted_keys: dict[tuple, int] = {}
+            classes = {k: sorted_keys.setdefault((k[1], *sorted(k[2])), len(sorted_keys))
+                       for k in keys}
+            values = []
+            for d, nums in dense:
+                by_class: dict[int, int] = {}
+                for c, v in zip(map(classes.__getitem__, keys), nums):
+                    if by_class.setdefault(c, v) != v:
+                        keyed = False
+                values.append((d, [by_class[c] for c in range(len(sorted_keys))]))
+            first[p] = i, classes, values
+            continue
+        row, classes, values = first[p]
+        at = tuple(map(classes.__getitem__, keys))
+        keyed = diag[i] == diag[row] and all(
+            d == d0 and nums == tuple(map(by_class.__getitem__, at))
+            for (d, nums), (d0, by_class) in zip(dense, values)
+        )
+    return True, (tuple(sorted(row for row, _, _ in first.values())) if keyed else None)
 
 
 def _product_is(
-    left: RatMatrix, right: RatMatrix, target: RatMatrix, diag: Sequence[Fraction]
+    left: RatMatrix, right: RatMatrix, target: RatMatrix, diag: Sequence[Fraction],
+    rows: Sequence[int] | None = None,
 ) -> bool:
-    """True iff left · right = target · diag(diag), no product matrix formed.
+    """True iff left · right = target · diag(diag) on ``rows`` (every row when
+    None), no product matrix formed.
 
-    Each row of ``left._product_rows(right)`` is compared, as it comes, with
-    the stored row of target: entry j is acc[j] / scale on the left and
-    v diag[j] / d on the right, for target's row (d, cols, nums), and the
-    two are compared cross-multiplied.  A row of target that meets no
-    product row must vanish under diag.  Sizes or the diag length that
-    disagree raise ``ValueError``.
+    Each row of ``left._product_rows(right, rows)`` is compared, as it
+    comes, with the stored row of target: entry j is acc[j] / scale on the
+    left and v diag[j] / d on the right, for target's row (d, cols, nums),
+    and the two are compared cross-multiplied.  A row of target among
+    ``rows`` that meets no product row must vanish under diag.  Sizes or the
+    diag length that disagree raise ``ValueError``.
     """
     if not (left.size == right.size == target.size == len(diag)):
         raise ValueError("matrix sizes or diagonal length differ")
     diag = [Fraction(x) for x in diag]
     tops, bottoms = [x.numerator for x in diag], [x.denominator for x in diag]
     stored, met = target._rows, set()
-    for i, scale, acc in left._product_rows(right):
+    for i, scale, acc in left._product_rows(right, rows):
         d, cols, nums = stored.get(i, _EMPTY)
         for j, v in zip(cols, nums):
             if acc.pop(j, 0) * d * bottoms[j] != scale * v * tops[j]:
@@ -306,5 +358,5 @@ def _product_is(
         if any(acc.values()):
             return False
         met.add(i)
-    return all(i in met or not any(tops[j] for j in cols)
-               for i, (_, cols, _) in stored.items())
+    unmet = stored.keys() - met if rows is None else set(rows) - met
+    return all(not any(tops[j] for j in stored.get(i, _EMPTY)[1]) for i in unmet)

@@ -21,6 +21,22 @@ streamed kernel, ``matrices._product_is``, and forms no product matrix; it
 reports R L = I from L R, since for square exact matrices one identity
 implies the other.
 
+On the lattice each product is decided on n rows, one per block count, by
+this lemma.  Call a matrix M keyed when M(π, ρ) = 0 unless π ≤ ρ, and
+otherwise depends only on |π|, |ρ| and the sorted restriction sizes m_B.
+If A and B are keyed, so is A B: (A B)(π, σ) sums A(π, ρ) B(ρ, σ) over
+[π, σ] ≅ ∏_B P(m_B), and an isomorphism between two such intervals with
+equal sorted sizes matches the blocks B of equal m_B, so it maps the pairs
+(π, ρ) and (ρ, σ) to pairs with the same sorted sizes.  The identity is
+keyed, and so is R D when D(ρ) depends only on |ρ|.  Two keyed matrices
+agree as soon as they agree on the first row with p blocks, for each p:
+every row with p blocks meets the same pair keys, one per grouping of its
+p blocks, so that row meets every key an entry of such a row can have.
+The support walk (``matrices._within_order``) certifies Q, R, L and D
+keyed, zeros included, in the pass that checks their support; without the
+certificate (block triples, hand-built or broken matrices) every row is
+read.
+
 The block-counting triples (n x n, lower triangular in the block count) are
 the lattice triples lumped by block count: summed over the ρ with j blocks,
 the blockwise weights ∏_B (m_B - 1)!, 1 and ∏_B m_B! become the Stirling
@@ -205,11 +221,12 @@ def kingman_block_triple(n: int) -> SpectralTriple:
     return _lattice_triple(*_on_chain(n), entries, _kingman_row)
 
 
-def _support_ok(triple: SpectralTriple, Q: RatMatrix) -> bool:
+def _support(triple: SpectralTriple, Q: RatMatrix) -> tuple[bool, tuple[int, ...] | None]:
+    """(support holds, the representative rows when the triple is keyed, else None)."""
     mats = (Q, triple.R, triple.L)
     if isinstance(Q, TriMatrix):
-        return _within_order(Q.lattice, mats)
-    return all(m.is_upper() for m in mats) or all(m.is_lower() for m in mats)
+        return _within_order(Q.lattice, mats, triple.D)
+    return all(m.is_upper() for m in mats) or all(m.is_lower() for m in mats), None
 
 
 def verify_triple(Q: RatMatrix, triple: SpectralTriple) -> VerificationReport:
@@ -219,22 +236,27 @@ def verify_triple(Q: RatMatrix, triple: SpectralTriple) -> VerificationReport:
 
     One kernel, ``_product_is``, decides all three identities a product row
     at a time against stored rows, so no product matrix is formed, not even
-    on the fallback that decides Q = R D L when L R != I.
+    on the fallback that decides Q = R D L when L R != I.  When the support
+    walk certifies that Q, R, L and D are keyed, the kernel reads only the
+    first row of each block count (see the module docstring); otherwise it
+    reads every row.
     """
     n = Q.size
     if n != triple.size:
         raise ValueError("generator and triple dimensions disagree")
     R, D, L = triple.R, triple.D, triple.L
+    support, rows = _support(triple, Q)
     unit = all(R.get(i, i) == 1 and L.get(i, i) == 1 for i in range(n))
     ones = (1,) * n
     # R and L are square and exact, so L R = I iff R L = I: one product decides both
-    inverse = _product_is(L, R, RatMatrix.identity(n), ones)
+    inverse = _product_is(L, R, RatMatrix.identity(n), ones, rows)
     # given L = R^-1, Q = R D L iff Q R = R D, the cheaper product
-    rdl = _product_is(Q, R, R, D) if inverse else _product_is(R.scaled_cols(D), L, Q, ones)
+    rdl = (_product_is(Q, R, R, D, rows) if inverse
+           else _product_is(R.scaled_cols(D), L, Q, ones, rows))
     return VerificationReport(
         q_equals_rdl=rdl,
         lr_identity=inverse,
         rl_identity=inverse,
         unit_diagonals=unit,
-        triangular_support=_support_ok(triple, Q),
+        triangular_support=support,
     )

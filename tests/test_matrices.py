@@ -156,6 +156,17 @@ class TestProductIs:
         assert _product_is(diag, eye, eye, d) and _product_is(eye, diag, eye, d)
         assert _product_is(a, eye, eye, d) == (a == diag)
 
+    @settings(max_examples=200, deadline=None)
+    @given(product_cases(), st.data())
+    def test_on_a_subset_of_rows(self, case, data):
+        a, b, c, d = case
+        rows = data.draw(st.lists(st.sampled_from(range(a.size)), unique=True)) if a.size else []
+        product, target = a.matmul(b), c.scaled_cols(d)
+        assert _product_is(a, b, c, d, rows) == all(
+            product.row(i) == target.row(i) for i in rows
+        )
+        assert _product_is(a, b, c, d, range(a.size)) == _product_is(a, b, c, d)
+
     def test_sizes_must_agree(self):
         three, four = RatMatrix.identity(3), RatMatrix.identity(4)
         for args in ((three, four, three, (1,) * 3), (three, three, four, (1,) * 3),
@@ -199,9 +210,9 @@ class TestWithinOrder:
         j = lat.index_of(SetPartition.from_string("1,3|2,4"))
         assert i < j and not lat[i].refines(lat[j])
         Q = build_generator(lat, bs_rates(4))
-        assert _within_order(lat, (Q,))
+        assert _within_order(lat, (Q,)) == (True, None)
         Q.set(i, j, F(1, 3))
-        assert not _within_order(lat, (Q,))
+        assert _within_order(lat, (Q,)) == (False, None)
 
     def test_rejects_entry_below_diagonal(self, lattices):
         lat = lattices[4]
@@ -210,9 +221,46 @@ class TestWithinOrder:
         assert fine < coarse and lat[fine].refines(lat[coarse])
         m = TriMatrix(lat)
         m.set(fine, coarse, F(2))
-        assert _within_order(lat, (m,))
+        assert _within_order(lat, (m,)) == (True, None)
         m.set(coarse, fine, F(-1, 5))
-        assert not _within_order(lat, (m,))
+        assert _within_order(lat, (m,)) == (False, None)
+
+    @staticmethod
+    def firsts(lat):
+        """The first row of each block count, ascending."""
+        return tuple(sorted({len(pi): i for i, pi in reversed(list(enumerate(lat)))}.values()))
+
+    def test_certifies_keyed_matrices(self, lattices, bs_generators, kingman_generators,
+                                      bs_triples, kingman_triples):
+        for n in range(2, 7):
+            lat = lattices[n]
+            for Q, t in ((bs_generators[n], bs_triples[n]),
+                         (kingman_generators[n], kingman_triples[n])):
+                assert _within_order(lat, (Q, t.R, t.L), t.D) == (True, self.firsts(lat))
+                assert _within_order(lat, (Q,), t.D) == (True, self.firsts(lat))
+        assert _within_order(lattices[1], (RatMatrix.identity(1),), (0,)) == (True, (0,))
+
+    def test_entries_off_the_key_are_not_keyed(self, lattices):
+        lat = lattices[5]
+        Q, D = build_generator(lat, bs_rates(5)), [F(1 - len(pi)) for pi in lat]
+        at = lambda text: lat.index_of(SetPartition.from_string(text))
+        first, later = at("1|2|3|4,5"), at("1,2|3|4|5")  # rows with 4 blocks
+        assert first in self.firsts(lat) and later not in self.firsts(lat)
+        cases = {
+            "an entry of a first row": (first, at("1,2|3|4,5"), F(1)),
+            "an entry of a later row": (later, at("1,2,3|4|5"), F(1)),
+            "a zero of a later row": (later, at("1,2,3|4,5"), F(1, 7)),
+            # sizes (1, 4) come in one order only on the bottom row, (4, 1) in four
+            "one order of the sizes": (0, at("1|2,3,4,5"), F(1, 7)),
+        }
+        assert _within_order(lat, (Q,), D) == (True, self.firsts(lat))
+        for name, (i, j, v) in cases.items():
+            broken = build_generator(lat, bs_rates(5))
+            broken.set(i, j, broken.get(i, j) + v)
+            assert _within_order(lat, (broken,), D) == (True, None), name
+        for i in (first, later):  # D moved on a first row and on a later row
+            moved = D[:i] + [D[i] + 1] + D[i + 1:]
+            assert _within_order(lat, (Q,), moved) == (True, None), i
 
 
 def reference_entries(m: RatMatrix) -> dict[tuple[int, int], Fraction]:

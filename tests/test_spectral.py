@@ -9,6 +9,7 @@ from coalspec import (
     RatMatrix,
     SetPartition,
     SpectralTriple,
+    TriMatrix,
     bs_block_generator,
     bs_block_triple,
     bs_rates,
@@ -321,9 +322,9 @@ class TestInverseProducts:
         passes, calls = [], []
         product_rows, matmul = RatMatrix._product_rows, RatMatrix.matmul
 
-        def counted_rows(self, other):
+        def counted_rows(self, other, rows=None):
             passes.append(1)
-            return product_rows(self, other)
+            return product_rows(self, other, rows)
 
         def counted(self, other):
             calls.append(1)
@@ -344,6 +345,66 @@ class TestInverseProducts:
         assert len(passes) == 2 and not calls
 
 
+class TestKeyedProducts:
+    """On the model triples each product reads one row per block count."""
+
+    @staticmethod
+    def product_rows_read(Q, t, monkeypatch):
+        read = []
+        product_rows = RatMatrix._product_rows
+
+        def counted_rows(self, other, rows=None):
+            read.append(None if rows is None else tuple(rows))
+            return product_rows(self, other, rows)
+
+        monkeypatch.setattr(RatMatrix, "_product_rows", counted_rows)
+        report = verify_triple(Q, t)
+        monkeypatch.undo()
+        return report, read
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_model_triples_read_n_rows(self, n, monkeypatch):
+        lat = PartitionLattice(n)
+        firsts = tuple(sorted({len(pi): i for i, pi in reversed(list(enumerate(lat)))}.values()))
+        for rates, triple in ((bs_rates, bs_triple), (kingman_rates, kingman_triple)):
+            report, read = self.product_rows_read(
+                build_generator(lat, rates(n)), triple(lat), monkeypatch)
+            assert report.all_pass
+            assert read == [firsts, firsts], triple.__name__
+            assert len(firsts) == n
+
+    def test_rescaled_triple_reads_every_row(self, lattices, bs_generators, bs_triples,
+                                             monkeypatch):
+        # R's column j times c_j and L's row j over c_j, c varying inside key
+        # classes: L R = I and Q = R D L still hold, the diagonals do not
+        n = 5
+        t = bs_triples[n]
+        c = [F(j % 3 + 1) for j in range(t.size)]
+        inverse = RatMatrix.identity(t.size).scaled_cols([1 / x for x in c])
+        rescaled = SpectralTriple(t.R.scaled_cols(c), t.D, inverse.matmul(t.L))
+        report, read = self.product_rows_read(bs_generators[n], rescaled, monkeypatch)
+        assert {k for k, ok in report.as_dict().items() if not ok} == {"unit_diagonals"}
+        assert read == [None, None]
+
+    def test_unkeyed_triple_reads_every_row(self, lattices, bs_generators, bs_triples,
+                                            monkeypatch):
+        # C^-1 Q C, C^-1 R C, C^-1 L C with C = diag(c) is a valid triple with
+        # unit diagonals, not keyed when c varies inside a key class
+        n = 5
+        Q, t = bs_generators[n], bs_triples[n]
+        c = [F(j % 3 + 1) for j in range(t.size)]
+        inverse = RatMatrix.identity(t.size).scaled_cols([1 / x for x in c])
+        conj = [inverse.matmul(m).scaled_cols(c) for m in (Q, t.R, t.L)]
+        moved = TriMatrix(lattices[n])
+        for i, j, v in conj[0].nonzeros():
+            moved.set(i, j, v)
+        assert _within_order(lattices[n], (moved, *conj[1:]), t.D) == (True, None)
+        report, read = self.product_rows_read(
+            moved, SpectralTriple(conj[1], t.D, conj[2]), monkeypatch)
+        assert report.all_pass
+        assert read == [None, None]
+
+
 class TestStreamedChecks:
     """The row-at-a-time checks of ``verify_triple`` on broken triples, flag by
     flag against the materialised products they replace."""
@@ -360,9 +421,20 @@ class TestStreamedChecks:
             t = triple(n)
             return generator(n), t.R, t.D, t.L
 
+        def rescaled(n, rates, triple):
+            # R's column j times c_j and L's row j over c_j: a valid triple whose
+            # entries are not functions of the pair key, so no row is skipped
+            Q, R, D, L = lattice(n, rates, triple)
+            c = [F(j % 3 + 1) for j in range(R.size)]
+            inverse = RatMatrix.identity(R.size).scaled_cols([1 / x for x in c])
+            return Q, R.scaled_cols(c), D, inverse.matmul(L)
+
         for n in range(1, 6):
             for rates, triple in ((bs_rates, bs_triple), (kingman_rates, kingman_triple)):
                 yield f"{triple.__name__} {n}", lambda a=(n, rates, triple): lattice(*a)
+        for n in range(3, 6):
+            for rates, triple in ((bs_rates, bs_triple), (kingman_rates, kingman_triple)):
+                yield f"rescaled {triple.__name__} {n}", lambda a=(n, rates, triple): rescaled(*a)
         for n in range(1, 21):
             for generator, triple in ((bs_block_generator, bs_block_triple),
                                       (kingman_block_generator, kingman_block_triple)):
@@ -385,6 +457,16 @@ class TestStreamedChecks:
                 return D
             return apply
 
+        # on a lattice, the last row of a block count is never the first
+        lattice = getattr(Q, "lattice", None)
+        if lattice is not None and lattice.n >= 3:
+            last = {len(pi): i for i, pi in enumerate(lattice)}
+            for p in {2, lattice.n - 1}:
+                i, where = last[p], f"last row with {p} blocks"
+                for name, m in (("Q", Q), ("R", R), ("L", L)):
+                    j = max(m.row(i))
+                    yield f"{name}{(i, j)} changed, {where}", bump(m, i, j)
+                yield f"D[{i}] changed, {where}", lambda i=i: D[:i] + (D[i] + 1,) + D[i + 1:]
         off = [(i, j) for i, j, _ in R.nonzeros() if i != j]
         for k in {0, len(off) - 1} if off else ():
             yield f"R{off[k]} changed", bump(R, *off[k])
@@ -448,7 +530,7 @@ class TestSupportFlag:
             for rates, triple in ((bs_rates, bs_triple),
                                   (kingman_rates, kingman_triple)):
                 Q, t = build_generator(lat, rates(n)), triple(lat)
-                assert all(_within_order(lat, (m,)) for m in (Q, t.R, t.L)), n
+                assert all(_within_order(lat, (m,)) == (True, None) for m in (Q, t.R, t.L)), n
                 assert verify_triple(Q, t).triangular_support, n
         for n in range(1, 31):
             for gen, triple in ((bs_block_generator, bs_block_triple),
