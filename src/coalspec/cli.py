@@ -104,6 +104,41 @@ def _entries_payload(mat: RatMatrix) -> Iterator[list]:
         yield [i, j, s]
 
 
+class _Table:
+    """The JSON list of ``_entries_payload(mat)``, which ``_json_pieces``
+    writes a stored row at a time."""
+
+    __slots__ = ("mat",)
+
+    def __init__(self, mat: RatMatrix):
+        self.mat = mat
+
+    def json_rows(self, inner: str) -> Iterator[str]:
+        """Yield the text of each stored row's entries as ``_json_pieces``
+        writes them at indent ``inner``, each entry led by a comma.
+
+        An entry is its row's prefix, its column and the tail of its value,
+        and each distinct (numerator, row denominator) has its tail
+        formatted once.
+        """
+        deep = inner + "  "
+        tails: dict[tuple[int, int], str] = {}
+        row: list[str] = []
+        last = None
+        for i, j, v, d in self.mat._entries():
+            if i != last:
+                if row:
+                    yield "".join(row)
+                    row.clear()
+                prefix, last = f",{inner}[{deep}{i},{deep}", i
+            tail = tails.get((v, d))
+            if tail is None:
+                tail = tails[v, d] = f",{deep}{_escape(format_rational(Fraction(v, d)))}{inner}]"
+            row.append(f"{prefix}{j}{tail}")
+        if row:
+            yield "".join(row)
+
+
 def _lattice_order(lattice: PartitionLattice) -> list[str]:
     return [p.to_string() for p in lattice]
 
@@ -121,17 +156,19 @@ class _Object:
 
 
 # pieces held before they are joined and written: about 100 to 200 kB of
-# table rows per write
+# table rows per write; a matrix table is written once it holds _BATCH_CHARS
 _BATCH = 4096
+_BATCH_CHARS = 1 << 17
 
 
 def _json_pieces(obj, nl: str, out: list[str], write) -> None:
     """Append the text of ``obj`` as ``json.dumps(obj, indent=2)`` prints it.
 
     ``nl`` is a newline and the indent of the line ``obj`` starts on.  Lists
-    may also arrive as any iterator and objects as an ``_Object``, each read
-    once.  Whenever ``out`` holds ``_BATCH`` pieces they are joined, passed
-    to ``write`` and dropped.  With an indent json always runs its
+    may also arrive as any iterator, objects as an ``_Object`` and matrix
+    tables as a ``_Table``, each read once.  Whenever ``out`` holds
+    ``_BATCH`` pieces, or a table ``_BATCH_CHARS`` characters, they are
+    joined, passed to ``write`` and dropped.  With an indent json always runs its
     pure-Python encoder, six small chunks per [i, j, "p/q"] row; here each
     such row and each str-valued dict item is one f-string.  Other values
     recurse, strings are escaped as json's default ``ensure_ascii`` does,
@@ -153,6 +190,19 @@ def _json_pieces(obj, nl: str, out: list[str], write) -> None:
                 write("".join(out))
                 out.clear()
         out.append(nl + "}" if sep[0] == "," else "{}")
+    elif isinstance(obj, _Table):
+        # one piece per stored row, so the batch is bounded in characters
+        size = 0
+        sep = "["
+        for text in obj.json_rows(nl + "  "):
+            out.append(sep + text[1:] if sep else text)
+            sep = ""
+            size += len(text)
+            if size >= _BATCH_CHARS:
+                write("".join(out))
+                out.clear()
+                size = 0
+        out.append(nl + "]" if not sep else "[]")
     elif isinstance(obj, (list, tuple, Iterator)):
         inner = nl + "  "
         deep = inner + "  "
@@ -233,7 +283,7 @@ def cmd_qmatrix(args) -> int:
             "block_counting": bool(args.block),
             "n": args.n,
             "order": order,
-            "entries": _entries_payload(Q),
+            "entries": _Table(Q),
         }
         _emit_json(payload, args.out)
     return 0
@@ -259,9 +309,9 @@ def cmd_spectral(args) -> int:
         "block_counting": bool(args.block),
         "n": args.n,
         "order": order,
-        "R": _entries_payload(triple.R),
+        "R": _Table(triple.R),
         "D": [format_rational(d) for d in triple.D],
-        "L": _entries_payload(triple.L),
+        "L": _Table(triple.L),
         "eigenvalues": [[format_rational(ev), mult] for ev, mult in eigenvalues],
         "verification": report.as_dict(),
     }

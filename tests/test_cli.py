@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import coalspec
 from coalspec import (
     PartitionLattice,
+    RatMatrix,
     SizeLimitError,
     bell,
     bs_block_generator,
@@ -42,6 +43,7 @@ from coalspec import (
 from coalspec.cli import (
     _entries_payload,
     _Object,
+    _Table,
     _write_json,
     format_rational,
     format_real,
@@ -141,6 +143,21 @@ class TestEntriesPayload:
     def check(M):
         want = [[i, j, format_rational(v)] for i, j, v in M.nonzeros()]
         assert list(_entries_payload(M)) == want
+        # the JSON writer's row-at-a-time table prints the same bytes
+        assert _json_text(_Table(M)) == json.dumps(want, indent=2)
+        assert _json_text({"m": [_Table(M)]}) == json.dumps({"m": [want]}, indent=2)
+
+    def test_empty_matrices(self):
+        for M in (RatMatrix(0), RatMatrix(3)):
+            self.check(M)
+
+    def test_table_written_in_bounded_pieces(self):
+        writes = []
+        M = bs_triple(PartitionLattice(7)).R
+        _write_json({"R": _Table(M), "L": _Table(M)}, writes.append)
+        assert len(writes) > 10 and max(map(len, writes)) <= 2**18
+        want = list(_entries_payload(M))
+        assert "".join(writes) == json.dumps({"R": want, "L": want}, indent=2) + "\n"
 
     def test_lattice_triples_and_generators(self, lattices):
         models = (
