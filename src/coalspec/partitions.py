@@ -19,7 +19,6 @@ of n = 8 can be overridden with the COALSPEC_N_CAP environment variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from math import factorial
@@ -78,20 +77,22 @@ def _check_cap(n: int) -> None:
 Blocks = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, slots=True)
 class SetPartition:
     """An unordered partition of a finite set of positive integers.
 
     Blocks are stored canonically: each block as a sorted tuple, blocks sorted
-    by their minima.  A frozen value: hashable, and it pickles and copies.
+    by their minima.  A frozen value: hashable, and it pickles and copies;
+    its one slot, ``blocks``, is set once by the constructor or by
+    ``__setstate__``, and assigning or deleting an attribute raises
+    ``AttributeError``.
     """
 
-    blocks: Blocks
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: Iterable[Iterable[int]]):
         canon = []
         seen: set[int] = set()
-        for raw in self.blocks:
+        for raw in blocks:
             block = tuple(sorted(raw))
             if not block:
                 raise ValueError("blocks must be nonempty")
@@ -106,6 +107,23 @@ class SetPartition:
             raise ValueError("a partition needs at least one block")
         canon.sort(key=lambda b: b[0])
         object.__setattr__(self, "blocks", tuple(canon))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __getstate__(self) -> list:
+        return [self.blocks]
+
+    def __setstate__(self, state: list) -> None:
+        object.__setattr__(self, "blocks", state[0])
 
     @classmethod
     def singletons(cls, items: int | Iterable[int]) -> "SetPartition":

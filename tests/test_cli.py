@@ -329,14 +329,15 @@ def test_numpy_is_loaded_only_by_float_paths():
 
 
 def test_each_command_loads_only_its_modules():
-    """The package loads modules on first use, and each command what it runs."""
+    """The package loads modules on first use, and each command what it runs;
+    ``dataclasses`` (with inspect, ast and dis) only with ``spectral``."""
     script = textwrap.dedent(
         """
         import contextlib, io, json, sys
 
         def loaded():
             names = {m.partition(".")[2] for m in sys.modules if m.startswith("coalspec.")}
-            return sorted(names | ({"numpy"} & set(sys.modules)))
+            return sorted(names | ({"numpy", "dataclasses"} & set(sys.modules)))
 
         def quiet(*argv):
             from coalspec.cli import main
@@ -380,7 +381,7 @@ def test_each_command_loads_only_its_modules():
     assert stages["lattice command"] == ["cli", "combinatorics", "partitions"]
     assert stages["pair formulas"] == ["cli", "combinatorics", "dynamics", "partitions"]
     assert not {"simulate", "rrt", "oracles"} & set(stages["spectral"])
-    assert {"generator", "matrices", "spectral"} <= set(stages["spectral"])
+    assert {"generator", "matrices", "spectral", "dataclasses"} <= set(stages["spectral"])
     assert stages["nope"] == "module 'coalspec' has no attribute 'nope'"
 
 

@@ -71,10 +71,41 @@ class TestSetPartition:
 
     def test_immutability(self):
         p = P("1|2")
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="cannot assign to field 'blocks'"):
             p.blocks = ()
+        with pytest.raises(AttributeError, match="cannot delete field 'blocks'"):
+            del p.blocks
+        with pytest.raises(AttributeError):
+            p.other = 1
         assert hash(p) == hash(p.blocks)
         assert SetPartition(blocks=[[2], [1]]) == p
+        assert p.__eq__(p.blocks) is NotImplemented and p != p.blocks
+
+    # "1,3|2|4" pickled by protocols 0 to 5: the state is the list [blocks]
+    PICKLES = (
+        b'ccopy_reg\n_reconstructor\np0\n(ccoalspec.partitions\nSetPartition\np1\nc__bu'
+        b'iltin__\nobject\np2\nNtp3\nRp4\n(lp5\n((I1\nI3\ntp6\n(I2\ntp7\n(I4\ntp8\ntp9'
+        b'\nab.',
+        b'ccopy_reg\n_reconstructor\nq\x00(ccoalspec.partitions\nSetPartition\nq\x01c__'
+        b'builtin__\nobject\nq\x02Ntq\x03Rq\x04]q\x05((K\x01K\x03tq\x06(K\x02tq\x07(K'
+        b'\x04tq\x08tq\tab.',
+        b'\x80\x02ccoalspec.partitions\nSetPartition\nq\x00)\x81q\x01]q\x02K\x01K\x03'
+        b'\x86q\x03K\x02\x85q\x04K\x04\x85q\x05\x87q\x06ab.',
+        b'\x80\x03ccoalspec.partitions\nSetPartition\nq\x00)\x81q\x01]q\x02K\x01K\x03'
+        b'\x86q\x03K\x02\x85q\x04K\x04\x85q\x05\x87q\x06ab.',
+        b'\x80\x04\x95?\x00\x00\x00\x00\x00\x00\x00\x8c\x13coalspec.partitions\x94\x8c'
+        b'\x0cSetPartition\x94\x93\x94)\x81\x94]\x94K\x01K\x03\x86\x94K\x02\x85\x94K'
+        b'\x04\x85\x94\x87\x94ab.',
+        b'\x80\x05\x95?\x00\x00\x00\x00\x00\x00\x00\x8c\x13coalspec.partitions\x94\x8c'
+        b'\x0cSetPartition\x94\x93\x94)\x81\x94]\x94K\x01K\x03\x86\x94K\x02\x85\x94K'
+        b'\x04\x85\x94\x87\x94ab.',
+    )
+
+    def test_pickle_bytes(self):
+        p = P("1,3|2|4")
+        for protocol, data in enumerate(self.PICKLES):
+            assert pickle.dumps(p, protocol) == data, protocol
+            assert pickle.loads(data) == p and pickle.loads(data).blocks == p.blocks
 
 
 class TestRefinement:
