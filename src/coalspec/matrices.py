@@ -300,11 +300,11 @@ def _within_order(
         for m in mats:
             d, cols, nums = m._rows.get(i, _EMPTY)
             if cols != js:  # fill in the zeros; a column off js adds a key
-                row = dict.fromkeys(js, 0)
-                row.update(zip(cols, nums))
-                if len(row) != len(js):
+                full = dict.fromkeys(js, 0)
+                full.update(zip(cols, nums))
+                if len(full) != len(js):
                     return False, None
-                nums = tuple(row.values())
+                nums = full.values()
             dense.append((d, nums))
         if not keyed:
             continue
@@ -322,13 +322,15 @@ def _within_order(
                 values.append((d, [by_class[c] for c in range(len(sorted_keys))]))
             first[p] = i, classes, values
             continue
-        row, classes, values = first[p]
-        at = tuple(map(classes.__getitem__, keys))
-        keyed = diag[i] == diag[row] and all(
-            d == d0 and nums == tuple(map(by_class.__getitem__, at))
+        i0, classes, values = first[p]
+        # lists, not tuples: a tuple built from a map is resized as it grows,
+        # and CPython keeps freed small tuples for reuse at their final size
+        at = list(map(classes.__getitem__, keys))
+        keyed = diag[i] == diag[i0] and all(
+            d == d0 and list(nums) == list(map(by_class.__getitem__, at))
             for (d, nums), (d0, by_class) in zip(dense, values)
         )
-    return True, (tuple(sorted(row for row, _, _ in first.values())) if keyed else None)
+    return True, (tuple(sorted(i0 for i0, _, _ in first.values())) if keyed else None)
 
 
 def _product_is(
