@@ -286,15 +286,16 @@ def _within_order(
 
     ``within`` is True iff row i of every matrix lies in the up-set of
     lattice[i].  ``keyed`` is the first row of each block count, ascending,
-    when ``diag`` is given and certifies that every entry of every matrix,
-    zeros included, and diag[i] are functions of the pair key alone: a row
-    with p blocks, read through its keys, equals the first row with p
-    blocks; keys whose sizes sort alike hold one value; and diag[i] equals
-    diag at that first row.  Otherwise ``keyed`` is None.  Row denominators
-    are compared first: rows of equal values reduce alike.
+    when ``diag`` is given and every entry of every matrix, zeros included,
+    and every diag[i] are functions of the pair key alone; otherwise None.
+    A key's class is its (|ρ|, sorted sizes).  The first row with p blocks
+    gives each class of p blocks a value per matrix, and every row with p
+    blocks, that one included, must read those values back through its keys,
+    under the same row denominator (rows of equal values reduce alike), with
+    diag[i] equal to diag at the first row.
     """
     keyed = diag is not None
-    first: dict[int, tuple] = {}  # p -> (row, key -> class, per matrix (d, value by class))
+    first: dict[int, tuple] = {}  # p -> (row, key -> class, per matrix (d, class -> value))
     for i, js, keys in lattice.comparable_rows():
         dense = []
         for m in mats:
@@ -308,23 +309,15 @@ def _within_order(
             dense.append((d, nums))
         if not keyed:
             continue
-        p = keys[0][0]
-        if p not in first:
+        # lists, not tuples: a tuple built from a map is resized as it grows,
+        # and CPython keeps freed small tuples for reuse at their final size
+        if keys[0][0] not in first:
             sorted_keys: dict[tuple, int] = {}
             classes = {k: sorted_keys.setdefault((k[1], *sorted(k[2])), len(sorted_keys))
                        for k in keys}
-            values = []
-            for d, nums in dense:
-                by_class: dict[int, int] = {}
-                for c, v in zip(map(classes.__getitem__, keys), nums):
-                    if by_class.setdefault(c, v) != v:
-                        keyed = False
-                values.append((d, [by_class[c] for c in range(len(sorted_keys))]))
-            first[p] = i, classes, values
-            continue
-        i0, classes, values = first[p]
-        # lists, not tuples: a tuple built from a map is resized as it grows,
-        # and CPython keeps freed small tuples for reuse at their final size
+            at = list(map(classes.__getitem__, keys))
+            first[keys[0][0]] = i, classes, [(d, dict(zip(at, nums))) for d, nums in dense]
+        i0, classes, values = first[keys[0][0]]
         at = list(map(classes.__getitem__, keys))
         keyed = diag[i] == diag[i0] and all(
             d == d0 and list(nums) == list(map(by_class.__getitem__, at))
