@@ -258,6 +258,12 @@ class TestWithinOrder:
             broken = build_generator(lat, bs_rates(5))
             broken.set(i, j, broken.get(i, j) + v)
             assert _within_order(lat, (broken,), D) == (True, None), name
+        # a later row doubled keeps its numerators over half the denominator
+        doubled = build_generator(lat, bs_rates(5))
+        for j, v in Q.row(later).items():
+            doubled.set(later, j, 2 * v)
+        assert doubled._rows[later][1:] == Q._rows[later][1:]
+        assert _within_order(lat, (doubled,), D) == (True, None)
         for i in (first, later):  # D moved on a first row and on a later row
             moved = D[:i] + [D[i] + 1] + D[i + 1:]
             assert _within_order(lat, (Q,), moved) == (True, None), i
