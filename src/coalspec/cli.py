@@ -169,8 +169,8 @@ def _json_pieces(obj, nl: str, out: list[str], write) -> None:
     tables as a ``_Table``, each read once.  Whenever ``out`` holds
     ``_BATCH`` pieces, or a table ``_BATCH_CHARS`` characters, they are
     joined, passed to ``write`` and dropped.  With an indent json always runs its
-    pure-Python encoder, six small chunks per [i, j, "p/q"] row; here each
-    such row and each str-valued dict item is one f-string.  Other values
+    pure-Python encoder, in small chunks; here each str-valued dict item is
+    one f-string and each stored row of a table one piece.  Other values
     recurse, strings are escaped as json's default ``ensure_ascii`` does,
     and other scalars go to ``json.dumps``.  Keys must be str.
     """
@@ -205,15 +205,10 @@ def _json_pieces(obj, nl: str, out: list[str], write) -> None:
         out.append(nl + "]" if not sep else "[]")
     elif isinstance(obj, (list, tuple, Iterator)):
         inner = nl + "  "
-        deep = inner + "  "
         sep = "[" + inner
         for v in obj:
-            if (type(v) is list and len(v) == 3 and type(v[0]) is int
-                    and type(v[1]) is int and type(v[2]) is str):
-                out.append(f"{sep}[{deep}{v[0]},{deep}{v[1]},{deep}{_escape(v[2])}{inner}]")
-            else:
-                out.append(sep)
-                _json_pieces(v, inner, out, write)
+            out.append(sep)
+            _json_pieces(v, inner, out, write)
             sep = "," + inner
             if len(out) >= _BATCH:
                 write("".join(out))

@@ -280,21 +280,21 @@ class TriMatrix(RatMatrix):
 
 
 def _within_order(
-    lattice: PartitionLattice, mats: Sequence[RatMatrix], diag: Sequence | None = None
+    lattice: PartitionLattice, mats: Sequence[RatMatrix], diag: Sequence
 ) -> tuple[bool, tuple[int, ...] | None]:
     """(within, keyed), read from one pass of ``comparable_rows()``.
 
     ``within`` is True iff row i of every matrix lies in the up-set of
     lattice[i].  ``keyed`` is the first row of each block count, ascending,
-    when ``diag`` is given and every entry of every matrix, zeros included,
-    and every diag[i] are functions of the pair key alone; otherwise None.
+    when every entry of every matrix, zeros included, and every diag[i] are
+    functions of the pair key alone; otherwise None.
     A key's class is its (|ρ|, sorted sizes).  The first row with p blocks
     gives each class of p blocks a value per matrix, and every row with p
     blocks, that one included, must read those values back through its keys,
     under the same row denominator (rows of equal values reduce alike), with
     diag[i] equal to diag at the first row.
     """
-    keyed = diag is not None
+    keyed = True
     first: dict[int, tuple] = {}  # p -> (row, key -> class, per matrix (d, class -> value))
     for i, js, keys in lattice.comparable_rows():
         dense = []

@@ -209,10 +209,10 @@ class TestWithinOrder:
         i = lat.index_of(SetPartition.from_string("1,2|3|4"))
         j = lat.index_of(SetPartition.from_string("1,3|2,4"))
         assert i < j and not lat[i].refines(lat[j])
-        Q = build_generator(lat, bs_rates(4))
-        assert _within_order(lat, (Q,)) == (True, None)
+        Q, zeros = build_generator(lat, bs_rates(4)), [0] * len(lat)
+        assert _within_order(lat, (Q,), zeros)[0]
         Q.set(i, j, F(1, 3))
-        assert _within_order(lat, (Q,)) == (False, None)
+        assert _within_order(lat, (Q,), zeros) == (False, None)
 
     def test_rejects_entry_below_diagonal(self, lattices):
         lat = lattices[4]
@@ -221,9 +221,9 @@ class TestWithinOrder:
         assert fine < coarse and lat[fine].refines(lat[coarse])
         m = TriMatrix(lat)
         m.set(fine, coarse, F(2))
-        assert _within_order(lat, (m,)) == (True, None)
+        assert _within_order(lat, (m,), [0] * len(lat)) == (True, None)
         m.set(coarse, fine, F(-1, 5))
-        assert _within_order(lat, (m,)) == (False, None)
+        assert _within_order(lat, (m,), [0] * len(lat)) == (False, None)
 
     @staticmethod
     def firsts(lat):

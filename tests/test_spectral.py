@@ -530,7 +530,7 @@ class TestSupportFlag:
             for rates, triple in ((bs_rates, bs_triple),
                                   (kingman_rates, kingman_triple)):
                 Q, t = build_generator(lat, rates(n)), triple(lat)
-                assert all(_within_order(lat, (m,)) == (True, None) for m in (Q, t.R, t.L)), n
+                assert all(_within_order(lat, (m,), t.D)[0] for m in (Q, t.R, t.L)), n
                 assert verify_triple(Q, t).triangular_support, n
         for n in range(1, 31):
             for gen, triple in ((bs_block_generator, bs_block_triple),
