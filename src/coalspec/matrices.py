@@ -309,15 +309,16 @@ def _within_order(
             dense.append((d, nums))
         if not keyed:
             continue
-        # lists, not tuples: a tuple built from a map is resized as it grows,
-        # and CPython keeps freed small tuples for reuse at their final size
-        if keys[0][0] not in first:
+        p = keys[0][0]
+        if p not in first:
             sorted_keys: dict[tuple, int] = {}
             classes = {k: sorted_keys.setdefault((k[1], *sorted(k[2])), len(sorted_keys))
                        for k in keys}
             at = list(map(classes.__getitem__, keys))
-            first[keys[0][0]] = i, classes, [(d, dict(zip(at, nums))) for d, nums in dense]
-        i0, classes, values = first[keys[0][0]]
+            first[p] = i, classes, [(d, dict(zip(at, nums))) for d, nums in dense]
+        i0, classes, values = first[p]
+        # lists, not tuples: a tuple built from a map is resized as it grows,
+        # and CPython keeps freed small tuples for reuse at their final size
         at = list(map(classes.__getitem__, keys))
         keyed = diag[i] == diag[i0] and all(
             d == d0 and list(nums) == list(map(by_class.__getitem__, at))
