@@ -345,6 +345,12 @@ class TestInverseProducts:
         assert len(passes) == 2 and not calls
 
 
+def key_free_scaling(size):
+    """c with c_j = j mod 3 + 1, which varies inside key classes, and diag(1/c)."""
+    c = [F(j % 3 + 1) for j in range(size)]
+    return c, RatMatrix.identity(size).scaled_cols([1 / x for x in c])
+
+
 class TestKeyedProducts:
     """On the model triples each product reads one row per block count."""
 
@@ -373,27 +379,23 @@ class TestKeyedProducts:
             assert read == [firsts, firsts], triple.__name__
             assert len(firsts) == n
 
-    def test_rescaled_triple_reads_every_row(self, lattices, bs_generators, bs_triples,
-                                             monkeypatch):
-        # R's column j times c_j and L's row j over c_j, c varying inside key
-        # classes: L R = I and Q = R D L still hold, the diagonals do not
-        n = 5
-        t = bs_triples[n]
-        c = [F(j % 3 + 1) for j in range(t.size)]
-        inverse = RatMatrix.identity(t.size).scaled_cols([1 / x for x in c])
+    def test_rescaled_triple_reads_every_row(self, bs_generators, bs_triples, monkeypatch):
+        # R's column j times c_j and L's row j over c_j: L R = I and
+        # Q = R D L still hold, the diagonals do not
+        t = bs_triples[5]
+        c, inverse = key_free_scaling(t.size)
         rescaled = SpectralTriple(t.R.scaled_cols(c), t.D, inverse.matmul(t.L))
-        report, read = self.product_rows_read(bs_generators[n], rescaled, monkeypatch)
+        report, read = self.product_rows_read(bs_generators[5], rescaled, monkeypatch)
         assert {k for k, ok in report.as_dict().items() if not ok} == {"unit_diagonals"}
         assert read == [None, None]
 
     def test_unkeyed_triple_reads_every_row(self, lattices, bs_generators, bs_triples,
                                             monkeypatch):
         # C^-1 Q C, C^-1 R C, C^-1 L C with C = diag(c) is a valid triple with
-        # unit diagonals, not keyed when c varies inside a key class
+        # unit diagonals
         n = 5
         Q, t = bs_generators[n], bs_triples[n]
-        c = [F(j % 3 + 1) for j in range(t.size)]
-        inverse = RatMatrix.identity(t.size).scaled_cols([1 / x for x in c])
+        c, inverse = key_free_scaling(t.size)
         conj = [inverse.matmul(m).scaled_cols(c) for m in (Q, t.R, t.L)]
         moved = TriMatrix(lattices[n])
         for i, j, v in conj[0].nonzeros():
@@ -425,8 +427,7 @@ class TestStreamedChecks:
             # R's column j times c_j and L's row j over c_j: a valid triple whose
             # entries are not functions of the pair key, so no row is skipped
             Q, R, D, L = lattice(n, rates, triple)
-            c = [F(j % 3 + 1) for j in range(R.size)]
-            inverse = RatMatrix.identity(R.size).scaled_cols([1 / x for x in c])
+            c, inverse = key_free_scaling(R.size)
             return Q, R.scaled_cols(c), D, inverse.matmul(L)
 
         for n in range(1, 6):
