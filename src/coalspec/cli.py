@@ -6,7 +6,10 @@ JSON output is exactly ``json.dumps(payload, indent=2)`` and a newline, so
 every non-ASCII character is escaped.
 Rationals serialize as "p/q", reals with 15 significant digits, divergent
 Green entries as "inf".  Exit codes: 0 success, 1 verification failure,
-2 usage or domain error.  Seeded commands are byte-reproducible.
+2 usage or domain error.  Seeded commands are byte-reproducible for a fixed
+seed on one machine with one BLAS thread count: the Kingman float cells of
+``transition --t`` and ``simulate`` come from a BLAS product, whose last
+bits depend on the number of threads it runs on.
 
 Output is written as it is produced: tables are read off the computed
 matrices a row at a time and written in batches, so peak memory is set by
@@ -23,7 +26,8 @@ pays only for them.  ``lattice`` loads ``partitions`` and ``combinatorics``;
 numpy to those; ``simulate`` adds ``simulate`` and numpy to its model's
 ``transition --t``; ``qmatrix`` loads ``generator`` and ``matrices`` over
 ``lattice``, ``spectral`` those and ``spectral``; ``verify`` loads every
-module but ``simulate``, through ``coalspec._verify``.
+module but ``simulate``, through ``coalspec._verify``.  No exact command
+loads numpy or ``dataclasses`` (which loads ``inspect``, ``ast`` and ``dis``).
 
 Configuration precedence is flags over environment over defaults; the only
 environment knob is COALSPEC_N_CAP, which bounds full-lattice enumeration
@@ -44,6 +48,7 @@ from fractions import Fraction
 from importlib import import_module
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .partitions import PartitionLattice, _check_cap
@@ -90,18 +95,32 @@ def _model(name: str, role: str):
     return None if attr is None else getattr(module, attr)
 
 
+def _ratio_text(v: int, d: int) -> str:
+    """``format_rational(Fraction(v, d))`` for d > 0, reduced with one gcd."""
+    g = gcd(v, d)
+    return f"{v // g}/{d // g}"
+
+
 def _entries_payload(mat: RatMatrix) -> Iterator[list]:
     """Yield [i, j, "p/q"] per entry of ``mat.nonzeros()``, read off ``mat._entries()``.
 
-    Rows share their values (R and L take one per key), so each distinct
-    (numerator, row denominator) is reduced and formatted once.
+    A stored row holds its values over one denominator d > 0, so within a
+    run of rows that share d a value is its numerator, and each numerator is
+    formatted once per run: the cache is emptied whenever d changes.  Lattice
+    rows share their values (R and L take one per key) in a few long runs; a
+    block-counting row has a denominator and values of its own, so there the
+    cache holds one row's texts.
     """
-    text: dict[tuple[int, int], str] = {}
+    texts: dict[int, str] = {}
+    run = None
     for i, j, v, d in mat._entries():
-        s = text.get((v, d))
-        if s is None:
-            s = text[v, d] = format_rational(Fraction(v, d))
-        yield [i, j, s]
+        if d != run:
+            texts.clear()
+            run = d
+        text = texts.get(v)
+        if text is None:
+            text = texts[v] = _ratio_text(v, d)
+        yield [i, j, text]
 
 
 class _Table:
@@ -117,23 +136,28 @@ class _Table:
         """Yield the text of each stored row's entries as ``_json_pieces``
         writes them at indent ``inner``, each entry led by a comma.
 
-        An entry is its row's prefix, its column and the tail of its value,
-        and each distinct (numerator, row denominator) has its tail
-        formatted once.
+        An entry is its row's prefix, its column and the tail of its value
+        ("p/q" needs no escaping).  Tails are cached by numerator as
+        ``_entries_payload`` caches its texts, emptied when a row's
+        denominator differs from the row before.
         """
         deep = inner + "  "
-        tails: dict[tuple[int, int], str] = {}
+        form = f',{deep}"{{}}"{inner}]'.format
+        tails: dict[int, str] = {}
         row: list[str] = []
-        last = None
+        last = run = None
         for i, j, v, d in self.mat._entries():
             if i != last:
                 if row:
                     yield "".join(row)
                     row.clear()
                 prefix, last = f",{inner}[{deep}{i},{deep}", i
-            tail = tails.get((v, d))
+                if d != run:
+                    tails.clear()
+                    run = d
+            tail = tails.get(v)
             if tail is None:
-                tail = tails[v, d] = f",{deep}{_escape(format_rational(Fraction(v, d)))}{inner}]"
+                tail = tails[v] = form(_ratio_text(v, d))
             row.append(f"{prefix}{j}{tail}")
         if row:
             yield "".join(row)
@@ -422,6 +446,8 @@ def cmd_hitting(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_time(args.t)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
     from .simulate import _estimate_transition
 
     # load the exact law's modules before the replicates run: loaded after

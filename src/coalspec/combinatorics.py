@@ -1,13 +1,14 @@
 """Exact combinatorial numbers used throughout the closed forms.
 
 Everything here is arbitrary-precision integer (or ``fractions.Fraction``)
-arithmetic.  The Stirling triangles are memoized module-wide, so repeated
-queries after the first are dictionary lookups.
+arithmetic.  The Stirling triangles and the factorials are memoized
+module-wide, so repeated queries after the first are dictionary or list
+lookups.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 
 __all__ = [
     "stirling_first",
@@ -19,6 +20,21 @@ __all__ = [
 
 _FIRST: dict[tuple[int, int], int] = {}
 _SECOND: dict[tuple[int, int], int] = {}
+_FACTORIALS: list[int] = [1]
+
+
+def _factorial(k: int) -> int:
+    """k!, read from one list memo that grows to the largest k asked for."""
+    memo = _FACTORIALS
+    if k < len(memo):
+        if k < 0:
+            raise ValueError("factorial() not defined for negative values")
+        return memo[k]
+    v = memo[-1]
+    for m in range(len(memo), k + 1):
+        v *= m
+        memo.append(v)
+    return v
 
 
 def _triangle(memo: dict, first: bool, i: int, j: int) -> int:
@@ -84,7 +100,7 @@ def lah(i: int, j: int) -> int:
         raise ValueError("Lah indices must be positive")
     if j > i:
         return 0
-    return comb(i - 1, j - 1) * (factorial(i) // factorial(j))
+    return comb(i - 1, j - 1) * (_factorial(i) // _factorial(j))
 
 
 def bell(n: int) -> int:

@@ -22,7 +22,6 @@ Bolthausen-Sznitman generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import factorial
 from types import MappingProxyType
@@ -45,31 +44,44 @@ Block = tuple[int, ...]
 ENUMERATION_CAP = 9
 
 
-@dataclass(frozen=True, slots=True)
 class IncreasingTree:
     """An increasing tree on the blocks of a partition, as a frozen value.
 
     ``parent`` maps every non-root block to its parent block; the root is the
-    block holding the smallest ground element.  The fields cannot be
-    reassigned and ``parent`` is a read-only view, so trees compare and hash
-    by value (usable as counter keys in distribution tests).
+    block holding the smallest ground element.  The two slots, ``labels``
+    and ``parent``, are set once by the constructor, assigning or deleting
+    an attribute raises ``AttributeError``, and ``parent`` is a read-only
+    view, so trees compare and hash by value (usable as counter keys in
+    distribution tests).
     """
 
-    labels: SetPartition
-    parent: Mapping[Block, Block]
+    __slots__ = ("labels", "parent")
+    __match_args__ = ("labels", "parent")
 
-    def __post_init__(self):
-        blocks = self.labels.blocks
-        if set(self.parent) != set(blocks[1:]):
+    def __init__(self, labels: SetPartition, parent: Mapping[Block, Block]) -> None:
+        blocks = labels.blocks
+        if set(parent) != set(blocks[1:]):
             raise ValueError("parent map must cover exactly the non-root blocks")
-        for child, par in self.parent.items():
+        for child, par in parent.items():
             if par not in blocks:
                 raise ValueError(f"parent {par!r} is not a block of the partition")
             if par[0] >= child[0]:
                 raise ValueError(
                     f"minima must increase along edges: {par!r} -> {child!r}"
                 )
-        object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "parent", MappingProxyType(dict(parent)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.labels, self.parent) == (other.labels, other.parent)
+        return NotImplemented
 
     def __reduce__(self):  # a mappingproxy does not pickle; rebuild through __init__
         return IncreasingTree, (self.labels, dict(self.parent))

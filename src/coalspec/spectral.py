@@ -50,13 +50,12 @@ functions give integer numerators over those denominators.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import starmap
-from math import comb, factorial, prod
+from math import comb, prod
 
-from .combinatorics import lah, stirling_first, stirling_second
+from .combinatorics import _factorial, lah, stirling_first, stirling_second
 from .matrices import RatMatrix, TriMatrix, _product_is, _within_order
 from .partitions import PartitionLattice
 
@@ -71,17 +70,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralTriple:
-    """A factorization Q = R diag(D) L with L = R^-1, all entries exact."""
+class _Frozen:
+    """A frozen value of the fields ``__match_args__``, in that order, which
+    its constructor sets once: compared, hashed and shown by them, as
+    ``dataclass(frozen=True)`` makes such a class, and pickled and copied by
+    its ``__dict__`` as that class is, to the same bytes.  Assigning or
+    deleting an attribute raises ``AttributeError``.
+    """
 
-    R: RatMatrix
-    D: tuple[Fraction, ...]
-    L: RatMatrix
+    __match_args__: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if not (self.R.size == self.L.size == len(self.D)):
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SpectralTriple(_Frozen):
+    """A factorization Q = R diag(D) L with L = R^-1, all entries exact.
+
+    Unhashable, as R and L are.
+    """
+
+    __match_args__ = ("R", "D", "L")
+
+    def __init__(self, R: RatMatrix, D: tuple[Fraction, ...], L: RatMatrix) -> None:
+        if not (R.size == L.size == len(D)):
             raise ValueError("R, D, L dimensions disagree")
+        self.__dict__.update(R=R, D=D, L=L)
 
     @property
     def size(self) -> int:
@@ -92,22 +124,35 @@ class SpectralTriple:
         return self.R.scaled_cols(self.D).matmul(self.L)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Frozen):
     """Exact pass/fail flags for the defining identities of a triple."""
 
-    q_equals_rdl: bool
-    lr_identity: bool
-    rl_identity: bool
-    unit_diagonals: bool
-    triangular_support: bool
+    __match_args__ = (
+        "q_equals_rdl", "lr_identity", "rl_identity", "unit_diagonals", "triangular_support",
+    )
+
+    def __init__(
+        self,
+        q_equals_rdl: bool,
+        lr_identity: bool,
+        rl_identity: bool,
+        unit_diagonals: bool,
+        triangular_support: bool,
+    ) -> None:
+        self.__dict__.update(
+            q_equals_rdl=q_equals_rdl,
+            lr_identity=lr_identity,
+            rl_identity=rl_identity,
+            unit_diagonals=unit_diagonals,
+            triangular_support=triangular_support,
+        )
 
     @property
     def all_pass(self) -> bool:
-        return all(self.as_dict().values())
+        return all(self._values())
 
     def as_dict(self) -> dict[str, bool]:
-        return asdict(self)
+        return dict(zip(self.__match_args__, self._values()))
 
 
 def _lattice_triple(rows, build, entries, per_row) -> SpectralTriple:
@@ -156,23 +201,24 @@ def _on_chain(n: int):
 
 def _bs_row(b: int) -> tuple[int, int, int]:
     """Eigenvalue 1 - b; R and L row denominators (b-1)! and (b-1)!."""
-    return 1 - b, factorial(b - 1), factorial(b - 1)
+    return 1 - b, _factorial(b - 1), _factorial(b - 1)
 
 
 def _kingman_row(b: int) -> tuple[int, int, int]:
     """Eigenvalue -C(b, 2); R and L row denominators (2b-1)! and (2b-2)!."""
-    return -comb(b, 2), factorial(2 * b - 1), factorial(2 * b - 2)
+    return -comb(b, 2), _factorial(2 * b - 1), _factorial(2 * b - 2)
 
 
 def _bs_entries(p: int, r: int, r_weight: int, l_weight: int) -> tuple[int, int]:
-    base = factorial(r - 1)
+    base = _factorial(r - 1)
     lv = base * l_weight
     return base * r_weight, (-lv if (p - r) % 2 else lv)
 
 
 def _kingman_entries(p: int, r: int, weight: int) -> tuple[int, int]:
-    rv = factorial(2 * r - 1) * weight * (factorial(2 * p - 1) // factorial(p + r - 1))
-    lv = factorial(p + r - 2) * weight
+    f = _factorial
+    rv = f(2 * r - 1) * weight * (f(2 * p - 1) // f(p + r - 1))
+    lv = f(p + r - 2) * weight
     return rv, (-lv if (p - r) % 2 else lv)
 
 
@@ -184,7 +230,7 @@ def bs_triple(lattice: PartitionLattice) -> SpectralTriple:
     sign, and the eigenvalues are -(|π| - 1).
     """
     entries = cache(
-        lambda p, r, sizes: _bs_entries(p, r, prod(factorial(s - 1) for s in sizes), 1)
+        lambda p, r, sizes: _bs_entries(p, r, prod(_factorial(s - 1) for s in sizes), 1)
     )
     return _lattice_triple(*_on_lattice(lattice), entries, _bs_row)
 
@@ -196,7 +242,7 @@ def kingman_triple(lattice: PartitionLattice) -> SpectralTriple:
     maximal-chain route m(π, ρ) 2^(p-r) (2r-1)! / ((p-r)! (p+r-1)!) for R and
     (-1)^(p-r) m(π, ρ) 2^(p-r) (p+r-2)! / ((2p-2)! (p-r)!) for L.
     """
-    entries = cache(lambda p, r, sizes: _kingman_entries(p, r, prod(map(factorial, sizes))))
+    entries = cache(lambda p, r, sizes: _kingman_entries(p, r, prod(map(_factorial, sizes))))
     return _lattice_triple(*_on_lattice(lattice), entries, _kingman_row)
 
 

@@ -3,6 +3,7 @@
 import csv
 import functools
 import hashlib
+import itertools
 import io
 import json
 import os
@@ -40,9 +41,11 @@ from coalspec import (
     kingman_triple,
     transition_via_triple,
 )
+from coalspec import cli
 from coalspec.cli import (
     _entries_payload,
     _Object,
+    _ratio_text,
     _Table,
     _write_json,
     format_rational,
@@ -182,6 +185,66 @@ class TestEntriesPayload:
                 self.check(t.R)
                 self.check(t.L)
                 self.check(generator_of(n))
+
+
+class TestTableTexts:
+    """Table values are formatted from (numerator, row denominator) without a
+    ``Fraction``, each once per run of rows that share a denominator."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(st.integers(), st.integers(-(2**400), 2**400)).filter(bool),
+        st.one_of(st.integers(1), st.integers(1, 2**400)),
+    )
+    @example(6, 4)  # a shared factor
+    @example(-6, 4)
+    @example(7, 7)
+    @example(-7, 7)
+    @example(-(3**252) * 5, 2**399 * 5)  # 400-bit values with a shared factor
+    @example(2**400, 2**400)
+    def test_text_is_format_rational(self, v, d):
+        want = format_rational(Fraction(v, d))
+        assert _ratio_text(v, d) == want
+        M = RatMatrix.from_rows(2, [(0, d, {0: v, 1: 1})])
+        assert list(_entries_payload(M))[0] == [0, 0, want]
+
+    @staticmethod
+    def tables():
+        """(name, matrix): a block triple, whose every row has a denominator
+        of its own, and the lattice triples at n = 6."""
+        lattice = PartitionLattice(6)
+        for name, t in (
+            ("kingman block 40", kingman_block_triple(40)),
+            ("bs block 40", bs_block_triple(40)),
+            ("bs 6", bs_triple(lattice)),
+            ("kingman 6", kingman_triple(lattice)),
+        ):
+            yield f"{name} R", t.R
+            yield f"{name} L", t.L
+
+    def test_json_and_csv_are_json_dumps_of_the_payload(self):
+        for name, M in self.tables():
+            rows = list(_entries_payload(M))
+            assert rows == [[i, j, format_rational(v)] for i, j, v in M.nonzeros()], name
+            assert _json_text(_Table(M)) == json.dumps(rows, indent=2), name
+            runs = list(itertools.groupby(e[3] for e in M._entries()))
+            if "block" in name:
+                # Kingman R's first two rows are both over 1
+                assert len(runs) >= M.size - 1, name
+
+    def test_each_value_formatted_once_per_denominator_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_ratio_text", lambda v, d: calls.append((v, d)) or "x")
+        for name, M in self.tables():
+            runs = itertools.groupby(M._entries(), key=lambda e: e[3])
+            want = sum(len({e[2] for e in run}) for _, run in runs)
+            for write in (lambda: list(_entries_payload(M)), lambda: _json_text(_Table(M))):
+                calls.clear()
+                write()
+                assert len(calls) == want, name
+            if "block" not in name:
+                # at most n runs and 63 distinct values: almost every entry is a hit
+                assert want <= 6 * 63 and want * 10 < M.nnz(), name
 
 
 # every kind of character json.dumps escapes differently: quotes, backslashes,
@@ -330,7 +393,7 @@ def test_numpy_is_loaded_only_by_float_paths():
 
 def test_each_command_loads_only_its_modules():
     """The package loads modules on first use, and each command what it runs;
-    ``dataclasses`` (with inspect, ast and dis) only with ``spectral``."""
+    no exact command loads numpy or ``dataclasses`` (with inspect, ast and dis)."""
     script = textwrap.dedent(
         """
         import contextlib, io, json, sys
@@ -358,7 +421,10 @@ def test_each_command_loads_only_its_modules():
         quiet("hitting", "--n", "4", "--model", "kingman")
         stages["pair formulas"] = loaded()
         quiet("spectral", "--n", "4")
+        quiet("spectral", "--n", "4", "--block", "--model", "kingman")
         stages["spectral"] = loaded()
+        quiet("verify", "--n-max", "3")
+        stages["verify"] = loaded()
         try:
             coalspec.nope
         except AttributeError as exc:
@@ -381,7 +447,12 @@ def test_each_command_loads_only_its_modules():
     assert stages["lattice command"] == ["cli", "combinatorics", "partitions"]
     assert stages["pair formulas"] == ["cli", "combinatorics", "dynamics", "partitions"]
     assert not {"simulate", "rrt", "oracles"} & set(stages["spectral"])
-    assert {"generator", "matrices", "spectral", "dataclasses"} <= set(stages["spectral"])
+    assert {"generator", "matrices", "spectral"} <= set(stages["spectral"])
+    assert "dataclasses" not in stages["spectral"]
+    assert stages["verify"] == [
+        "_verify", "cli", "combinatorics", "dynamics", "generator", "matrices",
+        "oracles", "partitions", "rrt", "spectral",
+    ]
     assert stages["nope"] == "module 'coalspec' has no attribute 'nope'"
 
 
@@ -761,6 +832,14 @@ class TestErrors:
         code, out, err = run(capsys, command, "--n", "3", "--model", model, f"--t={t}")
         assert code == 2 and out == ""
         assert "finite" in err
+
+    def test_negative_seed_rejected_before_any_import(self, capsys, monkeypatch):
+        # the estimator and numpy cannot load, so the check must come first
+        monkeypatch.setitem(sys.modules, "coalspec.simulate", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        code, out, err = run(capsys, "simulate", "--n", "3", "--t", "1", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must be a nonnegative integer, got -1\n"
 
     @pytest.mark.parametrize("x", ["1/0", "-3/0", "3", "5/4", "-1/2"])
     def test_x_rejected(self, capsys, x):

@@ -17,6 +17,7 @@ from coalspec import (
     stirling_first,
     stirling_second,
 )
+from coalspec.combinatorics import _factorial
 
 
 def cycle_count(perm):
@@ -192,6 +193,14 @@ def test_deeper_than_the_recursion_limit():
     assert stirling_second(2000, 2) == 2**1999 - 1
     assert stirling_first(1100, 1099) == comb(1100, 2)
     assert stirling_first(1500, 1) == factorial(1499)
+
+
+def test_factorial_memo():
+    # asked out of order, it grows to the largest k and answers smaller k from the list
+    for k in (5, 0, 1, 300, 7, 299, 301, 2):
+        assert _factorial(k) == factorial(k)
+    with pytest.raises(ValueError):
+        _factorial(-1)
 
 
 def test_domain_errors():

@@ -1,7 +1,9 @@
 """Increasing trees: enumeration, cutting, containment, sampling laws."""
 
+import copy
 import hashlib
 import json
+import pickle
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -76,6 +78,57 @@ class TestIncreasingTree:
             a.labels = pi
         with pytest.raises(TypeError):
             a.parent[(2,)] = (1,)
+
+    # IncreasingTree(P("1,3|2|4"), {(2,): (1, 3), (4,): (2,)}) pickled by
+    # protocols 0 to 5: rebuilt through the constructor from a plain dict
+    TREE_PICKLES = (
+        b'ccoalspec.rrt\nIncreasingTree\np0\n(ccopy_reg\n_reconstructor\np1\n(ccoalspe'
+        b'c.partitions\nSetPartition\np2\nc__builtin__\nobject\np3\nNtp4\nRp5\n(lp6\n('
+        b'(I1\nI3\ntp7\n(I2\ntp8\n(I4\ntp9\ntp10\nab(dp11\n(I2\ntp12\n(I1\nI3\ntp13\ns'
+        b'(I4\ntp14\ng12\nstp15\nRp16\n.',
+        b'ccoalspec.rrt\nIncreasingTree\nq\x00(ccopy_reg\n_reconstructor\nq\x01(ccoals'
+        b'pec.partitions\nSetPartition\nq\x02c__builtin__\nobject\nq\x03Ntq\x04Rq\x05]'
+        b'q\x06((K\x01K\x03tq\x07(K\x02tq\x08(K\x04tq\ttq\nab}q\x0b((K\x02tq\x0c(K'
+        b'\x01K\x03tq\r(K\x04tq\x0eh\x0cutq\x0fRq\x10.',
+        b'\x80\x02ccoalspec.rrt\nIncreasingTree\nq\x00ccoalspec.partitions\nSetPartiti'
+        b'on\nq\x01)\x81q\x02]q\x03K\x01K\x03\x86q\x04K\x02\x85q\x05K\x04\x85q'
+        b'\x06\x87q\x07ab}q\x08(K\x02\x85q\tK\x01K\x03\x86q\nK\x04\x85q\x0bh\tu\x86q'
+        b'\x0cRq\r.',
+        b'\x80\x03ccoalspec.rrt\nIncreasingTree\nq\x00ccoalspec.partitions\nSetPartiti'
+        b'on\nq\x01)\x81q\x02]q\x03K\x01K\x03\x86q\x04K\x02\x85q\x05K\x04\x85q'
+        b'\x06\x87q\x07ab}q\x08(K\x02\x85q\tK\x01K\x03\x86q\nK\x04\x85q\x0bh\tu\x86q'
+        b'\x0cRq\r.',
+        b'\x80\x04\x95y\x00\x00\x00\x00\x00\x00\x00\x8c\x0ccoalspec.rrt\x94\x8c\x0eInc'
+        b'reasingTree\x94\x93\x94\x8c\x13coalspec.partitions\x94\x8c\x0cSetPartition'
+        b'\x94\x93\x94)\x81\x94]\x94K\x01K\x03\x86\x94K\x02\x85\x94K'
+        b'\x04\x85\x94\x87\x94ab}\x94(K\x02\x85\x94K\x01K\x03\x86\x94K\x04\x85\x94h\ru'
+        b'\x86\x94R\x94.',
+        b'\x80\x05\x95y\x00\x00\x00\x00\x00\x00\x00\x8c\x0ccoalspec.rrt\x94\x8c\x0eInc'
+        b'reasingTree\x94\x93\x94\x8c\x13coalspec.partitions\x94\x8c\x0cSetPartition'
+        b'\x94\x93\x94)\x81\x94]\x94K\x01K\x03\x86\x94K\x02\x85\x94K'
+        b'\x04\x85\x94\x87\x94ab}\x94(K\x02\x85\x94K\x01K\x03\x86\x94K\x04\x85\x94h\ru'
+        b'\x86\x94R\x94.',
+    )
+
+    def test_value_behaviour(self):
+        tree = IncreasingTree(P("1,3|2|4"), {(2,): (1, 3), (4,): (2,)})
+        assert repr(tree) == "IncreasingTree('1,3|2|4', 2 edges)"
+        assert tree == IncreasingTree(labels=P("1,3|2|4"), parent={(4,): (2,), (2,): (1, 3)})
+        assert tree.__eq__((tree.labels, tree.parent)) is NotImplemented
+        assert hash(tree) == hash((tree.labels, frozenset(tree.parent.items())))
+        assert not hasattr(tree, "__dict__")
+        for field in ("labels", "parent"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(tree, field, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(tree, field)
+        with pytest.raises(AttributeError, match="cannot assign to field 'other'"):
+            tree.other = 1
+        for protocol, data in enumerate(self.TREE_PICKLES):
+            assert pickle.dumps(tree, protocol) == data, protocol
+            assert pickle.loads(data) == tree
+        for twin in (copy.copy(tree), copy.deepcopy(tree)):
+            assert twin == tree and type(twin.parent) is type(tree.parent)
 
     def test_insertion_order_does_not_matter(self):
         pi = P("1|2|3|4")

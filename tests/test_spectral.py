@@ -1,5 +1,7 @@
 """Exact R D L factorizations on the lattice and for block counts."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from coalspec import (
     SetPartition,
     SpectralTriple,
     TriMatrix,
+    VerificationReport,
     bs_block_generator,
     bs_block_triple,
     bs_rates,
@@ -218,6 +221,140 @@ class TestTripleType:
         assert not rep.q_equals_rdl
         assert rep.lr_identity and rep.rl_identity
         assert not rep.all_pass
+
+
+class TestValueClasses:
+    """The triple and the report behave as the frozen dataclasses they were:
+    the same repr, equality, hashing, errors and pickle bytes."""
+
+    # VerificationReport(True, False, True, False, True) pickled by protocols
+    # 0 to 5: the state is the instance dict, fields in order
+    REPORT_PICKLES = (
+        b'ccopy_reg\n_reconstructor\np0\n(ccoalspec.spectral\nVerificationReport\np1'
+        b'\nc__builtin__\nobject\np2\nNtp3\nRp4\n(dp5\nVq_equals_rdl\np6\nI01\nsVlr_id'
+        b'entity\np7\nI00\nsVrl_identity\np8\nI01\nsVunit_diagonals\np9\nI00\nsVtriang'
+        b'ular_support\np10\nI01\nsb.',
+        b'ccopy_reg\n_reconstructor\nq\x00(ccoalspec.spectral\nVerificationReport\nq'
+        b'\x01c__builtin__\nobject\nq\x02Ntq\x03Rq\x04}q\x05(X\x0c\x00\x00\x00q_equals'
+        b'_rdlq\x06I01\nX\x0b\x00\x00\x00lr_identityq\x07I00\nX\x0b\x00\x00\x00rl_iden'
+        b'tityq\x08I01\nX\x0e\x00\x00\x00unit_diagonalsq\tI00\nX\x12\x00\x00\x00triang'
+        b'ular_supportq\nI01\nub.',
+        b'\x80\x02ccoalspec.spectral\nVerificationReport\nq\x00)\x81q\x01}q\x02(X'
+        b'\x0c\x00\x00\x00q_equals_rdlq\x03\x88X\x0b\x00\x00\x00lr_identityq\x04\x89X'
+        b'\x0b\x00\x00\x00rl_identityq\x05\x88X\x0e\x00\x00\x00unit_diagonalsq'
+        b'\x06\x89X\x12\x00\x00\x00triangular_supportq\x07\x88ub.',
+        b'\x80\x03ccoalspec.spectral\nVerificationReport\nq\x00)\x81q\x01}q\x02(X'
+        b'\x0c\x00\x00\x00q_equals_rdlq\x03\x88X\x0b\x00\x00\x00lr_identityq\x04\x89X'
+        b'\x0b\x00\x00\x00rl_identityq\x05\x88X\x0e\x00\x00\x00unit_diagonalsq'
+        b'\x06\x89X\x12\x00\x00\x00triangular_supportq\x07\x88ub.',
+        b'\x80\x04\x95\x8a\x00\x00\x00\x00\x00\x00\x00\x8c\x11coalspec.spectral'
+        b'\x94\x8c\x12VerificationReport\x94\x93\x94)\x81\x94}\x94(\x8c\x0cq_equals_rd'
+        b'l\x94\x88\x8c\x0blr_identity\x94\x89\x8c\x0brl_identity\x94\x88\x8c\x0eunit_'
+        b'diagonals\x94\x89\x8c\x12triangular_support\x94\x88ub.',
+        b'\x80\x05\x95\x8a\x00\x00\x00\x00\x00\x00\x00\x8c\x11coalspec.spectral'
+        b'\x94\x8c\x12VerificationReport\x94\x93\x94)\x81\x94}\x94(\x8c\x0cq_equals_rd'
+        b'l\x94\x88\x8c\x0blr_identity\x94\x89\x8c\x0brl_identity\x94\x88\x8c\x0eunit_'
+        b'diagonals\x94\x89\x8c\x12triangular_support\x94\x88ub.',
+    )
+
+    # bs_block_triple(1) pickled by protocols 0 to 5
+    TRIPLE_PICKLES = (
+        None,  # RatMatrix has slots and no __getstate__
+        None,  # RatMatrix has slots and no __getstate__
+        b'\x80\x02ccoalspec.spectral\nSpectralTriple\nq\x00)\x81q\x01}q\x02(X'
+        b'\x01\x00\x00\x00Rq\x03ccoalspec.matrices\nRatMatrix\nq\x04)\x81q\x05N}q\x06('
+        b'X\x04\x00\x00\x00sizeq\x07K\x01X\x05\x00\x00\x00_rowsq\x08}q\tK\x00K\x01K'
+        b'\x00\x85q\nK\x01\x85q\x0b\x87q\x0csu\x86q\rbX\x01\x00\x00\x00Dq\x0ecfraction'
+        b's\nFraction\nq\x0fK\x00K\x01\x86q\x10Rq\x11\x85q\x12X\x01\x00\x00\x00Lq\x13h'
+        b'\x04)\x81q\x14N}q\x15(h\x07K\x01h\x08}q\x16K\x00K\x01h\nK\x01\x85q\x17\x87q'
+        b'\x18su\x86q\x19bub.',
+        b'\x80\x03ccoalspec.spectral\nSpectralTriple\nq\x00)\x81q\x01}q\x02(X'
+        b'\x01\x00\x00\x00Rq\x03ccoalspec.matrices\nRatMatrix\nq\x04)\x81q\x05N}q\x06('
+        b'X\x04\x00\x00\x00sizeq\x07K\x01X\x05\x00\x00\x00_rowsq\x08}q\tK\x00K\x01K'
+        b'\x00\x85q\nK\x01\x85q\x0b\x87q\x0csu\x86q\rbX\x01\x00\x00\x00Dq\x0ecfraction'
+        b's\nFraction\nq\x0fK\x00K\x01\x86q\x10Rq\x11\x85q\x12X\x01\x00\x00\x00Lq\x13h'
+        b'\x04)\x81q\x14N}q\x15(h\x07K\x01h\x08}q\x16K\x00K\x01h\nK\x01\x85q\x17\x87q'
+        b'\x18su\x86q\x19bub.',
+        b'\x80\x04\x95\xd0\x00\x00\x00\x00\x00\x00\x00\x8c\x11coalspec.spectral'
+        b'\x94\x8c\x0eSpectralTriple\x94\x93\x94)\x81\x94}\x94(\x8c\x01R\x94\x8c\x11co'
+        b'alspec.matrices\x94\x8c\tRatMatrix\x94\x93\x94)\x81\x94N}\x94(\x8c\x04size'
+        b'\x94K\x01\x8c\x05_rows\x94}\x94K\x00K\x01K\x00\x85\x94K\x01\x85\x94\x87\x94s'
+        b'u\x86\x94b\x8c\x01D\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94K\x00K'
+        b'\x01\x86\x94R\x94\x85\x94\x8c\x01L\x94h\x08)\x81\x94N}\x94(h\x0bK\x01h\x0c}'
+        b'\x94K\x00K\x01h\x0eK\x01\x85\x94\x87\x94su\x86\x94bub.',
+        b'\x80\x05\x95\xd0\x00\x00\x00\x00\x00\x00\x00\x8c\x11coalspec.spectral'
+        b'\x94\x8c\x0eSpectralTriple\x94\x93\x94)\x81\x94}\x94(\x8c\x01R\x94\x8c\x11co'
+        b'alspec.matrices\x94\x8c\tRatMatrix\x94\x93\x94)\x81\x94N}\x94(\x8c\x04size'
+        b'\x94K\x01\x8c\x05_rows\x94}\x94K\x00K\x01K\x00\x85\x94K\x01\x85\x94\x87\x94s'
+        b'u\x86\x94b\x8c\x01D\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94K\x00K'
+        b'\x01\x86\x94R\x94\x85\x94\x8c\x01L\x94h\x08)\x81\x94N}\x94(h\x0bK\x01h\x0c}'
+        b'\x94K\x00K\x01h\x0eK\x01\x85\x94\x87\x94su\x86\x94bub.',
+    )
+
+    def test_report(self):
+        report = VerificationReport(True, False, True, False, True)
+        assert repr(report) == (
+            "VerificationReport(q_equals_rdl=True, lr_identity=False, rl_identity=True,"
+            " unit_diagonals=False, triangular_support=True)"
+        )
+        assert list(report.as_dict().items()) == [
+            ("q_equals_rdl", True), ("lr_identity", False), ("rl_identity", True),
+            ("unit_diagonals", False), ("triangular_support", True),
+        ]
+        assert not report.all_pass and VerificationReport(*[True] * 5).all_pass
+        twin = VerificationReport(
+            triangular_support=True, unit_diagonals=False, rl_identity=True,
+            lr_identity=False, q_equals_rdl=True,
+        )
+        assert twin == report and hash(twin) == hash(report)
+        assert hash(report) == hash((True, False, True, False, True))
+        assert report != VerificationReport(*[True] * 5)
+        assert report.__eq__(tuple(report.as_dict().values())) is NotImplemented
+
+    def test_triple(self):
+        t = bs_block_triple(3)
+        assert repr(t) == (
+            "SpectralTriple(R=<RatMatrix 3x3, 6 nonzero>, D=(Fraction(0, 1),"
+            " Fraction(-1, 1), Fraction(-2, 1)), L=<RatMatrix 3x3, 6 nonzero>)"
+        )
+        assert t == bs_block_triple(3) and t != kingman_block_triple(3)
+        assert SpectralTriple(L=t.L, D=t.D, R=t.R) == t
+        assert t.__eq__((t.R, t.D, t.L)) is NotImplemented
+        assert t.size == 3 and t.rdl() == bs_block_generator(3)
+        with pytest.raises(TypeError, match="unhashable type: 'RatMatrix'"):
+            hash(t)
+        with pytest.raises(ValueError, match="R, D, L dimensions disagree"):
+            SpectralTriple(t.R, t.D[:2], t.L)
+
+    @pytest.mark.parametrize("field", ["R", "D", "L", "lr_identity", "other"])
+    def test_frozen(self, field):
+        t = bs_block_triple(2)
+        value = t if field in ("R", "D", "L", "other") else verify_triple(
+            bs_block_generator(2), t)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(value, field, None)
+        if field != "other":
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(value, field)
+            assert getattr(value, field) is not None
+
+    def test_pickle_bytes(self):
+        report = VerificationReport(True, False, True, False, True)
+        triple = bs_block_triple(1)
+        for protocol, data in enumerate(self.REPORT_PICKLES):
+            assert pickle.dumps(report, protocol) == data, protocol
+            assert pickle.loads(data) == report
+        for protocol, data in enumerate(self.TRIPLE_PICKLES):
+            if data is None:
+                with pytest.raises(TypeError):
+                    pickle.dumps(triple, protocol)
+                continue
+            assert pickle.dumps(triple, protocol) == data, protocol
+            assert pickle.loads(data) == triple
+        for value in (report, triple):
+            for twin in (copy.copy(value), copy.deepcopy(value)):
+                assert type(twin) is type(value) and twin == value
+                assert vars(twin) == vars(value)
 
 
 class TestInverseProducts:
