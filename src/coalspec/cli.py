@@ -142,7 +142,6 @@ class _Table:
         denominator differs from the row before.
         """
         deep = inner + "  "
-        form = f',{deep}"{{}}"{inner}]'.format
         tails: dict[int, str] = {}
         row: list[str] = []
         last = run = None
@@ -157,7 +156,7 @@ class _Table:
                     run = d
             tail = tails.get(v)
             if tail is None:
-                tail = tails[v] = form(_ratio_text(v, d))
+                tail = tails[v] = f',{deep}"{_ratio_text(v, d)}"{inner}]'
             row.append(f"{prefix}{j}{tail}")
         if row:
             yield "".join(row)
