@@ -371,11 +371,13 @@ def _emit_pair_rows(args, lattice: PartitionLattice, head: dict, cell, per_key=T
         _emit_json({**head, "rows": _Object(rows)}, args.out)
 
 
-def _check_time(t: float) -> None:
+def _check_time(t: float) -> float:
     """Reject a --t outside [0, inf) up front: the closed form would raise
-    only at its first cell, while the table is being written."""
+    only at its first cell, while the table is being written.  Returns t with
+    -0 read as 0, so that both print alike."""
     if not 0 <= t < math.inf:
         raise ValueError(f"--t must be finite and nonnegative, got {t!r}")
+    return t + 0.0
 
 
 def _float_transition(model: str, lattice: PartitionLattice, t: float):
@@ -399,7 +401,7 @@ def cmd_transition(args) -> int:
         raise ValueError("give exactly one of --t (real time) or --x (exact point)")
     lattice = PartitionLattice(args.n)
     if args.x is None:
-        _check_time(args.t)
+        args.t = _check_time(args.t)
         head = {"model": args.model, "n": args.n, "t": format_real(args.t)}
         p, per_key = _float_transition(args.model, lattice, args.t)
         _emit_pair_rows(args, lattice, head, lambda i, j: format_real(p(i, j)), per_key)
@@ -444,7 +446,7 @@ def cmd_hitting(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_time(args.t)
+    args.t = _check_time(args.t)
     if args.seed < 0:
         raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
     from .simulate import _estimate_transition

@@ -12,40 +12,48 @@ makes the draws ``sample_rrt`` and ``cut_random`` make on an
 C(b, 2).
 
 Each model's jump rule is written once, as a small object built per n
-(``_RULES``): ``start(below)`` gives the first state's key and blocks, the
-BS tree drawn by ``_bs_tree`` through the caller's bounded draws
-``below(m)``; ``step(key, blocks, k)`` makes the jump draw k picks, by
-``_bs_cut`` or ``_kingman_merge``; ``rate(b)`` is the total rate with b
+(``_RULES``): ``start(draws)`` gives the first state's key and blocks from
+bounded draws made with the bounds ``start_bounds`` (the BS tree's parents;
+Kingman draws nothing); ``step(key, blocks, k)`` makes the jump draw k picks,
+by ``_bs_cut`` or ``_kingman_merge``; ``rate(b)`` is the total rate with b
 blocks.  Two consumers walk it.  ``simulate_bs``/``simulate_kingman`` step
 it directly and hold only the path, which ``Trajectory`` checks jump by
 jump with ``pair_key``'s pass on the block tuples.
 
-``estimate_transition`` makes the same draws in the same order but steps
-every replicate through a table that lasts one run: each distinct state gets
-an int id holding its rate, its canonical blocks and its successors, filled
-on first use by the model's rule (Kingman states are keyed by their
-blocks, BS states by the drawn tree and its surviving nodes).  A repeated
-jump costs one exponential clock, one bounded draw and one list index.  The
-estimator checks the time of every jump, before the horizon test, and runs
-the pass when a jump is first filled, once per distinct pair of partition
-ids; final states are counted by partition id and read out by the block
-tuples of the lattice's own partitions.
+``estimate_transition`` makes the same draws in the same order, but steps a
+batch of replicates at a time in lockstep, one numpy array slot (a lane) per
+replicate, through a table that lasts one run: each distinct state gets an
+int id, with its rate, clock scale, partition id and the first of its
+successor slots in numpy arrays, filled on first use by the model's rule
+(Kingman states are keyed by their blocks, BS states by the drawn tree and
+its surviving nodes).  A lane's state is such an id; a step draws every live
+lane's clock and bounded draw at once and moves it with one array lookup.
+The estimator checks the time of every jump, before the horizon test, and
+runs the pass when a jump is first filled, once per distinct pair of
+partition ids; final states are counted by partition id with one
+``bincount`` per batch and read out by the block tuples of the lattice's own
+partitions.
 
 Replicate streams: replicate i of a run with seed s draws from
 ``numpy.random.default_rng((s, i))``, so runs are reproducible and
 replicates are independent and order-insensitive.  The estimators do not
-build one generator per replicate: ``_replicate_streams`` hashes the
-``SeedSequence((s, i))`` entropy of 1024 replicates at a time in vectorised
-uint32 arithmetic, derives each PCG64 state from it as ``PCG64`` seeds
-itself, and sets that state on one reused ``Generator``.  The streams are
-the same, draw for draw; ``replicate_rng`` is the reference they are tested
-against.  ``estimate_transition`` also makes its bounded draws (a tree's
-parents, the cut edge, the Kingman pair) from the raw stream: ``_raw_below``
-gives what ``Generator.integers(0, m)`` gives from a state with no buffered
-half, by Lemire's method on PCG64's 32-bit halves (low half first, high half
-kept for the next draw), as numpy >= 1.24 does.  The public
-``simulate_bs``/``simulate_kingman`` accept any ``Generator`` and draw
-through ``Generator.integers`` (``_integers_below``).
+build one generator per replicate.  ``_generate_state`` hashes the
+``SeedSequence((s, i))`` entropy of a batch of replicates at a time in
+vectorised uint32 arithmetic, and each PCG64 state is derived from it as
+``PCG64`` seeds itself.  ``estimate_containment`` sets each state on one
+reused ``Generator`` (``_replicate_streams``).  ``estimate_transition``
+keeps them in ``_Lanes``: each lane's 128-bit state and increment are uint64
+array pairs, stepped by 32-bit-limb products, and the draws are numpy's,
+made on the raw outputs.  A bounded draw is ``Generator.integers(0, m)``:
+Lemire's method on PCG64's 32-bit halves (low half first, the high half kept
+per lane for the next draw), as numpy >= 1.24 does, rerun only on the lanes
+that reject.  A clock is ``Generator.exponential(scale)``: numpy's ziggurat
+fast path with its committed tables (``_ziggurat``), and a draw off the fast
+path, about 2% of them, is made by numpy itself from the lane's state before
+the draw.  The streams are the same, draw for draw; ``replicate_rng`` is the
+reference they are tested against.  The public ``simulate_bs``/
+``simulate_kingman`` accept any ``Generator`` and draw through
+``Generator.integers`` (``_integers_below``).
 
 Estimators return exact empirical fractions (count/reps) so the estimated
 law sums to exactly 1, alongside float binomial standard errors
@@ -147,13 +155,20 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _2_32 = 1 << 32
-# PCG64's 128-bit LCG: state <- state * multiplier + inc
+# PCG64's 128-bit LCG: state <- state * multiplier + inc; the multiplier's
+# 64-bit halves, the 32-bit limbs of its low half, and its inverse
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+_MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+_MULT_L1, _MULT_L0 = _MULT_LO >> 32, _MULT_LO & _MASK32
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)  # steps a state back
 # replicates hashed per batch; 2**32 is a multiple, so the index i has the
 # same number of 32-bit words across a batch
 _CHUNK = 1024
+# replicates estimate_transition steps in lockstep, a multiple of _CHUNK
+_LANES = 2 * _CHUNK
 
 
 def _words(x: int) -> list[int]:
@@ -215,17 +230,157 @@ def _generate_state(seed_words: list[int], i: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's step (hi, lo) * _PCG_MULT + (inc_hi, inc_lo) mod 2**128.
+
+    Each 128-bit number is a pair of uint64 arrays, its high and low halves.
+    Products of halves wrap mod 2**64 as arrays do (silently); the carry of
+    the low halves' product into the high half is summed from 32-bit limbs,
+    whose products fit 64 bits.
+    """
+    a0, a1 = lo & _MASK32, lo >> 32
+    p00, p01, p10 = a0 * _MULT_L0, a0 * _MULT_L1, a1 * _MULT_L0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * _MULT_L1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = hi * _MULT_LO + lo * _MULT_HI + carry + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def _pcg_output(hi, lo):
+    """PCG64's output of the states (hi, lo): hi ^ lo rotated right by hi >> 58."""
+    x = hi ^ lo
+    rot = hi >> 58
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+class _Lanes:
+    """The PCG64 streams of replicates start..stop-1, one array slot (lane) each.
+
+    Lane j is replicate start + j of the run whose seed has the 32-bit words
+    ``seed_words``; it starts where ``replicate_rng(seed, start + j)`` starts,
+    and each draw takes from it what the same call on that Generator takes,
+    down to the buffered 32-bit half (``state(j)`` reads its state as
+    ``PCG64.state`` does).  A draw acts on the lanes an int array names, each
+    at most once, with one bound or scale per lane.
+    """
+
+    def __init__(self, seed_words: list[int], start: int, stop: int):
+        import numpy as np
+
+        from ._ziggurat import KE, WE
+
+        pieces = [  # the indices below 2**32, then those above: one word count each
+            _generate_state(seed_words, np.arange(a, b, dtype=np.uint64))
+            for a, b in ((start, min(stop, _2_32)), (max(start, _2_32), stop))
+            if a < b
+        ]
+        words = [np.concatenate(w).astype(np.uint64) for w in zip(*pieces)]
+        # as generate_state(4, uint64) reads them: 32-bit words 2k, 2k + 1 are
+        # the 64-bit word k, little-endian; PCG64 takes words 0, 1 as the high
+        # and low halves of initstate and 2, 3 of initseq
+        init_hi, init_lo, seq_hi, seq_lo = (words[k] | words[k + 1] << 32 for k in (0, 2, 4, 6))
+        # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, then step, add
+        # initstate, step
+        self.inc_hi, self.inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+        lo = self.inc_lo + init_lo
+        hi = self.inc_hi + init_hi + (lo < init_lo)
+        self.hi, self.lo = _pcg_step(hi, lo, self.inc_hi, self.inc_lo)
+        self.size = stop - start
+        self.spare = np.zeros(self.size, np.uint64)  # the buffered 32-bit half
+        self.has = np.zeros(self.size, bool)  # whether it is unread
+        self.ke, self.we = np.array(KE, np.uint64), np.array(WE)
+        self.rng = np.random.Generator(np.random.PCG64(0))  # for draws off the fast path
+
+    def _next(self, lanes):
+        """The next 64-bit output of each of ``lanes``."""
+        hi, lo = self.hi[lanes], self.lo[lanes]
+        hi, lo = _pcg_step(hi, lo, self.inc_hi[lanes], self.inc_lo[lanes])
+        self.hi[lanes], self.lo[lanes] = hi, lo
+        return _pcg_output(hi, lo)
+
+    def below(self, lanes, m):
+        """``Generator.integers(0, m[i])`` on lane ``lanes[i]`` for every i, as int64.
+
+        1 <= m < 2**32.  numpy's Lemire method on buffered 32-bit halves: u is
+        the lane's kept half if it has one, else the low half of its next
+        output, whose high half it keeps; x = u m is redrawn while
+        x mod 2**32 < (2**32 - m) mod m, and x >> 32 is returned.  m = 1 draws
+        nothing.
+        """
+        import numpy as np
+
+        out = np.zeros(len(lanes), np.int64)
+        m = m.astype(np.uint64)
+        todo = np.flatnonzero(m > 1)
+        while todo.size:
+            at, bound = lanes[todo], m[todo]
+            fresh = ~self.has[at]
+            u = self.spare[at]
+            raw = self._next(at[fresh])
+            u[fresh] = raw & _MASK32
+            self.spare[at[fresh]] = raw >> 32
+            self.has[at] = fresh
+            x = u * bound
+            low = x & _MASK32
+            taken = low >= bound  # else compare with (2**32 - m) % m, below m
+            doubt = np.flatnonzero(~taken)
+            taken[doubt] = low[doubt] >= (_2_32 - bound[doubt]) % bound[doubt]
+            out[todo[taken]] = x[taken] >> 32
+            todo = todo[~taken]
+        return out
+
+    def exponential(self, lanes, scale):
+        """``Generator.exponential(scale[i])`` on lane ``lanes[i]`` for every i.
+
+        numpy's ziggurat: from an output r, ri = r >> 11 in box
+        k = (r >> 3) & 0xFF gives scale (ri WE[k]) when ri < KE[k].  A lane off
+        that path steps back to its state before the draw, and numpy's own
+        ``exponential`` makes the draw from there.
+        """
+        import numpy as np
+
+        raw = self._next(lanes)
+        ri, box = raw >> 11, (raw >> 3 & 0xFF).astype(np.intp)
+        out = scale * (ri * self.we[box])
+        bit_generator = self.rng.bit_generator
+        for i in np.flatnonzero(ri >= self.ke[box]).tolist():
+            state = self.state(lanes[i])
+            pcg = state["state"]
+            pcg["state"] = (pcg["state"] - pcg["inc"]) * _PCG_MULT_INV & _MASK128
+            bit_generator.state = state
+            out[i] = self.rng.exponential(scale[i])
+            self.set_state(lanes[i], bit_generator.state)
+        return out
+
+    def state(self, j: int) -> dict:
+        """Lane j's state in the form of ``PCG64.state``."""
+        return {
+            "bit_generator": "PCG64",
+            "state": {
+                "state": int(self.hi[j]) << 64 | int(self.lo[j]),
+                "inc": int(self.inc_hi[j]) << 64 | int(self.inc_lo[j]),
+            },
+            "has_uint32": int(self.has[j]),
+            "uinteger": int(self.spare[j]),
+        }
+
+    def set_state(self, j: int, state: dict) -> None:
+        """Set lane j to ``state``, in the form of ``PCG64.state``."""
+        pcg = state["state"]
+        self.hi[j], self.lo[j] = pcg["state"] >> 64, pcg["state"] & _MASK64
+        self.inc_hi[j], self.inc_lo[j] = pcg["inc"] >> 64, pcg["inc"] & _MASK64
+        self.has[j], self.spare[j] = state["has_uint32"], state["uinteger"]
+
+
 def _replicate_streams(seed: int, reps: int) -> Iterator[np.random.Generator]:
     """``replicate_rng(seed, i)`` for i in range(reps), as one reused Generator.
 
     Yields the same generator once per replicate, each time in the state
     ``default_rng((seed, i))`` starts in; a replicate's draws must be done
-    before the next one is taken.  Per batch of ``_CHUNK`` replicates the
-    SeedSequence hash runs vectorised; per replicate PCG64's seeding
-    (``pcg_setseq_128_srandom_r``) runs on Python ints: inc = 2 initseq + 1,
-    then step, add initstate, step.  The two numbers go into one state dict,
-    refilled in place for every replicate, that the bit generator's setter
-    reads.
+    before the next one is taken.  The states are seeded ``_CHUNK`` at a time
+    as ``_Lanes``; each goes into one state dict, refilled in place for every
+    replicate, that the bit generator's setter reads.
     """
     import numpy as np
 
@@ -235,54 +390,12 @@ def _replicate_streams(seed: int, reps: int) -> Iterator[np.random.Generator]:
     pcg = {"state": 0, "inc": 1}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for start in range(0, reps, _CHUNK):
-        i = np.arange(start, min(start + _CHUNK, reps), dtype=np.uint64)
-        words = np.stack(_generate_state(seed_words, i), axis=1)
-        # as generate_state(4, uint64) reads them: 32-bit words 2k, 2k + 1 are
-        # the 64-bit word k, little-endian; PCG64 takes words 0, 1 as the high
-        # and low halves of initstate and 2, 3 of initseq, so the big-endian
-        # bytes of the 64-bit words are the two 128-bit numbers in turn
-        data = words.astype("<u4").view("<u8").astype(">u8").tobytes()
-        for k in range(0, len(data), 32):
-            initstate = int.from_bytes(data[k:k + 16], "big")
-            inc = (int.from_bytes(data[k + 16:k + 32], "big") << 1 | 1) & _MASK128
-            pcg["state"] = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-            pcg["inc"] = inc
+        lanes = _Lanes(seed_words, start, min(start + _CHUNK, reps))
+        halves = (lanes.hi, lanes.lo, lanes.inc_hi, lanes.inc_lo)
+        for hi, lo, inc_hi, inc_lo in zip(*(a.tolist() for a in halves)):
+            pcg["state"], pcg["inc"] = hi << 64 | lo, inc_hi << 64 | inc_lo
             bit_generator.state = state
             yield rng
-
-
-def _raw_below(bit_generator) -> Callable[[int], int]:
-    """``below(m)``: ``Generator.integers(0, m)`` read from the raw PCG64 stream.
-
-    Valid for 1 <= m <= 2**32 - 1 on a PCG64 set with ``has_uint32 = 0``
-    whose buffered half nothing else reads while the draws run (exponential
-    draws take whole 64-bit outputs and leave it alone).  This is numpy's
-    Lemire method on buffered 32-bit halves: u is the low half of one
-    ``random_raw()``, the high half is kept for the next draw; x = u m is
-    redrawn while x mod 2**32 < (2**32 - m) mod m, and x >> 32 is returned.
-    m = 1 draws nothing.  The kept half lives in the closure, not in the bit
-    generator's state, so a ``below`` serves one replicate only.
-    """
-    raw = bit_generator.random_raw
-    spare = None
-
-    def below(m: int) -> int:
-        nonlocal spare
-        if m == 1:
-            return 0
-        while True:
-            if spare is None:
-                u = raw()
-                spare = u >> 32
-                u &= _MASK32
-            else:
-                u, spare = spare, None
-            x = u * m
-            low = x & _MASK32
-            if low >= m or low >= (_2_32 - m) % m:
-                return x >> 32
-
-    return below
 
 
 def _integers_below(rng) -> Callable[[int], int]:
@@ -296,11 +409,6 @@ def _check_run(n: int, horizon: float | None) -> None:
         raise ValueError("need n >= 1")
     if horizon is not None and not 0 <= horizon < inf:
         raise ValueError(f"horizon must be {'nonnegative' if horizon < 0 else 'finite'}")
-
-
-def _bs_tree(n: int, below: Callable[[int], int]) -> tuple[int, ...]:
-    """A uniform increasing tree on nodes 0..n-1 as its parent array."""
-    return (0, *[below(k) for k in range(1, n)])
 
 
 def _bs_cut(
@@ -353,15 +461,16 @@ def _kingman_merge(blocks: Blocks, k: int) -> Blocks:
 class _BsRule:
     """Tree cutting on [n]: a state is keyed by (drawn tree, surviving nodes).
 
-    ``start`` draws the tree; draw k of ``step`` cuts edge k + 1.
+    The start draws are the parents of nodes 1..n-1 of a uniform increasing
+    tree, node k's among 0..k-1; draw k of ``step`` cuts edge k + 1.
     """
 
     def __init__(self, n: int):
-        self.n, self.everyone = n, tuple(range(n))
+        self.everyone, self.start_bounds = tuple(range(n)), tuple(range(1, n))
         self.singletons = tuple((e,) for e in range(1, n + 1))
 
-    def start(self, below: Callable[[int], int]) -> tuple:
-        return (_bs_tree(self.n, below), self.everyone), self.singletons
+    def start(self, draws) -> tuple:
+        return ((0, *draws), self.everyone), self.singletons
 
     def step(self, key, blocks: Blocks, k: int) -> tuple:
         parent, alive = key
@@ -376,13 +485,15 @@ class _BsRule:
 class _KingmanRule:
     """Pair mergers on [n]: a state is keyed by its blocks.
 
-    ``start`` draws nothing; draw k of ``step`` merges pair number k.
+    The start draws nothing; draw k of ``step`` merges pair number k.
     """
+
+    start_bounds = ()
 
     def __init__(self, n: int):
         self.singletons = tuple((e,) for e in range(1, n + 1))
 
-    def start(self, below: Callable[[int], int]) -> tuple:
+    def start(self, draws) -> tuple:
         return self.singletons, self.singletons
 
     def step(self, key, blocks: Blocks, k: int) -> tuple:
@@ -402,7 +513,7 @@ def _simulate(model: str, n: int, horizon: float | None, rng) -> Trajectory:
     _check_run(n, horizon)
     rule = _RULES[model](n)
     below = _integers_below(rng)
-    key, blocks = rule.start(below)
+    key, blocks = rule.start([below(m) for m in rule.start_bounds])
     times: list[float] = []
     states = [SetPartition(blocks)]
     t = 0.0
@@ -429,54 +540,83 @@ def simulate_kingman(n: int, horizon: float | None, rng) -> Trajectory:
     return _simulate("kingman", n, horizon, rng)
 
 
+def _grown(a, size: int, fill):
+    """The array ``a`` extended to ``size`` entries with ``fill``."""
+    import numpy as np
+
+    out = np.full(size, fill, a.dtype)
+    out[:len(a)] = a
+    return out
+
+
 class _JumpTable:
     """The states one estimator run meets, each with an int id.
 
-    ``states[s]`` is (rate, scale, base, part): state s leaves at total rate
-    ``rate`` (0 once absorbed) on a clock of scale 1.0 / rate, bounded draw
-    k leads to state ``succ[base + k]``, -1 until the estimator first takes
-    that jump and stores ``successor(s, k)`` there, and its partition has id
-    ``part``, blocks ``blocks[part]`` and a count ``finals[part]`` of the
-    replicates that end in it.  ``keys[s]`` is what ``rule`` steps from:
-    ``start`` and ``successor`` take the model's start state and jumps from
-    its rule, and the table only numbers and remembers them.  A table lives
-    for one run.  Every successor sits in the one flat ``succ`` list and a
-    state is a tuple of numbers, so the garbage collector, which rescans
-    every list it tracks, has no list per state.
+    State s leaves at total rate ``rate[s]`` (0 once absorbed) on a clock of
+    scale ``scale[s]`` = 1.0 / rate, bounded draw k leads to state
+    ``succ[base[s] + k]``, -1 until the estimator first takes that jump and
+    stores ``successor(s, k)`` there, and its partition has id ``part[s]``,
+    blocks ``blocks[part[s]]``.  These are numpy arrays, over-allocated and
+    doubled when full, so a lane of states reads them with one index.
+    ``keys[s]`` is what ``rule`` steps from: ``starts`` and ``successor``
+    take the model's start states and jumps from its rule, and the table only
+    numbers and remembers them.  A table lives for one run.
     """
 
     def __init__(self, rule):
+        import numpy as np
+
         self.rule = rule
         self.ids: dict = {}  # keys[s] -> s
         self.keys: list = []
-        self.states: list[tuple[int, float, int, int]] = []
-        self.succ: list[int] = []
+        self.start_ids: dict = {}  # start draws -> the id of their start state
         self.part_ids: dict[Blocks, int] = {}
         self.blocks: list[Blocks] = []
-        self.finals: list[int] = []
+        self.rate, self.base, self.part = (np.zeros(64, np.int64) for _ in range(3))
+        self.scale = np.zeros(64)
+        self.succ = np.full(256, -1, np.int64)
+        self.slots = 0  # succ entries in use
 
     def state(self, key, blocks: Blocks) -> int:
         """The id of state ``key``, added with its blocks and rate if new."""
         s = self.ids.get(key)
         if s is None:
-            s = self.ids[key] = len(self.states)
+            s = self.ids[key] = len(self.keys)
+            self.keys.append(key)
             part = self.part_ids.setdefault(blocks, len(self.blocks))
             if part == len(self.blocks):
                 self.blocks.append(blocks)
-                self.finals.append(0)
+            if s == len(self.rate):
+                self.rate, self.base, self.part = (
+                    _grown(a, 2 * s, 0) for a in (self.rate, self.base, self.part)
+                )
+                self.scale = _grown(self.scale, 2 * s, 0.0)
             rate = self.rule.rate(len(blocks))
-            self.keys.append(key)
-            self.states.append((rate, 1.0 / rate if rate else inf, len(self.succ), part))
-            self.succ.extend([-1] * rate)
+            self.rate[s], self.base[s], self.part[s] = rate, self.slots, part
+            self.scale[s] = 1.0 / rate if rate else inf
+            self.slots += rate
+            if self.slots > len(self.succ):
+                self.succ = _grown(self.succ, max(2 * len(self.succ), self.slots), -1)
         return s
 
-    def start(self, below: Callable[[int], int]) -> int:
-        """The id of a replicate's start state, drawn through ``below``."""
-        return self.state(*self.rule.start(below))
+    def starts(self, draws: list, size: int):
+        """The start state ids of ``size`` lanes, whose start draws are ``draws``.
+
+        ``draws[c]`` is the array of every lane's draw with bound
+        ``rule.start_bounds[c]``; each distinct start is made once a run.
+        """
+        import numpy as np
+
+        rows = list(zip(*(column.tolist() for column in draws))) if draws else [()] * size
+        ids = self.start_ids
+        for row in rows:
+            if row not in ids:
+                ids[row] = self.state(*self.rule.start(row))
+        return np.fromiter(map(ids.__getitem__, rows), np.int64, size)
 
     def successor(self, s: int, k: int) -> int:
         """The id of the state bounded draw k leads to from state s."""
-        blocks = self.blocks[self.states[s][3]]
+        blocks = self.blocks[self.part[s]]
         return self.state(*self.rule.step(self.keys[s], blocks, k))
 
 
@@ -487,11 +627,11 @@ def estimate_transition(
 
     Returns {partition: (exact empirical fraction, binomial standard error)}
     over all of P([n]); the fractions sum to exactly 1.  Replicates step
-    through a table of the states the run meets, which computes each
-    distinct jump once and looks it up on every repeat; no ``SetPartition``
-    is built beyond the lattice's own.  Every jump's time is checked, and
-    each distinct (fine, coarse) pair of the run gets ``Trajectory``'s
-    coarsening check once, when a replicate first makes it.
+    in lockstep through a table of the states the run meets, which computes
+    each distinct jump once and looks it up on every repeat; no
+    ``SetPartition`` is built beyond the lattice's own.  Every jump's time is
+    checked, and each distinct (fine, coarse) pair of the run gets
+    ``Trajectory``'s coarsening check once, when a replicate first makes it.
     """
     return _estimate_transition(model, n, t, reps, seed)[1]
 
@@ -500,6 +640,8 @@ def _estimate_transition(
     model: str, n: int, t: float, reps: int, seed: int
 ) -> tuple[PartitionLattice, dict[SetPartition, tuple[Fraction, float]]]:
     """``estimate_transition`` together with the P([n]) it was taken over."""
+    import numpy as np
+
     rule_type = _RULES.get(model)
     if rule_type is None:
         raise ValueError(f"unknown model {model!r}; use 'bs' or 'kingman'")
@@ -507,33 +649,70 @@ def _estimate_transition(
         raise ValueError("need at least one replicate")
     _check_run(n, t)
     lattice = PartitionLattice(n)  # enforces the size cap before any replicate runs
+    seed_words = _words(seed)
     table = _JumpTable(rule_type(n))  # lives as long as this run
-    states, succ, blocks, finals = table.states, table.succ, table.blocks, table.finals
     checked: set[tuple[int, int]] = set()  # partition-id pairs _check_jump passed
-    for rng in _replicate_streams(seed, reps):
-        below = _raw_below(rng.bit_generator)
-        exponential = rng.exponential
-        s, prev = table.start(below), 0.0
-        rate, scale, base, part = states[s]
-        while rate:
-            time = prev + exponential(scale)
-            if not prev < time < inf:
-                _check_time(prev, time)
-            if time > t:
-                break
-            k = below(rate)
-            target = succ[base + k]
-            if target < 0:
-                target = succ[base + k] = table.successor(s, k)
-                pair = part, states[target][3]
-                if pair not in checked:
-                    _check_jump(prev, time, blocks[part], blocks[pair[1]])
-                    checked.add(pair)
-            prev, s = time, target
-            rate, scale, base, part = states[s]
-        finals[part] += 1
-    counts = dict(zip(blocks, finals))
+    finals = np.zeros(0, np.int64)  # replicates ending in each partition id
+    for start in range(0, reps, _LANES):
+        lanes = _Lanes(seed_words, start, min(start + _LANES, reps))
+        ends = _run_lanes(table, lanes, t, checked)
+        counts = np.bincount(table.part[ends], minlength=len(table.blocks))
+        counts[:len(finals)] += finals
+        finals = counts
+    counts = dict(zip(table.blocks, finals.tolist()))
     return lattice, {pi: _estimate(counts.get(pi.blocks, 0), reps) for pi in lattice}
+
+
+def _run_lanes(table: _JumpTable, lanes: _Lanes, t: float, checked: set):
+    """Step every lane of ``lanes`` to time t through ``table``: their final state ids.
+
+    Each step draws the clock of every live lane, checks its jump time, stops
+    the lanes past t, draws their jumps and moves them by ``table.succ``,
+    filling a slot the first time a lane takes it.
+    """
+    import numpy as np
+
+    live = np.arange(lanes.size)  # the lanes still moving
+    draws = [lanes.below(live, np.full(lanes.size, m)) for m in table.rule.start_bounds]
+    ids = table.starts(draws, lanes.size)  # the live lanes' states
+    prev = np.zeros(lanes.size)  # and their last jump times
+    ends = np.empty(lanes.size, np.int64)
+    while True:
+        rate = table.rate[ids]
+        moving = rate > 0
+        if not moving.all():
+            ends[live[~moving]] = ids[~moving]
+            live, ids, prev, rate = (a[moving] for a in (live, ids, prev, rate))
+            if not live.size:
+                return ends
+        time = prev + lanes.exponential(live, table.scale[ids])
+        legal = (prev < time) & (time < inf)
+        if not legal.all():
+            j = int(np.argmin(legal))
+            _check_time(float(prev[j]), float(time[j]))
+        jump = time <= t
+        if not jump.all():
+            ends[live[~jump]] = ids[~jump]
+            live, ids, prev, time, rate = (a[jump] for a in (live, ids, prev, time, rate))
+            if not live.size:
+                return ends
+        k = lanes.below(live, rate)
+        slot = table.base[ids] + k
+        target = table.succ[slot]
+        new = np.flatnonzero(target < 0)
+        if new.size:
+            lanes_new = zip(new.tolist(), slot[new].tolist(), ids[new].tolist(), k[new].tolist())
+            for j, at, s, draw in lanes_new:
+                if table.succ[at] >= 0:  # filled by an earlier lane of this step
+                    continue
+                table.succ[at] = after = table.successor(s, draw)
+                pair = int(table.part[s]), int(table.part[after])
+                if pair not in checked:
+                    fine, coarse = table.blocks[pair[0]], table.blocks[pair[1]]
+                    _check_jump(float(prev[j]), float(time[j]), fine, coarse)
+                    checked.add(pair)
+            target = table.succ[slot]
+        ids, prev = target, time
 
 
 def estimate_containment(

@@ -828,6 +828,18 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("command", ["transition", "simulate"])
+    @pytest.mark.parametrize("model", ["bs", "kingman"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_negative_zero_time_reads_as_zero(self, capsys, command, model, fmt):
+        # -0 passes the nonnegative check, and is echoed and computed as 0
+        argv = (command, "--n", "3", "--model", model, "--format", fmt, "--reps", "50")
+        argv = argv[:-2] if command == "transition" else argv
+        zero = run(capsys, *argv, "--t", "0")
+        assert zero[0] == 0
+        assert run(capsys, *argv, "--t", "-0") == zero
+        assert run(capsys, *argv, "--t=-0.0") == zero
+
     def test_negative_seed_rejected_before_any_import(self, capsys, monkeypatch):
         # the estimator and numpy cannot load, so the check must come first
         monkeypatch.setitem(sys.modules, "coalspec.simulate", None)

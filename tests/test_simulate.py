@@ -29,6 +29,7 @@ from coalspec import (
     simulate_kingman,
     transition_via_triple,
 )
+from coalspec import _ziggurat as zigzag
 from coalspec import partitions, simulate
 
 F = Fraction
@@ -294,6 +295,15 @@ class TestAgainstReferencePaths:
                 got = estimate_transition(model, n, t, reps=400, seed=19)
                 assert got == reference_estimate(model, n, t, reps=400, seed=19)
 
+    @pytest.mark.parametrize("model", ["bs", "kingman"])
+    @pytest.mark.parametrize("reps, seed", [(1, 0), (1023, 5), (1025, 2**32), (2049, 2**32 + 1)])
+    def test_estimate_across_batch_edges(self, model, reps, seed):
+        # lanes step a batch of replicates at a time: runs that end inside,
+        # at and past a batch edge count what the reference paths count
+        for t in (0.7, 50.0):
+            got = estimate_transition(model, 5, t, reps=reps, seed=seed)
+            assert got == reference_estimate(model, 5, t, reps=reps, seed=seed)
+
     @pytest.mark.parametrize(
         "model, digest",
         [
@@ -380,44 +390,53 @@ class TestAgainstReferencePaths:
         assert len(calls) == len(path.times) > 0
 
 
-class ChosenClocks:
-    """A replicate's stream whose clocks ring at chosen jump times.
+class ChosenLanes:
+    """Replicates start..stop-1 of a run whose clocks ring at chosen jump times.
 
-    ``exponential`` returns the gap to the next chosen time and hands that
-    jump's chosen blocks to ``chosen``; every raw output is ``raw``, so it
-    fixes the replicate's tree and bounded draws.
+    Replicate i's ``exponential`` returns the gap to its next chosen time and
+    files that jump's chosen blocks in ``chosen`` under the replicate's tree;
+    each of its bounded draws is min(picks[i], m - 1), so ``picks`` fixes its
+    tree (on [3]) and its cuts.
     """
 
-    def __init__(self, jumps, chosen, raw):
-        self.jumps, self.chosen, self.prev = iter(jumps), chosen, 0.0
-        self.bit_generator = self
-        self.random_raw = lambda: raw
+    def __init__(self, runs, picks, chosen, start, stop):
+        self.size, self.chosen = stop - start, chosen
+        self.jumps = [iter(jumps) for jumps in runs[start:stop]]
+        self.picks = np.array(picks[start:stop])
+        self.trees = [(0, *(min(pick, m - 1) for m in (1, 2))) for pick in picks[start:stop]]
+        self.prev = [0.0] * self.size
 
-    def exponential(self, scale):
-        time, self.chosen[0] = next(self.jumps)
-        gap, self.prev = time - self.prev, time
-        return gap
+    def below(self, lanes, m):
+        return np.minimum(self.picks[lanes], m - 1)
+
+    def exponential(self, lanes, scale):
+        gaps = []
+        for lane in lanes.tolist():
+            time, self.chosen[self.trees[lane]] = next(self.jumps[lane])
+            gaps.append(time - self.prev[lane])
+            self.prev[lane] = time
+        return np.array(gaps)
 
 
-def run_bs_on(monkeypatch, runs, raws=None):
+def run_bs_on(monkeypatch, runs, picks=None):
     """Run BS replicate i on runs[i], a list of chosen (time, blocks) jumps.
 
     The stand-in cut rule keeps the real rule's surviving nodes and returns
-    the chosen blocks; it is called only when the table fills a jump.
-    Replicate i draws from the raw output ``raws[i]`` (0 by default).
+    the blocks chosen for the replicate's tree; it is called only when the
+    table fills a jump.  Replicate i's bounded draws are min(picks[i], m - 1)
+    (0 by default).
     """
-    chosen = [None]
+    chosen = {}
     cut = simulate._bs_cut
-    raws = raws or [0] * len(runs)
+    picks = picks or [0] * len(runs)
 
-    def streams(seed, reps):
-        for jumps, raw in zip(runs[:reps], raws):
-            yield ChosenClocks(jumps, chosen, raw)
+    def lanes(seed_words, start, stop):
+        return ChosenLanes(runs, picks, chosen, start, stop)
 
     def rule(parent, alive, blocks, k):
-        return cut(parent, alive, blocks, k)[0], chosen[0]
+        return cut(parent, alive, blocks, k)[0], chosen[parent]
 
-    monkeypatch.setattr(simulate, "_replicate_streams", streams)
+    monkeypatch.setattr(simulate, "_Lanes", lanes)
     monkeypatch.setattr(simulate, "_bs_cut", rule)
     estimate_transition("bs", 3, 1.0, reps=len(runs), seed=0)
 
@@ -461,15 +480,14 @@ class TestEstimateTransition:
 
     def test_cap_checked_before_replicates(self, monkeypatch):
         monkeypatch.delenv("COALSPEC_N_CAP", raising=False)
-        streams = simulate._replicate_streams
+        lanes = simulate._Lanes
         taken = []
 
-        def counted(seed, reps):
-            for rng in streams(seed, reps):
-                taken.append(rng)
-                yield rng
+        def counted(seed_words, start, stop):
+            taken.extend(range(start, stop))
+            return lanes(seed_words, start, stop)
 
-        monkeypatch.setattr(simulate, "_replicate_streams", counted)
+        monkeypatch.setattr(simulate, "_Lanes", counted)
         estimate_transition("bs", 3, 1.0, reps=5, seed=0)
         assert len(taken) == 5  # the counter sees every replicate's stream
         taken.clear()
@@ -479,15 +497,14 @@ class TestEstimateTransition:
 
     @pytest.mark.parametrize("model", ["bs", "kingman"])
     def test_negative_seed_rejected_before_replicates(self, model, monkeypatch):
-        streams = simulate._replicate_streams
+        lanes = simulate._Lanes
         runs = []
 
-        def counted(seed, reps):
-            for rng in streams(seed, reps):
-                runs.append(rng)
-                yield rng
+        def counted(seed_words, start, stop):
+            runs.extend(range(start, stop))
+            return lanes(seed_words, start, stop)
 
-        monkeypatch.setattr(simulate, "_replicate_streams", counted)
+        monkeypatch.setattr(simulate, "_Lanes", counted)
         estimate_transition(model, 3, 1.0, reps=10, seed=0)
         assert len(runs) == 10  # the counter sees every replicate run
         runs.clear()
@@ -519,11 +536,12 @@ class TestEstimateTransition:
         ],
     )
     def test_passed_pair_with_failing_time_rejected(self, jumps, monkeypatch):
-        # replicate 0 passes both pairs; replicate 1 makes the same draws, so
-        # it repeats them from the table, one at a bad time
+        # the first batch of lanes passes both pairs; the next batch's one
+        # replicate makes the same draws, so it repeats them from the table,
+        # one at a bad time
         legal = [(0.5, ((1, 2), (3,))), (0.7, ((1, 2, 3),))]
         with pytest.raises(ValueError, match="jump times"):
-            run_bs_on(monkeypatch, [legal, jumps])
+            run_bs_on(monkeypatch, [legal] * simulate._LANES + [jumps])
 
     @pytest.mark.parametrize(
         "illegal",
@@ -537,7 +555,7 @@ class TestEstimateTransition:
         # the last replicate draws another tree, so the table fills its jumps
         legal = [(0.5, ((1, 2), (3,))), (0.7, ((1, 2, 3),))]
         with pytest.raises(ValueError, match="coarsen"):
-            run_bs_on(monkeypatch, [legal] * 99 + [illegal], [0] * 99 + [2**64 - 1])
+            run_bs_on(monkeypatch, [legal] * 99 + [illegal], [0] * 99 + [1])
 
     @pytest.mark.parametrize(
         "model, rule, edges",
@@ -631,39 +649,179 @@ def test_replicate_rng_is_deterministic():
     assert list(a) != list(c)
 
 
-class TestRawBelow:
-    class CountingRaw:
-        """A bit generator's ``random_raw``, counting the 64-bit outputs taken."""
+def crafted(first, then=0, spare=None):
+    """A PCG64 state whose next two 64-bit outputs are ``first`` and ``then``.
 
-        def __init__(self, bit_generator):
-            self.bit_generator, self.outputs = bit_generator, 0
+    A state whose high half h is below 2**58 outputs h ^ its low half, with
+    no rotation.  So the state steps to ``first`` (from (first - inc) / MULT)
+    and then to h 2**64 + (then ^ h), with inc = that - first MULT; h is 0 or
+    1, whichever makes inc odd.  ``then`` defaults to 0, whose double is 0.
+    ``spare``, if given, is a buffered 32-bit half left unread.
+    """
+    mult = simulate._PCG_MULT
+    h = (then ^ first ^ 1) & 1
+    inc = (h << 64 | then ^ h) - first * mult
+    pcg = {"state": (first - inc) * pow(mult, -1, 2**128) % 2**128, "inc": inc % 2**128}
+    return {"bit_generator": "PCG64", "state": pcg,
+            "has_uint32": int(spare is not None), "uinteger": spare or 0}
 
-        def random_raw(self):
-            self.outputs += 1
-            return self.bit_generator.random_raw()
 
+def lanes_at(*states):
+    """Lanes set to ``states``, one each."""
+    lanes = simulate._Lanes(simulate._words(0), 0, len(states))
+    for j, state in enumerate(states):
+        lanes.set_state(j, state)
+    return lanes
+
+
+def outputs_to(bit_generator, state):
+    """Step ``bit_generator`` to ``state``'s 128-bit state: the outputs taken."""
+    taken = 0
+    while bit_generator.state["state"]["state"] != state["state"]["state"]:
+        bit_generator.random_raw()
+        taken += 1
+    return taken
+
+
+class TestLaneDraws:
     @pytest.mark.parametrize("seed", [0, 7, 2**33 + 5])
     def test_matches_generator_integers(self, seed):
         # every bound used up to n = 8, one that rejects about half its
-        # draws, and the largest the raw draw supports
+        # draws, and the largest the raw draw supports; lane i takes them
+        # from the i-th on, every lane in one call
         bounds = [*range(1, 29), 2**31 + 1, 2**32 - 1]
+        orders = [bounds[i:] + bounds[:i] + [2**31 + 1] * 20 for i in range(4)]
+        lanes = simulate._Lanes(simulate._words(seed), 0, 4)
+        want_rngs = [replicate_rng(seed, i) for i in range(4)]
+        counters = [replicate_rng(seed, i).bit_generator for i in range(4)]
+        draws, outputs = [0] * 4, [0] * 4
+        every = np.arange(4)
+        for k, m in enumerate(zip(*orders)):
+            got = lanes.below(every, np.array(m))
+            assert got.dtype == np.int64
+            for i, want_rng in enumerate(want_rngs):
+                assert got[i] == want_rng.integers(0, m[i])
+                draws[i] += m[i] > 1
+                # the same 64-bit outputs taken, and the same buffered half
+                assert lanes.state(i) == want_rng.bit_generator.state
+                outputs[i] += outputs_to(counters[i], lanes.state(i))
+            # exponentials take whole outputs
+            some = np.array([i for i in range(4) if k % 3 == i % 3])
+            for i, got in zip(some, lanes.exponential(some, np.full(len(some), 0.5))):
+                assert got == want_rngs[i].exponential(0.5)
+                outputs_to(counters[i], lanes.state(i))
+        # 2**31 + 1 made the rejection loop run
         for i in range(4):
-            want_rng, got_rng = replicate_rng(seed, i), replicate_rng(seed, i)
-            raw = self.CountingRaw(got_rng.bit_generator)
-            below = simulate._raw_below(raw)
-            draws = 0
-            for k, m in enumerate(bounds[i:] + bounds[:i] + [2**31 + 1] * 20):
-                got, want = below(m), want_rng.integers(0, m)
-                assert type(got) is int and got == want
-                draws += m > 1
-                # the same 64-bit outputs taken; the buffered half lives in
-                # the closure instead of the bit generator
-                got_state = got_rng.bit_generator.state["state"]["state"]
-                assert got_state == want_rng.bit_generator.state["state"]["state"]
-                if k % 3 == i % 3:  # exponentials take whole outputs
-                    assert got_rng.exponential(0.5) == want_rng.exponential(0.5)
-            # 2**31 + 1 made the rejection loop run
-            assert 2 * raw.outputs > draws + 1
+            assert 2 * outputs[i] > draws[i] + 1
+
+    def test_lemire_rejections(self):
+        # x = u m rejected when x mod 2**32 < (2**32 - m) mod m: u = 0 for
+        # m = 2**32 - 1 (the threshold is 1), u = 2 for m = 2**31 + 1; lanes
+        # reject on a fresh low half, on a kept high half, and twice over
+        top, half = 2**32 - 1, 2**31 + 1
+        cases = [
+            (crafted(7 << 32), top),  # low half 0, then the kept 7
+            (crafted(0 << 32 | 5, spare=0), top),  # kept 0, then a fresh 5
+            (crafted(2 << 32 | 2, 9 << 32 | 4), half),  # 2, 2, 4, then 9
+            (crafted(2 << 32 | 2, 3), top),  # no rejection of 2
+            (crafted(11 << 32 | 2), half),  # 2, then the kept 11
+            (crafted(0), 1),  # no draw
+            (crafted(0 << 32 | 0, 1 << 32 | 0), top),  # 0, 0, 0, then 1
+        ]
+        lanes = lanes_at(*(state for state, _ in cases))
+        got = lanes.below(np.arange(len(cases)), np.array([m for _, m in cases]))
+        taken = []
+        for j, (state, m) in enumerate(cases):
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = state
+            assert got[j] == rng.integers(0, m)
+            assert lanes.state(j) == rng.bit_generator.state
+            rng.bit_generator.state = state
+            taken.append(outputs_to(rng.bit_generator, lanes.state(j)))
+        assert taken == [1, 1, 2, 1, 1, 0, 2]
+
+    def test_exponentials_off_the_fast_path(self):
+        # box 0's tail, box 1 (never fast) and ri >= KE[k] go to numpy from
+        # the lane's state before the draw, in one call with fast lanes; a
+        # double draw of 0 passes the wedge test, a large one fails it and
+        # draws again
+        ke = [int(v) for v in zigzag.KE]
+        raws = [
+            ke[0] << 11, (2**53 - 1) << 11 | 0 << 3,  # box 0: the tail
+            1 << 11 | 1 << 3, (2**53 - 1) << 11 | 1 << 3,  # box 1
+            *(ke[k] << 11 | k << 3 for k in (2, 100, 255)),  # ri = KE[k]
+            *((ke[k] - 1) << 11 | k << 3 for k in (0, 2, 255)),  # the last fast ri
+        ]
+        states = [crafted(raw, then) for raw in raws for then in (0, 2**64 - 1)]
+        states.append(crafted(raws[2], spare=12345))  # the kept half stays
+        lanes = lanes_at(*states)
+        scale = np.linspace(0.25, 4.0, len(states))
+        got = lanes.exponential(np.arange(len(states)), scale)
+        taken = []
+        for j, state in enumerate(states):
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = state
+            assert got[j] == rng.exponential(scale[j])
+            assert lanes.state(j) == rng.bit_generator.state
+            rng.bit_generator.state = state
+            taken.append(outputs_to(rng.bit_generator, lanes.state(j)))
+        # off the fast path a draw takes a double too, and a failed wedge
+        # test draws again
+        assert min(taken[:14]) == 2 and max(taken[:14]) > 2
+        assert taken[14:20] == [1] * 6 and taken[20] == 2
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(0, 1), (0, 1023), (0, 1025), (0, 2049), (2**32 - 3, 2**32 + 3), (2**64 - 5, 2**64)],
+    )
+    def test_lanes_start_as_default_rng(self, seed, start, stop):
+        # one lane per replicate, for index ranges across batch edges and
+        # across 2**32, where the index becomes two 32-bit words
+        lanes = simulate._Lanes(simulate._words(seed), start, stop)
+        got = [lanes.state(j) for j in range(stop - start)]
+        assert got == [replicate_rng(seed, i).bit_generator.state for i in range(start, stop)]
+
+    @pytest.mark.parametrize("seed", [3, 2**32 + 1])
+    def test_draws_across_two_to_the_32(self, seed):
+        start, stop = 2**32 - 3, 2**32 + 3
+        lanes = simulate._Lanes(simulate._words(seed), start, stop)
+        want_rngs = [replicate_rng(seed, i) for i in range(start, stop)]
+        every = np.arange(stop - start)
+        for m in (2, 3, 28, 2**31 + 1, 1, 5):
+            got_below = lanes.below(every, np.full(len(every), m))
+            got_exponential = lanes.exponential(every, np.full(len(every), 1 / m))
+            for j, rng in enumerate(want_rngs):
+                assert got_below[j] == rng.integers(0, m)
+                assert got_exponential[j] == rng.exponential(1 / m)
+                assert lanes.state(j) == rng.bit_generator.state
+
+
+class TestZigguratTables:
+    def test_tables_are_numpys(self):
+        # with ri = 1 numpy's exponential returns WE[k], on the fast path or,
+        # off it, from the wedge test that a double draw of 0 passes; it
+        # takes one output exactly when ri < KE[k], found by bisection
+        rng = np.random.Generator(np.random.PCG64())
+        bit_generator = rng.bit_generator
+
+        def draw(raw):
+            bit_generator.state = crafted(raw)
+            value = rng.exponential(1.0)
+            return value, bit_generator.state["state"]["state"] == raw
+
+        assert len(zigzag.KE) == len(zigzag.WE) == 256
+        for k in range(256):
+            assert draw(1 << 11 | k << 3)[0] == zigzag.WE[k]
+            lo, hi = 0, 2**53
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if draw(mid << 11 | k << 3)[1]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            assert lo == zigzag.KE[k]
+        assert zigzag.KE[1] == 0  # box 1 never takes the fast path
 
 
 class TestReplicateStreams:
