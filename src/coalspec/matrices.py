@@ -244,11 +244,6 @@ class RatMatrix:
             return NotImplemented
         return self.size == other.size and self._rows == other._rows
 
-    def is_identity(self) -> bool:
-        if len(self._rows) != self.size:
-            return False
-        return all(row == (1, (i,), (1,)) for i, row in self._rows.items())
-
     def is_upper(self) -> bool:
         return all(i <= cols[0] for i, (_, cols, _) in self._rows.items())
 

@@ -231,7 +231,7 @@ def pair_key(pi: SetPartition, rho: SetPartition) -> tuple | None:
     """(|π|, |ρ|, sizes) for π ≤ ρ, None when π is not finer than ρ.
 
     sizes[b] = |restrict(π, B)| for the b-th block B of ``rho.blocks``, so
-    this is the key ``PartitionLattice.comparable_pairs`` yields for the pair.
+    this is the key ``PartitionLattice.comparable_rows`` yields for the pair.
     One pass over π's elements; ValueError when the ground sets differ.
     """
     return _block_key(pi.blocks, rho.blocks)
@@ -430,10 +430,3 @@ class PartitionLattice:
             js = map(index.__getitem__, zip(*map(cols.__getitem__, label)))
             js, keys = zip(*sorted(zip(js, keys)))  # the js are distinct
             yield i, js, keys
-
-    def comparable_pairs(self) -> Iterator[tuple[int, int, tuple]]:
-        """Yield (i, j, key) for every π = self[i] ≤ ρ = self[j], i then j
-        ascending: ``comparable_rows()`` flattened, one pair at a time."""
-        for i, js, keys in self.comparable_rows():
-            for j, key in zip(js, keys):
-                yield i, j, key

@@ -120,14 +120,6 @@ class IncreasingTree:
             stack.extend(kids[v])
         return out
 
-    def to_json(self) -> dict:
-        """Serializable form: block labels plus the parent map, as strings."""
-        label = lambda b: ",".join(str(e) for e in b)
-        return {
-            "labels": [label(b) for b in self.nodes],
-            "parent": {label(c): label(p) for c, p in sorted(self.parent.items())},
-        }
-
     def __hash__(self) -> int:
         return hash((self.labels, frozenset(self.parent.items())))
 

@@ -40,20 +40,20 @@ replicates are independent and order-insensitive.  The estimators do not
 build one generator per replicate.  ``_generate_state`` hashes the
 ``SeedSequence((s, i))`` entropy of a batch of replicates at a time in
 vectorised uint32 arithmetic, and each PCG64 state is derived from it as
-``PCG64`` seeds itself.  ``estimate_containment`` sets each state on one
-reused ``Generator`` (``_replicate_streams``).  ``estimate_transition``
-keeps them in ``_Lanes``: each lane's 128-bit state and increment are uint64
-array pairs, stepped by 32-bit-limb products, and the draws are numpy's,
-made on the raw outputs.  A bounded draw is ``Generator.integers(0, m)``:
-Lemire's method on PCG64's 32-bit halves (low half first, the high half kept
-per lane for the next draw), as numpy >= 1.24 does, rerun only on the lanes
-that reject.  A clock is ``Generator.exponential(scale)``: numpy's ziggurat
-fast path with its committed tables (``_ziggurat``), and a draw off the fast
-path, about 2% of them, is made by numpy itself from the lane's state before
-the draw.  The streams are the same, draw for draw; ``replicate_rng`` is the
-reference they are tested against.  The public ``simulate_bs``/
-``simulate_kingman`` accept any ``Generator`` and draw through
-``Generator.integers`` (``_integers_below``).
+``PCG64`` seeds itself.  Both estimators keep them in ``_Lanes``, one batch
+of ``_LANES`` replicates at a time (``_batches``): each lane's 128-bit state
+and increment are uint64 array pairs, stepped by 32-bit-limb products, and
+the draws are numpy's, made on the raw outputs.  A bounded draw is
+``Generator.integers(0, m)``: Lemire's method on PCG64's 32-bit halves (low
+half first, the high half kept per lane for the next draw), as numpy >= 1.24
+does, rerun only on the lanes that reject.  A clock is
+``Generator.exponential(scale)``: numpy's ziggurat fast path with its
+committed tables (``_ziggurat``), and a draw off the fast path, about 2% of
+them, is made by numpy itself from the lane's state before the draw.  The
+streams are the same, draw for draw; ``replicate_rng`` is the reference
+they are tested against.  The public ``simulate_bs``/``simulate_kingman``
+accept any ``Generator`` and draw through ``Generator.integers``
+(``_integers_below``).
 
 Estimators return exact empirical fractions (count/reps) so the estimated
 law sums to exactly 1, alongside float binomial standard errors
@@ -69,7 +69,7 @@ from math import comb, inf, sqrt
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from .partitions import Blocks, PartitionLattice, SetPartition, _block_key
+from .partitions import Blocks, PartitionLattice, SetPartition, _block_key, pair_key
 
 if TYPE_CHECKING:
     import numpy as np
@@ -164,11 +164,8 @@ _MASK128 = (1 << 128) - 1
 _MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
 _MULT_L1, _MULT_L0 = _MULT_LO >> 32, _MULT_LO & _MASK32
 _PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)  # steps a state back
-# replicates hashed per batch; 2**32 is a multiple, so the index i has the
-# same number of 32-bit words across a batch
-_CHUNK = 1024
-# replicates estimate_transition steps in lockstep, a multiple of _CHUNK
-_LANES = 2 * _CHUNK
+# replicates an estimator draws for in lockstep, one batch of lanes at a time
+_LANES = 2048
 
 
 def _words(x: int) -> list[int]:
@@ -373,29 +370,24 @@ class _Lanes:
         self.has[j], self.spare[j] = state["has_uint32"], state["uinteger"]
 
 
-def _replicate_streams(seed: int, reps: int) -> Iterator[np.random.Generator]:
-    """``replicate_rng(seed, i)`` for i in range(reps), as one reused Generator.
+def _batches(seed: int, reps: int) -> Iterator[_Lanes]:
+    """The lanes of replicates 0..reps-1 of the run with ``seed``, ``_LANES`` at a time."""
+    seed_words = _words(seed)
+    for start in range(0, reps, _LANES):
+        yield _Lanes(seed_words, start, min(start + _LANES, reps))
 
-    Yields the same generator once per replicate, each time in the state
-    ``default_rng((seed, i))`` starts in; a replicate's draws must be done
-    before the next one is taken.  The states are seeded ``_CHUNK`` at a time
-    as ``_Lanes``; each goes into one state dict, refilled in place for every
-    replicate, that the bit generator's setter reads.
+
+def _start_rows(lanes, bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every lane's draws with ``bounds`` in turn, one tuple per lane.
+
+    Column c is one ``below`` draw on every lane with bound ``bounds[c]``, so
+    a lane draws what ``below(m) for m in bounds`` draws on its Generator.
     """
     import numpy as np
 
-    seed_words = _words(seed)
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
-    pcg = {"state": 0, "inc": 1}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for start in range(0, reps, _CHUNK):
-        lanes = _Lanes(seed_words, start, min(start + _CHUNK, reps))
-        halves = (lanes.hi, lanes.lo, lanes.inc_hi, lanes.inc_lo)
-        for hi, lo, inc_hi, inc_lo in zip(*(a.tolist() for a in halves)):
-            pcg["state"], pcg["inc"] = hi << 64 | lo, inc_hi << 64 | inc_lo
-            bit_generator.state = state
-            yield rng
+    every = np.arange(lanes.size)
+    columns = [lanes.below(every, np.full(lanes.size, m)).tolist() for m in bounds]
+    return list(zip(*columns)) if columns else [()] * lanes.size
 
 
 def _integers_below(rng) -> Callable[[int], int]:
@@ -599,20 +591,18 @@ class _JumpTable:
                 self.succ = _grown(self.succ, max(2 * len(self.succ), self.slots), -1)
         return s
 
-    def starts(self, draws: list, size: int):
-        """The start state ids of ``size`` lanes, whose start draws are ``draws``.
+    def starts(self, rows: list[tuple[int, ...]]):
+        """The start state ids of lanes whose start draws are ``rows``, one each.
 
-        ``draws[c]`` is the array of every lane's draw with bound
-        ``rule.start_bounds[c]``; each distinct start is made once a run.
+        Each distinct start is made once a run.
         """
         import numpy as np
 
-        rows = list(zip(*(column.tolist() for column in draws))) if draws else [()] * size
         ids = self.start_ids
         for row in rows:
             if row not in ids:
                 ids[row] = self.state(*self.rule.start(row))
-        return np.fromiter(map(ids.__getitem__, rows), np.int64, size)
+        return np.fromiter(map(ids.__getitem__, rows), np.int64, len(rows))
 
     def successor(self, s: int, k: int) -> int:
         """The id of the state bounded draw k leads to from state s."""
@@ -649,12 +639,10 @@ def _estimate_transition(
         raise ValueError("need at least one replicate")
     _check_run(n, t)
     lattice = PartitionLattice(n)  # enforces the size cap before any replicate runs
-    seed_words = _words(seed)
     table = _JumpTable(rule_type(n))  # lives as long as this run
     checked: set[tuple[int, int]] = set()  # partition-id pairs _check_jump passed
     finals = np.zeros(0, np.int64)  # replicates ending in each partition id
-    for start in range(0, reps, _LANES):
-        lanes = _Lanes(seed_words, start, min(start + _LANES, reps))
+    for lanes in _batches(seed, reps):
         ends = _run_lanes(table, lanes, t, checked)
         counts = np.bincount(table.part[ends], minlength=len(table.blocks))
         counts[:len(finals)] += finals
@@ -672,9 +660,8 @@ def _run_lanes(table: _JumpTable, lanes: _Lanes, t: float, checked: set):
     """
     import numpy as np
 
+    ids = table.starts(_start_rows(lanes, table.rule.start_bounds))  # the live lanes' states
     live = np.arange(lanes.size)  # the lanes still moving
-    draws = [lanes.below(live, np.full(lanes.size, m)) for m in table.rule.start_bounds]
-    ids = table.starts(draws, lanes.size)  # the live lanes' states
     prev = np.zeros(lanes.size)  # and their last jump times
     ends = np.empty(lanes.size, np.int64)
     while True:
@@ -718,15 +705,30 @@ def _run_lanes(table: _JumpTable, lanes: _Lanes, t: float, checked: set):
 def estimate_containment(
     pi: SetPartition, rho: SetPartition, reps: int, seed: int
 ) -> tuple[Fraction, float]:
-    """Empirical probability that a uniform increasing tree on π contains ρ."""
-    from .rrt import contains, sample_rrt
+    """Empirical probability that a uniform increasing tree on π contains ρ.
+
+    Replicate i's tree is ``sample_rrt(pi, replicate_rng(seed, i))``: block k
+    hangs from block ``below(k)``, for k = 1..|π| - 1 in turn.  The draws are
+    made on the lanes, and each distinct tree is built and tested by
+    ``contains`` once a run.  π and ρ must share a ground set (``pair_key``),
+    checked before any draw.
+    """
+    from .rrt import IncreasingTree, contains
 
     if reps < 1:
         raise ValueError("need at least one replicate")
+    pair_key(pi, rho)  # raises on different ground sets, before any lane is seeded
+    blocks = pi.blocks
+    bounds = _BsRule(len(blocks)).start_bounds
+    hit: dict[tuple[int, ...], bool] = {}  # parent draws -> their tree contains ρ
     hits = 0
-    for rng in _replicate_streams(seed, reps):
-        if contains(sample_rrt(pi, rng), rho):
-            hits += 1
+    for lanes in _batches(seed, reps):
+        rows = _start_rows(lanes, bounds)
+        for row in rows:
+            if row not in hit:
+                tree = IncreasingTree(pi, {blocks[k]: blocks[p] for k, p in enumerate(row, 1)})
+                hit[row] = contains(tree, rho)
+        hits += sum(map(hit.__getitem__, rows))
     return _estimate(hits, reps)
 
 

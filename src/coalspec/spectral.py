@@ -119,10 +119,6 @@ class SpectralTriple(_Frozen):
     def size(self) -> int:
         return self.R.size
 
-    def rdl(self) -> RatMatrix:
-        """The exact product R diag(D) L."""
-        return self.R.scaled_cols(self.D).matmul(self.L)
-
 
 class VerificationReport(_Frozen):
     """Exact pass/fail flags for the defining identities of a triple."""

@@ -2,12 +2,43 @@ import pytest
 
 from coalspec import (
     PartitionLattice,
+    RatMatrix,
     bs_rates,
     bs_triple,
     build_generator,
     kingman_rates,
     kingman_triple,
 )
+
+
+# Materialised oracles: the library checks these facts without forming them.
+
+
+def rdl(triple):
+    """The exact product R diag(D) L of a ``SpectralTriple``."""
+    return triple.R.scaled_cols(triple.D).matmul(triple.L)
+
+
+def is_identity(m):
+    """Whether the ``RatMatrix`` m is the identity; a missing row is a zero row."""
+    return m == RatMatrix.identity(m.size)
+
+
+def comparable_pairs(lattice):
+    """Yield (i, j, key) for every lattice[i] <= lattice[j], i then j
+    ascending: ``comparable_rows()`` flattened, one pair at a time."""
+    for i, js, keys in lattice.comparable_rows():
+        for j, key in zip(js, keys):
+            yield i, j, key
+
+
+def to_json(tree):
+    """An ``IncreasingTree`` as block labels plus the parent map, as strings."""
+    label = lambda b: ",".join(str(e) for e in b)
+    return {
+        "labels": [label(b) for b in tree.nodes],
+        "parent": {label(c): label(p) for c, p in sorted(tree.parent.items())},
+    }
 
 
 @pytest.fixture(scope="session")

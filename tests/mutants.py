@@ -1,0 +1,157 @@
+"""Mutation checks: each mutant of the library must make its tests fail.
+
+Run from anywhere, with pytest (and what the suite imports) installed:
+
+    python tests/mutants.py
+
+Each row of ``MUTANTS`` names a file of ``src/coalspec``, an exact snippet of
+it, the snippet's replacement and the pytest selection that must catch the
+change.  The selections first run once on the unmutated source and must
+pass.  Then, for each row, ``src/`` is copied to a temporary directory, the
+snippet is replaced there, and ``pytest -x`` runs the selection against the
+copy; the mutant is killed when some test fails.  A snippet that does not
+occur exactly once is an error, so a refactor updates the table instead of
+losing the mutant.  Exits 1 if a mutant survives or a row is in error.
+
+Standard library only; pytest does not collect this file, whose name does
+not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file under src/coalspec, exact snippet, replacement, pytest selection)
+MUTANTS = [
+    (
+        # the containment memo keyed on all but the last draw
+        "simulate.py",
+        """\
+        for row in rows:
+            if row not in hit:
+                tree = IncreasingTree(pi, {blocks[k]: blocks[p] for k, p in enumerate(row, 1)})
+                hit[row] = contains(tree, rho)
+        hits += sum(map(hit.__getitem__, rows))
+""",
+        """\
+        for row in rows:
+            if row[:-1] not in hit:
+                tree = IncreasingTree(pi, {blocks[k]: blocks[p] for k, p in enumerate(row, 1)})
+                hit[row[:-1]] = contains(tree, rho)
+        hits += sum(hit[row[:-1]] for row in rows)
+""",
+        ["tests/test_simulate.py::TestEstimateContainment"],
+    ),
+    (
+        # _Lanes.below without Lemire's threshold: every draw is taken
+        "simulate.py",
+        "taken[doubt] = low[doubt] >= (_2_32 - bound[doubt]) % bound[doubt]",
+        "taken[doubt] = True",
+        ["tests/test_simulate.py::TestLaneDraws::test_lemire_rejections"],
+    ),
+    (
+        # _run_lanes with no jump-time check
+        "simulate.py",
+        """\
+        if not legal.all():
+            j = int(np.argmin(legal))
+            _check_time(float(prev[j]), float(time[j]))
+""",
+        "",
+        ["tests/test_simulate.py::TestEstimateTransition"],
+    ),
+    (
+        # _product_is without its extra-column check
+        "matrices.py",
+        """\
+        if any(acc.values()):
+            return False
+""",
+        "",
+        [
+            "tests/test_spectral.py::TestInverseProducts::test_rl_flag_is_the_rl_product",
+            "tests/test_matrices.py::TestProductIs",
+        ],
+    ),
+    (
+        # _within_order whose keyed flag is never cleared
+        "matrices.py",
+        """\
+        keyed = diag[i] == diag[i0] and all(
+            d == d0 and list(nums) == list(map(by_class.__getitem__, at))
+            for (d, nums), (d0, by_class) in zip(dense, values)
+        )
+""",
+        "",
+        ["tests/test_matrices.py::TestWithinOrder"],
+    ),
+    (
+        # _check_cap that never raises
+        "partitions.py",
+        """\
+    limit = lattice_cap()
+    if n > limit:
+""",
+        """\
+    limit = lattice_cap()
+    if False:
+""",
+        ["tests/test_partitions.py::TestLattice::test_cap_env_override"],
+    ),
+]
+
+
+def pytest(selection: list[str], src: Path) -> subprocess.CompletedProcess:
+    """``pytest -x`` on ``selection``, importing the library from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def tail(run: subprocess.CompletedProcess, lines: int = 15) -> str:
+    return "\n".join((run.stdout + run.stderr).strip().splitlines()[-lines:])
+
+
+def main() -> int:
+    selections = sorted({test for *_, selection in MUTANTS for test in selection})
+    run = pytest(selections, ROOT / "src")
+    if run.returncode != 0:
+        print(f"the selections fail on the unmutated source:\n{tail(run)}")
+        return 1
+    bad = 0
+    for number, (name, snippet, replacement, selection) in enumerate(MUTANTS, 1):
+        label = f"mutant {number} ({name}, {' '.join(selection)})"
+        source = (ROOT / "src" / "coalspec" / name).read_text()
+        if source.count(snippet) != 1:
+            print(f"{label}: ERROR, the snippet occurs {source.count(snippet)} times, not once")
+            bad += 1
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "src"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            (src / "coalspec" / name).write_text(source.replace(snippet, replacement))
+            start = time.perf_counter()
+            run = pytest(selection, src)
+            seconds = time.perf_counter() - start
+        if run.returncode == 1:  # pytest's code for failed tests
+            print(f"{label}: killed in {seconds:.1f} s")
+        elif run.returncode == 0:
+            print(f"{label}: SURVIVED")
+            bad += 1
+        else:
+            print(f"{label}: ERROR, pytest exited {run.returncode}:\n{tail(run)}")
+            bad += 1
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

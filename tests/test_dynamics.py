@@ -27,6 +27,8 @@ from coalspec import (
     transition_via_triple,
 )
 
+from conftest import comparable_pairs
+
 F = Fraction
 
 
@@ -101,7 +103,7 @@ def _keys_with_pairs(lattices, n_max=6):
     seen = {}
     for n in range(1, n_max + 1):
         el = lattices[n].elements
-        for i, j, key in lattices[n].comparable_pairs():
+        for i, j, key in comparable_pairs(lattices[n]):
             seen.setdefault(key, (el[i], el[j]))
     return [(key, pi, rho) for key, (pi, rho) in seen.items()]
 

@@ -25,6 +25,8 @@ from coalspec import (
     sample_rrt,
 )
 
+from conftest import to_json
+
 F = Fraction
 
 
@@ -145,7 +147,7 @@ class TestIncreasingTree:
 
     def test_to_json(self):
         t = IncreasingTree(P("1,3|2,4"), {(2, 4): (1, 3)})
-        assert t.to_json() == {"labels": ["1,3", "2,4"], "parent": {"2,4": "1,3"}}
+        assert to_json(t) == {"labels": ["1,3", "2,4"], "parent": {"2,4": "1,3"}}
 
     def test_single_node_tree(self):
         t = IncreasingTree(P("1,2"), {})
@@ -213,7 +215,7 @@ class TestCutting:
     def test_every_cut_pinned_by_digest(self):
         # every edge of every tree on 1|2|3|4|5 and on 1,4|2|3,5, in order
         cuts = [
-            cut_edge(t, v).to_json()
+            to_json(cut_edge(t, v))
             for pi in (SetPartition.singletons(5), P("1,4|2|3,5"))
             for t in enumerate_increasing_trees(pi)
             for v in t.non_root_nodes
@@ -344,7 +346,7 @@ class TestSampling:
 
     def test_seeded_trees_pinned_by_digest(self):
         trees = [
-            sample_rrt(SetPartition.singletons(6), np.random.default_rng(s)).to_json()
+            to_json(sample_rrt(SetPartition.singletons(6), np.random.default_rng(s)))
             for s in range(10)
         ]
         assert hashlib.sha256(json.dumps(trees).encode()).hexdigest() == (

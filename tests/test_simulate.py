@@ -625,8 +625,19 @@ class TestEstimateContainment:
         assert estimate_containment(pi, P("1,2,3"), reps=50, seed=0)[0] == 1
 
     @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
-    def test_streams_are_default_rng_per_replicate(self, seed):
-        pi, rho, reps = P("1|2|3|4|5"), P("1,2,4|3|5"), 1500
+    @pytest.mark.parametrize(
+        "pi, rho, reps",
+        [
+            ("1|2|3|4|5", "1,2,4|3|5", 1500),
+            # across one and two batch edges
+            ("1|2|3|4|5", "1,2,4|3|5", 2049),
+            ("1|2|3|4|5", "1,2,4|3|5", 4097),
+            ("1,2,3", "1,2,3", 7),  # one block: no draw
+            ("1,9|2|3|4|5,6|7|8|10", "1,9,3|2,4,7|5,6,10|8", 2049),  # 8 blocks
+        ],
+    )
+    def test_streams_are_default_rng_per_replicate(self, pi, rho, reps, seed):
+        pi, rho = P(pi), P(rho)
         hits = sum(
             contains(sample_rrt(pi, replicate_rng(seed, i)), rho) for i in range(reps)
         )
@@ -639,6 +650,23 @@ class TestEstimateContainment:
             estimate_containment(P("1|2"), P("1,2"), reps=0, seed=0)
         with pytest.raises(ValueError, match="expected non-negative integer"):
             estimate_containment(P("1|2"), P("1,2"), reps=3, seed=-5)
+
+    def test_ground_sets_checked_before_replicates(self, monkeypatch):
+        lanes = simulate._Lanes
+        taken = []
+
+        def counted(seed_words, start, stop):
+            taken.extend(range(start, stop))
+            return lanes(seed_words, start, stop)
+
+        monkeypatch.setattr(simulate, "_Lanes", counted)
+        estimate_containment(P("1|2|3"), P("1,2|3"), reps=5, seed=0)
+        assert len(taken) == 5  # the counter sees every replicate's stream
+        taken.clear()
+        for rho in ("1,2", "1,2|3|4", "1,2|4"):
+            with pytest.raises(ValueError, match="different ground sets"):
+                estimate_containment(P("1|2|3"), P(rho), reps=50, seed=0)
+        assert taken == []
 
 
 def test_replicate_rng_is_deterministic():
@@ -770,17 +798,27 @@ class TestLaneDraws:
         assert min(taken[:14]) == 2 and max(taken[:14]) > 2
         assert taken[14:20] == [1] * 6 and taken[20] == 2
 
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**99 + 12345])
     @pytest.mark.parametrize(
         "start, stop",
         [(0, 1), (0, 1023), (0, 1025), (0, 2049), (2**32 - 3, 2**32 + 3), (2**64 - 5, 2**64)],
     )
     def test_lanes_start_as_default_rng(self, seed, start, stop):
-        # one lane per replicate, for index ranges across batch edges and
-        # across 2**32, where the index becomes two 32-bit words
+        # one lane per replicate, for seeds of one to four 32-bit words and
+        # index ranges across 2**32, where the index becomes two 32-bit words
         lanes = simulate._Lanes(simulate._words(seed), start, stop)
         got = [lanes.state(j) for j in range(stop - start)]
         assert got == [replicate_rng(seed, i).bit_generator.state for i in range(start, stop)]
+
+    @pytest.mark.parametrize("start", [2**32 - 5, 2**32, 2**32 + 1024, 2**64 - 5])
+    def test_indices_of_two_words(self, start):
+        # indices from 2**32 on enter the entropy as two words
+        i = np.arange(start, start + 5, dtype=np.uint64)
+        for seed in (7, 2**64 + 5):
+            got = simulate._generate_state(simulate._words(seed), i)
+            for k in range(5):
+                want = np.random.SeedSequence((seed, start + k)).generate_state(8, np.uint32)
+                assert [int(w[k]) for w in got] == want.tolist()
 
     @pytest.mark.parametrize("seed", [3, 2**32 + 1])
     def test_draws_across_two_to_the_32(self, seed):
@@ -822,23 +860,3 @@ class TestZigguratTables:
                     hi = mid
             assert lo == zigzag.KE[k]
         assert zigzag.KE[1] == 0  # box 1 never takes the fast path
-
-
-class TestReplicateStreams:
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**99 + 12345])
-    @pytest.mark.parametrize("reps", [1, 1023, 1024, 1025, 2049])
-    def test_states_are_default_rng(self, seed, reps):
-        # every replicate starts where default_rng((seed, i)) starts, across
-        # batch edges and for seeds of one to four 32-bit words
-        got = [rng.bit_generator.state for rng in simulate._replicate_streams(seed, reps)]
-        assert got == [replicate_rng(seed, i).bit_generator.state for i in range(reps)]
-
-    @pytest.mark.parametrize("start", [2**32 - 5, 2**32, 2**32 + 1024, 2**64 - 5])
-    def test_indices_of_two_words(self, start):
-        # indices from 2**32 on enter the entropy as two words
-        i = np.arange(start, start + 5, dtype=np.uint64)
-        for seed in (7, 2**64 + 5):
-            got = simulate._generate_state(simulate._words(seed), i)
-            for k in range(5):
-                want = np.random.SeedSequence((seed, start + k)).generate_state(8, np.uint32)
-                assert [int(w[k]) for w in got] == want.tolist()
