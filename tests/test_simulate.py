@@ -810,16 +810,6 @@ class TestLaneDraws:
         got = [lanes.state(j) for j in range(stop - start)]
         assert got == [replicate_rng(seed, i).bit_generator.state for i in range(start, stop)]
 
-    @pytest.mark.parametrize("start", [2**32 - 5, 2**32, 2**32 + 1024, 2**64 - 5])
-    def test_indices_of_two_words(self, start):
-        # indices from 2**32 on enter the entropy as two words
-        i = np.arange(start, start + 5, dtype=np.uint64)
-        for seed in (7, 2**64 + 5):
-            got = simulate._generate_state(simulate._words(seed), i)
-            for k in range(5):
-                want = np.random.SeedSequence((seed, start + k)).generate_state(8, np.uint32)
-                assert [int(w[k]) for w in got] == want.tolist()
-
     @pytest.mark.parametrize("seed", [3, 2**32 + 1])
     def test_draws_across_two_to_the_32(self, seed):
         start, stop = 2**32 - 3, 2**32 + 3
@@ -860,3 +850,28 @@ class TestZigguratTables:
                     hi = mid
             assert lo == zigzag.KE[k]
         assert zigzag.KE[1] == 0  # box 1 never takes the fast path
+
+
+class TestReplicateStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**99 + 12345])
+    @pytest.mark.parametrize("reps", [1, 2047, 2048, 2049, 4097])
+    def test_states_are_default_rng(self, seed, reps):
+        # _batches hands out every replicate once, in order, at most _LANES
+        # at a time, each starting where default_rng((seed, i)) starts,
+        # across batch edges and for seeds of one to four 32-bit words
+        batches = list(simulate._batches(seed, reps))
+        assert [b.size for b in batches] == [
+            min(simulate._LANES, reps - start) for start in range(0, reps, simulate._LANES)
+        ]
+        got = [b.state(j) for b in batches for j in range(b.size)]
+        assert got == [replicate_rng(seed, i).bit_generator.state for i in range(reps)]
+
+    @pytest.mark.parametrize("start", [2**32 - 5, 2**32, 2**32 + 1024, 2**64 - 5])
+    def test_indices_of_two_words(self, start):
+        # indices from 2**32 on enter the entropy as two words
+        i = np.arange(start, start + 5, dtype=np.uint64)
+        for seed in (7, 2**64 + 5):
+            got = simulate._generate_state(simulate._words(seed), i)
+            for k in range(5):
+                want = np.random.SeedSequence((seed, start + k)).generate_state(8, np.uint32)
+                assert [int(w[k]) for w in got] == want.tolist()
