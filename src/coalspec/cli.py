@@ -7,9 +7,15 @@ every non-ASCII character is escaped.
 Rationals serialize as "p/q", reals with 15 significant digits, divergent
 Green entries as "inf".  Exit codes: 0 success, 1 verification failure,
 2 usage or domain error.  Seeded commands are byte-reproducible for a fixed
-seed on one machine with one BLAS thread count: the Kingman float cells of
-``transition --t`` and ``simulate`` come from a BLAS product, whose last
-bits depend on the number of threads it runs on.
+seed on one machine.  The Kingman float cells of ``transition --t`` and
+``simulate`` come from a BLAS product, whose last bits depend on the number
+of threads it runs on, so ``main`` runs BLAS on one thread unless
+OPENBLAS_NUM_THREADS is already set; then the bytes do not depend on the
+core count.  It sets that variable, if unset, before any command imports
+numpy; ``import coalspec`` and library calls leave the environment alone.
+One thread also spares every numpy command OpenBLAS's thread pool at start
+up, at the cost of wall time at n = 8, where the Kingman product is
+4140 x 4140; setting OPENBLAS_NUM_THREADS gets the threads back.
 
 Output is written as it is produced: tables are read off the computed
 matrices a row at a time and written in batches, so peak memory is set by
@@ -30,8 +36,8 @@ module but ``simulate``, through ``coalspec._verify``.  No exact command
 loads numpy or ``dataclasses`` (which loads ``inspect``, ``ast`` and ``dis``).
 
 Configuration precedence is flags over environment over defaults; the only
-environment knob is COALSPEC_N_CAP, which bounds full-lattice enumeration
-(default 8).
+environment knob of coalspec is COALSPEC_N_CAP, which bounds full-lattice
+enumeration (default 8).
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import argparse
 import csv as csv_module
 import json
 import math
+import os
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -572,6 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # before any command imports numpy: OpenBLAS sizes its thread pool then
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

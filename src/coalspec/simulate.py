@@ -47,13 +47,13 @@ the draws are numpy's, made on the raw outputs.  A bounded draw is
 ``Generator.integers(0, m)``: Lemire's method on PCG64's 32-bit halves (low
 half first, the high half kept per lane for the next draw), as numpy >= 1.24
 does, rerun only on the lanes that reject.  A clock is
-``Generator.exponential(scale)``: numpy's ziggurat fast path with its
-committed tables (``_ziggurat``), and a draw off the fast path, about 2% of
-them, is made by numpy itself from the lane's state before the draw.  The
-streams are the same, draw for draw; ``replicate_rng`` is the reference
-they are tested against.  The public ``simulate_bs``/``simulate_kingman``
-accept any ``Generator`` and draw through ``Generator.integers``
-(``_integers_below``).
+``Generator.exponential(scale)``: numpy's ziggurat with its committed
+tables (``_ziggurat``), the fast path on whole arrays and the draws off it,
+about 2% of them, lane by lane with numpy's tail, wedge test and redraw, so
+the estimator never imports ``numpy.random``.  The streams are the same,
+draw for draw; ``replicate_rng`` is the reference they are tested against.
+The public ``simulate_bs``/``simulate_kingman`` accept any ``Generator``
+and draw through ``Generator.integers`` (``_integers_below``).
 
 Estimators return exact empirical fractions (count/reps) so the estimated
 law sums to exactly 1, alongside float binomial standard errors
@@ -65,7 +65,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, sqrt
+from math import comb, exp, inf, log1p, sqrt
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -158,12 +158,10 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _2_32 = 1 << 32
 # PCG64's 128-bit LCG: state <- state * multiplier + inc; the multiplier's
-# 64-bit halves, the 32-bit limbs of its low half, and its inverse
+# 64-bit halves and the 32-bit limbs of its low half
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 _MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
 _MULT_L1, _MULT_L0 = _MULT_LO >> 32, _MULT_LO & _MASK32
-_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)  # steps a state back
 # replicates an estimator draws for in lockstep, one batch of lanes at a time
 _LANES = 2048
 
@@ -287,7 +285,6 @@ class _Lanes:
         self.spare = np.zeros(self.size, np.uint64)  # the buffered 32-bit half
         self.has = np.zeros(self.size, bool)  # whether it is unread
         self.ke, self.we = np.array(KE, np.uint64), np.array(WE)
-        self.rng = np.random.Generator(np.random.PCG64(0))  # for draws off the fast path
 
     def _next(self, lanes):
         """The next 64-bit output of each of ``lanes``."""
@@ -330,25 +327,41 @@ class _Lanes:
     def exponential(self, lanes, scale):
         """``Generator.exponential(scale[i])`` on lane ``lanes[i]`` for every i.
 
-        numpy's ziggurat: from an output r, ri = r >> 11 in box
-        k = (r >> 3) & 0xFF gives scale (ri WE[k]) when ri < KE[k].  A lane off
-        that path steps back to its state before the draw, and numpy's own
-        ``exponential`` makes the draw from there.
+        numpy's ziggurat (``_ziggurat``): from an output r, ri = r >> 11 in box
+        k = (r >> 3) & 0xFF gives x = ri WE[k] when ri < KE[k].  The lanes off
+        that path draw u = (next output >> 11) 2**-53 together; box 0 returns
+        EXP_R - log1p(-u), box k > 0 returns x when
+        (FE[k - 1] - FE[k]) u + FE[k] < exp(-x), and a lane that fails draws
+        again from the start.  ``exp`` and ``log1p`` are the libm calls numpy's
+        C code makes.  Each draw is then multiplied by its scale.
         """
         import numpy as np
 
-        raw = self._next(lanes)
-        ri, box = raw >> 11, (raw >> 3 & 0xFF).astype(np.intp)
-        out = scale * (ri * self.we[box])
-        bit_generator = self.rng.bit_generator
-        for i in np.flatnonzero(ri >= self.ke[box]).tolist():
-            state = self.state(lanes[i])
-            pcg = state["state"]
-            pcg["state"] = (pcg["state"] - pcg["inc"]) * _PCG_MULT_INV & _MASK128
-            bit_generator.state = state
-            out[i] = self.rng.exponential(scale[i])
-            self.set_state(lanes[i], bit_generator.state)
-        return out
+        from ._ziggurat import EXP_R, FE
+
+        out = np.empty(len(lanes))
+        todo = np.arange(len(lanes))  # the draws still to make
+        while todo.size:
+            raw = self._next(lanes[todo])
+            ri, box = raw >> 11, (raw >> 3 & 0xFF).astype(np.intp)
+            x = ri * self.we[box]
+            fast = ri < self.ke[box]
+            out[todo[fast]] = x[fast]
+            off = np.flatnonzero(~fast)
+            if not off.size:
+                break
+            todo = todo[off]
+            u = (self._next(lanes[todo]) >> 11) * 2.0**-53
+            again = []
+            for i, k, xi, ui in zip(todo.tolist(), box[off].tolist(), x[off].tolist(), u.tolist()):
+                if k == 0:
+                    out[i] = EXP_R - log1p(-ui)
+                elif (FE[k - 1] - FE[k]) * ui + FE[k] < exp(-xi):
+                    out[i] = xi
+                else:
+                    again.append(i)
+            todo = np.array(again, np.intp)
+        return scale * out
 
     def state(self, j: int) -> dict:
         """Lane j's state in the form of ``PCG64.state``."""

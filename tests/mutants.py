@@ -58,6 +58,34 @@ MUTANTS = [
         ["tests/test_simulate.py::TestLaneDraws::test_lemire_rejections"],
     ),
     (
+        # the wedge test reading FE[k] in place of FE[k - 1]
+        "simulate.py",
+        "elif (FE[k - 1] - FE[k]) * ui + FE[k] < exp(-xi):",
+        "elif (FE[k] - FE[k]) * ui + FE[k] < exp(-xi):",
+        ["tests/test_simulate.py::TestLaneDraws::test_every_box_off_the_fast_path"],
+    ),
+    (
+        # box 0's tail through log(1 - u) in place of log1p(-u)
+        "simulate.py",
+        "out[i] = EXP_R - log1p(-ui)",
+        "out[i] = EXP_R - __import__('math').log(1 - ui)",
+        ["tests/test_simulate.py::TestLaneDraws::test_every_box_off_the_fast_path"],
+    ),
+    (
+        # a failed wedge test returning x instead of drawing again
+        "simulate.py",
+        "again.append(i)",
+        "out[i] = xi",
+        ["tests/test_simulate.py::TestLaneDraws::test_every_box_off_the_fast_path"],
+    ),
+    (
+        # cli.main that leaves BLAS on its default thread count
+        "cli.py",
+        """    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n""",
+        "",
+        ["tests/test_cli.py::TestBlasThreads::test_one_thread_by_default"],
+    ),
+    (
         # _run_lanes with no jump-time check
         "simulate.py",
         """\

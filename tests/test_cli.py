@@ -351,6 +351,19 @@ class TestJsonWriter:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+def child(script, env=None):
+    """Run ``script`` in a fresh interpreter on this checkout, with ``env`` in
+    place of this process's environment: its stdout."""
+    src = str(Path(coalspec.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_numpy_is_loaded_only_by_float_paths():
     """Exact commands, verify among them, run with numpy blocked; simulate loads it."""
     script = textwrap.dedent(
@@ -374,16 +387,57 @@ def test_numpy_is_loaded_only_by_float_paths():
         print("numpy" in sys.modules)
         """
     )
-    src = str(Path(coalspec.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
+    out = child(script)
+    assert out.split() == ["True", "True"]
+
+
+def test_simulate_runs_without_numpy_random():
+    """The estimator makes numpy's draws itself, off the ziggurat's fast path too."""
+    out = child(
+        """
+        import contextlib, io, sys
+        import numpy
+        if "numpy.random" in sys.modules:  # numpy < 2 loads it with numpy
+            print("loaded")
+            sys.exit()
+        from coalspec.cli import main
+        sys.modules["numpy.random"] = None  # from here on, importing it raises
+        for model in ("bs", "kingman"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["simulate", "--n", "5", "--model", model, "--t", "1",
+                             "--reps", "3000", "--seed", "0"]) == 0
+        print(sys.modules["numpy.random"])
+        """
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["True", "True"]
+    if out.split() == ["loaded"]:
+        pytest.skip("import numpy loads numpy.random")
+    assert out.split() == ["None"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+@pytest.mark.skipif((os.cpu_count() or 1) == 1, reason="one CPU")
+class TestBlasThreads:
+    """``main`` runs BLAS on one thread unless OPENBLAS_NUM_THREADS is set."""
+
+    SCRIPT = """
+        import contextlib, io, os
+        from coalspec.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--n", "3", "--model", "kingman", "--t", "1",
+                         "--reps", "50", "--seed", "0"]) == 0
+        print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+        """
+    UNSET = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+    def test_one_thread_by_default(self):
+        threads = child("import numpy, os; print(len(os.listdir('/proc/self/task')))", self.UNSET)
+        if int(threads) == 1:
+            pytest.skip("numpy starts no BLAS threads here")
+        assert child(self.SCRIPT, self.UNSET).split() == ["1", "1"]
+
+    def test_preset_count_kept(self):
+        out = child(self.SCRIPT, {**self.UNSET, "OPENBLAS_NUM_THREADS": "2"})
+        assert out.split()[1] == "2"
 
 
 def test_each_command_loads_only_its_modules():
@@ -427,16 +481,8 @@ def test_each_command_loads_only_its_modules():
         print(json.dumps(stages))
         """
     )
-    src = str(Path(coalspec.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    stages = json.loads(result.stdout)
+    out = child(script)
+    stages = json.loads(out)
     assert stages["import"] == []
     assert stages["lattice"] == ["combinatorics", "partitions"]
     assert stages["lattice command"] == ["cli", "combinatorics", "partitions"]

@@ -702,6 +702,15 @@ def lanes_at(*states):
     return lanes
 
 
+def stepped(state, k):
+    """``state`` with its 128-bit state moved k outputs on."""
+    pcg = state["state"]
+    at = pcg["state"]
+    for _ in range(k):
+        at = (at * simulate._PCG_MULT + pcg["inc"]) % 2**128
+    return {**state, "state": {**pcg, "state": at}}
+
+
 def outputs_to(bit_generator, state):
     """Step ``bit_generator`` to ``state``'s 128-bit state: the outputs taken."""
     taken = 0
@@ -769,10 +778,9 @@ class TestLaneDraws:
         assert taken == [1, 1, 2, 1, 1, 0, 2]
 
     def test_exponentials_off_the_fast_path(self):
-        # box 0's tail, box 1 (never fast) and ri >= KE[k] go to numpy from
-        # the lane's state before the draw, in one call with fast lanes; a
-        # double draw of 0 passes the wedge test, a large one fails it and
-        # draws again
+        # box 0's tail, box 1 (never fast) and ri >= KE[k] leave the fast path
+        # in one call with fast lanes; a double draw of 0 passes the wedge
+        # test, a large one fails it and draws again
         ke = [int(v) for v in zigzag.KE]
         raws = [
             ke[0] << 11, (2**53 - 1) << 11 | 0 << 3,  # box 0: the tail
@@ -797,6 +805,69 @@ class TestLaneDraws:
         # test draws again
         assert min(taken[:14]) == 2 and max(taken[:14]) > 2
         assert taken[14:20] == [1] * 6 and taken[20] == 2
+
+    def test_every_box_off_the_fast_path(self):
+        # in every box, at the first ri off the fast path (KE[k]) and the last
+        # (2**53 - 1), the double u drawn next is 0, 1 - 2**-53, numpy's wedge
+        # threshold and the value below it (box 0 has no wedge: its tail is
+        # taken at u = 0, 1 - 2**-53 and values between, the last two where
+        # EXP_R - log(1 - u) rounds apart from EXP_R - log1p(-u)); the
+        # threshold, the least u whose wedge test fails, is found by
+        # bisection on numpy (u is read as the 53-bit int u 2**53 here)
+        rng = np.random.Generator(np.random.PCG64())
+        bit_generator = rng.bit_generator
+
+        def passes(raw, v):
+            bit_generator.state = state = crafted(raw, v << 11)
+            rng.exponential(1.0)
+            return bit_generator.state == stepped(state, 2)
+
+        top = 2**53 - 1
+        states, inside = [], 0
+        for k in range(256):
+            for ri in (int(zigzag.KE[k]), top):
+                raw = ri << 11 | k << 3
+                if k == 0:
+                    us = [0, 1, 2**20, 2**52 + 1, top - 1, top, 7179730670529720, 6888446264584119]
+                else:
+                    lo, hi = 0, 2**53
+                    while lo < hi:
+                        mid = (lo + hi) // 2
+                        if passes(raw, mid):
+                            lo = mid + 1
+                        else:
+                            hi = mid
+                    inside += 0 < lo < 2**53
+                    us = sorted({0, top} | {u for u in (lo - 1, lo) if 0 <= u <= top})
+                states += [crafted(raw, u << 11) for u in us]
+        # the wedge test passes below the threshold and fails at it for 297
+        # of the 510 (box, ri) pairs; at ri = KE[k] it passes at every u in
+        # 178 boxes, and at 2**53 - 1 it fails at every u in 35
+        assert inside > 250
+        lanes = lanes_at(*states)
+        scale = np.linspace(0.25, 4.0, len(states))
+        got = lanes.exponential(np.arange(len(states)), scale)
+        for j, state in enumerate(states):
+            bit_generator.state = state
+            assert got[j] == rng.exponential(scale[j]), j
+            assert lanes.state(j) == bit_generator.state, j
+
+    def test_a_stream_of_many_draws(self):
+        # 10**5 exponentials of one stream, about 2,200 of them off the fast
+        # path and about 45 in box 0's tail, cut into 1,000 runs of 100 that
+        # 1,000 lanes draw side by side: lane j starts where numpy's stream
+        # is after 100 j draws and ends where it is after 100 (j + 1)
+        rng = np.random.default_rng((11, 0))
+        starts = []
+        for _ in range(1001):
+            starts.append(rng.bit_generator.state)
+            rng.standard_exponential(100)
+        lanes = lanes_at(*starts[:1000])
+        every, scale = np.arange(1000), np.ones(1000)
+        got = np.stack([lanes.exponential(every, scale) for _ in range(100)], axis=1)
+        want = np.random.default_rng((11, 0)).standard_exponential(10**5)
+        assert got.ravel().tolist() == want.tolist()
+        assert [lanes.state(j) for j in range(1000)] == starts[1:]
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**99 + 12345])
     @pytest.mark.parametrize(
@@ -850,6 +921,13 @@ class TestZigguratTables:
                     hi = mid
             assert lo == zigzag.KE[k]
         assert zigzag.KE[1] == 0  # box 1 never takes the fast path
+
+    def test_tail_starts_at_exp_r(self):
+        # box 0 off the fast path returns EXP_R - log1p(-u): EXP_R at u = 0
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = crafted((2**53 - 1) << 11)
+        assert rng.exponential(1.0) == zigzag.EXP_R
+        assert len(zigzag.FE) == 256 and zigzag.FE[0] == 1.0
 
 
 class TestReplicateStreams:
