@@ -20,7 +20,7 @@ up, at the cost of wall time at n = 8, where the Kingman product is
 Output is written as it is produced: tables are read off the computed
 matrices a row at a time and written in batches, so peak memory is set by
 the matrices, not by the size of the output: ``spectral --n 8 --model
-kingman`` peaks at about 33 MB (CPython 3.11, Linux x86-64).  Every matrix,
+kingman`` peaks at about 27 MB (CPython 3.11, Linux x86-64).  Every matrix,
 product and verification, and every check that can raise, finishes before
 the first byte is written, and --out is opened only then, so a failing
 command writes nothing.
@@ -48,7 +48,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from fractions import Fraction
@@ -150,23 +149,16 @@ class _Table:
         """
         deep = inner + "  "
         tails: dict[int, str] = {}
-        row: list[str] = []
-        last = run = None
-        for i, j, v, d in self.mat._entries():
-            if i != last:
-                if row:
-                    yield "".join(row)
-                    row.clear()
-                prefix, last = f",{inner}[{deep}{i},{deep}", i
-                if d != run:
-                    tails.clear()
-                    run = d
-            tail = tails.get(v)
-            if tail is None:
-                tail = tails[v] = f',{deep}"{_ratio_text(v, d)}"{inner}]'
-            row.append(f"{prefix}{j}{tail}")
-        if row:
-            yield "".join(row)
+        run = None
+        for i, d, cols, nums in self.mat._row_entries():
+            if d != run:
+                tails.clear()
+                run = d
+            for v in nums:
+                if v not in tails:
+                    tails[v] = f',{deep}"{_ratio_text(v, d)}"{inner}]'
+            prefix = f",{inner}[{deep}{i},{deep}"
+            yield "".join([f"{prefix}{j}{tails[v]}" for j, v in zip(cols, nums)])
 
 
 def _lattice_order(lattice: PartitionLattice) -> list[str]:
@@ -317,6 +309,7 @@ def cmd_qmatrix(args) -> int:
 def cmd_spectral(args) -> int:
     if args.format == "csv":
         raise ValueError("spectral output is JSON only")
+    from .matrices import _diagonal_counts
     from .spectral import verify_triple
 
     Q, order = _generator(args.model, args.n, args.block)
@@ -327,8 +320,7 @@ def cmd_spectral(args) -> int:
     report = verify_triple(Q, triple)
     # Q is triangular, so its spectrum is its diagonal; -λ_b falls as b grows,
     # so the largest value, at one block, comes first
-    diagonal = Counter(Q.get(i, i) for i in range(Q.size))
-    eigenvalues = sorted(diagonal.items(), reverse=True)
+    eigenvalues = sorted(_diagonal_counts(Q).items(), reverse=True)
     payload = {
         "model": args.model,
         "block_counting": bool(args.block),

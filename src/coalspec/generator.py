@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
+from itertools import compress
 from math import comb, factorial, lcm
 from typing import Mapping
 
 from .combinatorics import stirling_second
-from .matrices import RatMatrix, TriMatrix, _over_lcm
+from .matrices import RatMatrix, TriMatrix, _diagonal_counts, _over_lcm
 from .partitions import PartitionLattice
 
 __all__ = [
@@ -106,8 +108,8 @@ def build_generator(lattice: PartitionLattice, rates: RateTable) -> TriMatrix:
     """Assemble the generator Q on the lattice from a rate table.
 
     Rows sum to zero exactly; off-diagonal support consists of the single
-    mergers with nonzero rate.  Filled a row at a time from
-    ``lattice.comparable_rows()``: ρ is a single merger of π iff one
+    mergers with nonzero rate.  Filled a row at a time from the lattice's
+    kept walk, ``lattice._kept_rows()``: ρ is a single merger of π iff one
     restriction size, k = |π| - |ρ| + 1, exceeds 1 (k = 1 on the diagonal).
     """
     if rates.n < lattice.n:
@@ -122,14 +124,20 @@ def build_generator(lattice: PartitionLattice, rates: RateTable) -> TriMatrix:
         values[1] = -rates.total_rate(p)
         per_p[p] = _over_lcm(values)
 
+    @cache
+    def row_pattern(keys):
+        """(d, mask, numerators) of a row with these keys: mask[k] is whether
+        keys[k] is the diagonal or a single merger at a nonzero rate."""
+        p = keys[0][0]
+        d, nums = per_p[p]
+        # Σ (size - 1) = k - 1, so a single merger has every other size 1
+        at = [nums[p - r + 1] if r == p or p - r + 1 in sizes else 0 for _, r, sizes in keys]
+        return d, tuple(map(bool, at)), tuple(filter(None, at))
+
     def rows():
-        for i, js, keys in lattice.comparable_rows():
-            p = keys[0][0]
-            d, nums = per_p[p]
-            # Σ (size - 1) = k - 1, so a single merger has every other size 1
-            cols, ks = zip(*[(j, p - r + 1) for j, (_, r, sizes) in zip(js, keys)
-                             if r == p or p - r + 1 in sizes])
-            yield i, d, cols, tuple(map(nums.__getitem__, ks))
+        for i, js, keys in lattice._kept_rows():  # equal keys, one keys tuple
+            d, mask, nums = row_pattern(keys)
+            yield i, d, tuple(compress(js, mask)), nums
 
     return TriMatrix._from_columns(lattice, rows())
 
@@ -175,7 +183,6 @@ def characteristic_factorization(
     expected = Counter()
     for i in range(1, n + 1):
         expected[-lam[i]] += stirling_second(n, i)
-    actual = Counter(Q.get(i, i) for i in range(len(Q.lattice)))
-    if actual != expected:
+    if _diagonal_counts(Q) != expected:
         raise ValueError("diagonal of Q does not match the rate table's total rates")
     return [(-lam[i], stirling_second(n, i)) for i in range(1, n + 1)]

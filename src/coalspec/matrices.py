@@ -11,13 +11,16 @@ is the only one that stores, reads or compares rows.
 Rows come in one form: the lattice builders (the generator and the spectral
 triples) stream (i, d, cols, nums) rows, cols ascending, to
 ``_from_columns``, with d the natural denominator the closed forms give a
-row (a factorial in the block count) and ints shared across rows; the
+row (a factorial in the block count, which the triples reduce first) and
+one numerator tuple shared by the rows of equal pair keys; the
 public ``from_rows`` takes {j: num} rows in any column order and sorts them
 into that form.  They go out in one form as well: ``_entries()`` yields
-(i, j, numerator, row denominator) in (i, j) order, ``nonzeros()`` turns
-those into ``Fraction``s, and the command line formats from them.  ``get``
-(which bisects ``cols``), ``row`` and ``row_sum`` build ``Fraction``s on
-request.  ``to_float`` divides numerator by denominator in int true
+(i, j, numerator, row denominator) in (i, j) order, ``_row_entries()`` the
+same a row at a time, ``nonzeros()`` turns them into ``Fraction``s, and the
+command line formats from them.  ``get`` (which bisects ``cols``), ``row``
+and ``row_sum`` build ``Fraction``s on request, and ``_diagonal_counts``
+reads a diagonal as a multiset with one ``Fraction`` per distinct value,
+not one per row.  ``to_float`` divides numerator by denominator in int true
 division, which is correctly rounded, so it gives the same bits as
 ``float(Fraction)``.
 
@@ -33,16 +36,18 @@ of a triple with it.
 ``TriMatrix`` ties a matrix to a ``PartitionLattice`` and carries generator
 and eigenvector matrices, whose support lies on pairs π ≤ ρ (upper triangular
 in the lattice's linear extension); ``_within_order`` checks any number of
-them against one pass of the lattice's row walk, ``comparable_rows()``, which
-yields each π's up-set as one row with the pair key of every entry.  In the
-same pass it certifies, given a diagonal, that every entry is a function of
-its pair key, which lets ``verify_triple`` decide its products on one row
-per block count.
+them against the lattice's row walk, which has each π's up-set as one row
+with the pair key of every entry.  It reads the walk the lattice keeps
+(``PartitionLattice._kept_rows``), the one the generator and the triples
+were built from, so no pass walks the lattice again.  Over the same rows it
+certifies, given a diagonal, that every entry is a function of its pair key,
+which lets ``verify_triple`` decide its products on one row per block count.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -165,10 +170,16 @@ class RatMatrix:
 
     def _entries(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (row, col, numerator, row denominator) sorted by (row, col)."""
-        for i in sorted(self._rows):
-            d, cols, nums = self._rows[i]
+        for i, d, cols, nums in self._row_entries():
             for j, v in zip(cols, nums):
                 yield i, j, v, d
+
+    def _row_entries(self) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+        """Yield (row, row denominator, cols, numerators) per nonzero row,
+        rows ascending and cols ascending: ``_entries()`` a row at a time."""
+        rows = self._rows
+        for i in sorted(rows):
+            yield i, *rows[i]
 
     def nonzeros(self) -> Iterator[tuple[int, int, Fraction]]:
         """Yield (row, col, value) sorted by (row, col)."""
@@ -264,6 +275,24 @@ class RatMatrix:
         return f"<RatMatrix {self.size}x{self.size}, {self.nnz()} nonzero>"
 
 
+def _diagonal_counts(m: RatMatrix) -> Counter[Fraction]:
+    """The diagonal of m as {value: number of rows}, a missing entry read as 0.
+
+    Each row's diagonal entry is found by bisecting its columns and counted
+    as (numerator, row denominator); each distinct pair becomes one
+    ``Fraction``, so equal values over different denominators merge.
+    """
+    raw: Counter[tuple[int, int]] = Counter()
+    for i in range(m.size):
+        d, cols, nums = m._rows.get(i, _EMPTY)
+        k = bisect_left(cols, i)
+        raw[(nums[k], d) if k < len(cols) and cols[k] == i else (0, 1)] += 1
+    out: Counter[Fraction] = Counter()
+    for (v, d), count in raw.items():
+        out[Fraction(v, d)] += count
+    return out
+
+
 class TriMatrix(RatMatrix):
     """A RatMatrix indexed by a partition lattice; its intended support is π ≤ ρ."""
 
@@ -277,7 +306,7 @@ class TriMatrix(RatMatrix):
 def _within_order(
     lattice: PartitionLattice, mats: Sequence[RatMatrix], diag: Sequence
 ) -> tuple[bool, tuple[int, ...] | None]:
-    """(within, keyed), read from one pass of ``comparable_rows()``.
+    """(within, keyed), read from the lattice's kept walk, ``_kept_rows()``.
 
     ``within`` is True iff row i of every matrix lies in the up-set of
     lattice[i].  ``keyed`` is the first row of each block count, ascending,
@@ -287,12 +316,14 @@ def _within_order(
     gives each class of p blocks a value per matrix, and every row with p
     blocks, that one included, must read those values back through its keys,
     under the same row denominator (rows of equal values reduce alike), with
-    diag[i] equal to diag at the first row.
+    diag[i] equal to diag at the first row.  What a row must read is worked
+    out once per keys tuple, which the rows of equal keys share.
     """
     keyed = True
     first: dict[int, tuple] = {}  # p -> (row, key -> class, per matrix (d, class -> value))
-    for i, js, keys in lattice.comparable_rows():
-        dense = []
+    expected: dict[tuple, list] = {}  # keys -> [diag, per matrix (d, values along keys)]
+    for i, js, keys in lattice._kept_rows():
+        dense = [diag[i]]
         for m in mats:
             d, cols, nums = m._rows.get(i, _EMPTY)
             if cols != js:  # fill in the zeros; a column off js adds a key
@@ -300,25 +331,25 @@ def _within_order(
                 full.update(zip(cols, nums))
                 if len(full) != len(js):
                     return False, None
-                nums = full.values()
+                nums = tuple(full.values())
             dense.append((d, nums))
         if not keyed:
             continue
-        p = keys[0][0]
-        if p not in first:
-            sorted_keys: dict[tuple, int] = {}
-            classes = {k: sorted_keys.setdefault((k[1], *sorted(k[2])), len(sorted_keys))
-                       for k in keys}
+        want = expected.get(keys)
+        if want is None:
+            p = keys[0][0]
+            if p not in first:
+                sorted_keys: dict[tuple, int] = {}
+                classes = {k: sorted_keys.setdefault((k[1], *sorted(k[2])), len(sorted_keys))
+                           for k in keys}
+                at = list(map(classes.__getitem__, keys))
+                first[p] = i, classes, [(d, dict(zip(at, nums))) for d, nums in dense[1:]]
+            i0, classes, values = first[p]
             at = list(map(classes.__getitem__, keys))
-            first[p] = i, classes, [(d, dict(zip(at, nums))) for d, nums in dense]
-        i0, classes, values = first[p]
-        # lists, not tuples: a tuple built from a map is resized as it grows,
-        # and CPython keeps freed small tuples for reuse at their final size
-        at = list(map(classes.__getitem__, keys))
-        keyed = diag[i] == diag[i0] and all(
-            d == d0 and list(nums) == list(map(by_class.__getitem__, at))
-            for (d, nums), (d0, by_class) in zip(dense, values)
-        )
+            want = expected[keys] = [diag[i0], *(
+                (d0, tuple(map(by_class.__getitem__, at))) for d0, by_class in values
+            )]
+        keyed = dense == want
     return True, (tuple(sorted(i0 for i0, _, _ in first.values())) if keyed else None)
 
 
@@ -338,7 +369,8 @@ def _product_is(
     """
     if not (left.size == right.size == target.size == len(diag)):
         raise ValueError("matrix sizes or diagonal length differ")
-    diag = [Fraction(x) for x in diag]
+    # an int or a Fraction has its numerator and denominator already
+    diag = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in diag]
     tops, bottoms = [x.numerator for x in diag], [x.denominator for x in diag]
     stored, met = target._rows, set()
     for i, scale, acc in left._product_rows(right, rows):

@@ -148,7 +148,7 @@ class SetPartition:
 
     def to_string(self) -> str:
         """Canonical encoding: blocks sorted by min, ``"1,3|2|4"``."""
-        return "|".join(",".join(str(e) for e in b) for b in self.blocks)
+        return "|".join([",".join(map(str, b)) for b in self.blocks])
 
     @property
     def n(self) -> int:
@@ -374,6 +374,8 @@ class PartitionLattice:
     π < ρ the index of π is strictly smaller.
     """
 
+    _kept: list | None = None  # the walk, once ``_kept_rows()`` has kept it
+
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("the lattice needs n >= 1")
@@ -409,20 +411,55 @@ class PartitionLattice:
     def top(self) -> SetPartition:
         return self.elements[-1]
 
+    def __getstate__(self) -> dict:
+        """The lattice without its kept walk, which the copy makes again on
+        demand: a walked lattice pickles to the bytes of a fresh one."""
+        state = self.__dict__.copy()
+        state.pop("_kept", None)
+        return state
+
     def comparable_rows(self) -> Iterator[tuple[int, tuple[int, ...], tuple[tuple, ...]]]:
         """Yield (i, js, keys) for every π = self[i], i ascending: js the
         indices of the ρ ≥ π, ascending, and keys[k] = ``pair_key(π, self[js[k]])``.
 
         Sizes in a key are ordered like ``rho.blocks`` (unsorted: float
         products taken in that order keep their bits); every closed form on
-        a pair is a function of its key.  No partition is built: a grouping
-        of π's blocks, as a restricted growth string g, sends π's label to
-        ρ's label g[label], already in first-appearance order since π's
-        blocks are numbered by their minima.  With the groupings of p blocks
-        read by column, ``zip(*map(cols.__getitem__, label))`` is every
-        coarse label of the row, and the lattice's label -> index dict maps
-        them to j in one ``map``.  The columns are built once per p; the walk
-        holds one row, and nothing of it is kept on the lattice.
+        a pair is a function of its key.  When a matrix build has kept the
+        walk on the lattice (``_kept_rows``), its rows are read back;
+        otherwise the lattice is walked a row at a time and nothing of the
+        walk is kept, so a pair table holds one row.
+        """
+        return self._walk() if self._kept is None else iter(self._kept)
+
+    def _kept_rows(self) -> list[tuple[int, tuple[int, ...], tuple[tuple, ...]]]:
+        """Every row of ``comparable_rows()``, from one walk kept on the lattice.
+
+        The generator, the lattice triples, the support certificate and the
+        verify suite read their pairs from here, so a lattice is walked once
+        for all of them.  The first call walks; a copy or pickle of the
+        lattice leaves the walk behind.  The js of a row are the column
+        tuples R and L store, and rows with equal keys share one keys tuple
+        (P([8]) has 4,140 rows and 245 distinct keys tuples), so keeping the
+        walk costs little more than the list, and a builder can compute its
+        row values once per keys tuple.
+        """
+        if self._kept is None:
+            shared: dict[tuple, tuple] = {}
+            self._kept = [
+                (i, js, shared.setdefault(keys, keys)) for i, js, keys in self._walk()
+            ]
+        return self._kept
+
+    def _walk(self) -> Iterator[tuple[int, tuple[int, ...], tuple[tuple, ...]]]:
+        """The walk behind ``comparable_rows()``, one row at a time.
+
+        No partition is built: a grouping of π's blocks, as a restricted
+        growth string g, sends π's label to ρ's label g[label], already in
+        first-appearance order since π's blocks are numbered by their
+        minima.  With the groupings of p blocks read by column,
+        ``zip(*map(cols.__getitem__, label))`` is every coarse label of the
+        row, and the lattice's label -> index dict maps them to j in one
+        ``map``.  The columns are built once per p.
         """
         index = self._index
         for i, label in enumerate(index):

@@ -32,10 +32,12 @@ keyed, and so is R D when D(ρ) depends only on |ρ|.  Two keyed matrices
 agree as soon as they agree on the first row with p blocks, for each p:
 every row with p blocks meets the same pair keys, one per grouping of its
 p blocks, so that row meets every key an entry of such a row can have.
-The support walk (``matrices._within_order``) certifies Q, R, L and D
-keyed, zeros included, in the pass that checks their support; without the
+The support check (``matrices._within_order``) certifies Q, R, L and D
+keyed, zeros included, over the rows that check their support; without the
 certificate (block triples, hand-built or broken matrices) every row is
-read.
+read.  The generator, the triple and that check read one walk of the
+lattice, which the lattice keeps (``PartitionLattice._kept_rows``), so a
+lattice is walked once however many of them run on it.
 
 The block-counting triples (n x n, lower triangular in the block count) are
 the lattice triples lumped by block count: summed over the ρ with j blocks,
@@ -53,10 +55,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 from itertools import starmap
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .combinatorics import _factorial, lah, stirling_first, stirling_second
-from .matrices import RatMatrix, TriMatrix, _product_is, _within_order
+from .matrices import RatMatrix, TriMatrix, _diagonal_counts, _product_is, _within_order
 from .partitions import PartitionLattice
 
 __all__ = [
@@ -151,27 +153,48 @@ class VerificationReport(_Frozen):
         return dict(zip(self.__match_args__, self._values()))
 
 
-def _lattice_triple(rows, build, entries, per_row) -> SpectralTriple:
-    """R and L over ``rows``, and D from ``per_row`` per block count.
+def _lowest(d: int, nums: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Numerators over d > 0, and d, divided by their gcd."""
+    g = gcd(d, *nums)
+    return (d, nums) if g == 1 else (d // g, tuple(v // g for v in nums))
+
+
+def _row_values(entries, per_row):
+    """A triple's row function: keys -> (eigenvalue, R row denominator, R
+    numerators, L row denominator, L numerators), each row reduced.
+
+    ``per_row(b)`` gives (eigenvalue, R row denominator, L row denominator)
+    of a row with b blocks, b the first component of every key of the row,
+    and ``entries(*key)`` the (r, l) numerators over those denominators; the
+    lattice triples pass it through ``cache``, since many pairs share a key.
+    """
+
+    def values(keys):
+        eigenvalue, r_den, l_den = per_row(keys[0][0])
+        rs, ls = zip(*starmap(entries, keys))
+        return Fraction(eigenvalue), *_lowest(r_den, rs), *_lowest(l_den, ls)
+
+    return values
+
+
+def _lattice_triple(rows, build, values) -> SpectralTriple:
+    """R, D and L over ``rows``, from ``values(keys)`` per row (``_row_values``).
 
     ``rows`` yields (i, js, keys) over the support, a row at a time, i
     ascending and every state once, and ``build(rows)`` makes a matrix from
-    (i, d, js, numerators) rows, js ascending.  ``per_row(b)`` gives
-    (eigenvalue, R row denominator, L row denominator) of a row with b
-    blocks, b the first component of every key of the row, and
-    ``entries(*key)`` the (r, l) numerators over those denominators; the
-    lattice triples pass it through ``cache``, since many pairs share a key.
-    R takes its rows as the walk yields them; L's rows wait in a list as the
-    same tuples that L then stores (when already reduced), with js shared
-    with R.
+    (i, d, js, numerators) rows, js ascending.  The lattice triples pass
+    ``values`` through ``cache``: the lattice's rows of equal keys share one
+    keys tuple, so each distinct row is computed once and its eigenvalue and
+    numerator tuples are shared.  R takes its rows as the walk yields them;
+    L's rows wait in a list as the same tuples that L then stores, with js
+    shared with R.
     """
-    per_row, D, L = cache(per_row), [], []
+    D, L = [], []
 
     def r_rows():
         for i, js, keys in rows:
-            eigenvalue, r_den, l_den = per_row(keys[0][0])
-            rs, ls = zip(*starmap(entries, keys))
-            D.append(Fraction(eigenvalue))
+            eigenvalue, r_den, rs, l_den, ls = values(keys)
+            D.append(eigenvalue)
             L.append((i, l_den, js, ls))
             yield i, r_den, js, rs
 
@@ -180,8 +203,8 @@ def _lattice_triple(rows, build, entries, per_row) -> SpectralTriple:
 
 
 def _on_lattice(lattice: PartitionLattice):
-    """(rows, build) on the lattice, keyed (|π|, |ρ|, restriction sizes)."""
-    return lattice.comparable_rows(), partial(TriMatrix._from_columns, lattice)
+    """(rows, build) on the lattice's kept walk, keyed (|π|, |ρ|, restriction sizes)."""
+    return lattice._kept_rows(), partial(TriMatrix._from_columns, lattice)
 
 
 def _on_chain(n: int):
@@ -228,7 +251,7 @@ def bs_triple(lattice: PartitionLattice) -> SpectralTriple:
     entries = cache(
         lambda p, r, sizes: _bs_entries(p, r, prod(_factorial(s - 1) for s in sizes), 1)
     )
-    return _lattice_triple(*_on_lattice(lattice), entries, _bs_row)
+    return _lattice_triple(*_on_lattice(lattice), cache(_row_values(entries, _bs_row)))
 
 
 def kingman_triple(lattice: PartitionLattice) -> SpectralTriple:
@@ -239,7 +262,7 @@ def kingman_triple(lattice: PartitionLattice) -> SpectralTriple:
     (-1)^(p-r) m(π, ρ) 2^(p-r) (p+r-2)! / ((2p-2)! (p-r)!) for L.
     """
     entries = cache(lambda p, r, sizes: _kingman_entries(p, r, prod(map(_factorial, sizes))))
-    return _lattice_triple(*_on_lattice(lattice), entries, _kingman_row)
+    return _lattice_triple(*_on_lattice(lattice), cache(_row_values(entries, _kingman_row)))
 
 
 def bs_block_triple(n: int) -> SpectralTriple:
@@ -250,7 +273,7 @@ def bs_block_triple(n: int) -> SpectralTriple:
     kind; eigenvalues 1 - i.
     """
     entries = lambda i, j: _bs_entries(i, j, stirling_first(i, j), stirling_second(i, j))
-    return _lattice_triple(*_on_chain(n), entries, _bs_row)
+    return _lattice_triple(*_on_chain(n), _row_values(entries, _bs_row))
 
 
 def kingman_block_triple(n: int) -> SpectralTriple:
@@ -260,7 +283,7 @@ def kingman_block_triple(n: int) -> SpectralTriple:
     ((i+j-2)!/(2i-2)!) L(i, j) with Lah numbers; eigenvalues -C(i, 2).
     """
     entries = lambda i, j: _kingman_entries(i, j, lah(i, j))
-    return _lattice_triple(*_on_chain(n), entries, _kingman_row)
+    return _lattice_triple(*_on_chain(n), _row_values(entries, _kingman_row))
 
 
 def _support(triple: SpectralTriple, Q: RatMatrix) -> tuple[bool, tuple[int, ...] | None]:
@@ -273,8 +296,9 @@ def _support(triple: SpectralTriple, Q: RatMatrix) -> tuple[bool, tuple[int, ...
 
 def verify_triple(Q: RatMatrix, triple: SpectralTriple) -> VerificationReport:
     """Exact verification of Q = R D L, L R = I, R L = I, diagonals and support;
-    for support, a ``TriMatrix`` Q has Q, R and L checked against one walk of its
-    lattice, any other Q has all three upper or all three lower triangular.
+    for support, a ``TriMatrix`` Q has Q, R and L checked against the walk its
+    lattice keeps, the one they were built from (walked here if none is
+    kept), any other Q has all three upper or all three lower triangular.
 
     One kernel, ``_product_is``, decides all three identities a product row
     at a time against stored rows, so no product matrix is formed, not even
@@ -288,7 +312,7 @@ def verify_triple(Q: RatMatrix, triple: SpectralTriple) -> VerificationReport:
         raise ValueError("generator and triple dimensions disagree")
     R, D, L = triple.R, triple.D, triple.L
     support, rows = _support(triple, Q)
-    unit = all(R.get(i, i) == 1 and L.get(i, i) == 1 for i in range(n))
+    unit = _diagonal_counts(R).keys() | _diagonal_counts(L).keys() <= {1}
     ones = (1,) * n
     # R and L are square and exact, so L R = I iff R L = I: one product decides both
     inverse = _product_is(L, R, RatMatrix.identity(n), ones, rows)

@@ -112,14 +112,69 @@ MUTANTS = [
     (
         # _within_order whose keyed flag is never cleared
         "matrices.py",
-        """\
-        keyed = diag[i] == diag[i0] and all(
-            d == d0 and list(nums) == list(map(by_class.__getitem__, at))
-            for (d, nums), (d0, by_class) in zip(dense, values)
-        )
-""",
+        "        keyed = dense == want\n",
         "",
         ["tests/test_matrices.py::TestWithinOrder"],
+    ),
+    (
+        # _product_is without its unmet-row check: a target row that no
+        # product row meets passes, whatever it holds
+        "matrices.py",
+        """\
+    unmet = stored.keys() - met if rows is None else set(rows) - met
+    return all(not any(tops[j] for j in stored.get(i, _EMPTY)[1]) for i in unmet)
+""",
+        """\
+    return True
+""",
+        ["tests/test_matrices.py::TestProductIs::test_target_row_no_product_row_meets"],
+    ),
+    (
+        # _within_order that compares only the first row of each block count
+        "matrices.py",
+        "        keyed = dense == want\n",
+        """\
+        if i == first[keys[0][0]][0]:
+            keyed = dense == want
+""",
+        ["tests/test_matrices.py::TestWithinOrder::test_entries_off_the_key_are_not_keyed"],
+    ),
+    (
+        # _within_order that compares only the first row of each keys tuple
+        "matrices.py",
+        """\
+            )]
+        keyed = dense == want
+""",
+        """\
+            )]
+            keyed = dense == want
+""",
+        ["tests/test_matrices.py::TestWithinOrder::test_entries_off_the_key_are_not_keyed"],
+    ),
+    (
+        # _within_order classing keys by their ordered sizes, not the sorted ones
+        "matrices.py",
+        "sorted_keys.setdefault((k[1], *sorted(k[2])), len(sorted_keys))",
+        "sorted_keys.setdefault((k[1], *k[2]), len(sorted_keys))",
+        ["tests/test_matrices.py::TestWithinOrder"],
+    ),
+    (
+        # the lattice triples walking the lattice again, not reading its kept walk
+        "spectral.py",
+        "return lattice._kept_rows(), partial(TriMatrix._from_columns, lattice)",
+        "return lattice._walk(), partial(TriMatrix._from_columns, lattice)",
+        ["tests/test_spectral.py::TestSupportFlag::test_one_walk"],
+    ),
+    (
+        # the diagonal read taking a row's next entry when it has no diagonal one
+        "matrices.py",
+        "raw[(nums[k], d) if k < len(cols) and cols[k] == i else (0, 1)] += 1",
+        "raw[(nums[k], d) if k < len(cols) else (0, 1)] += 1",
+        [
+            "tests/test_matrices.py::TestDiagonalCounts",
+            "tests/test_spectral.py::TestSupportFlag::test_missing_diagonal_entry",
+        ],
     ),
     (
         # _check_cap that never raises

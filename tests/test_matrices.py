@@ -1,5 +1,6 @@
 """Exact sparse products and support checks in the matrices module."""
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -16,7 +17,7 @@ from coalspec import (
     build_generator,
     kingman_block_triple,
 )
-from coalspec.matrices import _product_is, _within_order
+from coalspec.matrices import _diagonal_counts, _product_is, _within_order
 
 from conftest import is_identity
 
@@ -203,6 +204,28 @@ class TestTripleProducts:
         for n in (1, 2, 5, 12, 30):
             self.check(bs_block_triple(n))
             self.check(kingman_block_triple(n))
+
+
+class TestDiagonalCounts:
+    def test_matches_get(self, bs_generators, kingman_triples):
+        for m in (bs_generators[5], kingman_triples[5].R, kingman_triples[5].L,
+                  bs_block_triple(9).R, RatMatrix(0)):
+            expected = Counter(m.get(i, i) for i in range(m.size))
+            assert _diagonal_counts(m) == expected
+            assert list(map(type, _diagonal_counts(m))) == [F] * len(expected)
+
+    def test_missing_entry_reads_zero(self):
+        # no row has a diagonal entry: row 0's lies right of it, row 2's left
+        m = RatMatrix.from_rows(3, [(0, 1, {1: 1}), (2, 1, {0: 1, 1: 1})])
+        assert _diagonal_counts(m) == {F(0): 3}
+        m.set(1, 1, F(1, 2))
+        assert _diagonal_counts(m) == {F(0): 2, F(1, 2): 1}
+
+    def test_equal_values_over_different_denominators_merge(self):
+        # 1/2 as 1 over 2, and as 3 over 6 in a row with a 1/6 entry
+        m = RatMatrix.from_rows(2, [(0, 2, {0: 1}), (1, 6, {0: 1, 1: 3})])
+        assert m._rows[1][0] == 6
+        assert _diagonal_counts(m) == {F(1, 2): 2}
 
 
 class TestWithinOrder:

@@ -270,6 +270,14 @@ class TestComparablePairs:
                 (i, j, key) for i, js, keys in rows for j, key in zip(js, keys)
             ] == list(comparable_pairs(lat))
 
+    def test_kept_walk_is_the_walk(self):
+        lat = PartitionLattice(5)
+        streamed = list(lat.comparable_rows())
+        assert "_kept" not in vars(lat)  # a streamed walk is not kept
+        kept = lat._kept_rows()
+        assert kept == streamed and lat._kept_rows() is kept
+        assert list(lat.comparable_rows()) == streamed
+
     def test_sizes_follow_rho_blocks(self):
         lat = PartitionLattice(3)
         keys = {(i, j): key for i, j, key in comparable_pairs(lat)}
@@ -520,6 +528,19 @@ class TestRoundTrip:
                      copy.deepcopy(value)):
             assert type(twin) is type(value)
             assert view(twin) == view(value)
+
+    def test_walked_lattice_leaves_its_walk_behind(self):
+        fresh, walked = PartitionLattice(5), PartitionLattice(5)
+        data = pickle.dumps(fresh)
+        bs_triple(walked)
+        assert "_kept" in vars(walked)
+        assert pickle.dumps(walked) == data
+        for twin in (pickle.loads(pickle.dumps(walked)), copy.copy(walked),
+                     copy.deepcopy(walked)):
+            assert type(twin) is PartitionLattice
+            assert vars(twin) == vars(fresh)
+            assert pickle.dumps(twin) == data
+            assert list(twin.comparable_rows()) == walked._kept_rows()
 
     def test_unpickled_tree_stays_read_only(self):
         tree = sample_rrt(SetPartition.singletons(5), np.random.default_rng(0))

@@ -705,29 +705,50 @@ class TestSupportFlag:
         report = verify_triple(Q, t)
         assert not report.unit_diagonals and report.triangular_support
 
+    def test_missing_diagonal_entry(self, lattices):
+        # BS R at n = 2 is [[1, 1], [0, 1]]: without its diagonal entry, row
+        # 0's first stored entry is a 1 in the next column
+        Q, t = build_generator(lattices[2], bs_rates(2)), bs_triple(lattices[2])
+        assert verify_triple(Q, t).unit_diagonals
+        t.R.set(0, 0, F(0))
+        assert t.R.row(0) == {1: F(1)}
+        assert not verify_triple(Q, t).unit_diagonals
+
     @pytest.mark.parametrize("job, walks", [
         ("verify", 1), ("verify-block", 0), ("generator", 1), ("triple", 1), ("table", 1),
+        ("spectral-bs", 1), ("spectral-kingman", 1),
+        ("verify-command", 4),  # verify --n-max 5: one lattice per n = 2..5
     ])
-    def test_one_walk(self, job, walks, lattices, bs_generators, bs_triples, monkeypatch,
-                      capsys):
-        # every lattice consumer reads its pairs from one row walk
-        calls = []
-        walk = PartitionLattice.comparable_rows
+    def test_one_walk(self, job, walks, monkeypatch, capsys):
+        # every lattice consumer reads its pairs from one walk: the walks made
+        # are counted, on fresh lattices, so a walk kept by an earlier test
+        # or an earlier consumer cannot hide a second one
+        walked = []
+        walk = PartitionLattice._walk
 
         def counted(self):
-            calls.append(1)
+            walked.append(self)
             return walk(self)
 
-        monkeypatch.setattr(PartitionLattice, "comparable_rows", counted)
+        lat = PartitionLattice(5)
         if job == "verify":
-            verify_triple(bs_generators[5], bs_triples[5])
+            # a deep copy leaves behind the walk that built Q and the triple
+            Q, t = copy.deepcopy((build_generator(lat, bs_rates(5)), bs_triple(lat)))
+        monkeypatch.setattr(PartitionLattice, "_walk", counted)
+        if job == "verify":
+            assert verify_triple(Q, t).all_pass
         elif job == "verify-block":
             verify_triple(bs_block_generator(8), bs_block_triple(8))
         elif job == "generator":
-            build_generator(lattices[5], bs_rates(5))
+            build_generator(lat, bs_rates(5))
         elif job == "triple":
-            kingman_triple(lattices[5])
+            kingman_triple(lat)
         else:
-            assert main(["green", "--n", "5"]) == 0
-            assert capsys.readouterr().out
-        assert len(calls) == walks
+            argv = {"table": "green --n 5", "verify-command": "verify --n-max 5",
+                    "spectral-bs": "spectral --n 5", "spectral-kingman":
+                    "spectral --n 5 --model kingman"}[job]
+            assert main(argv.split()) == 0 and capsys.readouterr().out
+        assert len(walked) == walks
+        assert len({id(lattice) for lattice in walked}) == walks
+        # a matrix build keeps the walk on its lattice; a pair table streams it
+        assert all(("_kept" in vars(lattice)) == (job != "table") for lattice in walked)
