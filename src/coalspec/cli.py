@@ -17,10 +17,13 @@ One thread also spares every numpy command OpenBLAS's thread pool at start
 up, at the cost of wall time at n = 8, where the Kingman product is
 4140 x 4140; setting OPENBLAS_NUM_THREADS gets the threads back.
 
-Output is written as it is produced: tables are read off the computed
-matrices a row at a time and written in batches, so peak memory is set by
-the matrices, not by the size of the output: ``spectral --n 8 --model
-kingman`` peaks at about 27 MB (CPython 3.11, Linux x86-64).  Every matrix,
+Output is written as it is produced: a matrix table is read off its
+computed matrix, and a pair table (``transition``, ``green``, ``hitting``)
+off the comparable-pair walk, a row at a time, and written in batches of
+about 16 Ki characters, a row longer than that on its own.  So peak memory
+is set by the matrices, or by the lattice and one row, not by the size of
+the output: ``spectral --n 8 --model kingman`` peaks at about 27 MB and
+``green --n 8`` at about 20 MB (CPython 3.11, Linux x86-64).  Every matrix,
 product and verification, and every check that can raise, finishes before
 the first byte is written, and --out is opened only then, so a failing
 command writes nothing.
@@ -134,13 +137,14 @@ class _Table:
     writes a stored row at a time."""
 
     __slots__ = ("mat",)
+    brackets = "[]"
 
     def __init__(self, mat: RatMatrix):
         self.mat = mat
 
     def json_rows(self, inner: str) -> Iterator[str]:
         """Yield the text of each stored row's entries as ``_json_pieces``
-        writes them at indent ``inner``, each entry led by a comma.
+        writes them at indent ``inner``, joined by commas.
 
         An entry is its row's prefix, its column and the tail of its value
         ("p/q" needs no escaping).  Tails are cached by numerator as
@@ -157,48 +161,100 @@ class _Table:
             for v in nums:
                 if v not in tails:
                     tails[v] = f',{deep}"{_ratio_text(v, d)}"{inner}]'
-            prefix = f",{inner}[{deep}{i},{deep}"
-            yield "".join([f"{prefix}{j}{tails[v]}" for j, v in zip(cols, nums)])
+            prefix = f"{inner}[{deep}{i},{deep}"
+            yield ",".join([f"{prefix}{j}{tails[v]}" for j, v in zip(cols, nums)])
 
 
 def _lattice_order(lattice: PartitionLattice) -> list[str]:
     return [p.to_string() for p in lattice]
 
 
-class _Object:
-    """A JSON object whose (key, value) items come from a one-shot iterator."""
+def _pair_rows(lattice: PartitionLattice, cell, per_key: bool) -> Iterator[tuple]:
+    """Yield (i, js, texts) per row of ``comparable_rows()``, texts[k] =
+    ``cell(i, js[k])`` (an iterable read once), None for a cell left out.
 
-    __slots__ = ("_items",)
+    With ``per_key`` the cell is computed on the first pair of each key
+    (|π|, |ρ|, restriction sizes) and reused for the others: the first row
+    with p blocks holds every key of p blocks, so a row whose diagonal key is
+    known reads all its cells from the memo.  The walk is streamed, so the
+    memo and one row are all a table holds.
+    """
+    memo: dict[tuple, str | None] = {}
+    for i, js, keys in lattice.comparable_rows():
+        if not per_key:
+            yield i, js, [cell(i, j) for j in js]
+            continue
+        if keys[0] not in memo:
+            for j, key in zip(js, keys):
+                if key not in memo:
+                    memo[key] = cell(i, j)
+        yield i, js, map(memo.__getitem__, keys)
 
-    def __init__(self, items: Iterable[tuple[str, object]]):
-        self._items = items
 
-    def items(self) -> Iterable[tuple[str, object]]:
-        return self._items
+class _PairTable:
+    """The JSON object {source: {target: cell(i, j)}} over ``_pair_rows``,
+    which ``_json_pieces`` writes a row at a time; cells of None are left
+    out, and ``cell`` returns str."""
+
+    __slots__ = ("lattice", "cell", "per_key")
+    brackets = "{}"
+
+    def __init__(self, lattice: PartitionLattice, cell, per_key: bool):
+        self.lattice = lattice
+        self.cell = cell
+        self.per_key = per_key
+
+    def json_rows(self, inner: str) -> Iterator[str]:
+        """Yield the text of each source's item as ``_json_pieces`` writes
+        it at indent ``inner``.
+
+        Each name is escaped once, and each cell where ``_pair_rows``
+        computes it, so once per key.  A row is joined once: its source
+        goes into its first item and its closing brace into its last.
+        """
+        deep, close = inner + "  ", inner + "}"
+        names = [_escape(p.to_string()) for p in self.lattice]
+        cell = self.cell
+
+        def escaped(i: int, j: int) -> str | None:
+            text = cell(i, j)
+            return None if text is None else _escape(text)
+
+        for i, js, texts in _pair_rows(self.lattice, escaped, self.per_key):
+            items = [f"{deep}{names[j]}: {text}" for j, text in zip(js, texts) if text is not None]
+            if not items:
+                yield f"{inner}{names[i]}: {{}}"
+                continue
+            items[0] = f"{inner}{names[i]}: {{{items[0]}"
+            items[-1] += close
+            yield ",".join(items)
 
 
-# pieces held before they are joined and written: about 100 to 200 kB of
-# table rows per write; a matrix table is written once it holds _BATCH_CHARS
+# a table is written once it holds _BATCH_CHARS characters, and a row longer
+# than that on its own; other values once they hold _BATCH pieces
 _BATCH = 4096
-_BATCH_CHARS = 1 << 17
+_BATCH_CHARS = 1 << 14
 
 
 def _json_pieces(obj, nl: str, out: list[str], write) -> None:
     """Append the text of ``obj`` as ``json.dumps(obj, indent=2)`` prints it.
 
     ``nl`` is a newline and the indent of the line ``obj`` starts on.  Lists
-    may also arrive as any iterator, objects as an ``_Object`` and matrix
-    tables as a ``_Table``, each read once.  Whenever ``out`` holds
-    ``_BATCH`` pieces, or a table ``_BATCH_CHARS`` characters, they are
-    joined, passed to ``write`` and dropped.  With an indent json always runs its
-    pure-Python encoder, in small chunks; here each str-valued dict item is
-    one f-string and each stored row of a table one piece.  Other values
-    recurse, strings are escaped as json's default ``ensure_ascii`` does,
-    and other scalars go to ``json.dumps``.  Keys must be str.
+    may also arrive as any iterator, and tables as a ``_Table`` (a matrix's
+    entry list) or a ``_PairTable`` (a pair table's rows object), each read
+    once.  Whenever ``out`` holds ``_BATCH`` pieces, they are joined, passed
+    to ``write`` and dropped; in a table that happens once ``out`` holds
+    ``_BATCH_CHARS`` characters, so no write is longer than that plus the
+    table's longest row, and a row longer than a batch is passed to
+    ``write`` as it is.  With an indent json always runs its pure-Python
+    encoder, in small chunks; here each str-valued dict item is one
+    f-string and each row of a table one piece.  Other values recurse,
+    strings are escaped as json's default ``ensure_ascii`` does, and other
+    scalars go to ``json.dumps``.  Keys must be str.
     """
     if isinstance(obj, str):
         out.append(_escape(obj))
-    elif isinstance(obj, (dict, _Object)):
+    elif isinstance(obj, dict):
         inner = nl + "  "
         sep = "{" + inner
         for k, v in obj.items():
@@ -212,19 +268,26 @@ def _json_pieces(obj, nl: str, out: list[str], write) -> None:
                 write("".join(out))
                 out.clear()
         out.append(nl + "}" if sep[0] == "," else "{}")
-    elif isinstance(obj, _Table):
-        # one piece per stored row, so the batch is bounded in characters
-        size = 0
-        sep = "["
+    elif isinstance(obj, (_Table, _PairTable)):
+        opening, closing = obj.brackets
+        size = sum(map(len, out))
+        sep = opening
         for text in obj.json_rows(nl + "  "):
-            out.append(sep + text[1:] if sep else text)
-            sep = ""
-            size += len(text)
+            out.append(sep)
+            sep = ","
+            if len(text) >= _BATCH_CHARS:
+                write("".join(out))
+                write(text)
+                out.clear()
+                size = 0
+                continue
+            out.append(text)
+            size += len(text) + 1
             if size >= _BATCH_CHARS:
                 write("".join(out))
                 out.clear()
                 size = 0
-        out.append(nl + "]" if not sep else "[]")
+        out.append(nl + closing if sep == "," else opening + closing)
     elif isinstance(obj, (list, tuple, Iterator)):
         inner = nl + "  "
         sep = "[" + inner
@@ -336,38 +399,20 @@ def cmd_spectral(args) -> int:
     return 0 if report.all_pass else 1
 
 
-def _pair_rows(lattice: PartitionLattice, cell, per_key: bool) -> Iterator[tuple]:
-    """Yield (source, {target: cell(i, j)}) per row of ``comparable_rows()``.
-
-    With ``per_key`` the cell is computed on the first pair of each key
-    (|π|, |ρ|, restriction sizes) and reused for the others: the first row
-    with p blocks holds every key of p blocks, so a row whose diagonal key is
-    known reads all its cells from the memo.  A cell of None is left out of
-    its row.
-    """
-    order = _lattice_order(lattice)
-    memo: dict[tuple, str | None] = {}
-    for i, js, keys in lattice.comparable_rows():
-        if not per_key:
-            texts = [cell(i, j) for j in js]
-        else:
-            if keys[0] not in memo:
-                for j, key in zip(js, keys):
-                    if key not in memo:
-                        memo[key] = cell(i, j)
-            texts = map(memo.__getitem__, keys)
-        yield order[i], {order[j]: text for j, text in zip(js, texts) if text is not None}
-
-
 def _emit_pair_rows(args, lattice: PartitionLattice, head: dict, cell, per_key=True):
     """Emit ``cell(i, j)`` over the comparable pairs as JSON rows or CSV
     triples, each row computed as it is written; ``cell`` must not raise."""
-    rows = _pair_rows(lattice, cell, per_key)
     if args.format == "csv":
-        triples = ([source, target, v] for source, row in rows for target, v in row.items())
+        order = _lattice_order(lattice)
+        triples = (
+            [order[i], order[j], text]
+            for i, js, texts in _pair_rows(lattice, cell, per_key)
+            for j, text in zip(js, texts)
+            if text is not None
+        )
         _emit_csv(chain([["source", "target", "value"]], triples), args.out)
     else:
-        _emit_json({**head, "rows": _Object(rows)}, args.out)
+        _emit_json({**head, "rows": _PairTable(lattice, cell, per_key)}, args.out)
 
 
 def _check_time(t: float) -> float:

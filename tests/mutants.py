@@ -177,6 +177,48 @@ MUTANTS = [
         ],
     ),
     (
+        # the pair-table writer printing lattice names without quotes
+        "cli.py",
+        "names = [_escape(p.to_string()) for p in self.lattice]",
+        "names = [p.to_string() for p in self.lattice]",
+        ["tests/test_cli.py::TestPairTables::test_json"],
+    ),
+    (
+        # every table opening with a list's bracket, a pair table's object too
+        "cli.py",
+        "        sep = opening\n",
+        "        sep = \"[\"\n",
+        ["tests/test_cli.py::TestPairTables::test_json"],
+    ),
+    (
+        # a pair-table row with no cells written as "{", a newline and "}"
+        "cli.py",
+        'yield f"{inner}{names[i]}: {{}}"',
+        'yield f"{inner}{names[i]}: {{{inner}}}"',
+        ["tests/test_cli.py::TestPairTables::test_rows_with_no_cells"],
+    ),
+    (
+        # the pair rows reading every cell of a row from the row's first key
+        "cli.py",
+        "yield i, js, map(memo.__getitem__, keys)",
+        "yield i, js, [memo[keys[0]]] * len(js)",
+        ["tests/test_cli.py::TestPairTables::test_csv"],
+    ),
+    (
+        # dynamics importing spectral (and with it matrices) at module level
+        "dynamics.py",
+        "from .partitions import SetPartition, pair_key\n",
+        "from .partitions import SetPartition, pair_key\nfrom . import spectral  # noqa: F401\n",
+        ["tests/test_cli.py::test_each_command_loads_only_its_modules"],
+    ),
+    (
+        # the lanes seeded with one word count across index 2**32
+        "simulate.py",
+        "for a, b in ((start, min(stop, _2_32)), (max(start, _2_32), stop))",
+        "for a, b in ((start, stop),)",
+        ["tests/test_simulate.py::TestLaneDraws::test_draws_across_two_to_the_32"],
+    ),
+    (
         # _check_cap that never raises
         "partitions.py",
         """\

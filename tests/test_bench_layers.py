@@ -1,0 +1,39 @@
+"""bench/layers.py runs and writes its schema; no timing is checked."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+
+LAYERS = [
+    "lattice_s", "walk_s", "build_generator_s", "bs_triple_s", "kingman_triple_s",
+    "verify_triple_bs_s", "verify_triple_kingman_s", "matrix_table_write_s",
+    "pair_table_write_s",
+]
+
+
+def test_layers_at_n_4(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(SCRIPT), "--n", "4", "--out", str(out)], check=True)
+    report = json.loads(out.read_text())
+    assert set(report) == {"commit", "environment", "repeats", "cli", "layers"}
+    env = report["environment"]
+    assert set(env) == {"python", "implementation", "platform", "numpy", "nproc", "blas_threads"}
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert env["nproc"] >= 1 and env["blas_threads"] >= 1
+    assert report["repeats"] == 3
+    assert [c["command"] for c in report["cli"]] == [
+        "green --n 4", "transition --n 4 --x 1/3", "spectral --n 4", "verify --n-max 4",
+    ]
+    for c in report["cli"]:
+        assert 0 < c["wall_s"]["min"] <= c["wall_s"]["median"]
+        rss = c["peak_rss_mb"]
+        assert 0 < rss["min"] <= rss["median"] <= rss["max"]
+    assert list(report["layers"]) == ["4"]
+    layers = report["layers"]["4"]
+    assert set(layers) == {*LAYERS, "pairs"}
+    assert layers["pairs"] == 60  # sum over the 15 partitions of bell(|π|)
+    for name in LAYERS:
+        assert 0 <= layers[name]["min"] <= layers[name]["median"], name

@@ -44,7 +44,8 @@ from coalspec import (
 from coalspec import cli
 from coalspec.cli import (
     _entries_payload,
-    _Object,
+    _pair_rows,
+    _PairTable,
     _ratio_text,
     _Table,
     _write_json,
@@ -158,7 +159,12 @@ class TestEntriesPayload:
         writes = []
         M = bs_triple(PartitionLattice(7)).R
         _write_json({"R": _Table(M), "L": _Table(M)}, writes.append)
-        assert len(writes) > 10 and max(map(len, writes)) <= 2**18
+        # the tables sit at indent 4; the first row (877 entries) is longer
+        # than a batch, and is written on its own
+        longest = max(map(len, _Table(M).json_rows("\n    ")))
+        assert longest > cli._BATCH_CHARS
+        assert longest in map(len, writes)
+        assert len(writes) > 10 and max(map(len, writes)) <= cli._BATCH_CHARS + longest
         want = list(_entries_payload(M))
         assert "".join(writes) == json.dumps({"R": want, "L": want}, indent=2) + "\n"
 
@@ -285,11 +291,10 @@ def _json_text(obj) -> str:
 
 
 def _lazy(obj, pick):
-    """``obj`` with each list, tuple or dict for which ``pick()`` is true
-    replaced by a one-shot iterator: an ``_Object`` in place of a dict."""
+    """``obj`` with each list or tuple for which ``pick()`` is true replaced
+    by a one-shot iterator, inside dicts too."""
     if isinstance(obj, dict):
-        items = [(k, _lazy(v, pick)) for k, v in obj.items()]
-        return _Object(iter(items)) if pick() else dict(items)
+        return {k: _lazy(v, pick) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         items = [_lazy(v, pick) for v in obj]
         return (v for v in items) if pick() else type(obj)(items)
@@ -318,16 +323,6 @@ class TestJsonWriter:
     @pytest.mark.parametrize("obj", [[], {}, (), [[]], {"a": {}}, [{}, [], "x"]])
     def test_empty_iterators(self, obj):
         assert _json_text(_lazy(obj, lambda: True)) == json.dumps(obj, indent=2)
-
-    def test_lazy_table_written_in_bounded_pieces(self):
-        def table():
-            for i in range(2000):
-                yield f"{i}|x", {f"{i}|{j}": f"{j}/{i + 1}" for j in range(100)}
-
-        writes = []
-        _write_json({"n": 8, "rows": _Object(table())}, writes.append)
-        assert max(map(len, writes)) <= 2**20
-        assert "".join(writes) == json.dumps({"n": 8, "rows": dict(table())}, indent=2) + "\n"
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("command", [
@@ -704,6 +699,150 @@ class TestFullTables:
         for source, row in self.expected(cell, self.N):
             expect += [[source, target, text] for target, text in row]
         assert list(csv.reader(io.StringIO(out))) == expect
+
+
+def _oracle_rows(lattice, cell, per_key):
+    """The pair table as a dict of dicts, {source: {target: cell(i, j)}},
+    cells of None left out; with ``per_key`` each cell is computed on the
+    first pair of its key and reused for the others."""
+    order = [p.to_string() for p in lattice]
+    memo = {}
+    rows = {}
+    for i, js, keys in lattice.comparable_rows():
+        if per_key:
+            texts = [memo[key] if key in memo else memo.setdefault(key, cell(i, j))
+                     for j, key in zip(js, keys)]
+        else:
+            texts = [cell(i, j) for j in js]
+        rows[order[i]] = {order[j]: text for j, text in zip(js, texts) if text is not None}
+    return rows
+
+
+def _exact(formula):
+    """The exact cell of ``formula``: "p/q", None for zero."""
+
+    def cell(lattice):
+        el = lattice.elements
+
+        def text(i, j):
+            v = formula(el[i], el[j])
+            return format_rational(v) if v else None
+
+        return text
+
+    return cell
+
+
+# name: (argv, head without n, cell of a lattice, per_key)
+PAIR_COMMANDS = {
+    "transition-x": (
+        ("transition", "--x", "3/7"), {"model": "bs", "x": "3/7"},
+        _exact(lambda pi, rho: bs_transition_exact(pi, rho, Fraction(3, 7))), True,
+    ),
+    "transition-t-bs": (
+        ("transition", "--t", "0.3"), {"model": "bs", "t": "0.3"},
+        lambda lat: lambda i, j: format_real(bs_transition(lat[i], lat[j], 0.3)), True,
+    ),
+    "transition-t-kingman": (
+        ("transition", "--t", "0.3", "--model", "kingman"), {"model": "kingman", "t": "0.3"},
+        lambda lat: lambda i, j: format_real(_kingman_transition(lat.n, 0.3)[i, j]), False,
+    ),
+    "green": (("green",), {"model": "bs"}, _exact(bs_green), True),
+    "hitting-bs": (("hitting",), {"model": "bs"}, _exact(bs_hitting), True),
+    "hitting-kingman": (
+        ("hitting", "--model", "kingman"), {"model": "kingman"}, _exact(kingman_hitting), True,
+    ),
+}
+
+
+class TestPairTables:
+    """Every pair command prints the dict-of-dicts table, as JSON and CSV."""
+
+    @staticmethod
+    def oracle(name, n):
+        argv, head, cell_of, per_key = PAIR_COMMANDS[name]
+        lattice = PartitionLattice(n)
+        head = {"model": head["model"], "n": n, **head}
+        return argv, head, _oracle_rows(lattice, cell_of(lattice), per_key)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("name", sorted(PAIR_COMMANDS))
+    def test_json(self, capsys, name, n):
+        argv, head, rows = self.oracle(name, n)
+        code, out, err = run(capsys, *argv, "--n", str(n))
+        assert code == 0, err
+        assert out == json.dumps({**head, "rows": rows}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("name", sorted(PAIR_COMMANDS))
+    def test_csv(self, capsys, name, n):
+        argv, _, rows = self.oracle(name, n)
+        code, out, err = run(capsys, *argv, "--n", str(n), "--format", "csv")
+        assert code == 0, err
+        expect = [["source", "target", "value"]]
+        expect += [[source, target, text] for source, row in rows.items()
+                   for target, text in row.items()]
+        assert list(csv.reader(io.StringIO(out))) == expect
+
+    @pytest.mark.parametrize("per_key", [True, False])
+    def test_rows_with_no_cells(self, per_key):
+        # every cell of the rows with two blocks is None, and every cell of
+        # n = 4 at the second call
+        lat = PartitionLattice(4)
+        for cell in (lambda i, j: None if len(lat[i]) == 2 else f"{i}/{j}", lambda i, j: None):
+            rows = _oracle_rows(lat, cell, per_key)
+            assert {} in rows.values()
+            text = _json_text({"rows": _PairTable(lat, cell, per_key)})
+            assert text == json.dumps({"rows": rows}, indent=2)
+            assert '": {}' in text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_hostile_cells_escaped(self, n, data):
+        lat = PartitionLattice(n)
+        pairs = [(i, j) for i, js, _ in lat.comparable_rows() for j in js]
+        texts = data.draw(st.lists(st.one_of(st.none(), _hostile_text),
+                                   min_size=len(pairs), max_size=len(pairs)))
+        table = dict(zip(pairs, texts))
+        cell = lambda i, j: table[i, j]  # noqa: E731
+        want = json.dumps({"rows": _oracle_rows(lat, cell, False)}, indent=2)
+        assert _json_text({"rows": _PairTable(lat, cell, False)}) == want
+
+    def test_each_name_and_key_escaped_once(self, monkeypatch):
+        lat = PartitionLattice(6)
+        keys = {key for _, _, row_keys in lat.comparable_rows() for key in row_keys}
+        cell = _exact(bs_green)(lat)
+        calls = Counter()
+
+        def counted(i, j):
+            calls["cell"] += 1
+            return cell(i, j)
+
+        def escape(text, _escape=cli._escape):
+            calls["escape"] += 1
+            return _escape(text)
+
+        monkeypatch.setattr(cli, "_escape", escape)
+        _json_text(_PairTable(lat, counted, True))
+        assert calls == {"cell": len(keys), "escape": len(lat) + len(keys)}
+        # without per_key, one cell per pair
+        calls.clear()
+        pairs = sum(len(js) for _, js, _ in _pair_rows(lat, counted, False))
+        assert calls == {"cell": pairs} and pairs > len(keys)
+
+    def test_written_in_bounded_pieces(self):
+        lat = PartitionLattice(7)
+        table = _PairTable(lat, _exact(bs_green)(lat), True)
+        writes = []
+        _write_json({"n": 7, "rows": table}, writes.append)
+        # the table sits at indent 4; its first row (877 targets) is longer
+        # than a batch, and is written on its own
+        longest = max(map(len, table.json_rows("\n    ")))
+        assert longest > cli._BATCH_CHARS
+        assert longest in map(len, writes)
+        assert len(writes) > 10 and max(map(len, writes)) <= cli._BATCH_CHARS + longest
+        rows = _oracle_rows(lat, _exact(bs_green)(lat), True)
+        assert "".join(writes) == json.dumps({"n": 7, "rows": rows}, indent=2) + "\n"
 
 
 class TestSimulate:
