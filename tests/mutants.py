@@ -200,8 +200,8 @@ MUTANTS = [
     (
         # the pair rows reading every cell of a row from the row's first key
         "cli.py",
-        "yield i, js, map(memo.__getitem__, keys)",
-        "yield i, js, [memo[keys[0]]] * len(js)",
+        "texts = map(memo.__getitem__, keys)",
+        "texts = [memo[keys[0]]] * len(js)",
         ["tests/test_cli.py::TestPairTables::test_csv"],
     ),
     (
