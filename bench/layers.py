@@ -2,7 +2,7 @@
 
 Run from anywhere, with the library's dependencies installed:
 
-    python bench/layers.py --out BENCH_38.json            # n = 6, 7 and 8
+    python bench/layers.py --out BENCH_39.json            # n = 6, 7 and 8
     python bench/layers.py --n 4 --out /tmp/layers.json   # a quick check
 
 Each layer runs 3 times in this process, by a direct call, and its min and
@@ -17,10 +17,18 @@ median are recorded, at each n:
   walk the generator kept
 - ``verify_triple_bs_s``, ``verify_triple_kingman_s``: ``verify_triple`` on
   each model's generator and triple
+- ``pair_formulas_s``: the five pair formulas (``bs_transition`` at t = 0.7,
+  ``bs_transition_exact`` at x = 1/3, ``bs_green``, ``bs_hitting`` and
+  ``kingman_hitting``) once per pair key, on the key's first pair, and
+  ``keys``, the number of distinct keys
 - ``matrix_table_write_s``: the BS R and L written as JSON tables to
   ``os.devnull``
 - ``pair_table_write_s``: the ``green`` table written as JSON to
   ``os.devnull``, its walk and its Green's function cells included
+- ``records_write_s``: the JSON payload of BS ``simulate --t 1 --reps 20000``
+  (one record per partition, no table) written to ``os.devnull``
+- ``estimate_transition_bs_s``, ``estimate_transition_kingman_s``:
+  ``estimate_transition`` at t = 1 with 20,000 replicates
 
 Then the ``green``, ``transition --x 1/3``, ``spectral`` and ``verify``
 commands run at the largest n, each 3 times in a fresh process, with wall
@@ -33,6 +41,7 @@ this file.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -40,6 +49,8 @@ import statistics
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
+from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
 
@@ -107,11 +118,11 @@ def layers(n: int) -> dict:
     from argparse import Namespace
 
     from coalspec import (
-        PartitionLattice, bs_rates, bs_triple, build_generator, kingman_rates,
+        PartitionLattice, bs_green, bs_hitting, bs_rates, bs_transition, bs_transition_exact,
+        bs_triple, build_generator, estimate_transition, kingman_hitting, kingman_rates,
         kingman_triple, verify_triple,
     )
     from coalspec import cli
-    from coalspec.dynamics import bs_green
 
     out: dict = {"lattice_s": timed(PartitionLattice, lambda: (n,))}
     pairs = []
@@ -131,6 +142,22 @@ def layers(n: int) -> dict:
     t_bs, t_kingman = bs_triple(lattice), kingman_triple(lattice)
     out["verify_triple_bs_s"] = timed(verify_triple, lambda: (q_bs, t_bs))
     out["verify_triple_kingman_s"] = timed(verify_triple, lambda: (q_kingman, t_kingman))
+    firsts: dict = {}
+    for i, js, keys in lattice.comparable_rows():
+        for j, key in zip(js, keys):
+            firsts.setdefault(key, (lattice[i], lattice[j]))
+    x = Fraction(1, 3)
+
+    def formulas():
+        for pi, rho in firsts.values():
+            bs_transition(pi, rho, 0.7)
+            bs_transition_exact(pi, rho, x)
+            bs_green(pi, rho)
+            bs_hitting(pi, rho)
+            kingman_hitting(pi, rho)
+
+    out["pair_formulas_s"] = timed(formulas)
+    out["keys"] = len(firsts)
     with open(os.devnull, "w") as sink:
         out["matrix_table_write_s"] = timed(
             lambda: cli._write_json({"R": cli._Table(t_bs.R), "L": cli._Table(t_bs.L)},
@@ -148,6 +175,16 @@ def layers(n: int) -> dict:
         cli._emit_pair_rows(args, lat, {"model": "bs", "n": n}, cell)
 
     out["pair_table_write_s"] = timed(green_table, lambda: (PartitionLattice(n),))
+    argv = ["simulate", "--n", str(n), "--t", "1", "--reps", "20000"]
+    with redirect_stdout(io.StringIO()) as text:
+        cli.main(argv)
+    records = json.loads(text.getvalue())
+    with open(os.devnull, "w") as sink:
+        out["records_write_s"] = timed(lambda: cli._write_json(records, sink.write))
+    for model in ("bs", "kingman"):
+        out[f"estimate_transition_{model}_s"] = timed(
+            estimate_transition, lambda: (model, n, 1.0, 20_000, 0)
+        )
     return out
 
 

@@ -17,12 +17,15 @@ One thread also spares every numpy command OpenBLAS's thread pool at start
 up, at the cost of wall time at n = 8, where the Kingman product is
 4140 x 4140; setting OPENBLAS_NUM_THREADS gets the threads back.
 
-Output is written as it is produced: a matrix table is read off its
-computed matrix, and a pair table (``transition``, ``green``, ``hitting``)
-off the comparable-pair walk, a row at a time, and written in batches of
-about 16 Ki characters, a row longer than that on its own.  So peak memory
-is set by the matrices, or by the lattice and one row, not by the size of
-the output: ``spectral --n 8 --model kingman`` peaks at about 26 MB and
+A JSON payload is a flat dict.  Its tables are written as they are
+produced: a matrix table is read off its computed matrix, and a pair table
+(``transition``, ``green``, ``hitting``) off the comparable-pair walk, a
+row at a time, and written in batches of about 16 Ki characters, a row
+longer than that on its own.  Every other value (a header field, the
+lattice's names, ``simulate``'s records, ``verify``'s checks) is
+``json.dumps(value, indent=2)``, written whole.  So peak memory is set by
+the matrices, or by the lattice and one row, not by the size of the
+tables: ``spectral --n 8 --model kingman`` peaks at about 26 MB and
 ``green --n 8`` at about 20 MB, in 0.3 s (CPython 3.11, Linux x86-64).
 Every matrix, product and verification, and every check that can raise,
 finishes before the first byte is written, and --out is opened only then,
@@ -133,8 +136,8 @@ def _entries_payload(mat: RatMatrix) -> Iterator[list]:
 
 
 class _Table:
-    """The JSON list of ``_entries_payload(mat)``, which ``_json_pieces``
-    writes a stored row at a time."""
+    """The JSON list of ``_entries_payload(mat)``, written a stored row at a
+    time."""
 
     __slots__ = ("mat",)
     brackets = "[]"
@@ -143,8 +146,8 @@ class _Table:
         self.mat = mat
 
     def json_rows(self, inner: str) -> Iterator[str]:
-        """Yield the text of each stored row's entries as ``_json_pieces``
-        writes them at indent ``inner``, joined by commas.
+        """Yield the text of each stored row's entries as ``json.dumps``
+        prints them at indent ``inner``, joined by commas.
 
         An entry is its row's prefix, its column and the tail of its value
         ("p/q" needs no escaping).  Tails are cached by numerator as
@@ -194,8 +197,8 @@ def _pair_rows(lattice: PartitionLattice, cell, per_key: bool) -> Iterator[tuple
 
 class _PairTable:
     """The JSON object {source: {target: cell(i, j)}} over ``_pair_rows``,
-    which ``_json_pieces`` writes a row at a time; cells of None are left
-    out, and ``cell`` returns str."""
+    written a row at a time; cells of None are left out, and ``cell``
+    returns str."""
 
     __slots__ = ("lattice", "cell", "per_key")
     brackets = "{}"
@@ -206,7 +209,7 @@ class _PairTable:
         self.per_key = per_key
 
     def json_rows(self, inner: str) -> Iterator[str]:
-        """Yield the text of each source's item as ``_json_pieces`` writes
+        """Yield the text of each source's item as ``json.dumps`` prints
         it at indent ``inner``.
 
         Each name is escaped once, and each cell where ``_pair_rows``
@@ -231,49 +234,33 @@ class _PairTable:
             yield ",".join(items)
 
 
-# a table is written once it holds _BATCH_CHARS characters, and a row longer
-# than that on its own; other values once they hold _BATCH pieces
-_BATCH = 4096
 _BATCH_CHARS = 1 << 14
 
 
-def _json_pieces(obj, nl: str, out: list[str], write) -> None:
-    """Append the text of ``obj`` as ``json.dumps(obj, indent=2)`` prints it.
+def _write_json(payload: dict, write) -> None:
+    """Pass ``json.dumps(payload, indent=2)`` and a newline to ``write``.
 
-    ``nl`` is a newline and the indent of the line ``obj`` starts on.  Lists
-    may also arrive as any iterator, and tables as a ``_Table`` (a matrix's
-    entry list) or a ``_PairTable`` (a pair table's rows object), each read
-    once.  Whenever ``out`` holds ``_BATCH`` pieces, they are joined, passed
-    to ``write`` and dropped; in a table that happens once ``out`` holds
-    ``_BATCH_CHARS`` characters, so no write is longer than that plus the
-    table's longest row, and a row longer than a batch is passed to
-    ``write`` as it is.  With an indent json always runs its pure-Python
-    encoder, in small chunks; here each str-valued dict item is one
-    f-string and each row of a table one piece.  Other values recurse,
-    strings are escaped as json's default ``ensure_ascii`` does, and other
-    scalars go to ``json.dumps``.  Keys must be str.
+    ``payload`` is a command's flat, non-empty dict with str keys.  A
+    ``_Table`` or ``_PairTable`` value is read once, a row at a time, and the
+    text is passed to ``write`` whenever it holds ``_BATCH_CHARS``
+    characters, so no write is longer than that plus the table's longest
+    row; a row longer than a batch is passed on as it is.  Every other value
+    is ``json.dumps(value, indent=2)`` with each line break indented two
+    spaces deeper, which is safe as json.dumps escapes a newline within a
+    string.
     """
-    if isinstance(obj, str):
-        out.append(_escape(obj))
-    elif isinstance(obj, dict):
-        inner = nl + "  "
-        sep = "{" + inner
-        for k, v in obj.items():
-            if type(v) is str:
-                out.append(f"{sep}{_escape(k)}: {_escape(v)}")
-            else:
-                out.append(f"{sep}{_escape(k)}: ")
-                _json_pieces(v, inner, out, write)
-            sep = "," + inner
-            if len(out) >= _BATCH:
-                write("".join(out))
-                out.clear()
-        out.append(nl + "}" if sep[0] == "," else "{}")
-    elif isinstance(obj, (_Table, _PairTable)):
-        opening, closing = obj.brackets
+    out: list[str] = []
+    lead = "{\n  "
+    for key, value in payload.items():
+        out.append(f"{lead}{_escape(key)}: ")
+        lead = ",\n  "
+        if not isinstance(value, (_Table, _PairTable)):
+            out.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+            continue
+        opening, closing = value.brackets
         size = sum(map(len, out))
         sep = opening
-        for text in obj.json_rows(nl + "  "):
+        for text in value.json_rows("\n    "):
             out.append(sep)
             sep = ","
             if len(text) >= _BATCH_CHARS:
@@ -288,27 +275,8 @@ def _json_pieces(obj, nl: str, out: list[str], write) -> None:
                 write("".join(out))
                 out.clear()
                 size = 0
-        out.append(nl + closing if sep == "," else opening + closing)
-    elif isinstance(obj, (list, tuple, Iterator)):
-        inner = nl + "  "
-        sep = "[" + inner
-        for v in obj:
-            out.append(sep)
-            _json_pieces(v, inner, out, write)
-            sep = "," + inner
-            if len(out) >= _BATCH:
-                write("".join(out))
-                out.clear()
-        out.append(nl + "]" if sep[0] == "," else "[]")
-    else:
-        out.append(json.dumps(obj))
-
-
-def _write_json(obj, write) -> None:
-    """Pass ``json.dumps(obj, indent=2)`` and a newline to ``write``, in batches."""
-    out: list[str] = []
-    _json_pieces(obj, "\n", out, write)
-    out.append("\n")
+        out.append("\n  " + closing if sep == "," else opening + closing)
+    out.append("\n}\n")
     write("".join(out))
 
 

@@ -153,6 +153,20 @@ MUTANTS = [
         ["tests/test_matrices.py::TestWithinOrder::test_entries_off_the_key_are_not_keyed"],
     ),
     (
+        # _within_order without its D check: diag[i] is not compared
+        "matrices.py",
+        "keyed = dense == want",
+        "keyed = dense[1:] == want[1:]",
+        ["tests/test_matrices.py::TestWithinOrder::test_entries_off_the_key_are_not_keyed"],
+    ),
+    (
+        # _within_order without its row-denominator check: numerators only
+        "matrices.py",
+        "dense.append((d, nums))",
+        "dense.append((1, nums))",
+        ["tests/test_matrices.py::TestWithinOrder::test_entries_off_the_key_are_not_keyed"],
+    ),
+    (
         # _within_order classing keys by their ordered sizes, not the sorted ones
         "matrices.py",
         "sorted_keys.setdefault((k[1], *sorted(k[2])), len(sorted_keys))",
@@ -184,11 +198,18 @@ MUTANTS = [
         ["tests/test_cli.py::TestPairTables::test_json"],
     ),
     (
-        # every table opening with a list's bracket, a pair table's object too
+        # _write_json opening every table with a list's bracket, a pair table's too
         "cli.py",
         "        sep = opening\n",
         "        sep = \"[\"\n",
         ["tests/test_cli.py::TestPairTables::test_json"],
+    ),
+    (
+        # _write_json leaving a plain value's lines at json.dumps' own indent
+        "cli.py",
+        '.replace("\\n", "\\n  ")',
+        "",
+        ["tests/test_cli.py::TestJsonWriter::test_matches_json_dumps"],
     ),
     (
         # a pair-table row with no cells written as "{", a newline and "}"

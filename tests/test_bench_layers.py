@@ -5,12 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+from coalspec import PartitionLattice
+
 SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
 LAYERS = [
     "lattice_s", "walk_s", "build_generator_s", "bs_triple_s", "kingman_triple_s",
-    "verify_triple_bs_s", "verify_triple_kingman_s", "matrix_table_write_s",
-    "pair_table_write_s",
+    "verify_triple_bs_s", "verify_triple_kingman_s", "pair_formulas_s",
+    "matrix_table_write_s", "pair_table_write_s", "records_write_s",
+    "estimate_transition_bs_s", "estimate_transition_kingman_s",
 ]
 
 
@@ -33,7 +36,9 @@ def test_layers_at_n_4(tmp_path):
         assert 0 < rss["min"] <= rss["median"] <= rss["max"]
     assert list(report["layers"]) == ["4"]
     layers = report["layers"]["4"]
-    assert set(layers) == {*LAYERS, "pairs"}
+    assert set(layers) == {*LAYERS, "pairs", "keys"}
     assert layers["pairs"] == 60  # sum over the 15 partitions of bell(|π|)
+    lattice = PartitionLattice(4)
+    assert layers["keys"] == len({key for _, _, keys in lattice.comparable_rows() for key in keys})
     for name in LAYERS:
         assert 0 <= layers[name]["min"] <= layers[name]["median"], name

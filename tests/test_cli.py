@@ -148,8 +148,7 @@ class TestEntriesPayload:
         want = [[i, j, format_rational(v)] for i, j, v in M.nonzeros()]
         assert list(_entries_payload(M)) == want
         # the JSON writer's row-at-a-time table prints the same bytes
-        assert _json_text(_Table(M)) == json.dumps(want, indent=2)
-        assert _json_text({"m": [_Table(M)]}) == json.dumps({"m": [want]}, indent=2)
+        assert _json_text({"m": _Table(M)}) == json.dumps({"m": want}, indent=2)
 
     def test_empty_matrices(self):
         for M in (RatMatrix(0), RatMatrix(3)):
@@ -236,7 +235,7 @@ class TestTableTexts:
             by_den = itertools.groupby(M._entries(), key=lambda e: e[3])
             runs = [{e[2] for e in run} for _, run in by_den]
             want = sum(map(len, runs))
-            for write in (lambda: list(_entries_payload(M)), lambda: _json_text(_Table(M))):
+            for write in (lambda: list(_entries_payload(M)), lambda: _json_text({"m": _Table(M)})):
                 calls.clear()
                 write()
                 assert len(calls) == want, name
@@ -270,7 +269,6 @@ _json_values = st.recursive(
     _scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
         st.dictionaries(_hostile_text, children, max_size=4),
         # the [i, j, "p/q"] entry rows, and three-item lists that only look like one
         st.tuples(st.integers(), st.integers(), _hostile_text).map(list),
@@ -281,48 +279,58 @@ _json_values = st.recursive(
 )
 
 
-def _json_text(obj) -> str:
-    """The text the CLI's JSON writer prints for ``obj``, without its newline."""
+def _json_text(payload: dict) -> str:
+    """The text the CLI's JSON writer prints for ``payload``, without its newline."""
     writes = []
-    _write_json(obj, writes.append)
+    _write_json(payload, writes.append)
     text = "".join(writes)
     assert text.endswith("\n")
     return text[:-1]
 
 
-def _lazy(obj, pick):
-    """``obj`` with each list or tuple for which ``pick()`` is true replaced
-    by a one-shot iterator, inside dicts too."""
-    if isinstance(obj, dict):
-        return {k: _lazy(v, pick) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        items = [_lazy(v, pick) for v in obj]
-        return (v for v in items) if pick() else type(obj)(items)
-    return obj
-
-
 class TestJsonWriter:
-    """The one JSON writer prints json.dumps(obj, indent=2), byte for byte."""
+    """The one JSON writer prints json.dumps(payload, indent=2), byte for byte."""
 
     @settings(max_examples=500, deadline=None)
-    @given(_json_values)
-    @example({})
-    @example([])
+    @given(st.dictionaries(_hostile_text, _json_values, min_size=1))
     @example({"": [], "a": {}, "b": [[], {}, [[]]]})
     @example({"rows": {"1|2": {"1,2": "1/1"}, "1,2": {}}})
-    @example([[0, 0, "1/1"], [True, 0, "x"], [0, 0, 1], ["0", 0, "x"]])
-    def test_matches_json_dumps(self, obj):
-        assert _json_text(obj) == json.dumps(obj, indent=2)
+    @example({"m": [[0, 0, "1/1"], [True, 0, "x"], [0, 0, 1], ["0", 0, "x"]]})
+    @example({"\n": "\n  ", "a\nb": ["\n", {"\n": "\r\n"}]})
+    def test_matches_json_dumps(self, payload):
+        assert _json_text(payload) == json.dumps(payload, indent=2)
 
-    @settings(max_examples=500, deadline=None)
-    @given(_json_values, st.data())
-    def test_lazy_inputs_match_json_dumps(self, obj, data):
-        lazy = _lazy(obj, lambda: data.draw(st.booleans()))
-        assert _json_text(lazy) == json.dumps(obj, indent=2)
+    @staticmethod
+    @functools.cache
+    def tables(n):
+        """(table, its plain value) pairs: matrix tables, among them an empty
+        one and a block triple's, and pair tables with and without cells."""
+        lat = PartitionLattice(n)
+        green = _exact(bs_green)(lat)
+        none = lambda i, j: None  # noqa: E731
+        pairs = [(_Table(M), list(_entries_payload(M)))
+                 for M in (RatMatrix(0), bs_triple(lat).L, kingman_block_triple(n + 1).R)]
+        pairs += [(_PairTable(lat, cell, per_key), _oracle_rows(lat, cell, per_key))
+                  for cell, per_key in ((green, True), (green, False), (none, True))]
+        return pairs
 
-    @pytest.mark.parametrize("obj", [[], {}, (), [[]], {"a": {}}, [{}, [], "x"]])
-    def test_empty_iterators(self, obj):
-        assert _json_text(_lazy(obj, lambda: True)) == json.dumps(obj, indent=2)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_hostile_text, _json_values), max_size=4,
+                    unique_by=lambda item: item[0]),
+           st.integers(1, 4), st.data())
+    def test_tables_at_every_position(self, items, n, data):
+        tables = st.sampled_from(self.tables(n))
+        (first, first_value), (second, second_value) = data.draw(st.tuples(tables, tables))
+        names = data.draw(st.lists(_hostile_text, min_size=2, max_size=2, unique=True).filter(
+            lambda names: not {key for key, _ in items} & set(names)))
+
+        def payload(a, b, x, y):  # x before items[a], y before items[b]
+            return dict([*items[:a], (names[0], x), *items[a:b], (names[1], y), *items[b:]])
+
+        for a in range(len(items) + 1):
+            for b in range(a, len(items) + 1):
+                want = json.dumps(payload(a, b, first_value, second_value), indent=2)
+                assert _json_text(payload(a, b, first, second)) == want
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("command", [
@@ -823,8 +831,9 @@ class TestPairTables:
             return _escape(text)
 
         monkeypatch.setattr(cli, "_escape", escape)
-        _json_text(_PairTable(lat, counted, True))
-        assert calls == {"cell": len(keys), "escape": len(lat) + len(keys)}
+        _json_text({"rows": _PairTable(lat, counted, True)})
+        # the payload's key once, each name once, each cell once
+        assert calls == {"cell": len(keys), "escape": 1 + len(lat) + len(keys)}
         # without per_key, one cell per pair
         calls.clear()
         pairs = sum(len(js) for _, js, _ in _pair_rows(lat, counted, False))
