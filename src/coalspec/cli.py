@@ -26,7 +26,7 @@ lattice's names, ``simulate``'s records, ``verify``'s checks) is
 ``json.dumps(value, indent=2)``, written whole.  So peak memory is set by
 the matrices, or by the lattice and one row, not by the size of the
 tables: ``spectral --n 8 --model kingman`` peaks at about 26 MB and
-``green --n 8`` at about 20 MB, in 0.3 s (CPython 3.11, Linux x86-64).
+``green --n 8`` at about 20 MB, in 0.24 s (CPython 3.11, Linux x86-64).
 Every matrix, product and verification, and every check that can raise,
 finishes before the first byte is written, and --out is opened only then,
 so a failing command writes nothing.
