@@ -13,6 +13,7 @@ import textwrap
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -331,6 +332,35 @@ class TestJsonWriter:
             for b in range(a, len(items) + 1):
                 want = json.dumps(payload(a, b, first_value, second_value), indent=2)
                 assert _json_text(payload(a, b, first, second)) == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(_json_values, st.data())
+    def test_lazy_inputs_match_json_dumps(self, obj, data):
+        """The lazy inputs, tables read a row at a time, print the same bytes
+        at any batch size, next to plain values and to each other."""
+        tables = st.sampled_from(self.tables(data.draw(st.integers(1, 4))))
+        (first, first_value), (second, second_value) = data.draw(st.tuples(tables, tables))
+        batch = data.draw(st.integers(1, 400))
+        writes = []
+        with mock.patch.object(cli, "_BATCH_CHARS", batch):
+            _write_json({"a": obj, "t": first, "u": second, "b": obj}, writes.append)
+        want = {"a": obj, "t": first_value, "u": second_value, "b": obj}
+        assert "".join(writes) == json.dumps(want, indent=2) + "\n"
+        rows = [*first.json_rows("\n    "), *second.json_rows("\n    ")]
+        if any(len(text) >= batch for text in rows):
+            # a row as long as a batch is passed on by itself
+            assert len(writes) > 1
+
+    @pytest.mark.parametrize("obj", [[], {}, (), [[]], {"a": {}}, [{}, [], "x"]])
+    def test_empty_iterators(self, obj):
+        """Tables whose row iterators are empty, or yield only empty rows,
+        next to empty plain values."""
+        lat = PartitionLattice(1)
+        none = lambda i, j: None  # noqa: E731
+        table, pairs = _Table(RatMatrix(0)), _PairTable(lat, none, True)
+        want = {"v": obj, "t": list(_entries_payload(RatMatrix(0))),
+                "p": _oracle_rows(lat, none, True), "w": obj}
+        assert _json_text({"v": obj, "t": table, "p": pairs, "w": obj}) == json.dumps(want, indent=2)
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("command", [
