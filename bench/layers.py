@@ -2,8 +2,8 @@
 
 Run from anywhere, with the library's dependencies installed:
 
-    python bench/layers.py --out BENCH_39.json            # n = 6, 7 and 8
-    python bench/layers.py --n 4 --out /tmp/layers.json   # a quick check
+    python bench/layers.py --out BENCH_40.json            # n = 6, 7 and 8
+    python bench/layers.py --n 4 --out /tmp/layers.json   # a quicker check
 
 Each layer runs 3 times in this process, by a direct call, and its min and
 median are recorded, at each n:
@@ -30,17 +30,26 @@ median are recorded, at each n:
 - ``estimate_transition_bs_s``, ``estimate_transition_kingman_s``:
   ``estimate_transition`` at t = 1 with 20,000 replicates
 
+The block-counting chains have layers of their own, at n = 80 whatever
+``--n`` is: ``bs_block_triple_s`` and ``kingman_block_triple_s``, each
+triple built, and ``verify_triple_bs_s`` and ``verify_triple_kingman_s``,
+``verify_triple`` on each model's block generator and triple.
+
 Then the ``green``, ``transition --x 1/3``, ``spectral`` and ``verify``
-commands run at the largest n, each 3 times in a fresh process, with wall
-time and the peak RSS that ``wait4`` reports.  The output records Python, numpy, the core count, the
-BLAS thread count the commands run with and the git commit.  Standard library
-only (numpy is read from its installed metadata); pytest does not collect
-this file.
+commands run at the largest n, and ``spectral --block`` for both models at
+n = 80 and 200, each 3 times in a fresh process, with wall time and the
+peak RSS that ``wait4`` reports.  The output records Python, numpy, the core
+count, the BLAS thread count the commands run with, the git commit, whether
+the work tree differs from that commit (``dirty``, None outside a git
+checkout) and the sha256 of this script, so a file made with an edited
+script or library says so.  Standard library only (numpy is read from its
+installed metadata); pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -57,6 +66,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 REPEATS = 3
+BLOCK_N = 80  # the block-chains benchmark workload's size
 
 
 def summary(values: list[float]) -> dict[str, float]:
@@ -96,8 +106,11 @@ def cli_commands(n: int) -> list[dict]:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     results = []
+    # and n = 200, where CI bounds the BS command's peak RSS
+    block = [f"spectral --n {size} --block --model {model}"
+             for size in (BLOCK_N, 200) for model in ("bs", "kingman")]
     for argv in (f"green --n {n}", f"transition --n {n} --x 1/3", f"spectral --n {n}",
-                 f"verify --n-max {max(n, 2)}"):
+                 f"verify --n-max {max(n, 2)}", *block):
         walls, peaks = [], []
         for _ in range(REPEATS):
             run = subprocess.run(
@@ -188,13 +201,40 @@ def layers(n: int) -> dict:
     return out
 
 
-def commit() -> str | None:
+def block_layers() -> dict:
+    """The block-counting triples and their verification at ``BLOCK_N``."""
+    from coalspec import (
+        bs_block_generator, bs_block_triple, kingman_block_generator, kingman_block_triple,
+        verify_triple,
+    )
+
+    out: dict = {"n": BLOCK_N}
+    for model, generator, triple in (("bs", bs_block_generator, bs_block_triple),
+                                     ("kingman", kingman_block_generator, kingman_block_triple)):
+        out[f"{model}_block_triple_s"] = timed(triple, lambda: (BLOCK_N,))
+        Q, t = generator(BLOCK_N), triple(BLOCK_N)
+        out[f"verify_triple_{model}_s"] = timed(verify_triple, lambda: (Q, t))
+    return out
+
+
+def git(*argv: str) -> str | None:
+    """The output of ``git argv`` in the checkout, None if it fails."""
     try:
-        run = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                             text=True, check=True)
+        run = subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True,
+                             check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
     return run.stdout.strip()
+
+
+def source() -> dict:
+    """The commit, whether the work tree differs from it, and this script's sha256."""
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": None if status is None else status != "",
+        "script_sha256": hashlib.sha256(Path(__file__).read_bytes()).hexdigest(),
+    }
 
 
 def main() -> int:
@@ -207,7 +247,7 @@ def main() -> int:
     except metadata.PackageNotFoundError:
         numpy = None
     report = {
-        "commit": commit(),
+        **source(),
         "environment": {
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
@@ -222,6 +262,7 @@ def main() -> int:
     }
     sys.path.insert(0, str(SRC))
     report["layers"] = {str(n): layers(n) for n in args.n}
+    report["block_layers"] = block_layers()
     text = json.dumps(report, indent=2) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -1,14 +1,25 @@
 """Exact combinatorial numbers used throughout the closed forms.
 
 Everything here is arbitrary-precision integer (or ``fractions.Fraction``)
-arithmetic.  The Stirling triangles and the factorials are memoized
-module-wide, so repeated queries after the first are dictionary or list
-lookups.
+arithmetic.  The factorials are memoized module-wide in one list.
+
+Each Stirling triangle T(i, j) = T(i-1, j-1) + w T(i-1, j), with w = i - 1
+for the first kind and w = j for the second, has two readers.
+``stirling_first`` and ``stirling_second`` answer one entry at a time from a
+module memo keyed (i, j), which a query fills only over the entries (a, c)
+that (i, j) depends on, those with c <= j and a - c <= i - j.  So {2000, 2}
+costs 4,000 entries and [1100, 1099] 2,200, where the whole rows up to
+theirs would hold 1.7 GB and 311 MB.  ``_stirling_rows`` steps whole rows,
+each made from the last as a list indexed by j, and keeps none: the
+block-counting BS triple reads row i, builds row i of R and L from it and
+drops it, so it leaves no triangle in memory.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from math import comb
+from typing import Iterator
 
 __all__ = [
     "stirling_first",
@@ -68,6 +79,17 @@ def _triangle(memo: dict, first: bool, i: int, j: int) -> int:
         if not pending:
             return v
         a, c = pending.pop()
+
+
+def _stirling_rows(first: bool) -> Iterator[list[int]]:
+    """Rows 1, 2, ... of the first or the second Stirling triangle, row i a
+    list of T(i, j) for j = 0..i, each made from the one before it."""
+    row = [1]
+    for i in count(1):
+        w = i - 1
+        row = [0, *[a + (w if first else j) * b
+                    for j, a, b in zip(count(1), row, [*row[1:], 0])]]
+        yield row
 
 
 def stirling_first(i: int, j: int) -> int:

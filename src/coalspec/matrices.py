@@ -28,10 +28,10 @@ Products have one kernel, ``_product_rows``: it yields each row of
 left · right accumulated in ints over one denominator, unreduced, on every
 row or on a given subset.  ``matmul`` reduces each such row with one
 multi-argument gcd, and ``_product_is(left, right, target, diag, rows)``
-decides left · right = target · diag(diag), on ``rows`` or on all rows, by
-comparing the rows as they come with target's stored rows, without forming
-a product matrix; ``spectral.verify_triple`` decides all three identities
-of a triple with it.
+decides left · right = target · diag(diag), or diag(diag) · target with
+``scale_rows``, on ``rows`` or on all rows, by comparing the rows as they
+come with target's stored rows, without forming a product matrix;
+``spectral.verify_triple`` decides every identity of a triple with it.
 
 ``TriMatrix`` ties a matrix to a ``PartitionLattice`` and carries generator
 and eigenvector matrices, whose support lies on pairs π ≤ ρ (upper triangular
@@ -355,26 +355,35 @@ def _within_order(
 
 def _product_is(
     left: RatMatrix, right: RatMatrix, target: RatMatrix, diag: Sequence[Fraction],
-    rows: Sequence[int] | None = None,
+    rows: Sequence[int] | None = None, scale_rows: bool = False,
 ) -> bool:
-    """True iff left · right = target · diag(diag) on ``rows`` (every row when
-    None), no product matrix formed.
+    """True iff left · right = target · diag(diag), or diag(diag) · target when
+    ``scale_rows``, on ``rows`` (every row when None), no product matrix formed.
 
     Each row of ``left._product_rows(right, rows)`` is compared, as it
     comes, with the stored row of target: entry j is acc[j] / scale on the
-    left and v diag[j] / d on the right, for target's row (d, cols, nums),
-    and the two are compared cross-multiplied.  A row of target among
-    ``rows`` that meets no product row must vanish under diag.  Sizes or the
-    diag length that disagree raise ``ValueError``.
+    left and v diag[j] / d on the right (v diag[i] / d when ``scale_rows``),
+    for target's row i (d, cols, nums), and the two are compared
+    cross-multiplied.  A row of target among ``rows`` that meets no product
+    row must vanish under diag.  Sizes or the diag length that disagree raise
+    ``ValueError``.
     """
     if not (left.size == right.size == target.size == len(diag)):
         raise ValueError("matrix sizes or diagonal length differ")
     # an int or a Fraction has its numerator and denominator already
     diag = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in diag]
     tops, bottoms = [x.numerator for x in diag], [x.denominator for x in diag]
+    ones = [1] * len(diag)
+    # target's row i is scaled by row_tops[i] / row_bottoms[i], its column j by
+    # tops[j] / bottoms[j]
+    if scale_rows:
+        row_tops, row_bottoms, tops, bottoms = tops, bottoms, ones, ones
+    else:
+        row_tops = row_bottoms = ones
     stored, met = target._rows, set()
     for i, scale, acc in left._product_rows(right, rows):
         d, cols, nums = stored.get(i, _EMPTY)
+        d, scale = d * row_bottoms[i], scale * row_tops[i]
         for j, v in zip(cols, nums):
             if acc.pop(j, 0) * d * bottoms[j] != scale * v * tops[j]:
                 return False
@@ -382,4 +391,5 @@ def _product_is(
             return False
         met.add(i)
     unmet = stored.keys() - met if rows is None else set(rows) - met
-    return all(not any(tops[j] for j in stored.get(i, _EMPTY)[1]) for i in unmet)
+    return all(not any(row_tops[i] * tops[j] for j in stored.get(i, _EMPTY)[1])
+               for i in unmet)

@@ -15,11 +15,24 @@ Kingman (diagonal -C(p, 2)):
 
 The Kingman entries are also proportional to the number of maximal chains in
 [π, ρ]; the test suite checks every entry against that route.  L is the
-exact inverse of R in all cases, with unit diagonals.  ``verify_triple``
-decides L R = I, Q R = R D and, only when L R != I, Q = R D L with one
-streamed kernel, ``matrices._product_is``, and forms no product matrix; it
-reports R L = I from L R, since for square exact matrices one identity
-implies the other.
+exact inverse of R in all cases, with unit diagonals.
+
+``verify_triple`` decides every identity with one streamed kernel,
+``matrices._product_is``, and forms no product matrix.  It reads Q R = R D
+first.  If that holds, the support holds, R and L have unit diagonals and
+D_i != D_j on every comparable pair i != j, it reads L Q = D L, which then
+holds iff L R = I.  Given both equations,
+D_i (L R)_ij = (L Q R)_ij = (L R)_ij D_j, so (L R)_ij = 0 on comparable
+pairs i != j; the support puts every other entry off the diagonal of L R
+at 0, and makes (L R)_ii = L_ii R_ii = 1.  Conversely L R = I makes
+L = R^-1 and L Q = L R D L = D L.  On a keyed lattice (below) D is a
+function of the block count and any two block counts meet on a comparable
+pair, so the condition reads: the n block-count eigenvalues are distinct;
+otherwise all of D must be.  When any of this fails, it reads L R = I
+itself.  Given L R = I, Q = R D L iff Q R = R D; otherwise it reads
+R D L = Q.  So a passing triple takes two products, Q R and L Q, and a
+failing one at most three.  R L = I is reported from L R = I, since for
+square exact matrices one implies the other.
 
 On the lattice each product is decided on n rows, one per block count, by
 this lemma.  Call a matrix M keyed when M(π, ρ) = 0 unless π ≤ ρ, and
@@ -28,10 +41,11 @@ If A and B are keyed, so is A B: (A B)(π, σ) sums A(π, ρ) B(ρ, σ) over
 [π, σ] ≅ ∏_B P(m_B), and an isomorphism between two such intervals with
 equal sorted sizes matches the blocks B of equal m_B, so it maps the pairs
 (π, ρ) and (ρ, σ) to pairs with the same sorted sizes.  The identity is
-keyed, and so is R D when D(ρ) depends only on |ρ|.  Two keyed matrices
-agree as soon as they agree on the first row with p blocks, for each p:
-every row with p blocks meets the same pair keys, one per grouping of its
-p blocks, so that row meets every key an entry of such a row can have.
+keyed, and so are R D and D L when D(π) depends only on |π|.  Two keyed
+matrices agree as soon as they agree on the first row with p blocks, for
+each p: every row with p blocks meets the same pair keys, one per grouping
+of its p blocks, so that row meets every key an entry of such a row can
+have.
 The support check (``matrices._within_order``) certifies Q, R, L and D
 keyed, zeros included, over the rows that check their support; without the
 certificate (block triples, hand-built or broken matrices) every row is
@@ -47,17 +61,20 @@ model has one entry function of (p, r) and its weights, and one builder fills
 all four triples.  A model gives it that function and one function of a row's
 block count b: the eigenvalue and the R and L row denominators, (b-1)! for BS
 R and L, (2b-1)! for Kingman R and (2b-2)! for Kingman L.  The entry
-functions give integer numerators over those denominators.
+functions give integer numerators over those denominators.  The chain's
+keys carry the weights: row i of the BS triple is made from rows i of both
+Stirling triangles as ``combinatorics._stirling_rows`` makes them, and no
+triangle is kept.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import starmap
+from itertools import count, repeat, starmap
 from math import comb, gcd, prod
 
-from .combinatorics import _factorial, lah, stirling_first, stirling_second
+from .combinatorics import _factorial, _stirling_rows, lah
 from .matrices import RatMatrix, TriMatrix, _diagonal_counts, _product_is, _within_order
 from .partitions import PartitionLattice
 
@@ -207,13 +224,15 @@ def _on_lattice(lattice: PartitionLattice):
     return lattice._kept_rows(), partial(TriMatrix._from_columns, lattice)
 
 
-def _on_chain(n: int):
-    """(rows, build) on the block counts 1..n, keyed (i, j) for j <= i."""
+def _on_chain(n: int, *weights):
+    """(rows, build) on the block counts 1..n, keyed (i, j, *w) for j <= i:
+    row i of each iterable in ``weights`` holds its weights of (i, j) for
+    j = 1..i, and is read when row i is made."""
     if n < 1:
         raise ValueError("block triple needs n >= 1")
     rows = (
-        (i - 1, tuple(range(i)), tuple((i, j) for j in range(1, i + 1)))
-        for i in range(1, n + 1)
+        (i - 1, tuple(range(i)), tuple(zip(repeat(i), range(1, i + 1), *ws)))
+        for i, *ws in zip(range(1, n + 1), *weights)
     )
     return rows, partial(RatMatrix._from_columns, n)
 
@@ -272,8 +291,8 @@ def bs_block_triple(n: int) -> SpectralTriple:
     ((j-1)!/(i-1)!) {i, j} with Stirling numbers of the first and second
     kind; eigenvalues 1 - i.
     """
-    entries = lambda i, j: _bs_entries(i, j, stirling_first(i, j), stirling_second(i, j))
-    return _lattice_triple(*_on_chain(n), _row_values(entries, _bs_row))
+    first, second = ((row[1:] for row in _stirling_rows(kind)) for kind in (True, False))
+    return _lattice_triple(*_on_chain(n, first, second), _row_values(_bs_entries, _bs_row))
 
 
 def kingman_block_triple(n: int) -> SpectralTriple:
@@ -282,8 +301,8 @@ def kingman_block_triple(n: int) -> SpectralTriple:
     r'(i, j) = ((2j-1)!/(i+j-1)!) L(i, j) and l'(i, j) = (-1)^(i-j)
     ((i+j-2)!/(2i-2)!) L(i, j) with Lah numbers; eigenvalues -C(i, 2).
     """
-    entries = lambda i, j: _kingman_entries(i, j, lah(i, j))
-    return _lattice_triple(*_on_chain(n), _row_values(entries, _kingman_row))
+    weights = (map(partial(lah, i), range(1, i + 1)) for i in count(1))
+    return _lattice_triple(*_on_chain(n, weights), _row_values(_kingman_entries, _kingman_row))
 
 
 def _support(triple: SpectralTriple, Q: RatMatrix) -> tuple[bool, tuple[int, ...] | None]:
@@ -300,12 +319,15 @@ def verify_triple(Q: RatMatrix, triple: SpectralTriple) -> VerificationReport:
     lattice keeps, the one they were built from (walked here if none is
     kept), any other Q has all three upper or all three lower triangular.
 
-    One kernel, ``_product_is``, decides all three identities a product row
-    at a time against stored rows, so no product matrix is formed, not even
-    on the fallback that decides Q = R D L when L R != I.  When the support
-    walk certifies that Q, R, L and D are keyed, the kernel reads only the
-    first row of each block count (see the module docstring); otherwise it
-    reads every row.
+    One kernel, ``_product_is``, decides every identity a product row at a
+    time against stored rows, so no product matrix is formed.  Q R = R D is
+    read first; L R = I is then read off L Q = D L when the support holds,
+    R and L have unit diagonals and D is distinct on comparable pairs (see
+    the module docstring), and from the L R product otherwise; Q = R D L is
+    Q R = R D given L R = I, and R D L = Q otherwise.  A passing triple takes
+    two products, a failing one at most three.  When the support walk
+    certifies that Q, R, L and D are keyed, the kernel reads only the first
+    row of each block count; otherwise it reads every row.
     """
     n = Q.size
     if n != triple.size:
@@ -313,12 +335,18 @@ def verify_triple(Q: RatMatrix, triple: SpectralTriple) -> VerificationReport:
     R, D, L = triple.R, triple.D, triple.L
     support, rows = _support(triple, Q)
     unit = _diagonal_counts(R).keys() | _diagonal_counts(L).keys() <= {1}
+    # a keyed D is a function of the block count, one per representative row
+    eigenvalues = D if rows is None else [D[i] for i in rows]
+    separated = len(set(eigenvalues)) == len(eigenvalues)
     ones = (1,) * n
-    # R and L are square and exact, so L R = I iff R L = I: one product decides both
-    inverse = _product_is(L, R, RatMatrix.identity(n), ones, rows)
-    # given L = R^-1, Q = R D L iff Q R = R D, the cheaper product
-    rdl = (_product_is(Q, R, R, D, rows) if inverse
-           else _product_is(R.scaled_cols(D), L, Q, ones, rows))
+    right = _product_is(Q, R, R, D, rows)
+    if right and support and unit and separated:
+        # then L Q = D L iff L R = I (module docstring), and L R = I iff R L = I
+        inverse = _product_is(L, Q, L, D, rows, scale_rows=True)
+    else:
+        inverse = _product_is(L, R, RatMatrix.identity(n), ones, rows)
+    # given L = R^-1, Q = R D L iff Q R = R D
+    rdl = right if inverse else _product_is(R.scaled_cols(D), L, Q, ones, rows)
     return VerificationReport(
         q_equals_rdl=rdl,
         lr_identity=inverse,

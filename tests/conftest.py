@@ -3,6 +3,8 @@ import pytest
 from coalspec import (
     PartitionLattice,
     RatMatrix,
+    TriMatrix,
+    VerificationReport,
     bs_rates,
     bs_triple,
     build_generator,
@@ -22,6 +24,27 @@ def rdl(triple):
 def is_identity(m):
     """Whether the ``RatMatrix`` m is the identity; a missing row is a zero row."""
     return m == RatMatrix.identity(m.size)
+
+
+def verify_by_products(Q, triple):
+    """``verify_triple``'s five flags from materialised products, L R first.
+
+    L R = I decides both inverse flags; given it, Q = R D L is read as
+    Q R = R D, and otherwise as R D L = Q.  On a lattice Q, R and L must lie
+    on its comparable pairs; otherwise all three are upper or all lower
+    triangular.  Unit diagonals are read entry by entry.
+    """
+    R, D, L = triple.R, triple.D, triple.L
+    inverse = is_identity(L.matmul(R))
+    rdl_holds = Q.matmul(R) == R.scaled_cols(D) if inverse else rdl(triple) == Q
+    mats = (Q, R, L)
+    if isinstance(Q, TriMatrix):
+        up = {i: set(js) for i, js, _ in Q.lattice.comparable_rows()}
+        support = all(j in up[i] for m in mats for i, j, _ in m.nonzeros())
+    else:
+        support = all(m.is_upper() for m in mats) or all(m.is_lower() for m in mats)
+    unit = all(m.get(i, i) == 1 for m in (R, L) for i in range(R.size))
+    return VerificationReport(rdl_holds, inverse, inverse, unit, support)
 
 
 def comparable_pairs(lattice):

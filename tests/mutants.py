@@ -122,7 +122,8 @@ MUTANTS = [
         "matrices.py",
         """\
     unmet = stored.keys() - met if rows is None else set(rows) - met
-    return all(not any(tops[j] for j in stored.get(i, _EMPTY)[1]) for i in unmet)
+    return all(not any(row_tops[i] * tops[j] for j in stored.get(i, _EMPTY)[1])
+               for i in unmet)
 """,
         """\
     return True
@@ -238,6 +239,48 @@ MUTANTS = [
         "for a, b in ((start, min(stop, _2_32)), (max(start, _2_32), stop))",
         "for a, b in ((start, stop),)",
         ["tests/test_simulate.py::TestLaneDraws::test_draws_across_two_to_the_32"],
+    ),
+    (
+        # _product_is reading diag(d) · C as C alone
+        "matrices.py",
+        "        d, scale = d * row_bottoms[i], scale * row_tops[i]\n",
+        "",
+        ["tests/test_matrices.py::TestProductIs"],
+    ),
+    (
+        # _run_lanes refilling a slot that an earlier lane of the step filled
+        "simulate.py",
+        """\
+                if table.succ[at] >= 0:  # filled by an earlier lane of this step
+                    continue
+""",
+        "",
+        ["tests/test_simulate.py::TestEstimateTransition::test_each_jump_filled_once"],
+    ),
+    (
+        # verify_triple reading L R = I off the eigen-equations with D not
+        # distinct on comparable pairs
+        "spectral.py",
+        "if right and support and unit and separated:",
+        "if right and support and unit:",
+        [
+            "tests/test_spectral.py::TestEigenEquations"
+            "::test_equal_eigenvalues_take_the_lr_fallback",
+        ],
+    ),
+    (
+        # verify_triple reading L R = I off the eigen-equations without unit diagonals
+        "spectral.py",
+        "if right and support and unit and separated:",
+        "if right and support and separated:",
+        ["tests/test_spectral.py::TestInverseProducts::test_lattice_flags"],
+    ),
+    (
+        # L Q compared with L D, target's columns scaled, not with D L
+        "spectral.py",
+        "inverse = _product_is(L, Q, L, D, rows, scale_rows=True)",
+        "inverse = _product_is(L, Q, L, D, rows)",
+        ["tests/test_spectral.py::TestKeyedProducts::test_model_triples_read_n_rows"],
     ),
     (
         # _check_cap that never raises

@@ -1,5 +1,6 @@
 """bench/layers.py runs and writes its schema; no timing is checked."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -16,12 +17,20 @@ LAYERS = [
     "estimate_transition_bs_s", "estimate_transition_kingman_s",
 ]
 
+BLOCK_LAYERS = [
+    "bs_block_triple_s", "kingman_block_triple_s", "verify_triple_bs_s",
+    "verify_triple_kingman_s",
+]
+
 
 def test_layers_at_n_4(tmp_path):
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(SCRIPT), "--n", "4", "--out", str(out)], check=True)
     report = json.loads(out.read_text())
-    assert set(report) == {"commit", "environment", "repeats", "cli", "layers"}
+    assert set(report) == {"commit", "dirty", "script_sha256", "environment", "repeats", "cli",
+                           "layers", "block_layers"}
+    assert report["dirty"] in (True, False, None)
+    assert report["script_sha256"] == hashlib.sha256(SCRIPT.read_bytes()).hexdigest()
     env = report["environment"]
     assert set(env) == {"python", "implementation", "platform", "numpy", "nproc", "blas_threads"}
     assert env["python"] == ".".join(map(str, sys.version_info[:3]))
@@ -29,6 +38,8 @@ def test_layers_at_n_4(tmp_path):
     assert report["repeats"] == 3
     assert [c["command"] for c in report["cli"]] == [
         "green --n 4", "transition --n 4 --x 1/3", "spectral --n 4", "verify --n-max 4",
+        *(f"spectral --n {n} --block --model {model}"
+          for n in (80, 200) for model in ("bs", "kingman")),
     ]
     for c in report["cli"]:
         assert 0 < c["wall_s"]["min"] <= c["wall_s"]["median"]
@@ -42,3 +53,7 @@ def test_layers_at_n_4(tmp_path):
     assert layers["keys"] == len({key for _, _, keys in lattice.comparable_rows() for key in keys})
     for name in LAYERS:
         assert 0 <= layers[name]["min"] <= layers[name]["median"], name
+    block = report["block_layers"]
+    assert set(block) == {"n", *BLOCK_LAYERS} and block["n"] == 80
+    for name in BLOCK_LAYERS:
+        assert 0 < block[name]["min"] <= block[name]["median"], name

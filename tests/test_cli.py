@@ -1172,6 +1172,11 @@ GOLDEN = [
      "751861215fa0ffca2aca06cd98b66e66406b4a5dabb801e461e20c4a41db162b"),
     ("hitting --n 6 --model kingman",
      "e3b625e8f4b460efb5e79d6c96dba48b2924907c1039e6e25516208578772aad"),
+    # the block-chains benchmark workload, whose digests these are too
+    ("spectral --n 80 --block",
+     "781ae7ebc98748e3e78a3acfc613f0e640ddff392d15383157c9b1d74af0be29"),
+    ("spectral --n 80 --block --model kingman",
+     "4bebe449e542959e06610c888fb4671ac65fbc6c1f24bf2016265c930400bd72"),
 ]
 
 

@@ -2,7 +2,8 @@
 
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+import random
+from itertools import islice, permutations
 from math import comb, factorial, prod
 
 import pytest
@@ -17,7 +18,8 @@ from coalspec import (
     stirling_first,
     stirling_second,
 )
-from coalspec.combinatorics import _factorial
+from coalspec import combinatorics
+from coalspec.combinatorics import _factorial, _stirling_rows
 
 
 def cycle_count(perm):
@@ -193,6 +195,66 @@ def test_deeper_than_the_recursion_limit():
     assert stirling_second(2000, 2) == 2**1999 - 1
     assert stirling_first(1100, 1099) == comb(1100, 2)
     assert stirling_first(1500, 1) == factorial(1499)
+
+
+def bell_triangle(n):
+    """Bell numbers B_0..B_n from Aitken's array: each row starts with the
+    last entry of the row before, and each entry adds the one above-left."""
+    bells, row = [1], [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+        bells.append(row[0])
+    return bells
+
+
+STIRLING_TOP = 200
+
+
+def stirling_queries(order):
+    """Every (i, j) with 0 <= j <= i <= STIRLING_TOP in the given order."""
+    queries = [(i, j) for i in range(STIRLING_TOP + 1) for j in range(i + 1)]
+    if order == "descending":
+        queries.reverse()
+    elif order == "shuffled":
+        random.Random(40).shuffle(queries)
+    return queries
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_stirling_rows_in_any_query_order(order, monkeypatch):
+    # each order starts from empty memos, so it is the first to fill them
+    monkeypatch.setattr(combinatorics, "_FIRST", {})
+    monkeypatch.setattr(combinatorics, "_SECOND", {})
+    first, second = {}, {}
+    for i, j in stirling_queries(order):
+        first[i, j], second[i, j] = stirling_first(i, j), stirling_second(i, j)
+    bells = bell_triangle(STIRLING_TOP)
+    for i in range(STIRLING_TOP + 1):
+        assert sum(first[i, j] for j in range(i + 1)) == factorial(i), i
+        assert sum(second[i, j] for j in range(i + 1)) == bells[i], i
+        if i >= 1:
+            assert first[i, 1] == factorial(i - 1), i
+        if i >= 2:
+            assert second[i, 2] == 2 ** (i - 1) - 1, i
+    # out of range: 0 above the diagonal and off column 0, 1 at (0, 0)
+    for i in (0, 1, 7, STIRLING_TOP):
+        for j in (i + 1, i + 5):
+            assert stirling_first(i, j) == stirling_second(i, j) == 0
+        assert stirling_first(i, 0) == stirling_second(i, 0) == (i == 0)
+    for f in (stirling_first, stirling_second):
+        for i, j in ((-1, 0), (0, -1), (3, -2), (-5, 2), (-1, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                f(i, j)
+
+
+def test_streamed_rows_are_the_memo_rows():
+    for first, entry in ((True, stirling_first), (False, stirling_second)):
+        rows = _stirling_rows(first)
+        for i, row in enumerate(islice(rows, STIRLING_TOP), 1):
+            assert row == [entry(i, j) for j in range(i + 1)], (first, i)
 
 
 def test_factorial_memo():

@@ -158,6 +158,9 @@ class TestProductIs:
         diag = eye.scaled_cols(d)
         assert _product_is(diag, eye, eye, d) and _product_is(eye, diag, eye, d)
         assert _product_is(a, eye, eye, d) == (a == diag)
+        # scale_rows: the target is diag(d) · C
+        assert _product_is(a, b, c, d, scale_rows=True) == (a.matmul(b) == diag.matmul(c))
+        assert _product_is(a, eye, eye, d, scale_rows=True) == (a == diag)
 
     @settings(max_examples=200, deadline=None)
     @given(product_cases(), st.data())
@@ -169,6 +172,10 @@ class TestProductIs:
             product.row(i) == target.row(i) for i in rows
         )
         assert _product_is(a, b, c, d, range(a.size)) == _product_is(a, b, c, d)
+        scaled = RatMatrix.identity(a.size).scaled_cols(d).matmul(c)
+        assert _product_is(a, b, c, d, rows, scale_rows=True) == all(
+            product.row(i) == scaled.row(i) for i in rows
+        )
 
     def test_sizes_must_agree(self):
         three, four = RatMatrix.identity(3), RatMatrix.identity(4)
@@ -184,6 +191,10 @@ class TestProductIs:
         c = from_entries(2, {(0, 0): F(2), (1, 1): F(5)})
         assert _product_is(a, RatMatrix.identity(2), c, (F(1, 2), 0))
         assert not _product_is(a, RatMatrix.identity(2), c, (F(1, 2), 1))
+        # scaled by rows, row 0 of C is 2 · 1/2 and row 1 vanishes under d[1] = 0
+        assert _product_is(a, RatMatrix.identity(2), c, (F(1, 2), 0), scale_rows=True)
+        assert not _product_is(a, RatMatrix.identity(2), c, (F(1, 2), 1), scale_rows=True)
+        assert not _product_is(a, RatMatrix.identity(2), c, (1, 0), scale_rows=True)
 
 
 class TestTripleProducts:

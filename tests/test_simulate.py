@@ -442,6 +442,21 @@ def run_bs_on(monkeypatch, runs, picks=None):
 
 
 class TestEstimateTransition:
+    @pytest.mark.parametrize("model", ["bs", "kingman"])
+    def test_each_jump_filled_once(self, model, monkeypatch):
+        # lanes of one step that draw the same unfilled jump fill its slot once:
+        # the model's rule runs once per (state, draw) of the run
+        calls = []
+        successor = simulate._JumpTable.successor
+
+        def counted(table, s, k):
+            calls.append((s, k))
+            return successor(table, s, k)
+
+        monkeypatch.setattr(simulate._JumpTable, "successor", counted)
+        estimate_transition(model, 5, 1.0, reps=2000, seed=3)
+        assert len(calls) == len(set(calls)) > 0
+
     def test_fractions_sum_to_one(self):
         est = estimate_transition("bs", 3, 0.4, reps=500, seed=7)
         assert sum((p for p, _ in est.values()), F(0)) == 1

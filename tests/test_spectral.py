@@ -1,6 +1,7 @@
 """Exact R D L factorizations on the lattice and for block counts."""
 
 import copy
+import itertools
 import pickle
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from coalspec import (
 from coalspec.cli import main
 from coalspec.matrices import _product_is, _within_order
 
-from conftest import is_identity, rdl
+from conftest import is_identity, rdl, verify_by_products
 
 F = Fraction
 
@@ -391,6 +392,7 @@ class TestInverseProducts:
         inverse, rdl = [], []
         for Q, t in cases:
             report = verify_triple(Q, t)
+            assert report == verify_by_products(Q, t)
             assert report.rl_identity == report.lr_identity
             assert report.rl_identity == is_identity(t.R.matmul(t.L))
             inverse.append(report.rl_identity)
@@ -430,8 +432,9 @@ class TestInverseProducts:
         for q, Q in generators.items():
             for name, t in triples.items():
                 fails = self.LATTICE_FAILS.get((q, name), {}).get(n, set())
-                report = verify_triple(Q, t).as_dict()
-                assert {k for k, ok in report.items() if not ok} == fails, (q, name)
+                report = verify_triple(Q, t)
+                assert report == verify_by_products(Q, t), (q, name)
+                assert {k for k, ok in report.as_dict().items() if not ok} == fails, (q, name)
 
     def test_block_flags(self):
         builds = {"bs": (bs_block_generator, bs_block_triple),
@@ -439,9 +442,11 @@ class TestInverseProducts:
         for n in range(1, 31):
             for q, (generator, _) in builds.items():
                 for name, (_, triple) in builds.items():
-                    report = verify_triple(generator(n), triple(n)).as_dict()
+                    Q, t = generator(n), triple(n)
+                    report, where = verify_triple(Q, t), (q, name, n)
+                    assert report == verify_by_products(Q, t), where
                     fails = self.RDL if q != name and n >= 3 else set()
-                    assert {k for k, ok in report.items() if not ok} == fails, (q, name, n)
+                    assert {k for k, ok in report.as_dict().items() if not ok} == fails, where
 
     def test_inverse_pair_skips_rdl(self, monkeypatch):
         """Once L R = I, Q = R D L is checked as Q R = R D, without R D L."""
@@ -456,32 +461,53 @@ class TestInverseProducts:
         assert verify_triple(kingman_block_generator(20), kingman_block_triple(20)).all_pass
 
     @pytest.mark.parametrize("block", [False, True])
-    def test_two_products(self, block, bs_generators, kingman_triples, monkeypatch):
-        # L R and Q R are each one pass of product rows; no product matrix is made
+    def test_two_products(self, block, monkeypatch):
+        # each product read is one pass of product rows, and no product matrix
+        # is made: Q R and L Q decide a passing triple, and a failing one takes
+        # at most one pass more
         passes, calls = [], []
         product_rows, matmul = RatMatrix._product_rows, RatMatrix.matmul
 
         def counted_rows(self, other, rows=None):
-            passes.append(1)
+            passes.append((self, other))
             return product_rows(self, other, rows)
 
         def counted(self, other):
             calls.append(1)
             return matmul(self, other)
 
-        monkeypatch.setattr(RatMatrix, "_product_rows", counted_rows)
-        monkeypatch.setattr(RatMatrix, "matmul", counted)
         if block:
-            Q, t = kingman_block_generator(8), kingman_block_triple(8)
+            n = 8
+            Q, wrong = bs_block_generator(n), kingman_block_generator(n)
+            t = bs_block_triple(n)
         else:
-            Q, t = bs_generators[5], kingman_triples[5]  # a failing pair
-        verify_triple(Q, t)
-        assert len(passes) == 2 and not calls
-        # the fallback once L R != I is one more pass, R D L still unformed
+            lat = PartitionLattice(5)
+            Q, wrong = build_generator(lat, bs_rates(5)), build_generator(lat, kingman_rates(5))
+            t = bs_triple(lat)
+
+        def read(Q, t):
+            passes.clear()
+            monkeypatch.setattr(RatMatrix, "_product_rows", counted_rows)
+            monkeypatch.setattr(RatMatrix, "matmul", counted)
+            report = verify_triple(Q, t)
+            monkeypatch.undo()
+            assert not calls
+            names = {id(Q): "Q", id(t.R): "R", id(t.L): "L"}
+            return report, ["".join(names.get(id(m), "RD") for m in pair) for pair in passes]
+
+        assert read(Q, t) == (verify_by_products(Q, t), ["QR", "LQ"])
+        assert verify_by_products(Q, t).all_pass
+        # the wrong model's generator fails Q R = R D, so L R is read
+        report, products = read(wrong, t)
+        assert products == ["QR", "LR"]
+        assert report == verify_by_products(wrong, t)
+        assert report.lr_identity and not report.q_equals_rdl
+        # once L R != I as well, Q = R D L is read as (R D) L
         t.L.set(0, 0, 2)
-        passes.clear()
-        assert not verify_triple(Q, t).lr_identity
-        assert len(passes) == 2 and not calls
+        report, products = read(wrong, t)
+        assert products == ["QR", "LR", "RDL"]
+        assert report == verify_by_products(wrong, t)
+        assert not (report.lr_identity or report.q_equals_rdl)
 
 
 def key_free_scaling(size):
@@ -650,6 +676,105 @@ class TestStreamedChecks:
                 assert not (inverse and right), where
                 seen += 1
         assert seen > 400
+
+
+class TestEigenEquations:
+    """``verify_triple`` reads L R = I off Q R = R D and L Q = D L when the
+    support holds, R and L have unit diagonals and D is distinct on every
+    comparable pair; on every triple here its flags are those of the L·R-first
+    oracle, ``verify_by_products``."""
+
+    @staticmethod
+    def bases():
+        """(label, (Q, R, D, L)) for each model triple: lattice n <= 5, block n <= 12."""
+        for n in range(1, 6):
+            lat = PartitionLattice(n)
+            for rates, triple in ((bs_rates, bs_triple), (kingman_rates, kingman_triple)):
+                t = triple(lat)
+                yield f"{triple.__name__} {n}", (build_generator(lat, rates(n)), t.R, t.D, t.L)
+        for n in range(1, 13):
+            for generator, triple in ((bs_block_generator, bs_block_triple),
+                                      (kingman_block_generator, kingman_block_triple)):
+                t = triple(n)
+                yield f"{triple.__name__} {n}", (generator(n), t.R, t.D, t.L)
+
+    @staticmethod
+    def places(Q, m):
+        """Entries of m to change: three on the diagonal, the first, middle
+        and last off it, both corners, and on a lattice a pair off the order."""
+        size = m.size
+        off = [(i, j) for i, j, _ in m.nonzeros() if i != j]
+        places = {(i, i) for i in (0, size // 2, size - 1)}
+        places |= {off[k] for k in {0, len(off) // 2, len(off) - 1}} if off else set()
+        places |= {(0, size - 1), (size - 1, 0)}
+        lattice = getattr(Q, "lattice", None)
+        if lattice is not None:
+            places |= set(itertools.islice(
+                ((i, j) for i in range(size) for j in range(i + 1, size)
+                 if not lattice[i].refines(lattice[j])), 1))
+        return sorted(places)
+
+    @classmethod
+    def perturbed(cls, Q, R, D, L):
+        """(name, Q, R, D, L) for each single-entry change of Q, R, L or D."""
+        for name, k in (("Q", 0), ("R", 1), ("L", 3)):
+            for i, j in cls.places(Q, (Q, R, D, L)[k]):
+                mats = list(copy.deepcopy((Q, R, D, L)))
+                mats[k].set(i, j, mats[k].get(i, j) + 1)
+                yield f"{name}{(i, j)} + 1", *mats
+        size = len(D)
+        for i in sorted({0, size // 2, size - 1}):
+            yield f"D[{i}] + 1", Q, R, D[:i] + (D[i] + 1,) + D[i + 1:], L
+        # the first and last states are comparable: D[0] = D[size - 1]
+        yield "D[0] = D[-1]", Q, R, (D[-1],) + D[1:], L
+
+    def test_single_entry_changes(self):
+        seen = 0
+        for label, base in self.bases():
+            for name, Q, R, D, L in [("unchanged", *base), *self.perturbed(*base)]:
+                t = SpectralTriple(R, D, L)
+                assert verify_triple(Q, t) == verify_by_products(Q, t), (label, name)
+                seen += 1
+        assert seen > 600
+
+    @staticmethod
+    def equal_eigenvalue_cases():
+        """(label, Q, triple, L R = I): c I, and R, D = c and L; R D L = Q
+        then holds when L R = I or c = 0."""
+        lat = PartitionLattice(4)
+        bs, km = bs_triple(lat), kingman_triple(lat)
+        n = 6
+        bs_block, km_block = bs_block_triple(n), kingman_block_triple(n)
+        for c in (0, -1):
+            scaled = TriMatrix(lat)
+            for i in range(len(lat)):
+                scaled.set(i, i, c)
+            block = RatMatrix.identity(n).scaled_cols([c] * n)
+            for label, Q, R, L, inverse in (("lattice, BS", scaled, bs.R, bs.L, True),
+                                            ("lattice, mixed", scaled, km.R, bs.L, False),
+                                            ("block, BS", block, bs_block.R, bs_block.L, True),
+                                            ("block, mixed", block, km_block.R, bs_block.L, False)):
+                yield f"{label}, c = {c}", Q, SpectralTriple(R, (F(c),) * Q.size, L), inverse
+
+    def test_equal_eigenvalues_take_the_lr_fallback(self, monkeypatch):
+        # Q = c I and D = c give Q R = R D and L Q = D L for any R and L, so
+        # those two cannot decide L R = I: L R is read
+        for label, Q, t, inverse in self.equal_eigenvalue_cases():
+            read = []
+            product_rows = RatMatrix._product_rows
+
+            def counted_rows(self, other, rows=None):
+                read.append((self, other))
+                return product_rows(self, other, rows)
+
+            monkeypatch.setattr(RatMatrix, "_product_rows", counted_rows)
+            report = verify_triple(Q, t)
+            monkeypatch.undo()
+            assert report == verify_by_products(Q, t), label
+            assert report.lr_identity == inverse, label
+            assert report.q_equals_rdl == (inverse or not Q.nnz()), label
+            assert report.unit_diagonals and report.triangular_support, label
+            assert any(a is t.L and b is t.R for a, b in read), label
 
 
 class TestSupportFlag:
