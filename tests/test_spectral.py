@@ -735,7 +735,7 @@ class TestEigenEquations:
                 t = SpectralTriple(R, D, L)
                 assert verify_triple(Q, t) == verify_by_products(Q, t), (label, name)
                 seen += 1
-        assert seen > 600
+        assert seen > 800
 
     @staticmethod
     def equal_eigenvalue_cases():
