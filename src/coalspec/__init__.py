@@ -7,17 +7,18 @@ everything against independent oracles and seeded Monte Carlo built on random
 recursive trees.
 
 ``import coalspec`` loads none of its modules.  Each public name is listed
-below with the module that defines it; the module is imported the first time
-one of its names (or the module itself, ``coalspec.spectral``) is read from
-the package, and the name is then bound here.  ``from coalspec import *``
-loads every module.
+once, in ``_EXPORTS`` below, with the module that defines it; each library
+module takes its ``__all__`` from its entry there.  The module is imported
+the first time one of its names (or the module itself, ``coalspec.spectral``)
+is read from the package, and the name is then bound here.
+``from coalspec import *`` loads every module.
 """
 
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# module -> the names it lends the package: each module's own __all__
+# module -> the public names it defines: the package's and the module's __all__
 _EXPORTS = {
     "combinatorics": (
         "stirling_first", "stirling_second", "lah", "bell", "ascending_factorial",

@@ -25,11 +25,9 @@ longer than that on its own.  Every other value (a header field, the
 lattice's names, ``simulate``'s records, ``verify``'s checks) is
 ``json.dumps(value, indent=2)``, written whole.  So peak memory is set by
 the matrices, or by the lattice and one row, not by the size of the
-tables: ``spectral --n 8 --model kingman`` peaks at about 26 MB and
-``green --n 8`` at about 20 MB, in 0.24 s (CPython 3.11, Linux x86-64).
-Every matrix, product and verification, and every check that can raise,
-finishes before the first byte is written, and --out is opened only then,
-so a failing command writes nothing.
+tables.  Every matrix, product and verification, and every check that can
+raise, finishes before the first byte is written, and --out is opened only
+then, so a failing command writes nothing.
 
 Each command imports the library modules it runs when it runs, so start-up
 pays only for them.  ``lattice`` loads ``partitions`` and ``combinatorics``;
@@ -39,7 +37,8 @@ numpy to those; ``simulate`` adds ``simulate`` and numpy to its model's
 ``transition --t``; ``qmatrix`` loads ``generator`` and ``matrices`` over
 ``lattice``, ``spectral`` those and ``spectral``; ``verify`` loads every
 module but ``simulate``, through ``coalspec._verify``.  No exact command
-loads numpy or ``dataclasses`` (which loads ``inspect``, ``ast`` and ``dis``).
+loads numpy, and no command loads ``dataclasses`` (which loads ``inspect``,
+``ast`` and ``dis``).
 
 Configuration precedence is flags over environment over defaults; the only
 environment knob of coalspec is COALSPEC_N_CAP, which bounds full-lattice
@@ -113,31 +112,9 @@ def _ratio_text(v: int, d: int) -> str:
     return f"{v // g}/{d // g}"
 
 
-def _entries_payload(mat: RatMatrix) -> Iterator[list]:
-    """Yield [i, j, "p/q"] per entry of ``mat.nonzeros()``, read off ``mat._entries()``.
-
-    A stored row holds its values over one denominator d > 0, so within a
-    run of rows that share d a value is its numerator, and each numerator is
-    formatted once per run: the cache is emptied whenever d changes.  Lattice
-    rows share their values (R and L take one per key) in a few long runs; a
-    block-counting row has a denominator and values of its own, so there the
-    cache holds one row's texts.
-    """
-    texts: dict[int, str] = {}
-    run = None
-    for i, j, v, d in mat._entries():
-        if d != run:
-            texts.clear()
-            run = d
-        text = texts.get(v)
-        if text is None:
-            text = texts[v] = _ratio_text(v, d)
-        yield [i, j, text]
-
-
 class _Table:
-    """The JSON list of ``_entries_payload(mat)``, written a stored row at a
-    time."""
+    """The JSON list of [i, j, "p/q"] per entry of ``mat.nonzeros()``, written
+    a stored row at a time."""
 
     __slots__ = ("mat",)
     brackets = "[]"
@@ -150,9 +127,13 @@ class _Table:
         prints them at indent ``inner``, joined by commas.
 
         An entry is its row's prefix, its column and the tail of its value
-        ("p/q" needs no escaping).  Tails are cached by numerator as
-        ``_entries_payload`` caches its texts, emptied when a row's
-        denominator differs from the row before.
+        ("p/q" needs no escaping).  A stored row holds its values over one
+        denominator d > 0, so within a run of rows that share d a value is
+        its numerator, and each numerator's tail is made once per run: the
+        cache is emptied whenever d changes.  Lattice rows share their values
+        (R and L take one per key) in a few long runs; a block-counting row
+        has a denominator and values of its own, so there the cache holds one
+        row's tails.
         """
         deep = inner + "  "
         tails: dict[int, str] = {}
@@ -325,7 +306,12 @@ def _generator(model: str, n: int, block: bool):
 def cmd_qmatrix(args) -> int:
     Q, order = _generator(args.model, args.n, args.block)
     if args.format == "csv":
-        _emit_csv(chain([["row", "col", "value"]], _entries_payload(Q)), args.out)
+        entries = (
+            [i, j, _ratio_text(v, d)]
+            for i, d, cols, nums in Q._row_entries()
+            for j, v in zip(cols, nums)
+        )
+        _emit_csv(chain([["row", "col", "value"]], entries), args.out)
     else:
         payload = {
             "model": args.model,
@@ -462,11 +448,12 @@ def cmd_simulate(args) -> int:
     args.t = _check_time(args.t)
     if args.seed < 0:
         raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
+    # load the exact law's modules first, then simulate with numpy: loaded
+    # after the replicates, they land above the replicates' freed memory and
+    # raise peak RSS (and loaded after numpy, a little above it)
+    _model(args.model, "transition") or _model(args.model, "triple")
     from .simulate import _estimate_transition
 
-    # load the exact law's modules before the replicates run: loaded after
-    # them, they land above the replicates' freed memory and raise peak RSS
-    _model(args.model, "transition") or _model(args.model, "triple")
     lattice, estimates = _estimate_transition(args.model, args.n, args.t, args.reps, args.seed)
     p, _ = _float_transition(args.model, lattice, args.t)
     records = []

@@ -21,13 +21,9 @@ from itertools import count
 from math import comb
 from typing import Iterator
 
-__all__ = [
-    "stirling_first",
-    "stirling_second",
-    "lah",
-    "bell",
-    "ascending_factorial",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["combinatorics"])
 
 _FIRST: dict[tuple[int, int], int] = {}
 _SECOND: dict[tuple[int, int], int] = {}

@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import factorial
 from typing import TYPE_CHECKING
 
+from . import _EXPORTS
 from .combinatorics import ascending_factorial, lah, stirling_first, stirling_second
 from .partitions import SetPartition, pair_key
 
@@ -39,15 +40,7 @@ if TYPE_CHECKING:
 
     from .spectral import SpectralTriple
 
-__all__ = [
-    "bs_transition",
-    "bs_transition_exact",
-    "bs_green",
-    "bs_hitting",
-    "bs_block_green",
-    "kingman_hitting",
-    "transition_via_triple",
-]
+__all__ = list(_EXPORTS["dynamics"])
 
 
 def _bs_polynomial(key, x, inv_x):

@@ -20,19 +20,12 @@ from itertools import compress
 from math import comb, factorial, lcm
 from typing import Mapping
 
+from . import _EXPORTS
 from .combinatorics import stirling_second
 from .matrices import RatMatrix, TriMatrix, _diagonal_counts, _over_lcm
 from .partitions import PartitionLattice
 
-__all__ = [
-    "RateTable",
-    "bs_rates",
-    "kingman_rates",
-    "build_generator",
-    "bs_block_generator",
-    "kingman_block_generator",
-    "characteristic_factorization",
-]
+__all__ = list(_EXPORTS["generator"])
 
 
 class RateTable:

@@ -14,15 +14,14 @@ triples) stream (i, d, cols, nums) rows, cols ascending, to
 row (a factorial in the block count, which the triples reduce first) and
 one numerator tuple shared by the rows of equal pair keys; the
 public ``from_rows`` takes {j: num} rows in any column order and sorts them
-into that form.  They go out in one form as well: ``_entries()`` yields
-(i, j, numerator, row denominator) in (i, j) order, ``_row_entries()`` the
-same a row at a time, ``nonzeros()`` turns them into ``Fraction``s, and the
-command line formats from them.  ``get`` (which bisects ``cols``), ``row``
-and ``row_sum`` build ``Fraction``s on request, and ``_diagonal_counts``
-reads a diagonal as a multiset with one ``Fraction`` per distinct value,
-not one per row.  ``to_float`` divides numerator by denominator in int true
-division, which is correctly rounded, so it gives the same bits as
-``float(Fraction)``.
+into that form.  They go out in one form as well: ``_row_entries()`` yields
+(i, d, cols, nums) per stored row, rows ascending, ``nonzeros()`` turns its
+entries into ``Fraction``s, and the command line formats from it.  ``get``
+(which bisects ``cols``), ``row`` and ``row_sum`` build ``Fraction``s on
+request, and ``_diagonal_counts`` reads a diagonal as a multiset with one
+``Fraction`` per distinct value, not one per row.  ``to_float`` divides
+numerator by denominator in int true division, which is correctly rounded,
+so it gives the same bits as ``float(Fraction)``.
 
 Products have one kernel, ``_product_rows``: it yields each row of
 left · right accumulated in ints over one denominator, unreduced, on every
@@ -52,12 +51,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from . import _EXPORTS
 from .partitions import PartitionLattice
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["RatMatrix", "TriMatrix"]
+__all__ = list(_EXPORTS["matrices"])
 
 _ZERO = Fraction(0)
 _EMPTY = (1, (), ())
@@ -168,23 +168,18 @@ class RatMatrix:
         k = bisect_left(cols, j)
         return Fraction(nums[k], d) if k < len(cols) and cols[k] == j else _ZERO
 
-    def _entries(self) -> Iterator[tuple[int, int, int, int]]:
-        """Yield (row, col, numerator, row denominator) sorted by (row, col)."""
-        for i, d, cols, nums in self._row_entries():
-            for j, v in zip(cols, nums):
-                yield i, j, v, d
-
     def _row_entries(self) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
         """Yield (row, row denominator, cols, numerators) per nonzero row,
-        rows ascending and cols ascending: ``_entries()`` a row at a time."""
+        rows ascending and cols ascending."""
         rows = self._rows
         for i in sorted(rows):
             yield i, *rows[i]
 
     def nonzeros(self) -> Iterator[tuple[int, int, Fraction]]:
         """Yield (row, col, value) sorted by (row, col)."""
-        for i, j, v, d in self._entries():
-            yield i, j, Fraction(v, d)
+        for i, d, cols, nums in self._row_entries():
+            for j, v in zip(cols, nums):
+                yield i, j, Fraction(v, d)
 
     def nnz(self) -> int:
         return sum(len(cols) for _, cols, _ in self._rows.values())

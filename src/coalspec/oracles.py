@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cache
 from math import inf, isfinite, ldexp
 
+from . import _EXPORTS
 from .generator import bs_rates, kingman_rates
 from .matrices import RatMatrix, TriMatrix, _over_lcm
 from .partitions import (
@@ -23,12 +24,7 @@ from .partitions import (
     pair_key,
 )
 
-__all__ = [
-    "matexp_series",
-    "fundamental_matrix",
-    "enumerate_maximal_chains",
-    "hitting_bruteforce",
-]
+__all__ = list(_EXPORTS["oracles"])
 
 _CHAIN_ENUM_CAP = 6
 

@@ -24,24 +24,10 @@ from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
+from . import _EXPORTS
 from .combinatorics import bell
 
-__all__ = [
-    "SetPartition",
-    "PartitionLattice",
-    "SizeLimitError",
-    "set_partitions",
-    "pair_key",
-    "restriction_sizes",
-    "coarsenings",
-    "merge_covers",
-    "pair_covers",
-    "interval",
-    "count_maximal_chains",
-    "lattice_cap",
-    "DEFAULT_N_CAP",
-    "ENV_N_CAP",
-]
+__all__ = list(_EXPORTS["partitions"])
 
 DEFAULT_N_CAP = 8
 ENV_N_CAP = "COALSPEC_N_CAP"
@@ -71,6 +57,40 @@ def _check_cap(n: int) -> None:
             f"P([{n}]) has at least bell({k}) = {bell(k)} elements, beyond the "
             f"cap {limit}; raise {ENV_N_CAP}"
         )
+
+
+class _Frozen:
+    """A frozen value of the fields ``__match_args__``, in that order, which
+    its constructor sets once: compared, hashed and shown by them, as
+    ``dataclass(frozen=True)`` makes such a class, and pickled and copied by
+    its ``__dict__`` as that class is, to the same bytes.  Assigning or
+    deleting an attribute raises ``AttributeError``.  The base of
+    ``spectral``'s triple and report and of ``simulate.Trajectory``; it lives
+    here as both modules import this one.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 # a partition as canonical block tuples: each block sorted, blocks by their minima

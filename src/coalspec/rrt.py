@@ -27,17 +27,10 @@ from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
+from . import _EXPORTS
 from .partitions import SetPartition, SizeLimitError, _owners, pair_key
 
-__all__ = [
-    "IncreasingTree",
-    "sample_rrt",
-    "enumerate_increasing_trees",
-    "cut_edge",
-    "cut_random",
-    "contains",
-    "count_trees_containing",
-]
+__all__ = list(_EXPORTS["rrt"])
 
 Block = tuple[int, ...]
 

@@ -58,34 +58,30 @@ and draw through ``Generator.integers`` (``_integers_below``).
 Estimators return exact empirical fractions (count/reps) so the estimated
 law sums to exactly 1, alongside float binomial standard errors
 sqrt(p(1-p)/reps).
+
+The module imports numpy when it loads: only Monte Carlo loads it, and all
+of it needs numpy.  ``Trajectory`` is a frozen value on ``partitions``'
+``_Frozen`` base, as ``SpectralTriple`` is.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, inf, log1p, sqrt
 from operator import index
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
-from .partitions import Blocks, PartitionLattice, SetPartition, _block_key, pair_key
+import numpy as np
 
-if TYPE_CHECKING:
-    import numpy as np
+from . import _EXPORTS
+from ._ziggurat import EXP_R, FE, KE, WE
+from .partitions import Blocks, PartitionLattice, SetPartition, _block_key, _Frozen, pair_key
 
-__all__ = [
-    "Trajectory",
-    "simulate_bs",
-    "simulate_kingman",
-    "estimate_transition",
-    "estimate_containment",
-    "replicate_rng",
-]
+__all__ = list(_EXPORTS["simulate"])
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Frozen):
     """One simulated path: jump times and the state per epoch.
 
     ``states`` has one more entry than ``times``; ``states[k]`` is the state
@@ -94,16 +90,16 @@ class Trajectory:
     jump.
     """
 
-    times: tuple[float, ...]
-    states: tuple[SetPartition, ...]
+    __match_args__ = ("times", "states")
 
-    def __post_init__(self):
-        if len(self.states) != len(self.times) + 1:
+    def __init__(self, times: tuple[float, ...], states: tuple[SetPartition, ...]) -> None:
+        if len(states) != len(times) + 1:
             raise ValueError("need exactly one state per epoch")
         prev = 0.0
-        for t, a, b in zip(self.times, self.states, self.states[1:]):
+        for t, a, b in zip(times, states, states[1:]):
             _check_jump(prev, t, a.blocks, b.blocks)
             prev = t
+        self.__dict__.update(times=times, states=states)
 
     def state_at(self, t: float) -> SetPartition:
         """The state occupied at time t (right-continuous)."""
@@ -142,8 +138,6 @@ def _check_time(prev: float, t: float) -> None:
 
 def replicate_rng(seed: int, i: int) -> np.random.Generator:
     """The documented per-replicate stream: PCG64 seeded from (seed, i)."""
-    import numpy as np
-
     return np.random.default_rng((seed, i))
 
 
@@ -186,8 +180,6 @@ def _generate_state(seed_words: list[int], i: np.ndarray) -> list[np.ndarray]:
     output words as uint32 arrays; every step acts elementwise on the batch,
     wrapping mod 2**32 as numpy's C code does.
     """
-    import numpy as np
-
     entropy = [np.full(len(i), w, dtype=np.uint32) for w in seed_words]
     entropy.append((i & np.uint64(_MASK32)).astype(np.uint32))
     if i[0] > _MASK32:
@@ -261,10 +253,6 @@ class _Lanes:
     """
 
     def __init__(self, seed_words: list[int], start: int, stop: int):
-        import numpy as np
-
-        from ._ziggurat import KE, WE
-
         pieces = [  # the indices below 2**32, then those above: one word count each
             _generate_state(seed_words, np.arange(a, b, dtype=np.uint64))
             for a, b in ((start, min(stop, _2_32)), (max(start, _2_32), stop))
@@ -302,8 +290,6 @@ class _Lanes:
         x mod 2**32 < (2**32 - m) mod m, and x >> 32 is returned.  m = 1 draws
         nothing.
         """
-        import numpy as np
-
         out = np.zeros(len(lanes), np.int64)
         m = m.astype(np.uint64)
         todo = np.flatnonzero(m > 1)
@@ -335,10 +321,6 @@ class _Lanes:
         again from the start.  ``exp`` and ``log1p`` are the libm calls numpy's
         C code makes.  Each draw is then multiplied by its scale.
         """
-        import numpy as np
-
-        from ._ziggurat import EXP_R, FE
-
         out = np.empty(len(lanes))
         todo = np.arange(len(lanes))  # the draws still to make
         while todo.size:
@@ -396,8 +378,6 @@ def _start_rows(lanes, bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
     Column c is one ``below`` draw on every lane with bound ``bounds[c]``, so
     a lane draws what ``below(m) for m in bounds`` draws on its Generator.
     """
-    import numpy as np
-
     every = np.arange(lanes.size)
     columns = [lanes.below(every, np.full(lanes.size, m)).tolist() for m in bounds]
     return list(zip(*columns)) if columns else [()] * lanes.size
@@ -547,8 +527,6 @@ def simulate_kingman(n: int, horizon: float | None, rng) -> Trajectory:
 
 def _grown(a, size: int, fill):
     """The array ``a`` extended to ``size`` entries with ``fill``."""
-    import numpy as np
-
     out = np.full(size, fill, a.dtype)
     out[:len(a)] = a
     return out
@@ -569,8 +547,6 @@ class _JumpTable:
     """
 
     def __init__(self, rule):
-        import numpy as np
-
         self.rule = rule
         self.ids: dict = {}  # keys[s] -> s
         self.keys: list = []
@@ -609,8 +585,6 @@ class _JumpTable:
 
         Each distinct start is made once a run.
         """
-        import numpy as np
-
         ids = self.start_ids
         for row in rows:
             if row not in ids:
@@ -643,8 +617,6 @@ def _estimate_transition(
     model: str, n: int, t: float, reps: int, seed: int
 ) -> tuple[PartitionLattice, dict[SetPartition, tuple[Fraction, float]]]:
     """``estimate_transition`` together with the P([n]) it was taken over."""
-    import numpy as np
-
     rule_type = _RULES.get(model)
     if rule_type is None:
         raise ValueError(f"unknown model {model!r}; use 'bs' or 'kingman'")
@@ -671,8 +643,6 @@ def _run_lanes(table: _JumpTable, lanes: _Lanes, t: float, checked: set):
     the lanes past t, draws their jumps and moves them by ``table.succ``,
     filling a slot the first time a lane takes it.
     """
-    import numpy as np
-
     ids = table.starts(_start_rows(lanes, table.rule.start_bounds))  # the live lanes' states
     live = np.arange(lanes.size)  # the lanes still moving
     prev = np.zeros(lanes.size)  # and their last jump times

@@ -74,51 +74,12 @@ from functools import cache, partial
 from itertools import count, repeat, starmap
 from math import comb, gcd, prod
 
+from . import _EXPORTS
 from .combinatorics import _factorial, _stirling_rows, lah
 from .matrices import RatMatrix, TriMatrix, _diagonal_counts, _product_is, _within_order
-from .partitions import PartitionLattice
+from .partitions import PartitionLattice, _Frozen
 
-__all__ = [
-    "SpectralTriple",
-    "VerificationReport",
-    "bs_triple",
-    "kingman_triple",
-    "bs_block_triple",
-    "kingman_block_triple",
-    "verify_triple",
-]
-
-
-class _Frozen:
-    """A frozen value of the fields ``__match_args__``, in that order, which
-    its constructor sets once: compared, hashed and shown by them, as
-    ``dataclass(frozen=True)`` makes such a class, and pickled and copied by
-    its ``__dict__`` as that class is, to the same bytes.  Assigning or
-    deleting an attribute raises ``AttributeError``.
-    """
-
-    __match_args__: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self._values()))
-        return f"{type(self).__qualname__}({fields})"
+__all__ = list(_EXPORTS["spectral"])
 
 
 class SpectralTriple(_Frozen):

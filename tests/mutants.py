@@ -6,12 +6,14 @@ Run from anywhere, with pytest (and what the suite imports) installed:
 
 Each row of ``MUTANTS`` names a file of ``src/coalspec``, an exact snippet of
 it, the snippet's replacement and the pytest selection that must catch the
-change.  The selections first run once on the unmutated source and must
-pass.  Then, for each row, ``src/`` is copied to a temporary directory, the
-snippet is replaced there, and ``pytest -x`` runs the selection against the
-copy; the mutant is killed when some test fails.  A snippet that does not
-occur exactly once is an error, so a refactor updates the table instead of
-losing the mutant.  Exits 1 if a mutant survives or a row is in error.
+change, and may add the interpreter flags pytest runs under (``("-O",)``
+for a check that must not be an ``assert``).  The selections first run once
+on the unmutated source, under each row's flags, and must pass.  Then, for
+each row, ``src/`` is copied to a temporary directory, the snippet is
+replaced there, and ``pytest -x`` runs the selection against the copy;
+the mutant is killed when some test fails.  A snippet that does not occur
+exactly once is an error, so a refactor updates the table instead of losing
+the mutant.  Exits 1 if a mutant survives or a row is in error.
 
 Standard library only; pytest does not collect this file, whose name does
 not start with ``test_``.
@@ -29,7 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (file under src/coalspec, exact snippet, replacement, pytest selection)
+# (file under src/coalspec, exact snippet, replacement, pytest selection[,
+# interpreter flags])
 MUTANTS = [
     (
         # the containment memo keyed on all but the last draw
@@ -295,13 +298,36 @@ MUTANTS = [
 """,
         ["tests/test_partitions.py::TestLattice::test_cap_env_override"],
     ),
+    (
+        # a library check written as an assert, which python -O strips: the
+        # estimator then fails later, on the lattice's own check and message
+        "simulate.py",
+        """\
+    if n < 1:
+        raise ValueError("need n >= 1")
+""",
+        """\
+    assert n >= 1, "need n >= 1"
+""",
+        ["tests/test_simulate.py::TestEstimateTransition::test_errors"],
+        ("-O",),
+    ),
+    (
+        # a public name dropped from the package's one list of names
+        "__init__.py",
+        '"stirling_first", "stirling_second", "lah", "bell", "ascending_factorial",',
+        '"stirling_first", "stirling_second", "lah", "ascending_factorial",',
+        ["tests/test_source.py::test_public_definitions_are_listed"],
+    ),
 ]
 
 
-def pytest(selection: list[str], src: Path) -> subprocess.CompletedProcess:
-    """``pytest -x`` on ``selection``, importing the library from ``src``."""
+def pytest(selection: list[str], src: Path, flags: tuple = ()) -> subprocess.CompletedProcess:
+    """``pytest -x`` on ``selection`` under the interpreter ``flags``,
+    importing the library from ``src``."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    argv = [sys.executable, *flags, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            *selection]
     return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
 
 
@@ -310,14 +336,18 @@ def tail(run: subprocess.CompletedProcess, lines: int = 15) -> str:
 
 
 def main() -> int:
-    selections = sorted({test for *_, selection in MUTANTS for test in selection})
-    run = pytest(selections, ROOT / "src")
-    if run.returncode != 0:
-        print(f"the selections fail on the unmutated source:\n{tail(run)}")
-        return 1
+    rows = [(*row, ()) if len(row) == 4 else row for row in MUTANTS]
+    selections: dict[tuple[str, ...], set[str]] = {}
+    for *_, selection, flags in rows:
+        selections.setdefault(flags, set()).update(selection)
+    for flags, tests in selections.items():
+        run = pytest(sorted(tests), ROOT / "src", flags)
+        if run.returncode != 0:
+            print(f"the selections fail on the unmutated source {flags}:\n{tail(run)}")
+            return 1
     bad = 0
-    for number, (name, snippet, replacement, selection) in enumerate(MUTANTS, 1):
-        label = f"mutant {number} ({name}, {' '.join(selection)})"
+    for number, (name, snippet, replacement, selection, flags) in enumerate(rows, 1):
+        label = f"mutant {number} ({name}, {' '.join([*flags, *selection])})"
         source = (ROOT / "src" / "coalspec" / name).read_text()
         if source.count(snippet) != 1:
             print(f"{label}: ERROR, the snippet occurs {source.count(snippet)} times, not once")
@@ -328,7 +358,7 @@ def main() -> int:
             shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
             (src / "coalspec" / name).write_text(source.replace(snippet, replacement))
             start = time.perf_counter()
-            run = pytest(selection, src)
+            run = pytest(selection, src, flags)
             seconds = time.perf_counter() - start
         if run.returncode == 1:  # pytest's code for failed tests
             print(f"{label}: killed in {seconds:.1f} s")

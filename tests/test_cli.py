@@ -44,7 +44,6 @@ from coalspec import (
 )
 from coalspec import cli
 from coalspec.cli import (
-    _entries_payload,
     _pair_rows,
     _PairTable,
     _ratio_text,
@@ -54,6 +53,11 @@ from coalspec.cli import (
     format_real,
     main,
 )
+
+
+def _entries(M):
+    """The oracle of a matrix table: [i, j, "p/q"] per entry, from ``Fraction``s."""
+    return [[i, j, format_rational(v)] for i, j, v in M.nonzeros()]
 
 
 def run(capsys, *argv):
@@ -142,14 +146,12 @@ class TestQmatrix:
 
 
 class TestEntriesPayload:
-    """The payload read off integer rows equals formatting every Fraction."""
+    """The table read off integer rows equals formatting every Fraction."""
 
     @staticmethod
     def check(M):
-        want = [[i, j, format_rational(v)] for i, j, v in M.nonzeros()]
-        assert list(_entries_payload(M)) == want
-        # the JSON writer's row-at-a-time table prints the same bytes
-        assert _json_text({"m": _Table(M)}) == json.dumps({"m": want}, indent=2)
+        # the JSON writer's row-at-a-time table prints the oracle's bytes
+        assert _json_text({"m": _Table(M)}) == json.dumps({"m": _entries(M)}, indent=2)
 
     def test_empty_matrices(self):
         for M in (RatMatrix(0), RatMatrix(3)):
@@ -165,7 +167,7 @@ class TestEntriesPayload:
         assert longest > cli._BATCH_CHARS
         assert longest in map(len, writes)
         assert len(writes) > 10 and max(map(len, writes)) <= cli._BATCH_CHARS + longest
-        want = list(_entries_payload(M))
+        want = _entries(M)
         assert "".join(writes) == json.dumps({"R": want, "L": want}, indent=2) + "\n"
 
     def test_lattice_triples_and_generators(self, lattices):
@@ -212,7 +214,7 @@ class TestTableTexts:
         want = format_rational(Fraction(v, d))
         assert _ratio_text(v, d) == want
         M = RatMatrix.from_rows(2, [(0, d, {0: v, 1: 1})])
-        assert list(_entries_payload(M))[0] == [0, 0, want]
+        assert _json_text({"m": _Table(M)}) == json.dumps({"m": _entries(M)}, indent=2)
 
     @staticmethod
     def tables():
@@ -233,13 +235,12 @@ class TestTableTexts:
         calls = []
         monkeypatch.setattr(cli, "_ratio_text", lambda v, d: calls.append((v, d)) or "x")
         for name, M in self.tables():
-            by_den = itertools.groupby(M._entries(), key=lambda e: e[3])
-            runs = [{e[2] for e in run} for _, run in by_den]
+            by_den = itertools.groupby(M._row_entries(), key=lambda row: row[1])
+            runs = [{v for *_, nums in run for v in nums} for _, run in by_den]
             want = sum(map(len, runs))
-            for write in (lambda: list(_entries_payload(M)), lambda: _json_text({"m": _Table(M)})):
-                calls.clear()
-                write()
-                assert len(calls) == want, name
+            calls.clear()
+            _json_text({"m": _Table(M)})
+            assert len(calls) == want, name
             if "block" in name:
                 # a run per row (Kingman R's first two rows are both over 1)
                 assert len(runs) >= M.size - 1, name
@@ -309,7 +310,7 @@ class TestJsonWriter:
         lat = PartitionLattice(n)
         green = _exact(bs_green)(lat)
         none = lambda i, j: None  # noqa: E731
-        pairs = [(_Table(M), list(_entries_payload(M)))
+        pairs = [(_Table(M), _entries(M))
                  for M in (RatMatrix(0), bs_triple(lat).L, kingman_block_triple(n + 1).R)]
         pairs += [(_PairTable(lat, cell, per_key), _oracle_rows(lat, cell, per_key))
                   for cell, per_key in ((green, True), (green, False), (none, True))]
@@ -358,7 +359,7 @@ class TestJsonWriter:
         lat = PartitionLattice(1)
         none = lambda i, j: None  # noqa: E731
         table, pairs = _Table(RatMatrix(0)), _PairTable(lat, none, True)
-        want = {"v": obj, "t": list(_entries_payload(RatMatrix(0))),
+        want = {"v": obj, "t": _entries(RatMatrix(0)),
                 "p": _oracle_rows(lat, none, True), "w": obj}
         assert _json_text({"v": obj, "t": table, "p": pairs, "w": obj}) == json.dumps(want, indent=2)
 
@@ -475,7 +476,8 @@ class TestBlasThreads:
 
 def test_each_command_loads_only_its_modules():
     """The package loads modules on first use, and each command what it runs;
-    no exact command loads numpy or ``dataclasses`` (with inspect, ast and dis)."""
+    no exact command loads numpy, and no command ``dataclasses`` (with
+    inspect, ast and dis)."""
     script = textwrap.dedent(
         """
         import contextlib, io, json, sys
@@ -507,6 +509,9 @@ def test_each_command_loads_only_its_modules():
         stages["spectral"] = loaded()
         quiet("verify", "--n-max", "3")
         stages["verify"] = loaded()
+        for model in ("bs", "kingman"):
+            quiet("simulate", "--n", "4", "--model", model, "--t", "1", "--reps", "20")
+        stages["simulate"] = loaded()
         try:
             coalspec.nope
         except AttributeError as exc:
@@ -522,11 +527,13 @@ def test_each_command_loads_only_its_modules():
     assert stages["pair formulas"] == ["cli", "combinatorics", "dynamics", "partitions"]
     assert not {"simulate", "rrt", "oracles"} & set(stages["spectral"])
     assert {"generator", "matrices", "spectral"} <= set(stages["spectral"])
-    assert "dataclasses" not in stages["spectral"]
     assert stages["verify"] == [
         "_verify", "cli", "combinatorics", "dynamics", "generator", "matrices",
         "oracles", "partitions", "rrt", "spectral",
     ]
+    assert {"simulate", "_ziggurat", "numpy"} <= set(stages["simulate"])
+    for stage, names in stages.items():
+        assert "dataclasses" not in names, stage
     assert stages["nope"] == "module 'coalspec' has no attribute 'nope'"
 
 
@@ -1126,6 +1133,16 @@ GOLDEN = [
      "ab90db8c535e8f7095354733e0dac71c7e944d1ee223867e3b4481c3ddccef36"),
     ("qmatrix --n 20 --block --model kingman --format csv",
      "b1ae35100465aa48e92fa4564efee930dec43c1ec9d85e31efbf39acd192154b"),
+    # the CSV entries of both models, read off the stored rows: lattice rows
+    # that share a denominator, and block rows each over their own
+    ("qmatrix --n 6 --format csv",
+     "7823d68ef7f3d3ad3655d1126ce6b005c3fd243eee49ebc97479568685a543c1"),
+    ("qmatrix --n 6 --model kingman --format csv",
+     "59e4444ce6741a009458e4756b8cdcab9833e7929c30f1ceaa10b83aa672a1b2"),
+    ("qmatrix --n 40 --block --format csv",
+     "3f6cf976fe237f35376b619ce4fdb55d123d637a2471eeff6d50bb9a321c392a"),
+    ("qmatrix --n 40 --block --model kingman --format csv",
+     "2fe95900ac0b27ed1580a885b2fde582a9754d3e1c605e88db056b0f014275dc"),
     ("spectral --n 5",
      "fadb5901b471db0b7ae29c6235cdf57d5af70161bb8e0c05bd3054f0778a42a4"),
     ("spectral --n 5 --model kingman",

@@ -1,6 +1,8 @@
 """Seeded Monte Carlo paths and estimators against the exact laws."""
 
+import copy
 import hashlib
+import pickle
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -40,11 +42,59 @@ def P(text):
 
 
 class TestTrajectory:
-    def test_state_lookup(self):
-        traj = Trajectory(
+    # path() pickled by protocols 0 to 5: the state is the instance dict,
+    # fields in order
+    PICKLES = (
+        b'ccopy_reg\n_reconstructor\np0\n(ccoalspec.simulate\nTrajectory\np1\nc__built'
+        b'in__\nobject\np2\nNtp3\nRp4\n(dp5\nVtimes\np6\n(F1.0\nF2.5\ntp7\nsVstates\np'
+        b'8\n(g0\n(ccoalspec.partitions\nSetPartition\np9\ng2\nNtp10\nRp11\n(lp12\n((I'
+        b'1\ntp13\n(I2\ntp14\n(I3\ntp15\ntp16\nabg0\n(g9\ng2\nNtp17\nRp18\n(lp19\n((I1'
+        b'\nI2\ntp20\n(I3\ntp21\ntp22\nabg0\n(g9\ng2\nNtp23\nRp24\n(lp25\n((I1\nI2\nI3'
+        b'\ntp26\ntp27\nabtp28\nsb.',
+        b'ccopy_reg\n_reconstructor\nq\x00(ccoalspec.simulate\nTrajectory\nq\x01c__bui'
+        b'ltin__\nobject\nq\x02Ntq\x03Rq\x04}q\x05(X\x05\x00\x00\x00timesq\x06(G?\xf0'
+        b'\x00\x00\x00\x00\x00\x00G@\x04\x00\x00\x00\x00\x00\x00tq\x07X\x06\x00\x00'
+        b'\x00statesq\x08(h\x00(ccoalspec.partitions\nSetPartition\nq\th\x02Ntq\nRq'
+        b'\x0b]q\x0c((K\x01tq\r(K\x02tq\x0e(K\x03tq\x0ftq\x10abh\x00(h\th\x02Ntq\x11Rq'
+        b'\x12]q\x13((K\x01K\x02tq\x14(K\x03tq\x15tq\x16abh\x00(h\th\x02Ntq\x17Rq\x18]'
+        b'q\x19((K\x01K\x02K\x03tq\x1atq\x1babtq\x1cub.',
+        b'\x80\x02ccoalspec.simulate\nTrajectory\nq\x00)\x81q\x01}q\x02(X\x05\x00\x00'
+        b'\x00timesq\x03G?\xf0\x00\x00\x00\x00\x00\x00G@\x04\x00\x00\x00\x00\x00\x00'
+        b'\x86q\x04X\x06\x00\x00\x00statesq\x05ccoalspec.partitions\nSetPartition\nq'
+        b'\x06)\x81q\x07]q\x08K\x01\x85q\tK\x02\x85q\nK\x03\x85q\x0b\x87q\x0cabh\x06)'
+        b'\x81q\r]q\x0eK\x01K\x02\x86q\x0fK\x03\x85q\x10\x86q\x11abh\x06)\x81q\x12]q'
+        b'\x13K\x01K\x02K\x03\x87q\x14\x85q\x15ab\x87q\x16ub.',
+        b'\x80\x03ccoalspec.simulate\nTrajectory\nq\x00)\x81q\x01}q\x02(X\x05\x00\x00'
+        b'\x00timesq\x03G?\xf0\x00\x00\x00\x00\x00\x00G@\x04\x00\x00\x00\x00\x00\x00'
+        b'\x86q\x04X\x06\x00\x00\x00statesq\x05ccoalspec.partitions\nSetPartition\nq'
+        b'\x06)\x81q\x07]q\x08K\x01\x85q\tK\x02\x85q\nK\x03\x85q\x0b\x87q\x0cabh\x06)'
+        b'\x81q\r]q\x0eK\x01K\x02\x86q\x0fK\x03\x85q\x10\x86q\x11abh\x06)\x81q\x12]q'
+        b'\x13K\x01K\x02K\x03\x87q\x14\x85q\x15ab\x87q\x16ub.',
+        b'\x80\x04\x95\xb7\x00\x00\x00\x00\x00\x00\x00\x8c\x11coalspec.simulate\x94'
+        b'\x8c\nTrajectory\x94\x93\x94)\x81\x94}\x94(\x8c\x05times\x94G?\xf0\x00\x00'
+        b'\x00\x00\x00\x00G@\x04\x00\x00\x00\x00\x00\x00\x86\x94\x8c\x06states\x94\x8c'
+        b'\x13coalspec.partitions\x94\x8c\x0cSetPartition\x94\x93\x94)\x81\x94]\x94K'
+        b'\x01\x85\x94K\x02\x85\x94K\x03\x85\x94\x87\x94abh\n)\x81\x94]\x94K\x01K\x02'
+        b'\x86\x94K\x03\x85\x94\x86\x94abh\n)\x81\x94]\x94K\x01K\x02K\x03\x87\x94\x85'
+        b'\x94ab\x87\x94ub.',
+        b'\x80\x05\x95\xb7\x00\x00\x00\x00\x00\x00\x00\x8c\x11coalspec.simulate\x94'
+        b'\x8c\nTrajectory\x94\x93\x94)\x81\x94}\x94(\x8c\x05times\x94G?\xf0\x00\x00'
+        b'\x00\x00\x00\x00G@\x04\x00\x00\x00\x00\x00\x00\x86\x94\x8c\x06states\x94\x8c'
+        b'\x13coalspec.partitions\x94\x8c\x0cSetPartition\x94\x93\x94)\x81\x94]\x94K'
+        b'\x01\x85\x94K\x02\x85\x94K\x03\x85\x94\x87\x94abh\n)\x81\x94]\x94K\x01K\x02'
+        b'\x86\x94K\x03\x85\x94\x86\x94abh\n)\x81\x94]\x94K\x01K\x02K\x03\x87\x94\x85'
+        b'\x94ab\x87\x94ub.',
+    )
+
+    @staticmethod
+    def path():
+        return Trajectory(
             times=(1.0, 2.5),
             states=(P("1|2|3"), P("1,2|3"), P("1,2,3")),
         )
+
+    def test_state_lookup(self):
+        traj = self.path()
         assert traj.state_at(0.0) == P("1|2|3")
         assert traj.state_at(0.99) == P("1|2|3")
         assert traj.state_at(1.0) == P("1,2|3")
@@ -57,6 +107,40 @@ class TestTrajectory:
         for t in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="time must be finite"):
                 traj.state_at(t)
+
+    def test_value(self):
+        traj = self.path()
+        assert repr(traj) == (
+            "Trajectory(times=(1.0, 2.5), states=(SetPartition('1|2|3'),"
+            " SetPartition('1,2|3'), SetPartition('1,2,3')))"
+        )
+        twin = Trajectory(states=traj.states, times=traj.times)
+        assert twin == traj and hash(twin) == hash(traj)
+        assert hash(traj) == hash((traj.times, traj.states))
+        assert traj != Trajectory((1.0,), (P("1|2|3"), P("1,2,3")))
+        assert traj.__eq__((traj.times, traj.states)) is NotImplemented
+        match traj:
+            case Trajectory(times, states):
+                assert (times, states) == ((1.0, 2.5), traj.states)
+
+    @pytest.mark.parametrize("field", ["times", "states", "other"])
+    def test_frozen(self, field):
+        traj = self.path()
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(traj, field, ())
+        if field != "other":
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(traj, field)
+        assert traj == self.path()
+
+    def test_pickle_bytes(self):
+        traj = self.path()
+        for protocol, data in enumerate(self.PICKLES):
+            assert pickle.dumps(traj, protocol) == data, protocol
+            assert pickle.loads(data) == traj
+        for twin in (copy.copy(traj), copy.deepcopy(traj)):
+            assert type(twin) is Trajectory and twin == traj
+            assert vars(twin) == vars(traj)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -20,20 +20,71 @@ def test_no_assert_statements():
     assert len(list(SOURCE.glob("*.py"))) >= 10
 
 
-def test_package_names_come_from_the_modules():
-    # every public library module but the command line lends its __all__ to
-    # the package, through the package's static name -> module table
+# the library modules that lend the package their public names
+LIBRARY = sorted(path.stem for path in SOURCE.glob("*.py")
+                 if not path.stem.startswith("_") and path.stem != "cli")
+
+
+def _module_tree(name: str) -> ast.Module:
+    path = SOURCE / f"{name}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_listed_names_are_defined_in_their_modules():
+    # _EXPORTS lists each public name once, under the module that defines it:
+    # a class or function made there, or a constant assigned at its top level
+    assert sorted(coalspec._EXPORTS) == LIBRARY
     names = {"__version__"}
-    for path in SOURCE.glob("*.py"):
-        if not path.stem.startswith("_") and path.stem != "cli":
-            module_names = importlib.import_module(f"coalspec.{path.stem}").__all__
-            assert coalspec._EXPORTS[path.stem] == tuple(module_names)
-            names |= set(module_names)
+    for name in LIBRARY:
+        module = importlib.import_module(f"coalspec.{name}")
+        assert module.__all__ == list(coalspec._EXPORTS[name])
+        assigned = set()
+        for node in _module_tree(name).body:
+            if isinstance(node, ast.Assign):
+                assigned |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                assigned.add(node.target.id)
+        for public in coalspec._EXPORTS[name]:
+            value = getattr(module, public)
+            if callable(value):
+                assert value.__module__ == module.__name__, (name, public)
+            else:
+                assert public in assigned, (name, public)
+            assert public not in names, public
+            names.add(public)
     assert set(coalspec.__all__) == names
     assert len(coalspec.__all__) == len(names)
     for name in coalspec.__all__:
         getattr(coalspec, name)
     assert {"lattice_cap", "ENV_N_CAP", "PartitionLattice"} <= names
+
+
+def test_public_definitions_are_listed():
+    # every top-level def or class of a library module whose name does not
+    # start with "_" is in the module's entry
+    missing = []
+    for name in LIBRARY:
+        for node in _module_tree(name).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in coalspec._EXPORTS[name]):
+                missing.append(f"{name}.{node.name}")
+    assert missing == []
+
+
+def test_only_cli_lists_its_names_literally():
+    # a module other than the command line takes its __all__ from _EXPORTS
+    literal = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    and isinstance(node.value, (ast.List, ast.Tuple))
+                    and all(isinstance(e, ast.Constant) for e in node.value.elts)):
+                literal.append(path.name)
+    assert literal == []
 
 
 def test_only_matrices_reads_exact_rows():
