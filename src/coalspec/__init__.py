@@ -59,6 +59,35 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = [*_MODULE_OF, "__version__"]
 
 
+# role -> (module, BS function, Kingman function), the one pairing of the two
+# models, read with _model; None: the model has no such function
+_MODELS = {
+    "rates": ("generator", "bs_rates", "kingman_rates"),
+    "block_generator": ("generator", "bs_block_generator", "kingman_block_generator"),
+    "triple": ("spectral", "bs_triple", "kingman_triple"),
+    "block_triple": ("spectral", "bs_block_triple", "kingman_block_triple"),
+    "hitting": ("dynamics", "bs_hitting", "kingman_hitting"),
+    "transition": ("dynamics", "bs_transition", None),
+    "transition_exact": ("dynamics", "bs_transition_exact", None),
+    "rule": ("simulate", "_BsRule", "_KingmanRule"),
+}
+_MODEL_NAMES = ("bs", "kingman")
+
+
+def _model(name: str, role: str):
+    """Model ``name``'s function for ``role``, or None where it has none.
+
+    The module is imported and the function read from it on every call, so
+    a caller loads only the modules it uses, and a replaced module attribute
+    (a tracer's wrapper, a test's counter) is the one called.
+    """
+    if name not in _MODEL_NAMES:
+        raise ValueError(f"unknown model {name!r}; use 'bs' or 'kingman'")
+    module, bs, kingman = _MODELS[role]
+    attr = bs if name == "bs" else kingman
+    return None if attr is None else getattr(_import_module(f"{__name__}.{module}"), attr)
+
+
 def __getattr__(name: str):
     if name in _EXPORTS:
         return _import_module(f"{__name__}.{name}")  # the import binds it here

@@ -1,24 +1,19 @@
 """The exact invariant suite behind ``coalspec verify``.
 
-Every closed form, oracle and builder the suite calls is read from this
-module's globals when it is called, so a test that replaces one of them here
-sees the replacement used.  Only the ``verify`` command imports this module,
-so no other command loads the oracles or the trees.
+Every closed form, oracle and builder the suite calls is read when it is
+called, a model's function from its module through ``coalspec._model`` and
+the rest from this module's globals, so a test that replaces one where it is
+read sees the replacement used.  Only the ``verify`` command imports this
+module, so no other command loads the oracles or the trees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _MODEL_NAMES, _model
 from .dynamics import bs_green, bs_hitting, bs_transition, kingman_hitting
-from .generator import (
-    bs_block_generator,
-    bs_rates,
-    build_generator,
-    characteristic_factorization,
-    kingman_block_generator,
-    kingman_rates,
-)
+from .generator import build_generator, characteristic_factorization
 from .oracles import (
     enumerate_maximal_chains,
     fundamental_matrix,
@@ -27,13 +22,7 @@ from .oracles import (
 )
 from .partitions import PartitionLattice, count_maximal_chains
 from .rrt import contains, count_trees_containing, enumerate_increasing_trees
-from .spectral import (
-    bs_block_triple,
-    bs_triple,
-    kingman_block_triple,
-    kingman_triple,
-    verify_triple,
-)
+from .spectral import verify_triple
 
 
 TOL = 1e-10  # how far the closed-form semigroup may sit from the series
@@ -43,18 +32,13 @@ def checks(n: int):
     """Yield (name, ok) pairs for the invariant suite at one n."""
     lattice = PartitionLattice(n)
     el = lattice.elements
-    models = (
-        ("bs", bs_rates, bs_triple, bs_block_generator, bs_block_triple),
-        ("kingman", kingman_rates, kingman_triple, kingman_block_generator,
-         kingman_block_triple),
-    )
-    for model, model_rates, triple_of, block_generator, block_triple in models:
-        rates = model_rates(n)
+    for model in _MODEL_NAMES:
+        rates = _model(model, "rates")(n)
         Q = build_generator(lattice, rates)
         yield f"{model}-row-sums-zero", all(
             Q.row_sum(i) == 0 for i in range(len(lattice))
         )
-        triple = triple_of(lattice)
+        triple = _model(model, "triple")(lattice)
         if model == "bs":
             Qbs, bsT = Q, triple
         report = verify_triple(Q, triple)
@@ -65,7 +49,7 @@ def checks(n: int):
         except ValueError:
             yield f"{model}-spectrum", False
         yield f"{model}-block-triple", verify_triple(
-            block_generator(n), block_triple(n)
+            _model(model, "block_generator")(n), _model(model, "block_triple")(n)
         ).all_pass
         # closed-form semigroup against the series exponential
         if model == "bs" and n <= 5:

@@ -33,15 +33,16 @@ raise, finishes before the first byte is written, and --out is opened only
 then, so a failing command writes nothing.
 
 Each command imports the library modules it runs when it runs, so start-up
-pays only for them.  ``lattice`` loads ``partitions`` and ``combinatorics``;
-``transition --x``, BS ``transition --t``, ``green`` and ``hitting`` add
-``dynamics``; Kingman ``transition --t`` adds ``spectral``, ``matrices`` and
-numpy to those; ``simulate`` adds ``simulate`` and numpy to its model's
-``transition --t``; ``qmatrix`` loads ``generator`` and ``matrices`` over
-``lattice``, ``spectral`` those and ``spectral``; ``verify`` loads every
-module but ``simulate``, through ``coalspec._verify``.  No exact command
-loads numpy, and no command loads ``dataclasses`` (which loads ``inspect``,
-``ast`` and ``dis``).
+pays only for them, and reads its model's functions from the package's table
+(``coalspec._MODELS``).  ``lattice`` loads ``partitions``; ``transition
+--x``, BS ``transition --t``, ``green`` and ``hitting`` add ``dynamics`` and
+``combinatorics``; Kingman ``transition --t`` adds ``spectral``,
+``matrices`` and numpy to those; ``simulate`` adds ``simulate`` and numpy to
+its model's ``transition --t``; ``qmatrix`` loads ``generator``,
+``matrices`` and ``combinatorics`` over ``lattice``, ``spectral`` those and
+``spectral``; ``verify`` loads every module but ``simulate``, through
+``coalspec._verify``.  No exact command loads numpy, and no command loads
+``dataclasses`` (which loads ``inspect``, ``ast`` and ``dis``).
 
 Configuration precedence is flags over environment over defaults; the only
 environment knob of coalspec is COALSPEC_N_CAP, which bounds full-lattice
@@ -59,12 +60,12 @@ import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from fractions import Fraction
-from importlib import import_module
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from math import gcd
 from typing import TYPE_CHECKING
 
+from . import _MODEL_NAMES, _model
 from .partitions import PartitionLattice, _check_cap
 
 if TYPE_CHECKING:
@@ -83,30 +84,6 @@ def format_rational(value) -> str:
 def format_real(x: float) -> str:
     """Serialize reals with 15 significant digits."""
     return f"{x:.15g}"
-
-
-# role -> (module, BS function, Kingman function); None: no closed form
-_MODELS = {
-    "rates": ("generator", "bs_rates", "kingman_rates"),
-    "block_generator": ("generator", "bs_block_generator", "kingman_block_generator"),
-    "triple": ("spectral", "bs_triple", "kingman_triple"),
-    "block_triple": ("spectral", "bs_block_triple", "kingman_block_triple"),
-    "hitting": ("dynamics", "bs_hitting", "kingman_hitting"),
-    "transition": ("dynamics", "bs_transition", None),
-}
-
-
-def _model(name: str, role: str):
-    """Model ``name``'s function for ``role``, or None without a closed form.
-
-    The module is imported and the function read from it on every call, so
-    a command loads only the modules it uses, and a replaced module
-    attribute (a tracer's wrapper, a test's counter) is the one called.
-    """
-    module_name, bs, kingman = _MODELS[role]
-    module = import_module(f".{module_name}", __package__)
-    attr = bs if name == "bs" else kingman
-    return None if attr is None else getattr(module, attr)
 
 
 def _ratio_text(v: int, d: int) -> str:
@@ -408,7 +385,8 @@ def cmd_transition(args) -> int:
         p, per_key = _float_transition(args.model, lattice, args.t)
         _emit_pair_rows(args, lattice, head, lambda i, j: format_real(p(i, j)), per_key)
         return 0
-    if args.model != "bs":
+    exact = _model(args.model, "transition_exact")
+    if exact is None:
         raise ValueError("exact evaluation at --x is available for --model bs only")
     try:
         x = Fraction(args.x)
@@ -418,10 +396,8 @@ def cmd_transition(args) -> int:
         raise ValueError(f"--x {args.x!r} is not a rational p/q") from None
     if not 0 < x <= 1:
         raise ValueError(f"--x {args.x!r} is not e^-t for a time t >= 0; use 0 < x <= 1")
-    from .dynamics import bs_transition_exact
-
     head = {"model": args.model, "n": args.n, "x": format_rational(x)}
-    return _exact_table(args, lattice, head, lambda pi, rho: bs_transition_exact(pi, rho, x))
+    return _exact_table(args, lattice, head, lambda pi, rho: exact(pi, rho, x))
 
 
 def _exact_table(args, lattice: PartitionLattice, head: dict, formula) -> int:
@@ -522,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, model=True):
         if model:
-            p.add_argument("--model", choices=["bs", "kingman"], default="bs")
+            p.add_argument("--model", choices=_MODEL_NAMES, default="bs")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="output path, '-' for stdout")

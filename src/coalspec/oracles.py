@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import inf, isfinite, ldexp
+from math import isfinite, ldexp
 
-from . import _EXPORTS
-from .generator import bs_rates, kingman_rates
+from . import _EXPORTS, _model
 from .matrices import RatMatrix, TriMatrix, _over_lcm
 from .partitions import (
     SetPartition,
@@ -27,16 +26,17 @@ from .partitions import (
 __all__ = list(_EXPORTS["oracles"])
 
 _CHAIN_ENUM_CAP = 6
+_SERIES_TOL = 1e-13  # the series stops at the first term of smaller norm
 
 
-def matexp_series(Q, t: float, tol: float = 1e-13) -> list[list[float]]:
+def matexp_series(Q, t: float) -> list[list[float]]:
     """e^(tQ) by scaling-and-squaring Taylor summation, in plain Python floats.
 
     Q is any square matrix given as rows of reals (nested lists, a numpy
     array); the result is a list of float rows.  Scales so the infinity norm
     of the scaled argument is below 1/2, sums the series until the term norm
-    drops below ``tol``, then squares back.  Every product runs over the
-    nonzeros of each row, so the sparse lattice generators stay cheap.
+    drops below ``_SERIES_TOL``, then squares back.  Every product runs over
+    the nonzeros of each row, so the sparse lattice generators stay cheap.
     """
     try:
         A = [[float(x) for x in row] for row in Q]
@@ -45,8 +45,6 @@ def matexp_series(Q, t: float, tol: float = 1e-13) -> list[list[float]]:
     dim = len(A)
     if any(len(row) != dim for row in A):
         raise ValueError("matexp needs a square matrix")
-    if not 0 < tol < inf:
-        raise ValueError("tolerance must be positive and finite")
     if not isfinite(t):
         raise ValueError("matexp needs a finite t")
     t = float(t)
@@ -69,7 +67,7 @@ def matexp_series(Q, t: float, tol: float = 1e-13) -> list[list[float]]:
         for x_row, row in zip(X, term):
             for j, v in row.items():
                 x_row[j] = x_row.get(j, 0.0) + v
-        if max((sum(map(abs, row.values())) for row in term), default=0.0) < tol:
+        if max((sum(map(abs, row.values())) for row in term), default=0.0) < _SERIES_TOL:
             break
         if k > 200:
             raise ArithmeticError("matrix exponential series failed to converge")
@@ -147,23 +145,23 @@ def hitting_bruteforce(model: str, pi: SetPartition, rho: SetPartition) -> Fract
     """Exact hitting probability by the memoized jump-chain recursion.
 
     h(σ, ·) = 1_σ + Σ_τ (λ(b, k) / λ_b) h(τ, ·) over the single mergers
-    σ → τ of k of b blocks, with the rates from the model's table (Kingman's
-    are 0 for k > 2); a state the chain cannot reach from π scores 0.  One
-    memo per model and ground-set size holds, for each state σ solved, h(σ, ρ)
-    for every ρ it can reach, so any call order solves each state once.  The
-    trade is a costly first call: it solves every state above π, which from
-    the singletons takes about half a second at n = 7.
+    σ → τ of k of b blocks, with the rates the package's model table
+    (``coalspec._model``) gives (Kingman's are 0 for k > 2); a state the chain
+    cannot reach from π scores 0.  One memo per model and ground-set size
+    holds, for each state σ solved, h(σ, ρ) for every ρ it can reach, so any
+    call order solves each state once.  The trade is a costly first call: it
+    solves every state above π, which from the singletons takes about half a
+    second at n = 7.
     """
-    if model not in ("bs", "kingman"):
-        raise ValueError(f"unknown model {model!r}; use 'bs' or 'kingman'")
+    h = _hitting_from(model, pi.n)  # ValueError for a model not in the table
     pair_key(pi, rho)  # ValueError when the ground sets differ
-    return _hitting_from(model, pi.n)(pi).get(rho, Fraction(0))
+    return h(pi).get(rho, Fraction(0))
 
 
 @cache
 def _hitting_from(model: str, n: int):
     """σ ↦ {ρ: h(σ, ρ)} over the states ρ reachable from σ, memoized over σ."""
-    rates = (bs_rates if model == "bs" else kingman_rates)(n)
+    rates = _model(model, "rates")(n)
     memo: dict[SetPartition, dict[SetPartition, Fraction]] = {}
 
     def h(sigma: SetPartition) -> dict[SetPartition, Fraction]:

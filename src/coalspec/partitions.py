@@ -25,7 +25,6 @@ from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from . import _EXPORTS
-from .combinatorics import bell
 
 __all__ = list(_EXPORTS["partitions"])
 
@@ -52,6 +51,8 @@ def _check_cap(n: int) -> None:
     """Raise SizeLimitError if P([n]) is beyond ``lattice_cap()``."""
     limit = lattice_cap()
     if n > limit:
+        from .combinatorics import bell  # here: a lattice needs no other module
+
         k = max(limit + 1, 0)  # bell(k) <= bell(n), at a cost that n does not set
         raise SizeLimitError(
             f"P([{n}]) has at least bell({k}) = {bell(k)} elements, beyond the "

@@ -11,14 +11,15 @@ makes the draws ``sample_rrt`` and ``cut_random`` make on an
 ``IncreasingTree``.  The Kingman path merges a uniform pair of blocks at rate
 C(b, 2).
 
-Each model's jump rule is written once, as a small object built per n
-(``_RULES``): ``start(draws)`` gives the first state's key and blocks from
-bounded draws made with the bounds ``start_bounds`` (the BS tree's parents;
-Kingman draws nothing); ``step(key, blocks, k)`` makes the jump draw k picks,
-by ``_bs_cut`` or ``_kingman_merge``; ``rate(b)`` is the total rate with b
-blocks.  Two consumers walk it.  ``simulate_bs``/``simulate_kingman`` step
-it directly and hold only the path, which ``Trajectory`` checks jump by
-jump with ``pair_key``'s pass on the block tuples.
+Each model's jump rule is written once, as a small object built per n (its
+``rule`` in ``coalspec._MODELS``, read per run): ``start(draws)`` gives the
+first state's key and blocks from bounded draws made with the bounds
+``start_bounds`` (the BS tree's parents; Kingman draws nothing);
+``step(key, blocks, k)`` makes the jump draw k picks, by ``_bs_cut`` or
+``_kingman_merge``; ``rate(b)`` is the total rate with b blocks.  Two
+consumers walk it.  ``simulate_bs``/``simulate_kingman`` step it directly
+and hold only the path, which ``Trajectory`` checks jump by jump with
+``pair_key``'s pass on the block tuples.
 
 ``estimate_transition`` makes the same draws in the same order, but steps a
 batch of replicates at a time in lockstep, one numpy array slot (a lane) per
@@ -74,7 +75,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from . import _EXPORTS
+from . import _EXPORTS, _model
 from ._ziggurat import EXP_R, FE, KE, WE
 from .partitions import Blocks, PartitionLattice, SetPartition, _block_key, _Frozen, pair_key
 
@@ -490,13 +491,10 @@ class _KingmanRule:
         return comb(b, 2)
 
 
-_RULES = {"bs": _BsRule, "kingman": _KingmanRule}
-
-
 def _simulate(model: str, n: int, horizon: float | None, rng) -> Trajectory:
     """A path of ``model`` from the singletons of [n]: its rule walked on ``rng``."""
     _check_run(n, horizon)
-    rule = _RULES[model](n)
+    rule = _model(model, "rule")(n)
     below = _integers_below(rng)
     key, blocks = rule.start([below(m) for m in rule.start_bounds])
     times: list[float] = []
@@ -617,9 +615,7 @@ def _estimate_transition(
     model: str, n: int, t: float, reps: int, seed: int
 ) -> tuple[PartitionLattice, dict[SetPartition, tuple[Fraction, float]]]:
     """``estimate_transition`` together with the P([n]) it was taken over."""
-    rule_type = _RULES.get(model)
-    if rule_type is None:
-        raise ValueError(f"unknown model {model!r}; use 'bs' or 'kingman'")
+    rule_type = _model(model, "rule")
     if reps < 1:
         raise ValueError("need at least one replicate")
     _check_run(n, t)

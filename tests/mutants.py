@@ -342,6 +342,23 @@ MUTANTS = [
         "        pass\n",
         ["tests/test_cli.py::test_closed_stdout_ends_the_command_quietly"],
     ),
+    (
+        # _model without its name check: an unknown model gets Kingman's functions
+        "__init__.py",
+        """\
+    if name not in _MODEL_NAMES:
+        raise ValueError(f"unknown model {name!r}; use 'bs' or 'kingman'")
+""",
+        "",
+        ["tests/test_source.py::test_unknown_model_is_one_error"],
+    ),
+    (
+        # the model table's jump rules swapped: each model walks the other's rule
+        "__init__.py",
+        '"rule": ("simulate", "_BsRule", "_KingmanRule"),',
+        '"rule": ("simulate", "_KingmanRule", "_BsRule"),',
+        ["tests/test_simulate.py::TestAgainstReferencePaths"],
+    ),
 ]
 
 

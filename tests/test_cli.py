@@ -542,8 +542,8 @@ def test_each_command_loads_only_its_modules():
     out = child(script)
     stages = json.loads(out)
     assert stages["import"] == []
-    assert stages["lattice"] == ["combinatorics", "partitions"]
-    assert stages["lattice command"] == ["cli", "combinatorics", "partitions"]
+    assert stages["lattice"] == ["partitions"]
+    assert stages["lattice command"] == ["cli", "partitions"]
     assert stages["pair formulas"] == ["cli", "combinatorics", "dynamics", "partitions"]
     assert not {"simulate", "rrt", "oracles"} & set(stages["spectral"])
     assert {"generator", "matrices", "spectral"} <= set(stages["spectral"])
@@ -985,18 +985,37 @@ class TestVerify:
 
     def test_builds_bs_triple_and_generators_once(self, monkeypatch):
         import coalspec._verify as suite
+        from coalspec import spectral
 
         calls = Counter()
-        for name in ("bs_triple", "build_generator"):
-            def counted(*args, _original=getattr(suite, name), _name=name):
+        for module, name in ((spectral, "bs_triple"), (suite, "build_generator")):
+            def counted(*args, _original=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(suite, name, counted)
+            monkeypatch.setattr(module, name, counted)
         checks = dict(suite.checks(4))
         assert "tree-containment" in checks and all(checks.values())
         # one BS triple and one generator per model, shared by the n <= 5 checks
         assert calls == {"bs_triple": 1, "build_generator": 2}
+
+    def test_model_functions_read_from_their_modules(self, capsys, monkeypatch):
+        # verify and spectral read a model's triple from its module when they
+        # run, so a replaced module attribute is the one both call
+        import coalspec._verify as suite
+        from coalspec import spectral
+
+        calls = []
+
+        def counted(lattice, _original=spectral.kingman_triple):
+            calls.append(lattice.n)
+            return _original(lattice)
+
+        monkeypatch.setattr(spectral, "kingman_triple", counted)
+        assert all(ok for _, ok in suite.checks(3))
+        assert calls == [3]
+        assert run_json(capsys, "spectral", "--n", "3", "--model", "kingman")["n"] == 3
+        assert calls == [3, 3]
 
     def test_bad_nmax(self, capsys):
         code, _, err = run(capsys, "verify", "--n-max", "1")

@@ -75,12 +75,6 @@ class TestMatexpSeries:
     def test_errors(self):
         with pytest.raises(ValueError):
             matexp_series(np.zeros((2, 3)), 1.0)
-        with pytest.raises(ValueError):
-            matexp_series(np.zeros((2, 2)), 1.0, tol=0.0)
-        # nan ran 200 terms into ArithmeticError; inf stopped after one term
-        for tol in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-                matexp_series(np.array([[-1.0, 1.0], [0.0, 0.0]]), 1.0, tol=tol)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t", [1e308, math.inf, -math.inf, math.nan])

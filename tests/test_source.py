@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import coalspec
 
 SOURCE = Path(coalspec.__file__).parent
@@ -101,3 +103,41 @@ def test_only_matrices_reads_exact_rows():
                     or isinstance(node, ast.alias) and node.name == "_EMPTY"):
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert found == []
+
+
+def test_model_table_resolves():
+    # each role names, per model, a callable its module defines, or None where
+    # the model has no such function
+    missing = set()
+    for role, (module_name, *attrs) in coalspec._MODELS.items():
+        module = importlib.import_module(f"coalspec.{module_name}")
+        for model, attr in zip(coalspec._MODEL_NAMES, attrs, strict=True):
+            value = coalspec._model(model, role)
+            if attr is None:
+                assert value is None, (role, model)
+                missing.add((role, model))
+                continue
+            assert callable(value) and value is getattr(module, attr), (role, model)
+            assert value.__module__ == module.__name__, (role, model)
+    assert coalspec._MODEL_NAMES == ("bs", "kingman")
+    assert missing == {("transition", "kingman"), ("transition_exact", "kingman")}
+
+
+def test_unknown_model_is_one_error(monkeypatch):
+    # the table's check is the only one: it raises before any lane is seeded
+    # or any pair is keyed
+    from coalspec import SetPartition, oracles, simulate
+
+    def never(*args):
+        raise AssertionError("ran before the model was checked")
+
+    monkeypatch.setattr(simulate, "_Lanes", never)
+    monkeypatch.setattr(oracles, "pair_key", never)
+    pi, rho = SetPartition.from_string("1|2"), SetPartition.from_string("1,2")
+    calls = [(coalspec._model, "moran", role) for role in coalspec._MODELS]
+    calls += [(simulate.estimate_transition, "moran", 3, 1.0, 10, 0),
+              (oracles.hitting_bruteforce, "moran", pi, rho)]
+    for call, *args in calls:
+        with pytest.raises(ValueError) as exc:
+            call(*args)
+        assert str(exc.value) == "unknown model 'moran'; use 'bs' or 'kingman'"
