@@ -53,12 +53,8 @@ def checks(n: int):
         ).all_pass
         # closed-form semigroup against the series exponential
         if model == "bs" and n <= 5:
-            size = len(lattice)
-            Q_float = [[0.0] * size for _ in range(size)]
-            for i, row in enumerate(Q_float):
-                for j, v in Q.row(i).items():
-                    row[j] = float(v)
-            P_series = matexp_series(Q_float, 1.0)
+            states = range(len(lattice))
+            P_series = matexp_series([[Q.get(i, j) for j in states] for i in states], 1.0)
             closed = {
                 (i, j): bs_transition(el[i], el[j], 1.0)
                 for i, js, _ in lattice._kept_rows() for j in js

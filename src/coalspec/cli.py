@@ -23,9 +23,9 @@ threads back.
 A JSON payload is a flat dict.  Its tables are written as they are
 produced: a matrix table is read off its computed matrix, and a pair table
 (``transition``, ``green``, ``hitting``) off the comparable-pair walk, a
-row at a time, and written in batches of about 16 Ki characters, a row
-longer than that on its own.  Every other value (a header field, the
-lattice's names, ``simulate``'s records, ``verify``'s checks) is
+row at a time, and each row is passed to the file object as it is made;
+the file object batches the writes.  Every other value (a header field,
+the lattice's names, ``simulate``'s records, ``verify``'s checks) is
 ``json.dumps(value, indent=2)``, written whole.  So peak memory is set by
 the matrices, or by the lattice and one row, not by the size of the
 tables.  Every matrix, product and verification, and every check that can
@@ -102,9 +102,9 @@ class _Table:
     def __init__(self, mat: RatMatrix):
         self.mat = mat
 
-    def json_rows(self, inner: str) -> Iterator[str]:
+    def json_rows(self) -> Iterator[str]:
         """Yield the text of each stored row's entries as ``json.dumps``
-        prints them at indent ``inner``, joined by commas.
+        prints them in a payload, at indent 4, joined by commas.
 
         An entry is its row's prefix, its column and the tail of its value
         ("p/q" needs no escaping).  A stored row holds its values over one
@@ -115,6 +115,7 @@ class _Table:
         has a denominator and values of its own, so there the cache holds one
         row's tails.
         """
+        inner = "\n    "
         deep = inner + "  "
         tails: dict[int, str] = {}
         run = None
@@ -169,14 +170,15 @@ class _PairTable:
         self.cell = cell
         self.per_key = per_key
 
-    def json_rows(self, inner: str) -> Iterator[str]:
+    def json_rows(self) -> Iterator[str]:
         """Yield the text of each source's item as ``json.dumps`` prints
-        it at indent ``inner``.
+        it in a payload, at indent 4.
 
         Each name is escaped once, and each cell where ``_pair_rows``
         computes it, so once per key.  A row is joined once: its source
         goes into its first item and its closing brace into its last.
         """
+        inner = "\n    "
         deep, close = inner + "  ", inner + "}"
         names = [_escape(p.to_string()) for p in self.lattice]
         cell = self.cell
@@ -195,50 +197,31 @@ class _PairTable:
             yield ",".join(items)
 
 
-_BATCH_CHARS = 1 << 14
-
-
 def _write_json(payload: dict, write) -> None:
     """Pass ``json.dumps(payload, indent=2)`` and a newline to ``write``.
 
     ``payload`` is a command's flat, non-empty dict with str keys.  A
-    ``_Table`` or ``_PairTable`` value is read once, a row at a time, and the
-    text is passed to ``write`` whenever it holds ``_BATCH_CHARS``
-    characters, so no write is longer than that plus the table's longest
-    row; a row longer than a batch is passed on as it is.  Every other value
-    is ``json.dumps(value, indent=2)`` with each line break indented two
-    spaces deeper, which is safe as json.dumps escapes a newline within a
-    string.
+    ``_Table`` or ``_PairTable`` value is read once, and each row's text is
+    passed to ``write``, after its separator, as soon as it is made; the file
+    object batches the writes.  Every other value is ``json.dumps(value,
+    indent=2)`` with each line break indented two spaces deeper, which is
+    safe as json.dumps escapes a newline within a string.
     """
-    out: list[str] = []
     lead = "{\n  "
     for key, value in payload.items():
-        out.append(f"{lead}{_escape(key)}: ")
+        write(f"{lead}{_escape(key)}: ")
         lead = ",\n  "
         if not isinstance(value, (_Table, _PairTable)):
-            out.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+            write(json.dumps(value, indent=2).replace("\n", "\n  "))
             continue
         opening, closing = value.brackets
-        size = sum(map(len, out))
         sep = opening
-        for text in value.json_rows("\n    "):
-            out.append(sep)
+        for text in value.json_rows():
+            write(sep)
+            write(text)
             sep = ","
-            if len(text) >= _BATCH_CHARS:
-                write("".join(out))
-                write(text)
-                out.clear()
-                size = 0
-                continue
-            out.append(text)
-            size += len(text) + 1
-            if size >= _BATCH_CHARS:
-                write("".join(out))
-                out.clear()
-                size = 0
-        out.append("\n  " + closing if sep == "," else opening + closing)
-    out.append("\n}\n")
-    write("".join(out))
+        write("\n  " + closing if sep == "," else opening + closing)
+    write("\n}\n")
 
 
 @contextmanager

@@ -209,6 +209,28 @@ MUTANTS = [
         ["tests/test_cli.py::TestPairTables::test_json"],
     ),
     (
+        # _write_json holding a table's rows back until the table ends
+        "cli.py",
+        """\
+        for text in value.json_rows():
+            write(sep)
+            write(text)
+            sep = ","
+""",
+        """\
+        held = []
+        for text in value.json_rows():
+            held += [sep, text]
+            sep = ","
+        for text in held:
+            write(text)
+""",
+        [
+            "tests/test_cli.py::TestEntriesPayload::test_each_row_written_as_it_is_made",
+            "tests/test_cli.py::TestPairTables::test_each_row_written_as_it_is_made",
+        ],
+    ),
+    (
         # _write_json leaving a plain value's lines at json.dumps' own indent
         "cli.py",
         '.replace("\\n", "\\n  ")',

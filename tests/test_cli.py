@@ -14,7 +14,6 @@ import textwrap
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -158,18 +157,15 @@ class TestEntriesPayload:
         for M in (RatMatrix(0), RatMatrix(3)):
             self.check(M)
 
-    def test_table_written_in_bounded_pieces(self):
-        writes = []
+    def test_each_row_written_as_it_is_made(self, monkeypatch):
         M = bs_triple(PartitionLattice(7)).R
-        _write_json({"R": _Table(M), "L": _Table(M)}, writes.append)
-        # the tables sit at indent 4; the first row (877 entries) is longer
-        # than a batch, and is written on its own
-        longest = max(map(len, _Table(M).json_rows("\n    ")))
-        assert longest > cli._BATCH_CHARS
-        assert longest in map(len, writes)
-        assert len(writes) > 10 and max(map(len, writes)) <= cli._BATCH_CHARS + longest
-        want = _entries(M)
-        assert "".join(writes) == json.dumps({"R": want, "L": want}, indent=2) + "\n"
+        made, writes = _streamed(monkeypatch, _Table, {"n": 7, "R": _Table(M)})
+        # each row is its own write, in order, passed on before the next is made
+        rows = set(made)
+        assert len(made) == len(rows) == 877
+        assert [(k, text) for k, text in writes if text in rows] == list(enumerate(made, 1))
+        want = {"n": 7, "R": _entries(M)}
+        assert "".join(text for _, text in writes) == json.dumps(want, indent=2) + "\n"
 
     def test_lattice_triples_and_generators(self, lattices):
         models = (
@@ -282,6 +278,22 @@ _json_values = st.recursive(
 )
 
 
+def _streamed(monkeypatch, table_class, payload: dict):
+    """The rows ``table_class.json_rows`` makes while ``_write_json`` prints
+    ``payload``, and the writes, each with the number of rows made by then."""
+    made, writes = [], []
+    json_rows = table_class.json_rows
+
+    def spied(self):
+        for text in json_rows(self):
+            made.append(text)
+            yield text
+
+    monkeypatch.setattr(table_class, "json_rows", spied)
+    _write_json(payload, lambda text: writes.append((len(made), text)))
+    return made, writes
+
+
 def _json_text(payload: dict) -> str:
     """The text the CLI's JSON writer prints for ``payload``, without its newline."""
     writes = []
@@ -339,19 +351,13 @@ class TestJsonWriter:
     @given(_json_values, st.data())
     def test_lazy_inputs_match_json_dumps(self, obj, data):
         """The lazy inputs, tables read a row at a time, print the same bytes
-        at any batch size, next to plain values and to each other."""
+        next to plain values and to each other."""
         tables = st.sampled_from(self.tables(data.draw(st.integers(1, 4))))
         (first, first_value), (second, second_value) = data.draw(st.tuples(tables, tables))
-        batch = data.draw(st.integers(1, 400))
         writes = []
-        with mock.patch.object(cli, "_BATCH_CHARS", batch):
-            _write_json({"a": obj, "t": first, "u": second, "b": obj}, writes.append)
+        _write_json({"a": obj, "t": first, "u": second, "b": obj}, writes.append)
         want = {"a": obj, "t": first_value, "u": second_value, "b": obj}
         assert "".join(writes) == json.dumps(want, indent=2) + "\n"
-        rows = [*first.json_rows("\n    "), *second.json_rows("\n    ")]
-        if any(len(text) >= batch for text in rows):
-            # a row as long as a batch is passed on by itself
-            assert len(writes) > 1
 
     @pytest.mark.parametrize("obj", [[], {}, (), [[]], {"a": {}}, [{}, [], "x"]])
     def test_empty_iterators(self, obj):
@@ -896,19 +902,17 @@ class TestPairTables:
         pairs = sum(len(js) for _, js, _ in _pair_rows(lat, counted, False))
         assert calls == {"cell": pairs} and pairs > len(keys)
 
-    def test_written_in_bounded_pieces(self):
+    def test_each_row_written_as_it_is_made(self, monkeypatch):
         lat = PartitionLattice(7)
         table = _PairTable(lat, _exact(bs_green)(lat), True)
-        writes = []
-        _write_json({"n": 7, "rows": table}, writes.append)
-        # the table sits at indent 4; its first row (877 targets) is longer
-        # than a batch, and is written on its own
-        longest = max(map(len, table.json_rows("\n    ")))
-        assert longest > cli._BATCH_CHARS
-        assert longest in map(len, writes)
-        assert len(writes) > 10 and max(map(len, writes)) <= cli._BATCH_CHARS + longest
-        rows = _oracle_rows(lat, _exact(bs_green)(lat), True)
-        assert "".join(writes) == json.dumps({"n": 7, "rows": rows}, indent=2) + "\n"
+        made, writes = _streamed(monkeypatch, _PairTable, {"n": 7, "rows": table})
+        # each source's row is its own write, in order, passed on before the
+        # next is made
+        rows = set(made)
+        assert len(made) == len(rows) == len(lat)
+        assert [(k, text) for k, text in writes if text in rows] == list(enumerate(made, 1))
+        want = {"n": 7, "rows": _oracle_rows(lat, _exact(bs_green)(lat), True)}
+        assert "".join(text for _, text in writes) == json.dumps(want, indent=2) + "\n"
 
 
 class TestSimulate:
