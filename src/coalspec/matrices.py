@@ -18,10 +18,8 @@ into that form.  They go out in one form as well: ``_row_entries()`` yields
 (i, d, cols, nums) per stored row, rows ascending, ``nonzeros()`` turns its
 entries into ``Fraction``s, and the command line formats from it.  ``get``
 (which bisects ``cols``), ``row`` and ``row_sum`` build ``Fraction``s on
-request, and ``_diagonal_counts`` reads a diagonal as a multiset with one
-``Fraction`` per distinct value, not one per row.  ``to_float`` divides
-numerator by denominator in int true division, which is correctly rounded,
-so it gives the same bits as ``float(Fraction)``.
+request, and ``to_float`` divides numerator by denominator in int true
+division, which is correctly rounded, as ``float(Fraction)`` is.
 
 Products have one kernel, ``_product_rows``: it yields each row of
 left · right accumulated in ints over one denominator, unreduced, on every
@@ -96,7 +94,8 @@ def _reduced(d: int, cols: tuple[int, ...], nums: tuple[int, ...]) -> _Row | Non
 
 
 class RatMatrix:
-    """Square sparse matrix of exact rationals, stored as reduced integer rows."""
+    """Square sparse matrix of exact rationals, stored as reduced integer rows: built
+    once, by the constructor, ``identity`` or ``from_rows``, and then only read."""
 
     __slots__ = ("size", "_rows")
 
@@ -150,17 +149,6 @@ class RatMatrix:
     def _check_index(self, i: int, j: int) -> None:
         if not (0 <= i < self.size and 0 <= j < self.size):
             raise IndexError(f"index ({i}, {j}) outside {self.size}x{self.size}")
-
-    def set(self, i: int, j: int, value) -> None:
-        """Set entry (i, j), re-reducing its row (O(row length) per call)."""
-        self._check_index(i, j)
-        row = self.row(i)
-        row[j] = Fraction(value)
-        self._rows.pop(i, None)
-        d, nums = _over_lcm(row)
-        reduced = _reduced(d, *_by_column(nums))
-        if reduced is not None:
-            self._rows[i] = reduced
 
     def get(self, i: int, j: int) -> Fraction:
         self._check_index(i, j)

@@ -83,10 +83,8 @@ __all__ = list(_EXPORTS["spectral"])
 
 
 class SpectralTriple(_Frozen):
-    """A factorization Q = R diag(D) L with L = R^-1, all entries exact.
-
-    Unhashable, as R and L are.
-    """
+    """A factorization Q = R diag(D) L with L = R^-1, all entries exact: unhashable,
+    as R and L are, and read-only, as no method of R or L changes an entry."""
 
     __match_args__ = ("R", "D", "L")
 

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
 from coalspec import (
@@ -45,6 +48,22 @@ def verify_by_products(Q, triple):
         support = all(m.is_upper() for m in mats) or all(m.is_lower() for m in mats)
     unit = all(m.get(i, i) == 1 for m in (R, L) for i in range(R.size))
     return VerificationReport(rdl_holds, inverse, inverse, unit, support)
+
+
+def with_entries(m, entries):
+    """A new matrix of m's class and shape (a ``TriMatrix`` keeps m's lattice)
+    with m's entries, entry (i, j) set to v for each ((i, j), v) of the dict
+    ``entries``; a v of 0 removes the entry.  Built from ``m.row(i)`` through
+    ``from_rows``, which checks the indices; m is left as it is."""
+    rows = {i: m.row(i) for i in range(m.size)}
+    for (i, j), v in entries.items():
+        rows.setdefault(i, {})[j] = Fraction(v)
+    shape = m.lattice if isinstance(m, TriMatrix) else m.size
+    return type(m).from_rows(shape, (
+        (i, d, {j: v.numerator * (d // v.denominator) for j, v in row.items()})
+        for i, row in rows.items()
+        for d in [lcm(*[v.denominator for v in row.values()])]
+    ))
 
 
 def comparable_pairs(lattice):

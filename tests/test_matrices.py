@@ -19,21 +19,18 @@ from coalspec import (
 )
 from coalspec.matrices import _diagonal_counts, _product_is, _within_order
 
-from conftest import is_identity
+from conftest import is_identity, with_entries
 
 F = Fraction
 
 
 def reference_matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Product by a plain Fraction loop over i, k, j."""
-    out = RatMatrix(a.size)
     sums: dict[tuple[int, int], Fraction] = {}
     for i, k, x in a.nonzeros():
         for j, y in b.row(k).items():
             sums[(i, j)] = sums.get((i, j), F(0)) + x * y
-    for (i, j), v in sums.items():
-        out.set(i, j, v)
-    return out
+    return with_entries(RatMatrix(a.size), sums)
 
 
 def assert_same_product(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -44,10 +41,7 @@ def assert_same_product(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 
 def from_entries(size: int, entries) -> RatMatrix:
-    m = RatMatrix(size)
-    for (i, j), v in entries.items():
-        m.set(i, j, v)
-    return m
+    return with_entries(RatMatrix(size), entries)
 
 
 # small, mixed and very large denominators, with signs
@@ -86,13 +80,12 @@ class TestMatmulAgainstReference:
         # A' = [A A] against B' = [B; -B]: every sum cancels exactly
         a, b = pair
         s = a.size
-        a2, b2 = RatMatrix(2 * s), RatMatrix(2 * s)
-        for i, k, v in a.nonzeros():
-            a2.set(i, k, v)
-            a2.set(i, k + s, v)
-        for k, j, v in b.nonzeros():
-            b2.set(k, j, v)
-            b2.set(k + s, j, -v)
+        a2 = with_entries(RatMatrix(2 * s), {
+            at: v for i, k, v in a.nonzeros() for at in ((i, k), (i, k + s))
+        })
+        b2 = with_entries(RatMatrix(2 * s), {
+            at: w for k, j, v in b.nonzeros() for at, w in (((k, j), v), ((k + s, j), -v))
+        })
         got = assert_same_product(a2, b2)
         assert got == RatMatrix(2 * s) and got.nnz() == 0
 
@@ -136,9 +129,7 @@ def product_cases(draw):
     if kind != "random":
         b, c = b.scaled_cols(d), a.matmul(b)
         if kind == "product plus dead columns":
-            for (i, j), v in draw(entries).items():
-                if not d[j]:
-                    c.set(i, j, v)
+            c = with_entries(c, {(i, j): v for (i, j), v in draw(entries).items() if not d[j]})
     return a, b, c, d
 
 
@@ -229,7 +220,7 @@ class TestDiagonalCounts:
         # no row has a diagonal entry: row 0's lies right of it, row 2's left
         m = RatMatrix.from_rows(3, [(0, 1, {1: 1}), (2, 1, {0: 1, 1: 1})])
         assert _diagonal_counts(m) == {F(0): 3}
-        m.set(1, 1, F(1, 2))
+        m = with_entries(m, {(1, 1): F(1, 2)})
         assert _diagonal_counts(m) == {F(0): 2, F(1, 2): 1}
 
     def test_equal_values_over_different_denominators_merge(self):
@@ -247,7 +238,7 @@ class TestWithinOrder:
         assert i < j and not lat[i].refines(lat[j])
         Q, zeros = build_generator(lat, bs_rates(4)), [0] * len(lat)
         assert _within_order(lat, (Q,), zeros)[0]
-        Q.set(i, j, F(1, 3))
+        Q = with_entries(Q, {(i, j): F(1, 3)})
         assert _within_order(lat, (Q,), zeros) == (False, None)
 
     def test_rejects_entry_below_diagonal(self, lattices):
@@ -255,10 +246,9 @@ class TestWithinOrder:
         fine = lat.index_of(SetPartition.from_string("1|2|3,4"))
         coarse = lat.index_of(SetPartition.from_string("1,2|3,4"))
         assert fine < coarse and lat[fine].refines(lat[coarse])
-        m = TriMatrix(lat)
-        m.set(fine, coarse, F(2))
+        m = with_entries(TriMatrix(lat), {(fine, coarse): F(2)})
         assert _within_order(lat, (m,), [0] * len(lat)) == (True, None)
-        m.set(coarse, fine, F(-1, 5))
+        m = with_entries(m, {(coarse, fine): F(-1, 5)})
         assert _within_order(lat, (m,), [0] * len(lat)) == (False, None)
 
     @staticmethod
@@ -291,13 +281,10 @@ class TestWithinOrder:
         }
         assert _within_order(lat, (Q,), D) == (True, self.firsts(lat))
         for name, (i, j, v) in cases.items():
-            broken = build_generator(lat, bs_rates(5))
-            broken.set(i, j, broken.get(i, j) + v)
+            broken = with_entries(Q, {(i, j): Q.get(i, j) + v})
             assert _within_order(lat, (broken,), D) == (True, None), name
         # a later row doubled keeps its numerators over half the denominator
-        doubled = build_generator(lat, bs_rates(5))
-        for j, v in Q.row(later).items():
-            doubled.set(later, j, 2 * v)
+        doubled = with_entries(Q, {(later, j): 2 * v for j, v in Q.row(later).items()})
         assert doubled._rows[later][1:] == Q._rows[later][1:]
         assert _within_order(lat, (doubled,), D) == (True, None)
         for i in (first, later):  # D moved on a first row and on a later row
@@ -341,16 +328,13 @@ class TestStorage:
         bulk = RatMatrix.from_rows(size, bulk_rows)
         # every entry first set to a decoy, then overwritten; one extra
         # entry set and then cleared again
-        edited = from_entries(size, {k: F(7, 3) for k in entries})
-        for (i, j), v in entries.items():
-            edited.set(i, j, v)
+        edited = with_entries(from_entries(size, {k: F(7, 3) for k in entries}), entries)
         spare = next(
             ((i, j) for i in range(size) for j in range(size) if (i, j) not in entries),
             None,
         )
         if spare is not None:
-            edited.set(*spare, F(-5, 11))
-            edited.set(*spare, 0)
+            edited = with_entries(with_entries(edited, {spare: F(-5, 11)}), {spare: 0})
         assert forward == backward == bulk == edited
         assert forward._rows == bulk._rows == edited._rows
         assert reference_entries(bulk) == entries
@@ -361,19 +345,6 @@ class TestStorage:
         )
         # (d, ascending columns, their numerators)
         assert m._rows == {0: (3, (0, 2), (1, -2)), 1: (2, (1,), (-1,))}
-        m.set(0, 0, F(1, 6))  # row 0 becomes 1/6, -2/3 over 6
-        assert m._rows[0] == (6, (0, 2), (1, -4))
-        m.set(0, 2, F(5, 6))  # 1/6, 5/6
-        assert m._rows[0] == (6, (0, 2), (1, 5))
-        m.set(0, 0, F(1, 2))  # 3/6, 5/6: no common factor yet
-        assert m._rows[0] == (6, (0, 2), (3, 5))
-        m.set(0, 2, F(1, 2))  # 3/6, 3/6 reduce to 1/2, 1/2
-        assert m._rows[0] == (2, (0, 2), (1, 1))
-        m.set(0, 1, F(-1, 3))  # a column between the two stored ones
-        assert m._rows[0] == (6, (0, 1, 2), (3, -2, 3))
-        m.set(0, 1, 0)
-        m.set(1, 1, 0)
-        assert m._rows == {0: (2, (0, 2), (1, 1))} and m.nnz() == 2
         assert all(type(x) is tuple for row in m._rows.values() for x in row[1:])
 
     @settings(max_examples=200, deadline=None)
@@ -425,6 +396,14 @@ class TestStorage:
         assert m.scaled_cols(diag) == from_entries(size, cols)
         assert reference_entries(m.scaled_cols(diag)) == cols
 
+    def test_public_members_only_read(self):
+        # built once and then only read: no public member changes an entry
+        public = lambda cls: {name for name in dir(cls) if not name.startswith("_")}
+        read_only = {"size", "identity", "from_rows", "get", "nonzeros", "nnz", "row",
+                     "row_sum", "matmul", "scaled_cols", "is_upper", "is_lower", "to_float"}
+        assert public(RatMatrix) == read_only
+        assert public(TriMatrix) == read_only | {"lattice"}
+
     def test_unhashable(self, lattices):
         # defining __eq__ leaves RatMatrix, and TriMatrix with it, unhashable
         for m in (RatMatrix.identity(3), TriMatrix(lattices[3])):
@@ -444,8 +423,6 @@ class TestStorage:
                 RatMatrix.from_rows(3, rows)
         with pytest.raises(IndexError, match=r"outside 0x0"):
             RatMatrix.from_rows(0, [(0, 1, {})])
-        with pytest.raises(IndexError, match=r"index \(0, 3\) outside 3x3"):
-            RatMatrix(3).set(0, 3, 1)
         with pytest.raises(IndexError, match=r"index \(0, 3\) outside 3x3"):
             RatMatrix.from_rows(3, [(0, 1, {3: 1})])
         with pytest.raises(ZeroDivisionError):

@@ -20,7 +20,7 @@ from coalspec import (
     transition_via_triple,
 )
 
-from conftest import comparable_pairs, is_identity
+from conftest import comparable_pairs, is_identity, with_entries
 
 F = Fraction
 
@@ -108,10 +108,9 @@ class TestFundamentalMatrix:
             for Q in (bs_generators[n], kingman_generators[n]):
                 m = len(lattices[n]) - 1
                 N = fundamental_matrix(Q)
-                U = RatMatrix(m)
-                for i, j, v in Q.nonzeros():
-                    if i < m and j < m:
-                        U.set(i, j, -v)
+                U = with_entries(RatMatrix(m), {
+                    (i, j): -v for i, j, v in Q.nonzeros() if i < m and j < m
+                })
                 assert is_identity(U.matmul(N))
 
     def test_row_sums_are_absorption_times(self, lattices, bs_generators):
@@ -126,12 +125,8 @@ class TestFundamentalMatrix:
             fundamental_matrix(Q)
 
     def test_rejects_active_absorbing_state(self, lattices, bs_generators):
-        lat = lattices[3]
-        Q = TriMatrix(lat)
-        for i, j, v in bs_generators[3].nonzeros():
-            Q.set(i, j, v)
-        top = len(lat) - 1
-        Q.set(top, top, F(-1))
+        top = len(lattices[3]) - 1
+        Q = with_entries(bs_generators[3], {(top, top): F(-1)})
         with pytest.raises(ValueError):
             fundamental_matrix(Q)
 

@@ -28,7 +28,7 @@ from coalspec import (
 from coalspec.cli import main
 from coalspec.matrices import _product_is, _within_order
 
-from conftest import is_identity, rdl, verify_by_products
+from conftest import is_identity, rdl, verify_by_products, with_entries
 
 F = Fraction
 
@@ -224,6 +224,34 @@ class TestTripleType:
         assert not rep.q_equals_rdl
         assert rep.lr_identity and rep.rl_identity
         assert not rep.all_pass
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_verified_triple_stays_verified(self, block):
+        # identity and from_rows, bound to the class, build new matrices; every
+        # other public method of R and L, called, leaves every entry and the
+        # report as verify_triple found them
+        if block:
+            Q, t = bs_block_generator(5), bs_block_triple(5)
+        else:
+            lat = PartitionLattice(4)
+            Q, t = build_generator(lat, bs_rates(4)), bs_triple(lat)
+        report, stored = verify_triple(Q, t), [dict(m._rows) for m in (t.R, t.L)]
+        for m in (t.R, t.L):
+            calls = {"get": (0, 0), "nonzeros": (), "nnz": (), "row": (0,), "row_sum": (0,),
+                     "matmul": (Q,), "scaled_cols": (t.D,), "is_upper": (), "is_lower": (),
+                     "to_float": ()}
+            methods = {name: getattr(m, name) for name in dir(m)
+                       if not name.startswith("_") and callable(getattr(m, name))}
+            builders = {name for name, f in methods.items()
+                        if getattr(f, "__self__", None) is type(m)}
+            assert builders == {"identity", "from_rows"}
+            assert methods.keys() - builders == set(calls)
+            for name, args in calls.items():
+                out = getattr(m, name)(*args)
+                if name == "nonzeros":
+                    list(out)
+        assert [dict(m._rows) for m in (t.R, t.L)] == stored
+        assert verify_triple(Q, t) == report and report.all_pass
 
 
 class TestValueClasses:
@@ -503,7 +531,7 @@ class TestInverseProducts:
         assert report == verify_by_products(wrong, t)
         assert report.lr_identity and not report.q_equals_rdl
         # once L R != I as well, Q = R D L is read as (R D) L
-        t.L.set(0, 0, 2)
+        t = SpectralTriple(t.R, t.D, with_entries(t.L, {(0, 0): 2}))
         report, products = read(wrong, t)
         assert products == ["QR", "LR", "RDL"]
         assert report == verify_by_products(wrong, t)
@@ -562,9 +590,7 @@ class TestKeyedProducts:
         Q, t = bs_generators[n], bs_triples[n]
         c, inverse = key_free_scaling(t.size)
         conj = [inverse.matmul(m).scaled_cols(c) for m in (Q, t.R, t.L)]
-        moved = TriMatrix(lattices[n])
-        for i, j, v in conj[0].nonzeros():
-            moved.set(i, j, v)
+        moved = with_entries(TriMatrix(lattices[n]), {(i, j): v for i, j, v in conj[0].nonzeros()})
         assert _within_order(lattices[n], (moved, *conj[1:]), t.D) == (True, None)
         report, read = self.product_rows_read(
             moved, SpectralTriple(conj[1], t.D, conj[2]), monkeypatch)
@@ -578,7 +604,7 @@ class TestStreamedChecks:
 
     @staticmethod
     def builds():
-        """(label, make) with make() a fresh (Q, R, D, L) to break."""
+        """(label, make) with make() the (Q, R, D, L) to break."""
         def lattice(n, rates, triple):
             lat = PartitionLattice(n)
             t = triple(lat)
@@ -608,20 +634,19 @@ class TestStreamedChecks:
 
     @staticmethod
     def breaks(Q, R, D, L):
-        """(name, apply) for each break that applies; apply edits the
-        matrices in place and returns the broken D."""
+        """(name, apply) for each break that applies; apply() returns the
+        broken (Q, R, D, L), new matrices in place of the changed ones."""
+        def changed(m, entries):
+            return lambda: tuple(with_entries(x, entries) if x is m else x for x in (Q, R, D, L))
+
         def bump(m, i, j):
-            def apply():
-                m.set(i, j, m.get(i, j) + 1)
-                return D
-            return apply
+            return changed(m, {(i, j): m.get(i, j) + 1})
 
         def empty_row(m, i):
-            def apply():
-                for j in m.row(i):
-                    m.set(i, j, 0)
-                return D
-            return apply
+            return changed(m, dict.fromkeys(((i, j) for j in m.row(i)), 0))
+
+        def moved_d(i):
+            return lambda: (Q, R, D[:i] + (D[i] + 1,) + D[i + 1:], L)
 
         # on a lattice, the last row of a block count is never the first
         lattice = getattr(Q, "lattice", None)
@@ -632,7 +657,7 @@ class TestStreamedChecks:
                 for name, m in (("Q", Q), ("R", R), ("L", L)):
                     j = max(m.row(i))
                     yield f"{name}{(i, j)} changed, {where}", bump(m, i, j)
-                yield f"D[{i}] changed, {where}", lambda i=i: D[:i] + (D[i] + 1,) + D[i + 1:]
+                yield f"D[{i}] changed, {where}", moved_d(i)
         off = [(i, j) for i, j, _ in R.nonzeros() if i != j]
         for k in {0, len(off) - 1} if off else ():
             yield f"R{off[k]} changed", bump(R, *off[k])
@@ -649,14 +674,13 @@ class TestStreamedChecks:
         # a row of L R that never comes up: L's last row meets only R's last row
         yield f"L row {L.size - 1} deleted", empty_row(L, L.size - 1)
         for i in {0, len(D) - 1}:
-            yield f"D[{i}] changed", lambda i=i: D[:i] + (D[i] + 1,) + D[i + 1:]
+            yield f"D[{i}] changed", moved_d(i)
 
     def test_flags_match_the_materialised_products(self):
         seen = 0
         for label, make in self.builds():
-            for name, _ in self.breaks(*make()):
-                Q, R, D, L = make()
-                D = dict(self.breaks(Q, R, D, L))[name]()
+            for name, apply in self.breaks(*make()):
+                Q, R, D, L = apply()
                 report = verify_triple(Q, SpectralTriple(R, D, L))
                 inverse = is_identity(L.matmul(R))
                 right = Q.matmul(R) == R.scaled_cols(D)
@@ -719,8 +743,8 @@ class TestEigenEquations:
         """(name, Q, R, D, L) for each single-entry change of Q, R, L or D."""
         for name, k in (("Q", 0), ("R", 1), ("L", 3)):
             for i, j in cls.places(Q, (Q, R, D, L)[k]):
-                mats = list(copy.deepcopy((Q, R, D, L)))
-                mats[k].set(i, j, mats[k].get(i, j) + 1)
+                mats = [Q, R, D, L]
+                mats[k] = with_entries(mats[k], {(i, j): mats[k].get(i, j) + 1})
                 yield f"{name}{(i, j)} + 1", *mats
         size = len(D)
         for i in sorted({0, size // 2, size - 1}):
@@ -746,9 +770,7 @@ class TestEigenEquations:
         n = 6
         bs_block, km_block = bs_block_triple(n), kingman_block_triple(n)
         for c in (0, -1):
-            scaled = TriMatrix(lat)
-            for i in range(len(lat)):
-                scaled.set(i, i, c)
+            scaled = with_entries(TriMatrix(lat), {(i, i): c for i in range(len(lat))})
             block = RatMatrix.identity(n).scaled_cols([c] * n)
             for label, Q, R, L, inverse in (("lattice, BS", scaled, bs.R, bs.L, True),
                                             ("lattice, mixed", scaled, km.R, bs.L, False),
@@ -806,13 +828,14 @@ class TestSupportFlag:
     def test_off_order_entry(self, lattices, which):
         Q, t, i, j = self.bs4_with_off_order_pair(lattices)
         assert verify_triple(Q, t).triangular_support
-        {"Q": Q, "R": t.R, "L": t.L}[which].set(i, j, F(1, 3))
-        assert not verify_triple(Q, t).triangular_support
+        mats = {"Q": Q, "R": t.R, "L": t.L}
+        mats[which] = with_entries(mats[which], {(i, j): F(1, 3)})
+        assert not verify_triple(mats["Q"], SpectralTriple(mats["R"], t.D, mats["L"])
+                                 ).triangular_support
 
     def test_off_order_entry_in_a_plain_matrix(self, lattices):
         Q, t, i, j = self.bs4_with_off_order_pair(lattices)
-        t.L.set(i, j, F(1, 3))
-        plain = t.L.scaled_cols([1] * t.size)
+        plain = with_entries(t.L, {(i, j): F(1, 3)}).scaled_cols([1] * t.size)
         assert type(plain) is RatMatrix and plain.is_upper()
         report = verify_triple(Q, SpectralTriple(t.R, t.D, plain))
         assert not report.triangular_support
@@ -820,13 +843,13 @@ class TestSupportFlag:
     def test_block_entry_above_diagonal(self):
         t = bs_block_triple(5)
         assert verify_triple(bs_block_generator(5), t).triangular_support
-        t.L.set(1, 3, F(1))
+        t = SpectralTriple(t.R, t.D, with_entries(t.L, {(1, 3): F(1)}))
         assert not verify_triple(bs_block_generator(5), t).triangular_support
 
     def test_non_unit_diagonal(self, lattices):
         Q, t, _, _ = self.bs4_with_off_order_pair(lattices)
         assert verify_triple(Q, t).unit_diagonals
-        t.R.set(3, 3, F(2))
+        t = SpectralTriple(with_entries(t.R, {(3, 3): F(2)}), t.D, t.L)
         report = verify_triple(Q, t)
         assert not report.unit_diagonals and report.triangular_support
 
@@ -835,7 +858,7 @@ class TestSupportFlag:
         # 0's first stored entry is a 1 in the next column
         Q, t = build_generator(lattices[2], bs_rates(2)), bs_triple(lattices[2])
         assert verify_triple(Q, t).unit_diagonals
-        t.R.set(0, 0, F(0))
+        t = SpectralTriple(with_entries(t.R, {(0, 0): F(0)}), t.D, t.L)
         assert t.R.row(0) == {1: F(1)}
         assert not verify_triple(Q, t).unit_diagonals
 
