@@ -2,7 +2,7 @@
 
 Run from anywhere, with the library's dependencies installed:
 
-    python bench/layers.py --out BENCH_40.json            # n = 6, 7 and 8
+    python bench/layers.py --out BENCH_<pr>.json          # n = 6, 7 and 8
     python bench/layers.py --n 4 --out /tmp/layers.json   # a quicker check
 
 Each layer runs 3 times in this process, by a direct call, and its min and
@@ -173,7 +173,8 @@ def layers(n: int) -> dict:
     out["keys"] = len(firsts)
     with open(os.devnull, "w") as sink:
         out["matrix_table_write_s"] = timed(
-            lambda: cli._write_json({"R": cli._Table(t_bs.R), "L": cli._Table(t_bs.L)},
+            lambda: cli._write_json({"R": cli._bracketed("[]", cli._matrix_rows(t_bs.R)),
+                                     "L": cli._bracketed("[]", cli._matrix_rows(t_bs.L))},
                                     sink.write)
         )
     args = Namespace(format="json", out=os.devnull)

@@ -23,15 +23,17 @@ threads back.
 A JSON payload is a flat dict.  Its tables are written as they are
 produced: a matrix table is read off its computed matrix, and a pair table
 (``transition``, ``green``, ``hitting``) off the comparable-pair walk, a
-row at a time, and each row is passed to the file object as it is made:
---out and a buffered stdout batch the writes, an unbuffered stdout (python
--u, PYTHONUNBUFFERED) does not (``_write_json``).  Every other value (a
-header field, the lattice's names, ``simulate``'s records, ``verify``'s
-checks) is ``json.dumps(value, indent=2)``, written whole.  So peak memory
-is set by the matrices, or by the lattice and one row, not by the tables.
-Every matrix, product and verification, and every check that can raise,
-finishes before the first byte is written, and --out is opened only then,
-so a failing command writes nothing.
+row at a time, and each row, joined to its separator, is passed to the file
+object as one write as it is made (``_bracketed``, ``_write_json``): --out
+and a buffered stdout batch the writes, an unbuffered stdout (python -u,
+PYTHONUNBUFFERED) makes each a write(2), 1,773 for ``spectral --n 7`` and
+884 for ``green --n 7``.  Every other value (a header field, the lattice's
+names, ``simulate``'s records, ``verify``'s checks) is ``json.dumps(value,
+indent=2)``, written whole.  So peak memory is set by the matrices, or by
+the lattice and one row, not by the tables.  Every matrix, product and
+verification, and every check that can raise, finishes before the first
+byte is written, and --out is opened only then, so a failing command writes
+nothing.
 
 Each command imports the library modules it runs when it runs, so start-up
 pays only for them, and reads its model's functions from the package's table
@@ -93,42 +95,33 @@ def _ratio_text(v: int, d: int) -> str:
     return f"{v // g}/{d // g}"
 
 
-class _Table:
-    """The JSON list of [i, j, "p/q"] per entry of ``mat.nonzeros()``, written
-    a stored row at a time."""
+def _matrix_rows(mat: RatMatrix) -> Iterator[str]:
+    """Yield the text of each stored row's entries of ``mat.nonzeros()``, as
+    ``json.dumps`` prints the list of [i, j, "p/q"] in a payload, at indent
+    4, joined by commas.
 
-    __slots__ = ("mat",)
-    brackets = "[]"
-
-    def __init__(self, mat: RatMatrix):
-        self.mat = mat
-
-    def json_rows(self) -> Iterator[str]:
-        """Yield the text of each stored row's entries as ``json.dumps``
-        prints them in a payload, at indent 4, joined by commas.
-
-        An entry is its row's prefix, its column and the tail of its value
-        ("p/q" needs no escaping).  A stored row holds its values over one
-        denominator d > 0, so within a run of rows that share d a value is
-        its numerator, and each numerator's tail is made once per run: the
-        cache is emptied whenever d changes.  Lattice rows share their values
-        (R and L take one per key) in a few long runs; a block-counting row
-        has a denominator and values of its own, so there the cache holds one
-        row's tails.
-        """
-        inner = "\n    "
-        deep = inner + "  "
-        tails: dict[int, str] = {}
-        run = None
-        for i, d, cols, nums in self.mat._row_entries():
-            if d != run:
-                tails.clear()
-                run = d
-            for v in nums:
-                if v not in tails:
-                    tails[v] = f',{deep}"{_ratio_text(v, d)}"{inner}]'
-            prefix = f"{inner}[{deep}{i},{deep}"
-            yield ",".join([f"{prefix}{j}{tails[v]}" for j, v in zip(cols, nums)])
+    An entry is its row's prefix, its column and the tail of its value
+    ("p/q" needs no escaping).  A stored row holds its values over one
+    denominator d > 0, so within a run of rows that share d a value is its
+    numerator, and each numerator's tail is made once per run: the cache is
+    emptied whenever d changes.  Lattice rows share their values (R and L
+    take one per key) in a few long runs; a block-counting row has a
+    denominator and values of its own, so there the cache holds one row's
+    tails.
+    """
+    inner = "\n    "
+    deep = inner + "  "
+    tails: dict[int, str] = {}
+    run = None
+    for i, d, cols, nums in mat._row_entries():
+        if d != run:
+            tails.clear()
+            run = d
+        for v in nums:
+            if v not in tails:
+                tails[v] = f',{deep}"{_ratio_text(v, d)}"{inner}]'
+        prefix = f"{inner}[{deep}{i},{deep}"
+        yield ",".join([f"{prefix}{j}{tails[v]}" for j, v in zip(cols, nums)])
 
 
 def _lattice_order(lattice: PartitionLattice) -> list[str]:
@@ -158,56 +151,54 @@ def _pair_rows(lattice: PartitionLattice, cell, per_key: bool) -> Iterator[tuple
         yield i, js, texts
 
 
-class _PairTable:
-    """The JSON object {source: {target: cell(i, j)}} over ``_pair_rows``,
-    written a row at a time; cells of None are left out, and ``cell``
-    returns str."""
+def _pair_table_rows(lattice: PartitionLattice, cell, per_key: bool) -> Iterator[str]:
+    """Yield the text of each source's item of {source: {target: cell(i, j)}}
+    over ``_pair_rows``, as ``json.dumps`` prints it in a payload, at indent
+    4; cells of None are left out, and ``cell`` returns str.
 
-    __slots__ = ("lattice", "cell", "per_key")
-    brackets = "{}"
+    Each name is escaped once, and each cell where ``_pair_rows`` computes
+    it, so once per key.  A row is joined once: its source goes into its
+    first item and its closing brace into its last.
+    """
+    inner = "\n    "
+    deep, close = inner + "  ", inner + "}"
+    names = [_escape(p.to_string()) for p in lattice]
 
-    def __init__(self, lattice: PartitionLattice, cell, per_key: bool):
-        self.lattice = lattice
-        self.cell = cell
-        self.per_key = per_key
+    def escaped(i: int, j: int) -> str | None:
+        text = cell(i, j)
+        return None if text is None else _escape(text)
 
-    def json_rows(self) -> Iterator[str]:
-        """Yield the text of each source's item as ``json.dumps`` prints
-        it in a payload, at indent 4.
+    for i, js, texts in _pair_rows(lattice, escaped, per_key):
+        items = [f"{deep}{names[j]}: {text}" for j, text in zip(js, texts) if text is not None]
+        if not items:
+            yield f"{inner}{names[i]}: {{}}"
+            continue
+        items[0] = f"{inner}{names[i]}: {{{items[0]}"
+        items[-1] += close
+        yield ",".join(items)
 
-        Each name is escaped once, and each cell where ``_pair_rows``
-        computes it, so once per key.  A row is joined once: its source
-        goes into its first item and its closing brace into its last.
-        """
-        inner = "\n    "
-        deep, close = inner + "  ", inner + "}"
-        names = [_escape(p.to_string()) for p in self.lattice]
-        cell = self.cell
 
-        def escaped(i: int, j: int) -> str | None:
-            text = cell(i, j)
-            return None if text is None else _escape(text)
-
-        for i, js, texts in _pair_rows(self.lattice, escaped, self.per_key):
-            items = [f"{deep}{names[j]}: {text}" for j, text in zip(js, texts) if text is not None]
-            if not items:
-                yield f"{inner}{names[i]}: {{}}"
-                continue
-            items[0] = f"{inner}{names[i]}: {{{items[0]}"
-            items[-1] += close
-            yield ",".join(items)
+def _bracketed(brackets: str, rows: Iterable[str]) -> Iterator[str]:
+    """Yield each of ``rows`` joined to its separator, ``brackets[0]`` before
+    the first and a comma before each later one, then the close: the JSON
+    list ("[]") or object ("{}") of the rows at indent 2."""
+    sep = brackets[0]
+    for text in rows:
+        yield sep + text
+        sep = ","
+    yield "\n  " + brackets[1] if sep == "," else brackets
 
 
 def _write_json(payload: dict, write) -> None:
     """Pass ``json.dumps(payload, indent=2)`` and a newline to ``write``.
 
-    ``payload`` is a command's flat, non-empty dict with str keys.  A
-    ``_Table`` or ``_PairTable`` value is read once, and each row's text is
-    passed to ``write``, after its separator, as soon as it is made.  A
-    buffered file object batches these writes; an unbuffered stdout (python
-    -u) makes each a write(2), 3,527 for ``spectral --n 7`` against 269, and
-    BS R and L at n = 7 then take 12.7 ms to write instead of 11.7 (median of
-    7; CPython 3.11, 2-core x86-64 VM).  Any other value is ``json.dumps(value,
+    ``payload`` is a command's flat, non-empty dict with str keys.  An
+    iterator value (a table, ``_bracketed``) is read once, and each chunk,
+    a row with its separator, is passed to ``write`` as soon as it is made.
+    A buffered file object batches these writes; an unbuffered stdout
+    (python -u) makes each a write(2): 1,773 for ``spectral --n 7`` and 884
+    for ``green --n 7`` (counted in process through a write-through text
+    wrapper; CPython 3.11).  Any other value is ``json.dumps(value,
     indent=2)``, each line break indented two spaces deeper (safe, as
     json.dumps escapes a newline within a string).
     """
@@ -215,16 +206,11 @@ def _write_json(payload: dict, write) -> None:
     for key, value in payload.items():
         write(f"{lead}{_escape(key)}: ")
         lead = ",\n  "
-        if not isinstance(value, (_Table, _PairTable)):
+        if isinstance(value, Iterator):
+            for text in value:
+                write(text)
+        else:
             write(json.dumps(value, indent=2).replace("\n", "\n  "))
-            continue
-        opening, closing = value.brackets
-        sep = opening
-        for text in value.json_rows():
-            write(sep)
-            write(text)
-            sep = ","
-        write("\n  " + closing if sep == "," else opening + closing)
     write("\n}\n")
 
 
@@ -285,7 +271,7 @@ def cmd_qmatrix(args) -> int:
             "block_counting": bool(args.block),
             "n": args.n,
             "order": order,
-            "entries": _Table(Q),
+            "entries": _bracketed("[]", _matrix_rows(Q)),
         }
         _emit_json(payload, args.out)
     return 0
@@ -311,9 +297,9 @@ def cmd_spectral(args) -> int:
         "block_counting": bool(args.block),
         "n": args.n,
         "order": order,
-        "R": _Table(triple.R),
+        "R": _bracketed("[]", _matrix_rows(triple.R)),
         "D": [format_rational(d) for d in triple.D],
-        "L": _Table(triple.L),
+        "L": _bracketed("[]", _matrix_rows(triple.L)),
         "eigenvalues": [[format_rational(ev), mult] for ev, mult in eigenvalues],
         "verification": report.as_dict(),
     }
@@ -334,7 +320,8 @@ def _emit_pair_rows(args, lattice: PartitionLattice, head: dict, cell, per_key=T
         )
         _emit_csv(chain([["source", "target", "value"]], triples), args.out)
     else:
-        _emit_json({**head, "rows": _PairTable(lattice, cell, per_key)}, args.out)
+        rows = _bracketed("{}", _pair_table_rows(lattice, cell, per_key))
+        _emit_json({**head, "rows": rows}, args.out)
 
 
 def _check_time(t: float) -> float:

@@ -50,7 +50,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import _EXPORTS
-from .partitions import PartitionLattice
+from .partitions import PartitionLattice, _Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,20 +95,31 @@ def _reduced(d: int, cols: tuple[int, ...], nums: tuple[int, ...]) -> _Row | Non
 
 class RatMatrix:
     """Square sparse matrix of exact rationals, stored as reduced integer rows: built
-    once, by the constructor, ``identity`` or ``from_rows``, and then only read."""
+    once, by the constructor, ``identity`` or ``from_rows``, and then only read.
+    Its slots are set once, by the constructor or by ``__setstate__``;
+    assigning or deleting an attribute raises ``AttributeError``, as on the
+    ``_Frozen`` values, but equality is by entries, across the two classes."""
 
     __slots__ = ("size", "_rows")
+    __setattr__ = _Frozen.__setattr__
+    __delattr__ = _Frozen.__delattr__
 
     def __init__(self, size: int):
         if size < 0:
             raise ValueError("matrix size must be nonnegative")
-        self.size = size
-        self._rows: dict[int, _Row] = {}
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_rows", {})
+
+    def __setstate__(self, state: tuple) -> None:
+        # (None, {slot: value}), the state a slotted object pickles and copies by
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def identity(cls, size: int) -> "RatMatrix":
-        out = cls(size)
-        for i in range(size):
+    def identity(cls, shape) -> "RatMatrix":
+        """The identity ``cls(shape)``: a size, or a ``TriMatrix``'s lattice."""
+        out = cls(shape)
+        for i in range(out.size):
             out._rows[i] = (1, (i,), (1,))
         return out
 
@@ -283,7 +294,7 @@ class TriMatrix(RatMatrix):
 
     def __init__(self, lattice: PartitionLattice):
         super().__init__(len(lattice))
-        self.lattice = lattice
+        object.__setattr__(self, "lattice", lattice)
 
 
 def _within_order(

@@ -197,38 +197,48 @@ MUTANTS = [
     (
         # the pair-table writer printing lattice names without quotes
         "cli.py",
-        "names = [_escape(p.to_string()) for p in self.lattice]",
-        "names = [p.to_string() for p in self.lattice]",
+        "names = [_escape(p.to_string()) for p in lattice]",
+        "names = [p.to_string() for p in lattice]",
         ["tests/test_cli.py::TestPairTables::test_json"],
     ),
     (
-        # _write_json opening every table with a list's bracket, a pair table's too
+        # _bracketed opening every table with a list's bracket, a pair table's too
         "cli.py",
-        "        sep = opening\n",
-        "        sep = \"[\"\n",
+        "    sep = brackets[0]\n",
+        "    sep = \"[\"\n",
         ["tests/test_cli.py::TestPairTables::test_json"],
     ),
     (
         # _write_json holding a table's rows back until the table ends
         "cli.py",
         """\
-        for text in value.json_rows():
-            write(sep)
-            write(text)
-            sep = ","
+            for text in value:
+                write(text)
 """,
         """\
-        held = []
-        for text in value.json_rows():
-            held += [sep, text]
-            sep = ","
-        for text in held:
-            write(text)
+            write("".join(value))
 """,
         [
             "tests/test_cli.py::TestEntriesPayload::test_each_row_written_as_it_is_made",
             "tests/test_cli.py::TestPairTables::test_each_row_written_as_it_is_made",
         ],
+    ),
+    (
+        # _bracketed passing a row's separator on as a write of its own
+        "cli.py",
+        "        yield sep + text\n",
+        "        yield sep\n        yield text\n",
+        [
+            "tests/test_cli.py::TestEntriesPayload::test_each_row_written_as_it_is_made",
+            "tests/test_cli.py::TestPairTables::test_each_row_written_as_it_is_made",
+        ],
+    ),
+    (
+        # _bracketed closing a non-empty table on its last row's line
+        "cli.py",
+        'yield "\\n  " + brackets[1] if sep == "," else brackets',
+        'yield brackets[1] if sep == "," else brackets',
+        ["tests/test_cli.py::TestPairTables::test_json"],
     ),
     (
         # _write_json leaving a plain value's lines at json.dumps' own indent

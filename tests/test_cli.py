@@ -44,10 +44,11 @@ from coalspec import (
 )
 from coalspec import cli
 from coalspec.cli import (
+    _bracketed,
+    _matrix_rows,
     _pair_rows,
-    _PairTable,
+    _pair_table_rows,
     _ratio_text,
-    _Table,
     _write_json,
     format_rational,
     format_real,
@@ -58,6 +59,16 @@ from coalspec.cli import (
 def _entries(M):
     """The oracle of a matrix table: [i, j, "p/q"] per entry, from ``Fraction``s."""
     return [[i, j, format_rational(v)] for i, j, v in M.nonzeros()]
+
+
+def _table(M):
+    """M's matrix table, as the CLI puts it in a payload."""
+    return _bracketed("[]", _matrix_rows(M))
+
+
+def _pair_table(lattice, cell, per_key):
+    """The pair table of ``cell``, as the CLI puts it in a payload."""
+    return _bracketed("{}", _pair_table_rows(lattice, cell, per_key))
 
 
 def run(capsys, *argv):
@@ -151,19 +162,16 @@ class TestEntriesPayload:
     @staticmethod
     def check(M):
         # the JSON writer's row-at-a-time table prints the oracle's bytes
-        assert _json_text({"m": _Table(M)}) == json.dumps({"m": _entries(M)}, indent=2)
+        assert _json_text({"m": _table(M)}) == json.dumps({"m": _entries(M)}, indent=2)
 
     def test_empty_matrices(self):
         for M in (RatMatrix(0), RatMatrix(3)):
             self.check(M)
 
-    def test_each_row_written_as_it_is_made(self, monkeypatch):
+    def test_each_row_written_as_it_is_made(self):
         M = bs_triple(PartitionLattice(7)).R
-        made, writes = _streamed(monkeypatch, _Table, {"n": 7, "R": _Table(M)})
-        # each row is its own write, in order, passed on before the next is made
-        rows = set(made)
-        assert len(made) == len(rows) == 877
-        assert [(k, text) for k, text in writes if text in rows] == list(enumerate(made, 1))
+        made, writes = _streamed({"n": 7}, "R", "[]", _matrix_rows(M))
+        assert len(made) == 877
         want = {"n": 7, "R": _entries(M)}
         assert "".join(text for _, text in writes) == json.dumps(want, indent=2) + "\n"
 
@@ -211,7 +219,7 @@ class TestTableTexts:
         want = format_rational(Fraction(v, d))
         assert _ratio_text(v, d) == want
         M = RatMatrix.from_rows(2, [(0, d, {0: v, 1: 1})])
-        assert _json_text({"m": _Table(M)}) == json.dumps({"m": _entries(M)}, indent=2)
+        assert _json_text({"m": _table(M)}) == json.dumps({"m": _entries(M)}, indent=2)
 
     @staticmethod
     def tables():
@@ -236,7 +244,7 @@ class TestTableTexts:
             runs = [{v for *_, nums in run for v in nums} for _, run in by_den]
             want = sum(map(len, runs))
             calls.clear()
-            _json_text({"m": _Table(M)})
+            _json_text({"m": _table(M)})
             assert len(calls) == want, name
             if "block" in name:
                 # a run per row (Kingman R's first two rows are both over 1)
@@ -278,19 +286,31 @@ _json_values = st.recursive(
 )
 
 
-def _streamed(monkeypatch, table_class, payload: dict):
-    """The rows ``table_class.json_rows`` makes while ``_write_json`` prints
-    ``payload``, and the writes, each with the number of rows made by then."""
-    made, writes = [], []
-    json_rows = table_class.json_rows
+def _streamed(head: dict, key: str, brackets: str, rows):
+    """The rows ``rows`` yields while ``_write_json`` prints ``head`` and then
+    ``_bracketed(brackets, rows)`` at ``key``, and the writes, each with the
+    number of rows made by then.
 
-    def spied(self):
-        for text in json_rows(self):
+    Checks that each row, joined to its separator, is one write, in order,
+    passed on before the next row is made, and that the header and the two
+    closing writes are all the others.
+    """
+    made, writes = [], []
+
+    def spied():
+        for text in rows:
             made.append(text)
             yield text
 
-    monkeypatch.setattr(table_class, "json_rows", spied)
-    _write_json(payload, lambda text: writes.append((len(made), text)))
+    _write_json({**head, key: _bracketed(brackets, spied())},
+                lambda text: writes.append((len(made), text)))
+    seps = [brackets[0]] + [","] * (len(made) - 1)
+    first = 2 * len(head) + 1  # each header key and value, then the table's key
+    assert writes[first:first + len(made)] == [
+        (k, sep + text) for k, (sep, text) in enumerate(zip(seps, made), 1)
+    ]
+    # the table's close and the payload's
+    assert len(writes) == first + len(made) + 2
     return made, writes
 
 
@@ -318,14 +338,16 @@ class TestJsonWriter:
     @staticmethod
     @functools.cache
     def tables(n):
-        """(table, its plain value) pairs: matrix tables, among them an empty
-        one and a block triple's, and pair tables with and without cells."""
+        """(a maker of a fresh table, its plain value) pairs: matrix tables,
+        among them an empty one and a block triple's, and pair tables with
+        and without cells."""
         lat = PartitionLattice(n)
         green = _exact(bs_green)(lat)
         none = lambda i, j: None  # noqa: E731
-        pairs = [(_Table(M), _entries(M))
+        pairs = [(functools.partial(_table, M), _entries(M))
                  for M in (RatMatrix(0), bs_triple(lat).L, kingman_block_triple(n + 1).R)]
-        pairs += [(_PairTable(lat, cell, per_key), _oracle_rows(lat, cell, per_key))
+        pairs += [(functools.partial(_pair_table, lat, cell, per_key),
+                   _oracle_rows(lat, cell, per_key))
                   for cell, per_key in ((green, True), (green, False), (none, True))]
         return pairs
 
@@ -345,7 +367,7 @@ class TestJsonWriter:
         for a in range(len(items) + 1):
             for b in range(a, len(items) + 1):
                 want = json.dumps(payload(a, b, first_value, second_value), indent=2)
-                assert _json_text(payload(a, b, first, second)) == want
+                assert _json_text(payload(a, b, first(), second())) == want
 
     @settings(max_examples=500, deadline=None)
     @given(_json_values, st.data())
@@ -355,7 +377,7 @@ class TestJsonWriter:
         tables = st.sampled_from(self.tables(data.draw(st.integers(1, 4))))
         (first, first_value), (second, second_value) = data.draw(st.tuples(tables, tables))
         writes = []
-        _write_json({"a": obj, "t": first, "u": second, "b": obj}, writes.append)
+        _write_json({"a": obj, "t": first(), "u": second(), "b": obj}, writes.append)
         want = {"a": obj, "t": first_value, "u": second_value, "b": obj}
         assert "".join(writes) == json.dumps(want, indent=2) + "\n"
 
@@ -365,7 +387,7 @@ class TestJsonWriter:
         next to empty plain values."""
         lat = PartitionLattice(1)
         none = lambda i, j: None  # noqa: E731
-        table, pairs = _Table(RatMatrix(0)), _PairTable(lat, none, True)
+        table, pairs = _table(RatMatrix(0)), _pair_table(lat, none, True)
         want = {"v": obj, "t": _entries(RatMatrix(0)),
                 "p": _oracle_rows(lat, none, True), "w": obj}
         assert _json_text({"v": obj, "t": table, "p": pairs, "w": obj}) == json.dumps(want, indent=2)
@@ -863,7 +885,7 @@ class TestPairTables:
         for cell in (lambda i, j: None if len(lat[i]) == 2 else f"{i}/{j}", lambda i, j: None):
             rows = _oracle_rows(lat, cell, per_key)
             assert {} in rows.values()
-            text = _json_text({"rows": _PairTable(lat, cell, per_key)})
+            text = _json_text({"rows": _pair_table(lat, cell, per_key)})
             assert text == json.dumps({"rows": rows}, indent=2)
             assert '": {}' in text
 
@@ -877,7 +899,7 @@ class TestPairTables:
         table = dict(zip(pairs, texts))
         cell = lambda i, j: table[i, j]  # noqa: E731
         want = json.dumps({"rows": _oracle_rows(lat, cell, False)}, indent=2)
-        assert _json_text({"rows": _PairTable(lat, cell, False)}) == want
+        assert _json_text({"rows": _pair_table(lat, cell, False)}) == want
 
     def test_each_name_and_key_escaped_once(self, monkeypatch):
         lat = PartitionLattice(6)
@@ -894,7 +916,7 @@ class TestPairTables:
             return _escape(text)
 
         monkeypatch.setattr(cli, "_escape", escape)
-        _json_text({"rows": _PairTable(lat, counted, True)})
+        _json_text({"rows": _pair_table(lat, counted, True)})
         # the payload's key once, each name once, each cell once
         assert calls == {"cell": len(keys), "escape": 1 + len(lat) + len(keys)}
         # without per_key, one cell per pair
@@ -902,15 +924,11 @@ class TestPairTables:
         pairs = sum(len(js) for _, js, _ in _pair_rows(lat, counted, False))
         assert calls == {"cell": pairs} and pairs > len(keys)
 
-    def test_each_row_written_as_it_is_made(self, monkeypatch):
+    def test_each_row_written_as_it_is_made(self):
         lat = PartitionLattice(7)
-        table = _PairTable(lat, _exact(bs_green)(lat), True)
-        made, writes = _streamed(monkeypatch, _PairTable, {"n": 7, "rows": table})
-        # each source's row is its own write, in order, passed on before the
-        # next is made
-        rows = set(made)
-        assert len(made) == len(rows) == len(lat)
-        assert [(k, text) for k, text in writes if text in rows] == list(enumerate(made, 1))
+        rows = _pair_table_rows(lat, _exact(bs_green)(lat), True)
+        made, writes = _streamed({"n": 7}, "rows", "{}", rows)
+        assert len(made) == len(lat)
         want = {"n": 7, "rows": _oracle_rows(lat, _exact(bs_green)(lat), True)}
         assert "".join(text for _, text in writes) == json.dumps(want, indent=2) + "\n"
 

@@ -404,6 +404,25 @@ class TestStorage:
         assert public(RatMatrix) == read_only
         assert public(TriMatrix) == read_only | {"lattice"}
 
+    def test_attributes_not_rebound(self, lattices):
+        # a verified triple's R keeps its size, a generator its lattice
+        t, Q = bs_block_triple(5), build_generator(lattices[4], bs_rates(4))
+        with pytest.raises(AttributeError):
+            t.R.size = 4
+        with pytest.raises(AttributeError):
+            Q.lattice = None
+        for m, name in ((t.R, "size"), (Q, "lattice"), (Q, "_rows")):
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        assert (t.R.size, Q.lattice) == (5, lattices[4])
+        assert t.R.get(4, 4) == bs_block_triple(5).R.get(4, 4)
+
+    def test_identity_on_each_shape(self, lattices):
+        for n in range(1, 5):
+            eye = TriMatrix.identity(lattices[n])
+            assert type(eye) is TriMatrix and eye.lattice is lattices[n]
+            assert eye == RatMatrix.identity(len(lattices[n]))
+
     def test_unhashable(self, lattices):
         # defining __eq__ leaves RatMatrix, and TriMatrix with it, unhashable
         for m in (RatMatrix.identity(3), TriMatrix(lattices[3])):

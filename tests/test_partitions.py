@@ -585,6 +585,14 @@ class TestRoundTrip:
             assert pickle.dumps(twin) == data
             assert list(twin.comparable_rows()) == walked._kept_rows()
 
+    def test_copied_matrices_stay_read_only(self):
+        Q, t = _lattice_values()[1:3]
+        for m, name in ((Q, "lattice"), (t.R, "size")):
+            for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+                assert twin == m
+                with pytest.raises(AttributeError):
+                    setattr(twin, name, None)
+
     def test_unpickled_tree_stays_read_only(self):
         tree = sample_rrt(SetPartition.singletons(5), np.random.default_rng(0))
         twin = pickle.loads(pickle.dumps(tree))
