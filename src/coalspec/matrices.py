@@ -110,6 +110,15 @@ class RatMatrix:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "_rows", {})
 
+    def __getstate__(self) -> tuple:
+        # the state a slotted object pickles by at protocol 2 and above, made
+        # here so that protocols 0 and 1 take it too
+        return None, {
+            name: getattr(self, name)
+            for cls in type(self).__mro__
+            for name in cls.__dict__.get("__slots__", ())
+        }
+
     def __setstate__(self, state: tuple) -> None:
         # (None, {slot: value}), the state a slotted object pickles and copies by
         for name, value in state[1].items():

@@ -68,7 +68,8 @@ class _Frozen:
     ``SetPartition``, ``rrt.IncreasingTree``, ``spectral.SpectralTriple`` and
     ``VerificationReport``, and ``simulate.Trajectory``.  One with a
     ``__dict__`` pickles and copies by it, to the dataclass's bytes; the two
-    slotted ones keep their own pickling.
+    slotted ones keep their own pickle state, as ``matrices.RatMatrix``, which
+    borrows the two guards, does, so that all of them pickle at every protocol.
     """
 
     __slots__ = ()

@@ -24,16 +24,16 @@ and hold only the path, which ``Trajectory`` checks jump by jump with
 ``estimate_transition`` makes the same draws in the same order, but steps a
 batch of replicates at a time in lockstep, one numpy array slot (a lane) per
 replicate, through a table that lasts one run: each distinct state gets an
-int id, with its rate, clock scale, partition id and the first of its
-successor slots in numpy arrays, filled on first use by the model's rule
-(Kingman states are keyed by their blocks, BS states by the drawn tree and
-its surviving nodes).  A lane's state is such an id; a step draws every live
-lane's clock and bounded draw at once and moves it with one array lookup.
-The estimator checks the time of every jump, before the horizon test, and
-runs the pass when a jump is first filled, once per distinct pair of
-partition ids; final states are counted by partition id with one
-``bincount`` per batch and read out by the block tuples of the lattice's own
-partitions.
+int id, with its rate, its partition's index in the run's ``PartitionLattice``
+and the first of its successor slots in numpy arrays, filled on first use by
+the model's rule (Kingman states are keyed by their blocks, BS states by the
+drawn tree and its surviving nodes).  No clock scale is stored: a clock is
+drawn with scale 1.0 / rate.  A lane's state is such an id; a step draws
+every live lane's clock and bounded draw at once and moves it with one array
+lookup.  The estimator checks the time of every jump, before the horizon
+test, and the table runs the pass when a jump is first filled, once per
+distinct pair of lattice indices; final states are counted by lattice index
+with one ``bincount`` per batch and read out against the lattice.
 
 Replicate streams: replicate i of a run with seed s draws from
 ``numpy.random.default_rng((s, i))``, so runs are reproducible and
@@ -98,7 +98,8 @@ class Trajectory(_Frozen):
             raise ValueError("need exactly one state per epoch")
         prev = 0.0
         for t, a, b in zip(times, states, states[1:]):
-            _check_jump(prev, t, a.blocks, b.blocks)
+            _check_time(prev, t)
+            _check_coarsens(a.blocks, b.blocks)
             prev = t
         self.__dict__.update(times=times, states=states)
 
@@ -115,26 +116,21 @@ class Trajectory(_Frozen):
         return self.states[-1]
 
 
-def _check_jump(prev: float, t: float, fine: Blocks, coarse: Blocks) -> None:
-    """Raise ValueError unless the jump fine -> coarse at time t is legal.
+def _check_time(prev: float, t: float) -> None:
+    """Raise ValueError unless t is finite and later than ``prev``."""
+    if not prev < t < inf:
+        raise ValueError("jump times must be finite and increase strictly from 0")
 
-    ``prev`` is the previous jump time (0 at the first jump); t must be
-    finite and later, and ``coarse`` must strictly coarsen ``fine``: the
-    pair has a key (the same ground set, fine ≤ coarse) with fewer blocks.
-    """
-    _check_time(prev, t)
+
+def _check_coarsens(fine: Blocks, coarse: Blocks) -> None:
+    """Raise ValueError unless ``coarse`` strictly coarsens ``fine``: the pair
+    has a key (the same ground set, fine ≤ coarse) with fewer blocks."""
     try:
         key = _block_key(fine, coarse)
     except ValueError:
         key = None
     if key is None or key[1] >= key[0]:
         raise ValueError("states must coarsen strictly at each jump")
-
-
-def _check_time(prev: float, t: float) -> None:
-    """Raise ValueError unless t is finite and later than ``prev``."""
-    if not prev < t < inf:
-        raise ValueError("jump times must be finite and increase strictly from 0")
 
 
 def replicate_rng(seed: int, i: int) -> np.random.Generator:
@@ -159,6 +155,8 @@ _MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
 _MULT_L1, _MULT_L0 = _MULT_LO >> 32, _MULT_LO & _MASK32
 # replicates an estimator draws for in lockstep, one batch of lanes at a time
 _LANES = 2048
+# the ziggurat's fast-path tables as the lanes index them
+_KE, _WE = np.array(KE, np.uint64), np.array(WE)
 
 
 def _words(x: int) -> list[int]:
@@ -273,7 +271,6 @@ class _Lanes:
         self.size = stop - start
         self.spare = np.zeros(self.size, np.uint64)  # the buffered 32-bit half
         self.has = np.zeros(self.size, bool)  # whether it is unread
-        self.ke, self.we = np.array(KE, np.uint64), np.array(WE)
 
     def _next(self, lanes):
         """The next 64-bit output of each of ``lanes``."""
@@ -312,7 +309,7 @@ class _Lanes:
         return out
 
     def exponential(self, lanes, scale):
-        """``Generator.exponential(scale[i])`` on lane ``lanes[i]`` for every i.
+        """``Generator.exponential(s)`` on lane ``lanes[i]``, s the i-th ``scale``, for every i.
 
         numpy's ziggurat (``_ziggurat``): from an output r, ri = r >> 11 in box
         k = (r >> 3) & 0xFF gives x = ri WE[k] when ri < KE[k].  The lanes off
@@ -327,8 +324,8 @@ class _Lanes:
         while todo.size:
             raw = self._next(lanes[todo])
             ri, box = raw >> 11, (raw >> 3 & 0xFF).astype(np.intp)
-            x = ri * self.we[box]
-            fast = ri < self.ke[box]
+            x = ri * _WE[box]
+            fast = ri < _KE[box]
             out[todo[fast]] = x[fast]
             off = np.flatnonzero(~fast)
             if not off.size:
@@ -533,56 +530,52 @@ def _grown(a, size: int, fill):
 class _JumpTable:
     """The states one estimator run meets, each with an int id.
 
-    State s leaves at total rate ``rate[s]`` (0 once absorbed) on a clock of
-    scale ``scale[s]`` = 1.0 / rate, bounded draw k leads to state
-    ``succ[base[s] + k]``, -1 until the estimator first takes that jump and
-    stores ``successor(s, k)`` there, and its partition has id ``part[s]``,
-    blocks ``blocks[part[s]]``.  These are numpy arrays, over-allocated and
-    doubled when full, so a lane of states reads them with one index.
-    ``keys[s]`` is what ``rule`` steps from: ``starts`` and ``successor``
-    take the model's start states and jumps from its rule, and the table only
-    numbers and remembers them.  A table lives for one run.
+    State s leaves at total rate ``rate[s]`` (0 once absorbed), bounded draw
+    k leads to state ``succ[base[s] + k]``, -1 until the estimator first
+    takes that jump and stores ``successor(s, k)`` there, and its partition
+    is ``lattice[part[s]]``, its lattice index; no clock scale is stored.
+    These are numpy arrays, over-allocated and doubled when full, so a lane
+    of states reads them with one index.  ``keys[s]`` is what ``rule`` steps
+    from: ``starts`` and ``successor`` take the model's start states and
+    jumps from its rule, and the table only numbers and remembers them.
+    ``successor`` runs the coarsening check once per pair of lattice indices,
+    when a jump between them is first filled.  A table lives for one run.
     """
 
-    def __init__(self, rule):
-        self.rule = rule
+    def __init__(self, rule, lattice: PartitionLattice):
+        self.rule, self.lattice = rule, lattice
+        self.parts = {pi.blocks: i for i, pi in enumerate(lattice)}  # blocks -> index
         self.ids: dict = {}  # keys[s] -> s
         self.keys: list = []
         self.start_ids: dict = {}  # start draws -> the id of their start state
-        self.part_ids: dict[Blocks, int] = {}
-        self.blocks: list[Blocks] = []
+        self.checked = set()  # the pairs of lattice indices the pass has passed
         self.rate, self.base, self.part = (np.zeros(64, np.int64) for _ in range(3))
-        self.scale = np.zeros(64)
         self.succ = np.full(256, -1, np.int64)
         self.slots = 0  # succ entries in use
 
     def state(self, key, blocks: Blocks) -> int:
-        """The id of state ``key``, added with its blocks and rate if new."""
+        """The id of state ``key``, added with its lattice index and rate if new;
+        blocks that are no lattice element's (not canonical, or not on [n]) raise."""
         s = self.ids.get(key)
         if s is None:
+            part = self.parts.get(blocks)
+            if part is None:
+                raise ValueError("states must coarsen strictly at each jump")
             s = self.ids[key] = len(self.keys)
             self.keys.append(key)
-            part = self.part_ids.setdefault(blocks, len(self.blocks))
-            if part == len(self.blocks):
-                self.blocks.append(blocks)
             if s == len(self.rate):
                 self.rate, self.base, self.part = (
                     _grown(a, 2 * s, 0) for a in (self.rate, self.base, self.part)
                 )
-                self.scale = _grown(self.scale, 2 * s, 0.0)
             rate = self.rule.rate(len(blocks))
             self.rate[s], self.base[s], self.part[s] = rate, self.slots, part
-            self.scale[s] = 1.0 / rate if rate else inf
             self.slots += rate
             if self.slots > len(self.succ):
                 self.succ = _grown(self.succ, max(2 * len(self.succ), self.slots), -1)
         return s
 
     def starts(self, rows: list[tuple[int, ...]]):
-        """The start state ids of lanes whose start draws are ``rows``, one each.
-
-        Each distinct start is made once a run.
-        """
+        """The start state ids of lanes whose start draws are ``rows``, each made once a run."""
         ids = self.start_ids
         for row in rows:
             if row not in ids:
@@ -591,8 +584,14 @@ class _JumpTable:
 
     def successor(self, s: int, k: int) -> int:
         """The id of the state bounded draw k leads to from state s."""
-        blocks = self.blocks[self.part[s]]
-        return self.state(*self.rule.step(self.keys[s], blocks, k))
+        fine = self.lattice[self.part[s]].blocks
+        key, coarse = self.rule.step(self.keys[s], fine, k)
+        after = self.state(key, coarse)
+        pair = int(self.part[s]), int(self.part[after])
+        if pair not in self.checked:
+            _check_coarsens(fine, coarse)
+            self.checked.add(pair)
+        return after
 
 
 def estimate_transition(
@@ -604,8 +603,9 @@ def estimate_transition(
     over all of P([n]); the fractions sum to exactly 1.  Replicates step
     in lockstep through a table of the states the run meets, which computes
     each distinct jump once and looks it up on every repeat; no
-    ``SetPartition`` is built beyond the lattice's own.  Every jump's time is
-    checked, and each distinct (fine, coarse) pair of the run gets
+    ``SetPartition`` is built beyond the lattice's own: a state's partition
+    is its lattice index, and final states are counted by it.  Every jump's
+    time is checked, and each distinct (fine, coarse) pair of the run gets
     ``Trajectory``'s coarsening check once, when a replicate first makes it.
     """
     return _estimate_transition(model, n, t, reps, seed)[1]
@@ -620,24 +620,20 @@ def _estimate_transition(
         raise ValueError("need at least one replicate")
     _check_run(n, t)
     lattice = PartitionLattice(n)  # enforces the size cap before any replicate runs
-    table = _JumpTable(rule_type(n))  # lives as long as this run
-    checked: set[tuple[int, int]] = set()  # partition-id pairs _check_jump passed
-    finals = np.zeros(0, np.int64)  # replicates ending in each partition id
+    table = _JumpTable(rule_type(n), lattice)  # lives as long as this run
+    finals = np.zeros(len(lattice), np.int64)  # replicates ending in each lattice index
     for lanes in _batches(seed, reps):
-        ends = _run_lanes(table, lanes, t, checked)
-        counts = np.bincount(table.part[ends], minlength=len(table.blocks))
-        counts[:len(finals)] += finals
-        finals = counts
-    counts = dict(zip(table.blocks, finals.tolist()))
-    return lattice, {pi: _estimate(counts.get(pi.blocks, 0), reps) for pi in lattice}
+        ends = _run_lanes(table, lanes, t)  # may grow table.part: read it after
+        finals += np.bincount(table.part[ends], minlength=len(lattice))
+    return lattice, {pi: _estimate(count, reps) for pi, count in zip(lattice, finals.tolist())}
 
 
-def _run_lanes(table: _JumpTable, lanes: _Lanes, t: float, checked: set):
+def _run_lanes(table: _JumpTable, lanes: _Lanes, t: float):
     """Step every lane of ``lanes`` to time t through ``table``: their final state ids.
 
-    Each step draws the clock of every live lane, checks its jump time, stops
-    the lanes past t, draws their jumps and moves them by ``table.succ``,
-    filling a slot the first time a lane takes it.
+    Each step draws the clock of every live lane with scale 1.0 / rate,
+    checks its jump time, stops the lanes past t, draws their jumps and moves
+    them by ``table.succ``, filling a slot the first time a lane takes it.
     """
     ids = table.starts(_start_rows(lanes, table.rule.start_bounds))  # the live lanes' states
     live = np.arange(lanes.size)  # the lanes still moving
@@ -651,7 +647,7 @@ def _run_lanes(table: _JumpTable, lanes: _Lanes, t: float, checked: set):
             live, ids, prev, rate = (a[moving] for a in (live, ids, prev, rate))
             if not live.size:
                 return ends
-        time = prev + lanes.exponential(live, table.scale[ids])
+        time = prev + lanes.exponential(live, 1.0 / rate)
         legal = (prev < time) & (time < inf)
         if not legal.all():
             j = int(np.argmin(legal))
@@ -667,16 +663,9 @@ def _run_lanes(table: _JumpTable, lanes: _Lanes, t: float, checked: set):
         target = table.succ[slot]
         new = np.flatnonzero(target < 0)
         if new.size:
-            lanes_new = zip(new.tolist(), slot[new].tolist(), ids[new].tolist(), k[new].tolist())
-            for j, at, s, draw in lanes_new:
-                if table.succ[at] >= 0:  # filled by an earlier lane of this step
-                    continue
-                table.succ[at] = after = table.successor(s, draw)
-                pair = int(table.part[s]), int(table.part[after])
-                if pair not in checked:
-                    fine, coarse = table.blocks[pair[0]], table.blocks[pair[1]]
-                    _check_jump(float(prev[j]), float(time[j]), fine, coarse)
-                    checked.add(pair)
+            for at, s, draw in zip(slot[new].tolist(), ids[new].tolist(), k[new].tolist()):
+                if table.succ[at] < 0:  # not filled by an earlier lane of this step
+                    table.succ[at] = table.successor(s, draw)
             target = table.succ[slot]
         ids, prev = target, time
 

@@ -285,12 +285,35 @@ MUTANTS = [
     (
         # _run_lanes refilling a slot that an earlier lane of the step filled
         "simulate.py",
-        """\
-                if table.succ[at] >= 0:  # filled by an earlier lane of this step
-                    continue
-""",
-        "",
+        "if table.succ[at] < 0:  # not filled by an earlier lane of this step",
+        "if True:",
         ["tests/test_simulate.py::TestEstimateTransition::test_each_jump_filled_once"],
+    ),
+    (
+        # _JumpTable.successor without its coarsening check
+        "simulate.py",
+        "            _check_coarsens(fine, coarse)\n",
+        "",
+        [
+            "tests/test_simulate.py::TestEstimateTransition"
+            "::test_illegal_pair_after_legal_repeats_rejected",
+        ],
+    ),
+    (
+        # _JumpTable.state reading blocks the lattice lacks as partition 0
+        "simulate.py",
+        """\
+            part = self.parts.get(blocks)
+            if part is None:
+                raise ValueError("states must coarsen strictly at each jump")
+""",
+        """\
+            part = self.parts.get(blocks, 0)
+""",
+        [
+            "tests/test_simulate.py::TestEstimateTransition"
+            "::test_illegal_pair_after_legal_repeats_rejected",
+        ],
     ),
     (
         # verify_triple reading L R = I off the eigen-equations with D not

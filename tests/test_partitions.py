@@ -567,8 +567,9 @@ class TestRoundTrip:
     def test_pickle_and_copies(self, name):
         make, view = ROUND_TRIPS[name]
         value = make()
-        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
-                     copy.deepcopy(value)):
+        pickled = [pickle.loads(pickle.dumps(value, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in (*pickled, copy.copy(value), copy.deepcopy(value)):
             assert type(twin) is type(value)
             assert view(twin) == view(value)
 

@@ -649,6 +649,7 @@ class TestEstimateTransition:
             [(0.5, ((1, 2), (3,))), (0.7, ((1, 3), (2,)))],  # not coarser
             [(0.5, ((1, 2), (3,))), (0.7, ((1, 2), (3,)))],  # no merger
             [(0.5, ((1, 2), (4,)))],  # another ground set
+            [(0.5, ((3,), (1, 2)))],  # blocks not ordered by their minima
         ],
     )
     def test_illegal_pair_after_legal_repeats_rejected(self, illegal, monkeypatch):
